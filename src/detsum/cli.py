@@ -40,6 +40,7 @@ from .identities import (
 from .jsonio import (
     SchemaError,
     chain_to_json,
+    decode_int,
     element_to_json,
     identity_report_to_json,
     instance_from_json,
@@ -53,7 +54,7 @@ from .jsonio import (
     value_to_json,
 )
 from .matrices import DET_ALGORITHMS, SquareMatrix, det, is_invertible, subset_sum
-from .rings import PrimeField, RingElement, SparsePoly
+from .rings import IntPolyRing, PrimeField, RingElement
 from .search import (
     embed_product_to_matrices,
     find_invertible_subsum,
@@ -177,18 +178,10 @@ def _cmd_homogeneous(args, seed):
     if not isinstance(doc, dict):
         raise SchemaError("expected an object with ring/var_count/poly/vectors")
     ring = ring_from_json(doc.get("ring"), "ring")
-    var_count = doc.get("var_count")
-    if not isinstance(var_count, int) or var_count < 1:
+    var_count = decode_int(doc.get("var_count"), "var_count")
+    if var_count < 1:
         raise SchemaError("var_count: expected a positive integer")
-    poly_doc = doc.get("poly")
-    if not isinstance(poly_doc, dict) or "terms" not in poly_doc:
-        raise SchemaError("poly: expected {\"terms\": [[exponents, coeff], ...]}")
-    terms = []
-    for i, pair in enumerate(poly_doc["terms"]):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"poly.terms[{i}]: expected [exponents, coeff]")
-        terms.append((tuple(pair[0]), int(pair[1])))
-    poly = SparsePoly(var_count, terms)
+    poly = value_from_json(IntPolyRing(var_count), doc.get("poly"), "poly")
     vec_docs = doc.get("vectors")
     if not isinstance(vec_docs, list) or not vec_docs:
         raise SchemaError("vectors: expected a nonempty array")
@@ -537,7 +530,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         status = "error"
         result = {"error": f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"}
-    except (SchemaError, DetsumError, OSError, ValueError) as exc:
+    except (SchemaError, DetsumError, OSError, ValueError, RecursionError) as exc:
         status, result = "error", {"error": f"{type(exc).__name__}: {exc}"}
     elapsed_ms = round((time.perf_counter() - started) * 1e3)
 

@@ -50,7 +50,7 @@ from .search import (
     local_counterexample_matrices,
     semilocal_find_unit_subsum,
 )
-from .subsets import SubsetMask, masks_in_search_order
+from .subsets import SubsetMask, gray_sums, masks_in_search_order, search_order_sums
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "DEFAULT_TRIALS"]
 
@@ -280,6 +280,40 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     )
 
 
+def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """Both subset walks agree with ``subset_sum``; trial t uses m = t % 10 + 1
+    members and checks the search-order walk at every bound."""
+    for ring in ALT_SUM_RINGS + (IntPolyRing(2),):
+        for t in range(trials):
+            m = t % 10 + 1
+            n = rng.randint(1, 3)
+            fam = [random_matrix(ring, n, rng) for _ in range(m)]
+            members = [a.rows for a in fam]
+            oracle = {bits: subset_sum(fam, SubsetMask(bits, m)).rows for bits in range(1, 1 << m)}
+            for bound in range(1, m + 1):
+                walked = [
+                    (bits, tuple(map(tuple, rows)))
+                    for bits, rows in search_order_sums(ring, members, bound)
+                ]
+                expected = [(bits, oracle[bits]) for bits in masks_in_search_order(m, bound)]
+                rec.check(
+                    walked == expected,
+                    lambda: f"search-order walk differs over {ring!r} "
+                    f"(n={n}, m={m}, bound={bound})",
+                )
+            steps = 0
+            ok = True
+            for k, (parity, rows) in enumerate(gray_sums(ring, members), 1):
+                gray = k ^ (k >> 1)
+                same = tuple(map(tuple, rows)) == oracle[gray]
+                ok = ok and same and parity == gray.bit_count() & 1
+                steps = k
+            rec.check(
+                ok and steps == (1 << m) - 1,
+                lambda: f"Gray walk differs over {ring!r} (n={n}, m={m})",
+            )
+
+
 def suite_perturbation_residual(rng: random.Random, trials: int, rec: _Recorder) -> None:
     for ring in (INTEGERS, ModRing(10)):
         for t in range(trials):
@@ -384,23 +418,9 @@ def suite_simplex(rng: random.Random, trials: int, rec: _Recorder) -> None:
 def _random_family_with_unit_total(ring, n, m, rng, max_resamples=200):
     for _ in range(max_resamples):
         fam = [random_matrix(ring, n, rng) for _ in range(m)]
-        total_rows = [
-            [
-                _sum_entries(ring, fam, i, j)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if ring.is_unit(det_rows(ring, total_rows)):
+        if is_invertible(subset_sum(fam, SubsetMask.full(m))):
             return fam
     return None
-
-
-def _sum_entries(ring, fam, i, j):
-    acc = ring.zero
-    for mat in fam:
-        acc = ring.add(acc, mat.rows[i][j])
-    return acc
 
 
 def suite_search_field_guarantee(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -565,6 +585,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-homogeneity": (suite_det_homogeneity, 100),
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
+    "subset-walks": (suite_subset_walks, 10),
     "perturbation-residual": (suite_perturbation_residual, 100),
     "perturbation-witness": (suite_perturbation_witness, 50),
     "homogeneous-sum": (suite_homogeneous_sum, 50),

@@ -30,9 +30,9 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import SquareMatrix, _raw_matrix, det_rows, family_ring_shape
+from .matrices import SquareMatrix, _raw_matrix, det_rows, family_ring_shape, subset_sum
 from .rings import RATIONALS, IntPolyRing, RingElement, SparsePoly
-from .subsets import MAX_FAMILY, SubsetMask, masks_in_search_order
+from .subsets import MAX_FAMILY, SubsetMask, gray_sums, gray_walk, search_order_sums
 
 __all__ = [
     "IdentityReport",
@@ -85,26 +85,6 @@ class SimplexReport:
     failing_subsets: tuple[SubsetMask, ...]
 
 
-def _gray_subset_walk(m: int):
-    """Yield (toggled_index, added, parity_of_size) along the Gray walk.
-
-    Step k moves from subset gray(k-1) to gray(k); exactly one index is
-    toggled per step, so callers can maintain running sums with one
-    update each.  Exact ring addition is order-independent, so the total
-    matches the cardinality-ordered sum bit for bit.
-    """
-    prev = 0
-    parity = 0
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        toggled = gray ^ prev
-        idx = toggled.bit_length() - 1
-        added = bool(gray & toggled)
-        parity ^= 1
-        yield idx, added, parity
-        prev = gray
-
-
 def alternating_subset_det_sum(
     matrices: Sequence[SquareMatrix], algorithm: str = "auto"
 ) -> RingElement:
@@ -114,21 +94,13 @@ def alternating_subset_det_sum(
     evaluated.  The result is exactly zero whenever m > n, over any
     commutative ring.
     """
-    ring, n = family_ring_shape(matrices)
+    ring, _ = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     add, sub = ring.add, ring.sub
-    rows = [[ring.zero] * n for _ in range(n)]
     acc = ring.zero
-    for idx, added, parity in _gray_subset_walk(m):
-        src = matrices[idx].rows
-        op = add if added else sub
-        for i in range(n):
-            row = rows[i]
-            srow = src[i]
-            for j in range(n):
-                row[j] = op(row[j], srow[j])
+    for parity, rows in gray_sums(ring, [a.rows for a in matrices]):
         d = det_rows(ring, rows, algorithm)
         acc = sub(acc, d) if parity else add(acc, d)
     return RingElement(ring, acc, _normalized=True)
@@ -157,9 +129,10 @@ def check_alternating_product_identity(
 
     terms: dict[tuple[int, ...], int] = {}
     if n == 1:
+        # Same coefficients as the general branch, which is 2-3x slower at m = 16..20.
         counts = [0] * m
         current: set[int] = set()
-        for idx, added, parity in _gray_subset_walk(m):
+        for idx, added, parity in gray_walk(m):
             if added:
                 current.add(idx)
             else:
@@ -175,7 +148,7 @@ def check_alternating_product_identity(
     else:
         coeffs: dict[tuple[int, ...], int] = {}
         current = set()
-        for idx, added, parity in _gray_subset_walk(m):
+        for idx, added, parity in gray_walk(m):
             if added:
                 current.add(idx)
             else:
@@ -325,31 +298,15 @@ def det_expansion_certificate(m: int, n: int) -> list[tuple[SubsetMask, int]]:
 def _verify_certificate(m: int, n: int, certificate: list[tuple[SubsetMask, int]]) -> None:
     ring = IntPolyRing(m * n * n)
     mats = generic_matrix_family(m, n)
-    full_rows = _summed_rows(ring, n, mats, (1 << m) - 1)
-    lhs = det_rows(ring, full_rows)
+    lhs = det_rows(ring, subset_sum(mats, SubsetMask.full(m)).rows)
     rhs = ring.zero
     for mask, c in certificate:
-        d = det_rows(ring, _summed_rows(ring, n, mats, mask.bits))
+        d = det_rows(ring, subset_sum(mats, mask).rows)
         rhs = ring.add(rhs, ring.mul(ring.from_int(c), d))
     if lhs != rhs:
         raise ContractViolation(
             f"certificate for (m={m}, n={n}) failed symbolic verification"
         )
-
-
-def _summed_rows(ring, n: int, matrices: Sequence[SquareMatrix], bits: int):
-    rows = [[ring.zero] * n for _ in range(n)]
-    add = ring.add
-    while bits:
-        low = bits & -bits
-        src = matrices[low.bit_length() - 1].rows
-        for i in range(n):
-            row = rows[i]
-            srow = src[i]
-            for j in range(n):
-                row[j] = add(row[j], srow[j])
-        bits ^= low
-    return rows
 
 
 def perturbation_identity_residual(
@@ -368,16 +325,8 @@ def perturbation_identity_residual(
         )
     add, sub = ring.add, ring.sub
     b_rows = perturbation.rows
-    rows = [[ring.zero] * n for _ in range(n)]
     acc = ring.zero
-    for idx, added, parity in _gray_subset_walk(n):
-        src = family[idx].rows
-        op = add if added else sub
-        for i in range(n):
-            row = rows[i]
-            srow = src[i]
-            for j in range(n):
-                row[j] = op(row[j], srow[j])
+    for parity, rows in gray_sums(ring, [a.rows for a in family]):
         plain = det_rows(ring, rows)
         shifted = det_rows(
             ring, [[add(rows[i][j], b_rows[i][j]) for j in range(n)] for i in range(n)]
@@ -405,8 +354,7 @@ def find_perturbing_subset(
         )
     add = ring.add
     b_rows = perturbation.rows
-    for bits in masks_in_search_order(n):
-        rows = _summed_rows(ring, n, family, bits)
+    for bits, rows in search_order_sums(ring, [a.rows for a in family], n):
         plain = det_rows(ring, rows)
         shifted = det_rows(
             ring, [[add(rows[i][j], b_rows[i][j]) for j in range(n)] for i in range(n)]
@@ -453,14 +401,9 @@ def homogeneous_alternating_sum(
         raw_vectors.append(raw)
 
     add, sub = ring.add, ring.sub
-    current = [ring.zero] * poly.var_count
-    acc = poly.eval_raw(ring, current)  # empty subset: f(0)
-    for idx, added, parity in _gray_subset_walk(m):
-        vec = raw_vectors[idx]
-        op = add if added else sub
-        for i in range(poly.var_count):
-            current[i] = op(current[i], vec[i])
-        value = poly.eval_raw(ring, current)
+    acc = poly.eval_raw(ring, [ring.zero] * poly.var_count)  # empty subset: f(0)
+    for parity, (point,) in gray_sums(ring, [[vec] for vec in raw_vectors]):
+        value = poly.eval_raw(ring, point)
         acc = sub(acc, value) if parity else add(acc, value)
     return RingElement(ring, acc, _normalized=True)
 
@@ -483,13 +426,12 @@ def simplex_centroid_check(points: Sequence[SquareMatrix]) -> SimplexReport:
     m = n + 1
     full = (1 << m) - 1
     failing = []
-    for bits in masks_in_search_order(m):
+    for bits, rows in search_order_sums(ring, [p.rows for p in points], m):
+        singular = ring.is_zero(det_rows(ring, rows))
         if bits == full:
-            continue
-        d = det_rows(ring, _summed_rows(ring, n, points, bits))
-        if not ring.is_zero(d):
+            centroid_singular = singular
+        elif not singular:
             failing.append(SubsetMask(bits, m))
-    centroid_singular = ring.is_zero(det_rows(ring, _summed_rows(ring, n, points, full)))
     return SimplexReport(
         premise_holds=not failing,
         centroid_singular=centroid_singular,

@@ -30,8 +30,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, det_rows, family_ring_shape
 from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
-from .subsets import MAX_FAMILY, SubsetMask, masks_in_search_order, masks_of_cardinality
-from .identities import _summed_rows
+from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
 __all__ = [
     "IdealChain",
@@ -67,14 +66,13 @@ def find_invertible_subsum(
     the total sum is invertible and bound >= n; over other rings it may
     legitimately find nothing.
     """
-    ring, n = family_ring_shape(matrices)
+    ring, _ = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     _check_bound(bound, m)
-    for bits in masks_in_search_order(m, bound):
-        d = det_rows(ring, _summed_rows(ring, n, matrices, bits))
-        if ring.is_unit(d):
+    for bits, rows in search_order_sums(ring, [a.rows for a in matrices], bound):
+        if ring.is_unit(det_rows(ring, rows)):
             return SubsetMask(bits, m)
     return None
 
@@ -135,7 +133,7 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     g_n.  Only the integers and Z/N are supported, where every ideal is
     principal and a gcd is a canonical generator.
     """
-    ring, n = family_ring_shape(matrices)
+    ring, _ = family_ring_shape(matrices)
     if isinstance(ring, IntegerRing):
         modulus = 0
     elif isinstance(ring, ModRing):
@@ -149,11 +147,11 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
         )
     generators = [0]
     acc = 0
-    for card in range(1, m + 1):
-        for bits in masks_of_cardinality(m, card):
-            d = det_rows(ring, _summed_rows(ring, n, matrices, bits))
-            acc = math.gcd(acc, d)
-        generators.append(math.gcd(acc, modulus) if modulus else acc)
+    for bits, rows in search_order_sums(ring, [a.rows for a in matrices], m):
+        if bits.bit_count() == len(generators) + 1:  # the level below is complete
+            generators.append(math.gcd(acc, modulus) if modulus else acc)
+        acc = math.gcd(acc, det_rows(ring, rows))
+    generators.append(math.gcd(acc, modulus) if modulus else acc)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
 
@@ -187,6 +185,16 @@ class SemilocalInstance:
         return tuple(el.value for el in self.elements)
 
 
+def _first_unit_subsum(
+    ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
+) -> Optional[int]:
+    """Mask of the first subset of size <= bound summing to a unit, or None."""
+    for bits, ((total,),) in search_order_sums(ring, [((t,),) for t in raw], bound):
+        if ring.is_unit(total):
+            return bits
+    return None
+
+
 def semilocal_find_unit_subsum(
     instance: SemilocalInstance, bound: int
 ) -> Optional[SubsetMask]:
@@ -200,18 +208,8 @@ def semilocal_find_unit_subsum(
     if m > MAX_FAMILY:
         raise TooManyElements(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     _check_bound(bound, m)
-    ring = instance.ring
-    raw = instance.raw_elements()
-    for bits in masks_in_search_order(m, bound):
-        total = ring.zero
-        b = bits
-        while b:
-            low = b & -b
-            total = ring.add(total, raw[low.bit_length() - 1])
-            b ^= low
-        if ring.is_unit(total):
-            return SubsetMask(bits, m)
-    return None
+    bits = _first_unit_subsum(instance.ring, instance.raw_elements(), bound)
+    return None if bits is None else SubsetMask(bits, m)
 
 
 def embed_product_to_matrices(instance: SemilocalInstance) -> list[SquareMatrix]:
@@ -230,22 +228,6 @@ def embed_product_to_matrices(instance: SemilocalInstance) -> list[SquareMatrix]
     return [
         SquareMatrix.diagonal(first, list(el.value)) for el in instance.elements
     ]
-
-
-def _subset_sums_all_nonunit(
-    ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
-) -> bool:
-    m = len(raw)
-    for bits in masks_in_search_order(m, bound):
-        total = ring.zero
-        b = bits
-        while b:
-            low = b & -b
-            total = ring.add(total, raw[low.bit_length() - 1])
-            b ^= low
-        if ring.is_unit(total):
-            return False
-    return True
 
 
 def semilocal_counterexample_instances() -> tuple[SemilocalInstance, SemilocalInstance]:
@@ -282,7 +264,7 @@ def semilocal_counterexample_instances() -> tuple[SemilocalInstance, SemilocalIn
             total = ring.add(total, t)
         if not ring.is_unit(total):
             raise ContractViolation(f"instance ({label}): total sum is not a unit")
-        if not _subset_sums_all_nonunit(ring, raw, len(raw) - 1):
+        if _first_unit_subsum(ring, raw, len(raw) - 1) is not None:
             raise ContractViolation(f"instance ({label}): some proper subset sums to a unit")
     if len(set(instance_b.raw_elements())) != len(instance_b.elements):
         raise ContractViolation("instance (b): elements are not pairwise distinct")
@@ -342,6 +324,6 @@ def mixed_char_counterexample_search(
             total = ring.add(total, t)
         if not ring.is_unit(total):
             continue
-        if _subset_sums_all_nonunit(ring, combo, bound):
+        if _first_unit_subsum(ring, combo, bound) is None:
             found.append(SemilocalInstance.from_raw(ring, combo))
     return found

@@ -1,14 +1,21 @@
-"""Bitmask subsets of a fixed index family.
+"""Bitmask subsets of a fixed index family, and the walks over them.
 
 A mask selects indices out of ``{0, ..., m-1}`` with ``m <= 64``.  All
 search routines in this package enumerate subsets by increasing
 cardinality, ties broken by ascending mask value, so the first hit is
 always the minimal witness in that order.
+
+This module is the one place that walks subsets and builds their sums.
+A member is a raw array (a sequence of rows of ring values); a vector is
+a one-row array and a ring element a 1x1 array.  :func:`gray_sums` visits
+every nonempty subset with one in-place update per step, and
+:func:`search_order_sums` visits subsets in search order with one
+addition per sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_FAMILY = 64
 
@@ -117,3 +124,71 @@ def masks_in_search_order(
     start = 0 if include_empty else 1
     for k in range(start, top + 1):
         yield from masks_of_cardinality(m, k)
+
+
+def gray_walk(m: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (toggled index, added, parity of size) along the Gray code.
+
+    Step k moves from subset gray(k-1) to gray(k) = k ^ (k >> 1) by
+    toggling one index, so callers can keep running state with one update
+    per step; ``added`` is 1 when that index joins the subset, and
+    |gray(k)| has the parity of k.
+    """
+    gray = 0
+    for k in range(1, 1 << m):
+        idx = (k & -k).bit_length() - 1
+        gray ^= 1 << idx
+        yield idx, (gray >> idx) & 1, k & 1
+
+
+def gray_sums(ring, members: Sequence[Sequence[Sequence[object]]]) -> Iterator[tuple[int, list]]:
+    """Yield (parity of size, sum) for the 2^m - 1 nonempty subsets.
+
+    Subsets come in Gray-code order.  The sum is one array, updated in
+    place by adding or subtracting one member per step, so it must be
+    read before the next step and copied if kept.  Exact ring addition is
+    order-independent, so any signed total over the walk matches the
+    cardinality-ordered one exactly.
+    """
+    add, sub = ring.add, ring.sub
+    total = [[ring.zero] * len(row) for row in members[0]]
+    rows, cols = range(len(total)), range(len(total[0]))
+    for idx, added, parity in gray_walk(len(members)):
+        op = add if added else sub
+        src = members[idx]
+        for i in rows:
+            row, srow = total[i], src[i]
+            for j in cols:
+                row[j] = op(row[j], srow[j])
+        yield parity, total
+
+
+def search_order_sums(
+    ring, members: Sequence[Sequence[Sequence[object]]], bound: int
+) -> Iterator[tuple[int, Sequence[Sequence[object]]]]:
+    """Yield (mask, sum) for the nonempty subsets of size <= bound.
+
+    The order is that of :func:`masks_in_search_order`.  Within one
+    cardinality the walk is depth-first, highest member first, which is
+    ascending mask order; each sum is one addition onto the partial sum
+    of the subset's higher members, and at most ``bound`` partial sums
+    are alive at a time.  A sum must not be modified; a one-member sum is
+    the member itself.
+    """
+    add = ring.add
+
+    def below(k: int, limit: int, high: int, partial):
+        # k more members from {0..limit-1} on top of those in high, whose sum
+        # is partial (None when high is empty).
+        for t in range(k - 1, limit):
+            if partial is None:
+                total = members[t]
+            else:
+                total = [list(map(add, p, a)) for p, a in zip(partial, members[t])]
+            if k == 1:
+                yield high | 1 << t, total
+            else:
+                yield from below(k - 1, t, high | 1 << t, total)
+
+    for k in range(1, min(bound, len(members)) + 1):
+        yield from below(k, len(members), 0, None)

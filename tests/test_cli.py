@@ -172,6 +172,53 @@ def test_homogeneous_subcommand(capsys):
     assert report["result"]["is_zero"] is True
 
 
+@pytest.mark.parametrize(
+    "var_count, term, where",
+    [
+        (1, [[True], 1], "poly.terms[0]"),
+        (1, [[1], 1.5], "poly.terms[0]"),
+        (True, [[1], 1], "var_count"),
+    ],
+)
+def test_homogeneous_rejects_non_integers(capsys, var_count, term, where):
+    doc = json.dumps(
+        {
+            "ring": {"kind": "integers"},
+            "var_count": var_count,
+            "poly": {"terms": [term]},
+            "vectors": [[1], [2]],
+        }
+    )
+    code, report = run_json(capsys, "homogeneous", "--input", doc)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"].startswith(f"SchemaError: {where}")
+
+
+@pytest.mark.parametrize(
+    "p", ["318665857834031151167461", "3317044064679887385961981"]
+)
+def test_composite_prime_field_descriptor_is_refused(capsys, p):
+    doc = '{"ring":{"kind":"prime_field","p":"%s"},"n":1,"matrices":[[[1]],[[2]]]}' % p
+    code, report = run_json(capsys, "alt-sum", "--input", doc)
+    assert code == 1 and report["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"ring":' + '{"kind":"product","components":[' * 1200 + '{"kind":"integers"}'
+        + "]}" * 1200 + ',"n":1,"matrices":[[[0]]]}',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["product-1200", "array-100000"],
+)
+def test_deep_nesting_gives_one_error_report(capsys, doc):
+    code, out = run_cli(capsys, "alt-sum", "--input", doc)
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"].startswith("RecursionError")
+
+
 def test_simplex_subcommand(capsys):
     doc = (
         '{"ring":{"kind":"rationals"},"n":2,'

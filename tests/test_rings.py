@@ -19,6 +19,7 @@ from detsum import (
     random_poly,
 )
 from detsum.fuzz import run_suite
+from detsum.rings import is_probable_prime
 
 Z6 = ModRing(6)
 F7 = PrimeField(7)
@@ -38,6 +39,31 @@ def test_descriptor_validation():
         IntPolyRing(-1)
     # 2^61 - 1 is a Mersenne prime; the primality check must accept it.
     PrimeField((1 << 61) - 1)
+
+
+# The least composites that pass Miller-Rabin to the first 12 and 13 prime
+# bases; PSI_12 = 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_prime_field_rejects_multi_base_pseudoprimes():
+    for n in (PSI_12, PSI_13):
+        assert not is_probable_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_primality_matches_trial_division_below_1e5():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_probable_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
 
 
 def test_product_rings_flatten():

@@ -3,6 +3,7 @@
 import pytest
 
 from detsum import SubsetMask, masks_in_search_order, masks_of_cardinality
+from detsum.fuzz import run_suite
 
 
 def test_mask_validation():
@@ -58,3 +59,9 @@ def test_pair_order_prefers_smaller_mask_value():
     # {1, 2} (value 6) must come before {0, 3} (value 9).
     pairs = list(masks_of_cardinality(4, 2))
     assert pairs.index(0b0110) < pairs.index(0b1001)
+
+
+def test_subset_walks_suite():
+    # m = 1..10 over the seven alt-sum rings and IntPolyRing(2), every bound.
+    result = run_suite("subset-walks", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
