@@ -24,7 +24,6 @@ from .errors import (
     SizeLimit,
     TooManyElements,
     TooManyMatrices,
-    UnsupportedAlgorithm,
     UnsupportedRing,
 )
 from .rings import (
@@ -44,7 +43,6 @@ from .rings import (
 )
 from .subsets import SubsetMask, masks_in_search_order, masks_of_cardinality
 from .matrices import (
-    DET_ALGORITHMS,
     SquareMatrix,
     det,
     is_invertible,

@@ -53,7 +53,7 @@ from .jsonio import (
     value_from_json,
     value_to_json,
 )
-from .matrices import DET_ALGORITHMS, SquareMatrix, det, is_invertible, subset_sum
+from .matrices import SquareMatrix, det, is_invertible, subset_sum
 from .rings import IntPolyRing, PrimeField, RingElement
 from .search import (
     embed_product_to_matrices,
@@ -117,7 +117,7 @@ def _cmd_alt_sum(args, seed):
     doc = _load_document(args.input)
     matrices = matrices_from_json(doc)
     m, n = len(matrices), matrices[0].n
-    value = alternating_subset_det_sum(matrices, args.algorithm)
+    value = alternating_subset_det_sum(matrices)
     zero = value.is_zero()
     if m > n:
         status = "holds" if zero else "violated"
@@ -131,7 +131,7 @@ def _cmd_alt_sum(args, seed):
         "is_zero": zero,
         "contract_applies": m > n,
     }
-    return status, result, {"document": doc, "algorithm": args.algorithm}
+    return status, result, {"document": doc}
 
 
 def _cmd_certificate(args, seed):
@@ -408,7 +408,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("alt-sum", parents=[common],
                        help="evaluate the alternating subset det sum of a matrix family")
     p.add_argument("--input", required=True, help="matrix document (path or inline JSON)")
-    p.add_argument("--algorithm", choices=DET_ALGORITHMS, default="auto")
 
     p = sub.add_parser("certificate", parents=[common],
                        help="expand the full-family determinant into small-subset terms")

@@ -21,10 +21,6 @@ class MaskOutOfRange(DetsumError):
     """A subset mask does not match the index family it is applied to."""
 
 
-class UnsupportedAlgorithm(DetsumError):
-    """The requested determinant algorithm cannot run over this ring."""
-
-
 class UnsupportedRing(DetsumError):
     """The operation is only defined over a restricted class of rings."""
 

@@ -23,6 +23,8 @@ from .identities import (
 )
 from .matrices import (
     SquareMatrix,
+    _det_berkowitz,
+    _det_leibniz,
     det,
     det_rows,
     is_invertible,
@@ -188,29 +190,35 @@ def suite_poly_dense_agreement(rng: random.Random, trials: int, rec: _Recorder) 
             rec.check(ok, lambda: f"sparse/dense mismatch for f={f!r}, g={g!r} at {pt}")
 
 
-_CROSS_CHECK_RINGS: Sequence[tuple[Ring, tuple[str, ...], int]] = (
-    (INTEGERS, ("leibniz", "minor_expansion", "bareiss", "auto"), 6),
-    (RATIONALS, ("leibniz", "minor_expansion", "bareiss", "auto"), 6),
-    (PrimeField(7), ("leibniz", "minor_expansion", "bareiss", "auto"), 6),
-    (ModRing(6), ("leibniz", "minor_expansion", "auto"), 6),
-    (ModRing(10), ("leibniz", "minor_expansion", "auto"), 6),
-    (_f2x3x5(), ("leibniz", "minor_expansion", "auto"), 6),
-    (IntPolyRing(3), ("leibniz", "minor_expansion", "auto"), 3),
+# (ring, largest n, modulus of the lift to Z or None)
+_CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
+    (INTEGERS, 6, None),
+    (RATIONALS, 6, None),
+    (PrimeField(7), 16, 7),
+    (ModRing(6), 16, 6),
+    (ModRing(10), 16, 10),
+    (_f2x3x5(), 6, None),
+    (IntPolyRing(3), 3, None),
 )
+LEIBNIZ_ORACLE_MAX_N = 6
 
 
 def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """All applicable determinant algorithms agree, n cycling up to the cap."""
-    for ring, algorithms, max_n in _CROSS_CHECK_RINGS:
+    """det agrees with Berkowitz at every n, with Leibniz for n <= 6, and
+    over F_p and Z/N with the determinant over Z of the lifted entries."""
+    for ring, max_n, modulus in _CROSS_CHECK_RINGS:
         for t in range(trials):
             n = t % max_n + 1
-            mat = random_matrix(ring, n, rng)
-            values = [det(mat, alg).value for alg in algorithms]
-            ok = all(v == values[0] for v in values)
+            rows = random_matrix(ring, n, rng).rows
+            values = {"det": det_rows(ring, rows), "berkowitz": _det_berkowitz(ring, rows)}
+            if n <= LEIBNIZ_ORACLE_MAX_N:
+                values["leibniz"] = _det_leibniz(ring, rows)
+            if modulus is not None:
+                values["lifted"] = det_rows(INTEGERS, rows) % modulus
             rec.check(
-                ok,
-                lambda: f"algorithms disagree over {ring!r} (n={n}): "
-                + ", ".join(f"{a}={v!r}" for a, v in zip(algorithms, values)),
+                len(set(values.values())) == 1,
+                lambda: f"determinants disagree over {ring!r} (n={n}): "
+                + ", ".join(f"{k}={v!r}" for k, v in values.items()),
             )
 
 

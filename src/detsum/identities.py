@@ -85,9 +85,7 @@ class SimplexReport:
     failing_subsets: tuple[SubsetMask, ...]
 
 
-def alternating_subset_det_sum(
-    matrices: Sequence[SquareMatrix], algorithm: str = "auto"
-) -> RingElement:
+def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     """Signed sum of det(subset sum) over all 2^m subsets.
 
     The empty subset contributes det(0) = 0 and is counted but never
@@ -101,7 +99,7 @@ def alternating_subset_det_sum(
     add, sub = ring.add, ring.sub
     acc = ring.zero
     for parity, rows in gray_sums(ring, [a.rows for a in matrices]):
-        d = det_rows(ring, rows, algorithm)
+        d = det_rows(ring, rows)
         acc = sub(acc, d) if parity else add(acc, d)
     return RingElement(ring, acc, _normalized=True)
 

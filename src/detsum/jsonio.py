@@ -23,6 +23,8 @@ exponent vector.  A matrix document is
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -68,26 +70,43 @@ JSON_SAFE_INT = (1 << 53) - 1
 MATRIX_FAMILY_SIZE_CAP = 64
 MATRIX_DIMENSION_CAP = 64
 
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
+_PLAIN_DIGITS = 640  # below every int/str digit limit an interpreter accepts
+_EXCERPT_CHARS = 40
+
 
 class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""
 
 
+def _int_str(v: int) -> str:
+    # str(int) refuses values past the interpreter's digit limit; Decimal does
+    # not.  Below 2000 bits a value has at most 603 digits, within _PLAIN_DIGITS.
+    return str(v) if v.bit_length() < 2000 else str(Decimal(v))
+
+
+def _excerpt(obj: Any) -> str:
+    text = repr(obj)
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
+
+
 def encode_int(v: int) -> int | str:
-    return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else str(v)
+    return v if -JSON_SAFE_INT <= v <= JSON_SAFE_INT else _int_str(v)
 
 
 def decode_int(obj: Any, where: str) -> int:
+    """An int from a JSON number or from a decimal string ``-?[0-9]+`` of any length."""
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected an integer, got a boolean")
     if isinstance(obj, int):
         return obj
     if isinstance(obj, str):
-        try:
-            return int(obj, 10)
-        except ValueError:
-            raise SchemaError(f"{where}: {obj!r} is not a decimal integer") from None
-    raise SchemaError(f"{where}: expected an integer or decimal string, got {obj!r}")
+        if not _DECIMAL_INT.fullmatch(obj):
+            raise SchemaError(f"{where}: {_excerpt(obj)} is not a decimal integer")
+        return int(obj) if len(obj) <= _PLAIN_DIGITS else int(Decimal(obj))
+    raise SchemaError(f"{where}: expected an integer or decimal string, got {_excerpt(obj)}")
 
 
 def _expect_dict(obj: Any, where: str) -> dict:
@@ -148,7 +167,7 @@ def value_to_json(ring: Ring, value: Any) -> Any:
     if isinstance(ring, RationalRing):
         if value.denominator == 1:
             return encode_int(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
     if isinstance(ring, ProductRing):
         return [value_to_json(c, v) for c, v in zip(ring.components, value)]
     if isinstance(ring, IntPolyRing):

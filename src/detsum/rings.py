@@ -398,8 +398,6 @@ class Ring:
     """
 
     kind: str = "ring"
-    is_field: bool = False
-    has_exact_division: bool = False  # exact quotients of pivot products exist
 
     # -- raw arithmetic ------------------------------------------------
     def normalize(self, value: object) -> object:
@@ -438,10 +436,6 @@ class Ring:
         """Image of the integer k under the canonical map into this ring."""
         raise NotImplementedError
 
-    def exact_div(self, a: object, b: object) -> object:
-        """Exact quotient a / b; only rings with ``has_exact_division``."""
-        raise NotImplementedError(f"no exact division over {self!r}")
-
     def random(self, rng: random.Random) -> object:
         """A small random raw value; drives the seeded property suites."""
         raise NotImplementedError
@@ -473,7 +467,6 @@ class IntegerRing(Ring):
     """The ring of arbitrary-precision integers."""
 
     kind = "integers"
-    has_exact_division = True
 
     def normalize(self, value):
         if isinstance(value, Fraction):
@@ -509,12 +502,6 @@ class IntegerRing(Ring):
     def from_int(self, k):
         return k
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{a} is not divisible by {b}")
-        return q
-
     def random(self, rng):
         return rng.randrange(-9, 10)
 
@@ -532,8 +519,6 @@ class RationalRing(Ring):
     """The field of rationals, stored as reduced ``Fraction`` values."""
 
     kind = "rationals"
-    is_field = True
-    has_exact_division = True
 
     def normalize(self, value):
         if isinstance(value, Fraction):
@@ -569,9 +554,6 @@ class RationalRing(Ring):
     def from_int(self, k):
         return Fraction(k)
 
-    def exact_div(self, a, b):
-        return a / b
-
     def random(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
 
@@ -589,8 +571,6 @@ class PrimeField(Ring):
     """The field F_p of residues modulo a certified prime p."""
 
     kind = "prime_field"
-    is_field = True
-    has_exact_division = True
 
     __slots__ = ("p",)
 
@@ -630,9 +610,6 @@ class PrimeField(Ring):
 
     def from_int(self, k):
         return k % self.p
-
-    def exact_div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
 
     def random(self, rng):
         return rng.randrange(self.p)

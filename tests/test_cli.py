@@ -334,6 +334,43 @@ def test_big_integers_serialize_as_strings():
     assert jsonio.decode_int("123456789012345678901", "x") == 123456789012345678901
 
 
+def test_decimal_strings_of_any_length_round_trip():
+    digits = "7" * 5000
+    for text in (digits, "-" + digits):
+        assert jsonio.encode_int(jsonio.decode_int(text, "x")) == text
+
+
+@pytest.mark.parametrize("text", ["1_000", " 12 ", "+5", "\u0661\u0662", "7" * 4999 + "x"])
+def test_lax_decimal_strings_are_refused(capsys, text):
+    doc = json.dumps({"ring": {"kind": "integers"}, "n": 1, "matrices": [[[text]], [[1]]]})
+    code, report = run_json(capsys, "alt-sum", "--input", doc)
+    assert code == 1 and report["status"] == "error"
+    error = report["result"]["error"]
+    assert error.startswith("SchemaError: matrices[0][0][0]") and len(error) < 200
+
+
+def test_perturb_reports_a_det_past_the_digit_limit(capsys):
+    # det(B) has 6,000 digits, beyond the interpreter's default int/str limit.
+    big = "7" * 3000
+    doc = json.dumps(
+        {
+            "ring": {"kind": "integers"},
+            "n": 2,
+            "matrices": [[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[big, 1], [2, big]]],
+        }
+    )
+    code, report = run_json(capsys, "perturb", "--input", doc)
+    assert code == 0 and report["status"] == "found"
+    b = jsonio.decode_int(big, "big")
+    assert jsonio.decode_int(report["result"]["perturbation_det"], "det") == b * b - 2
+
+
+def test_alt_sum_has_no_algorithm_option(capsys):
+    doc = '{"ring":{"kind":"integers"},"n":1,"matrices":[[[2]],[[3]]]}'
+    code = main(["alt-sum", "--input", doc, "--algorithm", "auto"])
+    assert code == 1
+
+
 def test_ring_descriptor_round_trip():
     rings = [
         INTEGERS,
