@@ -18,6 +18,7 @@ output may not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,7 +26,6 @@ import sys
 import time
 from typing import Any, Callable
 
-from . import fuzz as fuzz_suites
 from .errors import ContractViolation, DetsumError
 from .identities import (
     alternating_subset_det_sum,
@@ -88,10 +88,18 @@ class _Parser(argparse.ArgumentParser):
 def _load_document(text: str) -> Any:
     """Parse --input as inline JSON when it looks like JSON, else as a path."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
+    if not (stripped.startswith("{") or stripped.startswith("[")):
+        with open(text, "r", encoding="utf-8") as fh:
+            stripped = fh.read()
+    try:
         return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # A bare number past the interpreter's int/str digit limit.  decode_int
+        # reads decimal strings of any length, so keep such numbers as their
+        # digits; the input digest can then serialise them too.
+        return json.loads(stripped, parse_int=str)
 
 
 def _divides(d: int, x: int) -> bool:
@@ -341,11 +349,13 @@ def _cmd_mine_mixed_char(args, seed):
 
 
 def _cmd_fuzz(args, seed):
+    from . import fuzz  # only this subcommand needs the suites
+
     names = None
     if args.suites:
         names = [tok.strip() for tok in args.suites.split(",") if tok.strip()]
     try:
-        results = fuzz_suites.run_suites(names, seed=seed, trials=args.trials)
+        results = fuzz.run_suites(names, seed=seed, trials=args.trials)
     except KeyError as exc:
         raise _UsageError(str(exc.args[0]))
     payload = [
@@ -382,7 +392,14 @@ _HANDLERS: dict[str, Callable] = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the tree untouched and returns a fresh namespace each
+    time, so repeated ``main`` calls in one process see no state carried
+    over from earlier calls.
+    """
     parser = _Parser(prog="detsum", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,

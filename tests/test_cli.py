@@ -1,10 +1,16 @@
 """End-to-end CLI behaviour: exit codes, schemas, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from detsum.cli import main
+import detsum
+from detsum.cli import build_parser, main
 from detsum import jsonio
 from detsum.rings import INTEGERS, ModRing, PrimeField, ProductRing, RATIONALS
 from detsum.matrices import SquareMatrix
@@ -24,6 +30,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this same detsum package."""
+    src = str(Path(detsum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def test_verify_lemma3_holds(capsys):
@@ -381,3 +397,57 @@ def test_ring_descriptor_round_trip():
     ]
     for ring in rings:
         assert jsonio.ring_from_json(jsonio.ring_to_json(ring)) == ring
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _mask_elapsed(text):
+    return re.sub(r'(elapsed_ms"?:) \d+', r"\1 <ms>", text)
+
+
+def test_repeated_main_calls_match_fresh_interpreters(capsys):
+    # No flag or default may carry over from one call to the next, and
+    # ``python -m detsum`` must behave as ``main`` does.
+    sequence = [
+        ["verify-lemma3", "--m", "4"],  # usage error: missing --n
+        ["verify-lemma3", "--m", "4", "--n", "3", "--seed", "7", "--timing", "--output", "text"],
+        ["verify-lemma3", "--m", "4", "--n", "3"],
+        ["example8", "--threads", "0"],
+        ["example8"],
+    ]
+    for argv in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = run_python("-m", "detsum", *argv)
+        assert code == fresh.returncode, argv
+        assert _mask_elapsed(captured.out) == _mask_elapsed(fresh.stdout), argv
+        assert captured.err == fresh.stderr, argv
+    assert code == 0
+
+
+def test_importing_the_cli_leaves_the_fuzz_suites_unloaded():
+    probe = run_python("-c", "import sys, detsum.cli; print('detsum.fuzz' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
+    digits = "7" * 5000
+    template = '{"ring":{"kind":"integers"},"n":1,"matrices":[[[%s]]]}'
+    results = []
+    for entry in (digits, '"%s"' % digits):
+        doc = template % entry
+        if via_file:
+            path = tmp_path / "doc.json"
+            path.write_text(doc, encoding="utf-8")
+            doc = str(path)
+        code, report = run_json(capsys, "alt-sum", "--input", doc)
+        assert code == 0, report
+        results.append(report["result"])
+    assert results[0] == results[1]
+    assert results[0]["residual"] == "-" + digits
