@@ -96,10 +96,20 @@ def _load_document(text: str) -> Any:
     except json.JSONDecodeError:
         raise
     except ValueError:
-        # A bare number past the interpreter's int/str digit limit.  decode_int
-        # reads decimal strings of any length, so keep such numbers as their
-        # digits; the input digest can then serialise them too.
-        return json.loads(stripped, parse_int=str)
+        # A bare number past the interpreter's int/str digit limit.
+        return json.loads(stripped, parse_int=_int_or_digits)
+
+
+def _int_or_digits(token: str) -> int | str:
+    """A JSON integer token as an int, or as its digits past the digit limit.
+
+    decode_int reads decimal strings of any length, and the input digest can
+    serialise them, so only the over-long numbers change form.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token.lstrip("-")) > limit:
+        return token
+    return int(token)
 
 
 def _divides(d: int, x: int) -> bool:

@@ -214,8 +214,6 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
             if n <= LEIBNIZ_ORACLE_MAX_N:
                 values["leibniz"] = _det_leibniz(ring, rows)
             if modulus is not None:
-                # Over Z/N above the Leibniz cutoff this is det_rows's own
-                # route; Berkowitz stays the independent oracle there.
                 values["lifted"] = det_rows(INTEGERS, rows) % modulus
             rec.check(
                 len(set(values.values())) == 1,

@@ -9,12 +9,8 @@ picks its route from the ring and n:
 * Z             -- fraction-free Bareiss elimination on Python ints
 * Q             -- each row scaled to integers by the lcm of its
   denominators, integer Bareiss, then divided by the row multipliers
-* Z/N, Z[x...]  -- Leibniz (signed permutation sum) for n <= 4
-* Z/N above     -- integer Bareiss on the residues, reduced mod N, while
-  n * bit_length(N) <= 4096 (exact: the determinant is an integer
-  polynomial in the entries); Berkowitz past that size
-* Z[x...] above -- Berkowitz; like Leibniz it never divides, so both hold
-  over any commutative ring
+* Z/N, Z[x...]  -- Leibniz (signed permutation sum) for n <= 4, Berkowitz
+  above; neither ever divides, so both hold over any commutative ring
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -30,7 +26,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
-from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
+from .rings import IntegerRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
 from .subsets import SubsetMask
 
 __all__ = [
@@ -44,11 +40,6 @@ __all__ = [
 
 DET_SIZE_CAP = 64
 LEIBNIZ_MAX_N = 4  # us/det over Z/10, Leibniz vs Berkowitz: 15 vs 29 at n=4, 77 vs 57 at n=5
-# Z/N takes integer Bareiss while n * bit_length(N) <= LIFT_MAX_BITS.  Within
-# it Bareiss measured 1.05-12x faster than Berkowitz; past it the lifted
-# integers grow, and Bareiss ranged from 1.8x faster (n=64, 80-bit N) to
-# 2.2x slower (n=32, 512-bit N) and 3x slower (n=32, 1,000-bit N).
-LIFT_MAX_BITS = 4096
 
 
 class SquareMatrix:
@@ -348,10 +339,6 @@ def _det(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
         return _det_rational(rows)
     if n <= LEIBNIZ_MAX_N:
         return _det_leibniz(ring, rows)
-    if isinstance(ring, ModRing) and n * ring.n.bit_length() <= LIFT_MAX_BITS:
-        # The determinant is an integer polynomial in the entries, so the
-        # integer determinant of the residues, reduced mod N, is exact.
-        return _det_bareiss(rows) % ring.n
     return _det_berkowitz(ring, rows)
 
 

@@ -439,7 +439,7 @@ def test_importing_the_cli_leaves_the_fuzz_suites_unloaded():
 def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
     digits = "7" * 5000
     template = '{"ring":{"kind":"integers"},"n":1,"matrices":[[[%s]]]}'
-    results = []
+    reports = []
     for entry in (digits, '"%s"' % digits):
         doc = template % entry
         if via_file:
@@ -448,6 +448,8 @@ def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
             doc = str(path)
         code, report = run_json(capsys, "alt-sum", "--input", doc)
         assert code == 0, report
-        results.append(report["result"])
-    assert results[0] == results[1]
-    assert results[0]["residual"] == "-" + digits
+        reports.append(report)
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[0]["result"]["residual"] == "-" + digits
+    # Only the over-long number changes form; "n" stays an int.
+    assert reports[0]["inputs"] == reports[1]["inputs"]
