@@ -9,10 +9,7 @@ status is one of holds/found/none (exit 0), error (exit 1, bad usage or
 input), violated (exit 2, a guaranteed contract failed -- never expected
 on correct builds).  Reports are byte-identical for identical argv and
 seed; elapsed_ms stays null unless --timing is given, so timing noise
-never breaks reproducibility.  --threads is accepted for interface
-compatibility and validated, but evaluation is sequential either way;
-exact arithmetic gains nothing from thread fan-out in CPython and the
-output may not depend on it.
+never breaks reproducibility.
 """
 
 from __future__ import annotations
@@ -51,9 +48,8 @@ from .jsonio import (
     ring_from_json,
     simplex_report_to_json,
     value_from_json,
-    value_to_json,
 )
-from .matrices import SquareMatrix, det, is_invertible, subset_sum
+from .matrices import SquareMatrix, det, det_rows, is_invertible, subset_sum
 from .rings import IntPolyRing, PrimeField, RingElement
 from .search import (
     embed_product_to_matrices,
@@ -64,7 +60,7 @@ from .search import (
     semilocal_counterexample_instances,
     semilocal_find_unit_subsum,
 )
-from .subsets import SubsetMask, masks_in_search_order
+from .subsets import SubsetMask, search_order_sums
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,22 +113,23 @@ def _divides(d: int, x: int) -> bool:
 
 
 # -- subcommand handlers ----------------------------------------------------
-# Each returns (status, result, params); params feeds the input digest.
+# Each takes the parsed flags, the seed and the --input document (None for
+# subcommands without one) and returns (status, result, params); params
+# feeds the input digest.
 
-def _cmd_verify_lemma3(args, seed):
+def _cmd_verify_lemma3(args, seed, doc):
     report = check_alternating_product_identity(args.m, args.n)
     status = "holds" if report.holds else "violated"
     return status, identity_report_to_json(report), {"m": args.m, "n": args.n}
 
 
-def _cmd_verify_lemma2(args, seed):
+def _cmd_verify_lemma2(args, seed, doc):
     report = check_alternating_det_identity(args.m, args.n)
     status = "holds" if report.holds else "violated"
     return status, identity_report_to_json(report), {"m": args.m, "n": args.n}
 
 
-def _cmd_alt_sum(args, seed):
-    doc = _load_document(args.input)
+def _cmd_alt_sum(args, seed, doc):
     matrices = matrices_from_json(doc)
     m, n = len(matrices), matrices[0].n
     value = alternating_subset_det_sum(matrices)
@@ -152,7 +149,7 @@ def _cmd_alt_sum(args, seed):
     return status, result, {"document": doc}
 
 
-def _cmd_certificate(args, seed):
+def _cmd_certificate(args, seed, doc):
     terms = det_expansion_certificate(args.m, args.n)
     result = {
         "m": args.m,
@@ -165,8 +162,7 @@ def _cmd_certificate(args, seed):
     return "holds", result, {"m": args.m, "n": args.n}
 
 
-def _cmd_perturb(args, seed):
-    doc = _load_document(args.input)
+def _cmd_perturb(args, seed, doc):
     matrices = matrices_from_json(doc)
     if len(matrices) < 2:
         raise SchemaError("perturb needs n family matrices plus the perturbation")
@@ -191,8 +187,7 @@ def _cmd_perturb(args, seed):
     return status, result, {"document": doc}
 
 
-def _cmd_homogeneous(args, seed):
-    doc = _load_document(args.input)
+def _cmd_homogeneous(args, seed, doc):
     if not isinstance(doc, dict):
         raise SchemaError("expected an object with ring/var_count/poly/vectors")
     ring = ring_from_json(doc.get("ring"), "ring")
@@ -233,8 +228,7 @@ def _cmd_homogeneous(args, seed):
     return status, result, {"document": doc}
 
 
-def _cmd_simplex(args, seed):
-    doc = _load_document(args.input)
+def _cmd_simplex(args, seed, doc):
     points = matrices_from_json(doc)
     report = simplex_centroid_check(points)
     status = (
@@ -245,8 +239,7 @@ def _cmd_simplex(args, seed):
     return status, simplex_report_to_json(report), {"document": doc}
 
 
-def _cmd_search_subsum(args, seed):
-    doc = _load_document(args.input)
+def _cmd_search_subsum(args, seed, doc):
     matrices = matrices_from_json(doc)
     witness = find_invertible_subsum(matrices, args.bound)
     result = {"m": len(matrices), "bound": args.bound, "witness": mask_to_json(witness)}
@@ -256,30 +249,26 @@ def _cmd_search_subsum(args, seed):
     }
 
 
-def _cmd_local_counterexample(args, seed):
+def _cmd_local_counterexample(args, seed, doc):
     family = local_counterexample_matrices(args.modulus, args.m1, args.m2, args.n)
+    ring = family[0].ring
     # Exhaustive re-check of the construction's guarantee.
     defeated = find_invertible_subsum(family, bound=args.n) is None
     total = subset_sum(family, SubsetMask.full(len(family)))
-    total_is_identity = total == SquareMatrix.identity(family[0].ring, args.n)
+    total_is_identity = total == SquareMatrix.identity(ring, args.n)
     status = "holds" if defeated and total_is_identity else "violated"
+    sums = search_order_sums(ring, [a.rows for a in family], len(family))
     result = {
         "family": matrices_to_json(family),
         "bound_defeated": defeated,
         "total_is_identity": total_is_identity,
-        "subset_determinants": sorted(
-            {
-                str(det(subset_sum(family, SubsetMask(bits, len(family)))).value)
-                for bits in masks_in_search_order(len(family))
-            }
-        ),
+        "subset_determinants": sorted({str(det_rows(ring, rows)) for _, rows in sums}),
     }
     params = {"modulus": args.modulus, "m1": args.m1, "m2": args.m2, "n": args.n}
     return status, result, params
 
 
-def _cmd_ideal_chain(args, seed):
-    doc = _load_document(args.input)
+def _cmd_ideal_chain(args, seed, doc):
     matrices = matrices_from_json(doc)
     chain = ideal_chain(matrices)
     n = matrices[0].n
@@ -297,8 +286,7 @@ def _cmd_ideal_chain(args, seed):
     return status, result, {"document": doc}
 
 
-def _cmd_semilocal_search(args, seed):
-    doc = _load_document(args.input)
+def _cmd_semilocal_search(args, seed, doc):
     instance = instance_from_json(doc)
     witness = semilocal_find_unit_subsum(instance, args.bound)
     result = {
@@ -313,8 +301,7 @@ def _cmd_semilocal_search(args, seed):
     }
 
 
-def _cmd_embed(args, seed):
-    doc = _load_document(args.input)
+def _cmd_embed(args, seed, doc):
     instance = instance_from_json(doc)
     matrices = embed_product_to_matrices(instance)
     sound = all(
@@ -325,7 +312,7 @@ def _cmd_embed(args, seed):
     return ("holds" if sound else "violated"), result, {"document": doc}
 
 
-def _cmd_example8(args, seed):
+def _cmd_example8(args, seed, doc):
     instance_a, instance_b = semilocal_counterexample_instances()
     result = {
         "instance_a": instance_to_json(instance_a),
@@ -335,7 +322,7 @@ def _cmd_example8(args, seed):
     return "holds", result, {}
 
 
-def _cmd_mine_mixed_char(args, seed):
+def _cmd_mine_mixed_char(args, seed, doc):
     try:
         primes = [int(tok) for tok in args.fields.split(",") if tok.strip()]
     except ValueError:
@@ -358,7 +345,7 @@ def _cmd_mine_mixed_char(args, seed):
     return ("found" if instances else "none"), result, params
 
 
-def _cmd_fuzz(args, seed):
+def _cmd_fuzz(args, seed, doc):
     from . import fuzz  # only this subcommand needs the suites
 
     names = None
@@ -383,28 +370,57 @@ def _cmd_fuzz(args, seed):
     return ("holds" if failed == 0 else "violated"), result, params
 
 
-_HANDLERS: dict[str, Callable] = {
-    "verify-lemma3": _cmd_verify_lemma3,
-    "verify-lemma2": _cmd_verify_lemma2,
-    "alt-sum": _cmd_alt_sum,
-    "certificate": _cmd_certificate,
-    "perturb": _cmd_perturb,
-    "homogeneous": _cmd_homogeneous,
-    "simplex": _cmd_simplex,
-    "search-subsum": _cmd_search_subsum,
-    "local-counterexample": _cmd_local_counterexample,
-    "ideal-chain": _cmd_ideal_chain,
-    "semilocal-search": _cmd_semilocal_search,
-    "embed": _cmd_embed,
-    "example8": _cmd_example8,
-    "mine-mixed-char": _cmd_mine_mixed_char,
-    "fuzz": _cmd_fuzz,
+# Each subcommand is declared here once: handler, help line, flag names.
+_COMMANDS: dict[str, tuple[Callable, str, tuple[str, ...]]] = {
+    "verify-lemma3": (_cmd_verify_lemma3,
+                      "symbolic alternating product identity over m*n variables", ("m", "n")),
+    "verify-lemma2": (_cmd_verify_lemma2,
+                      "symbolic alternating determinant identity on generic matrices", ("m", "n")),
+    "alt-sum": (_cmd_alt_sum,
+                "evaluate the alternating subset det sum of a matrix family", ("input",)),
+    "certificate": (_cmd_certificate,
+                    "expand the full-family determinant into small-subset terms", ("m", "n")),
+    "perturb": (_cmd_perturb,
+                "perturbation residual and minimal moving subset "
+                "(last matrix in the input is the perturbation)", ("input",)),
+    "homogeneous": (_cmd_homogeneous,
+                    "alternating sum of a homogeneous polynomial over vector subsets", ("input",)),
+    "simplex": (_cmd_simplex,
+                "singular-simplex centroid check over the rationals", ("input",)),
+    "search-subsum": (_cmd_search_subsum,
+                      "first invertible subset sum within a cardinality bound", ("input", "bound")),
+    "local-counterexample": (_cmd_local_counterexample,
+                             "family over Z/N defeating the bound-n search",
+                             ("modulus", "m1", "m2", "n")),
+    "ideal-chain": (_cmd_ideal_chain,
+                    "gcd generators of the subset-sum determinant ideals", ("input",)),
+    "semilocal-search": (_cmd_semilocal_search,
+                         "first unit subset sum in a product of prime fields", ("input", "bound")),
+    "embed": (_cmd_embed,
+              "diagonal matrix embedding of a product-ring instance", ("input",)),
+    "example8": (_cmd_example8,
+                 "the built-in mixed-characteristic counterexample instances", ()),
+    "mine-mixed-char": (_cmd_mine_mixed_char,
+                        "exhaustively mine counterexample families over a product of prime fields",
+                        ("fields", "m", "bound")),
+    "fuzz": (_cmd_fuzz,
+             "run the seeded randomized property suites", ("trials", "suites")),
+}
+
+_REQUIRED_INT = {"type": int, "required": True}
+_FLAGS: dict[str, dict] = {
+    **dict.fromkeys(("m", "n", "m1", "m2", "modulus", "bound"), _REQUIRED_INT),
+    "input": {"required": True, "help": "JSON document, inline or as a file path"},
+    "fields": {"required": True, "help": "comma-separated primes, e.g. 2,3,5"},
+    "trials": {"type": int, "default": None, "help": "override the per-suite trial counts"},
+    "suites": {"default": None, "help": "comma-separated suite names (default: all)"},
 }
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built on the first call and shared after it.
+    """The argument parser, built from ``_COMMANDS`` on the first call and
+    shared after it.
 
     Parsing leaves the tree untouched and returns a fresh namespace each
     time, so repeated ``main`` calls in one process see no state carried
@@ -415,87 +431,14 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help=f"64-bit seed for randomized runs (default: ${SEED_ENV_VAR} or 0)")
     common.add_argument("--output", choices=("json", "text"), default="json")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and validated; execution is sequential")
     common.add_argument("--timing", action="store_true",
                         help="fill elapsed_ms (off by default to keep reports byte-stable)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("verify-lemma3", parents=[common],
-                       help="symbolic alternating product identity over m*n variables")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("verify-lemma2", parents=[common],
-                       help="symbolic alternating determinant identity on generic matrices")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("alt-sum", parents=[common],
-                       help="evaluate the alternating subset det sum of a matrix family")
-    p.add_argument("--input", required=True, help="matrix document (path or inline JSON)")
-
-    p = sub.add_parser("certificate", parents=[common],
-                       help="expand the full-family determinant into small-subset terms")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("perturb", parents=[common],
-                       help="perturbation residual and minimal moving subset "
-                            "(last matrix in the input is the perturbation)")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("homogeneous", parents=[common],
-                       help="alternating sum of a homogeneous polynomial over vector subsets")
-    p.add_argument("--input", required=True,
-                   help='{"ring":..., "var_count":..., "poly":..., "vectors":...}')
-
-    p = sub.add_parser("simplex", parents=[common],
-                       help="singular-simplex centroid check over the rationals")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("search-subsum", parents=[common],
-                       help="first invertible subset sum within a cardinality bound")
-    p.add_argument("--input", required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("local-counterexample", parents=[common],
-                       help="family over Z/N defeating the bound-n search")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("ideal-chain", parents=[common],
-                       help="gcd generators of the subset-sum determinant ideals")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("semilocal-search", parents=[common],
-                       help="first unit subset sum in a product of prime fields")
-    p.add_argument("--input", required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("embed", parents=[common],
-                       help="diagonal matrix embedding of a product-ring instance")
-    p.add_argument("--input", required=True)
-
-    sub.add_parser("example8", parents=[common],
-                   help="the built-in mixed-characteristic counterexample instances")
-
-    p = sub.add_parser("mine-mixed-char", parents=[common],
-                       help="exhaustively mine counterexample families over a product of prime fields")
-    p.add_argument("--fields", required=True, help="comma-separated primes, e.g. 2,3,5")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("fuzz", parents=[common],
-                       help="run the seeded randomized property suites")
-    p.add_argument("--trials", type=int, default=None,
-                   help="override the per-suite trial counts")
-    p.add_argument("--suites", default=None,
-                   help="comma-separated suite names (default: all)")
-
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -535,19 +478,18 @@ def _emit_text(report: dict, stream) -> None:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         seed = _resolve_seed(args)
-        if args.threads < 1:
-            raise _UsageError(f"--threads must be positive, got {args.threads}")
     except _UsageError as exc:
         print(f"detsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    handler, _, flags = _COMMANDS[args.subcommand]
     started = time.perf_counter()
     params: dict = {}
     try:
-        status, result, params = _HANDLERS[args.subcommand](args, seed)
+        doc = _load_document(args.input) if "input" in flags else None
+        status, result, params = handler(args, seed, doc)
     except _UsageError as exc:
         print(f"detsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .identities import IdentityReport, SimplexReport
-from .matrices import SquareMatrix
+from .matrices import DET_SIZE_CAP, SquareMatrix, _raw_matrix
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -44,7 +44,7 @@ from .rings import (
     SparsePoly,
 )
 from .search import IdealChain, SemilocalInstance
-from .subsets import SubsetMask
+from .subsets import MAX_FAMILY, SubsetMask
 
 __all__ = [
     "SchemaError",
@@ -66,9 +66,6 @@ __all__ = [
 ]
 
 JSON_SAFE_INT = (1 << 53) - 1
-
-MATRIX_FAMILY_SIZE_CAP = 64
-MATRIX_DIMENSION_CAP = 64
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
 _PLAIN_DIGITS = 640  # below every int/str digit limit an interpreter accepts
@@ -250,15 +247,13 @@ def matrices_from_json(obj: Any) -> list[SquareMatrix]:
     obj = _expect_dict(obj, "document")
     ring = ring_from_json(obj.get("ring"), "ring")
     n = decode_int(obj.get("n"), "n")
-    if not 1 <= n <= MATRIX_DIMENSION_CAP:
-        raise SchemaError(f"n: must be in [1, {MATRIX_DIMENSION_CAP}], got {n}")
+    if not 1 <= n <= DET_SIZE_CAP:
+        raise SchemaError(f"n: must be in [1, {DET_SIZE_CAP}], got {n}")
     raw = obj.get("matrices")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("matrices: expected a nonempty array")
-    if len(raw) > MATRIX_FAMILY_SIZE_CAP:
-        raise SchemaError(
-            f"matrices: family of {len(raw)} exceeds the {MATRIX_FAMILY_SIZE_CAP} limit"
-        )
+    if len(raw) > MAX_FAMILY:
+        raise SchemaError(f"matrices: family of {len(raw)} exceeds the {MAX_FAMILY} limit")
     out = []
     for mi, mat in enumerate(raw):
         if not isinstance(mat, list) or len(mat) != n:
@@ -267,13 +262,11 @@ def matrices_from_json(obj: Any) -> list[SquareMatrix]:
         for ri, row in enumerate(mat):
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"matrices[{mi}][{ri}]: expected {n} entries")
-            rows.append(
-                [
-                    value_from_json(ring, e, f"matrices[{mi}][{ri}][{ci}]")
-                    for ci, e in enumerate(row)
-                ]
-            )
-        out.append(SquareMatrix(ring, rows))
+            rows.append(tuple(
+                value_from_json(ring, e, f"matrices[{mi}][{ri}][{ci}]")
+                for ci, e in enumerate(row)
+            ))
+        out.append(_raw_matrix(ring, n, tuple(rows)))
     return out
 
 

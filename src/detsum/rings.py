@@ -18,7 +18,6 @@ Raw value representations (always canonical):
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,26 +38,10 @@ __all__ = [
     "RingElement",
     "SparsePoly",
     "poly_eval",
-    "xgcd",
     "is_probable_prime",
     "random_poly",
     "random_homogeneous_poly",
 ]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -208,18 +191,8 @@ class SparsePoly:
         exps = tuple(1 if i == index else 0 for i in range(var_count))
         return cls(var_count, {exps: 1})
 
-    @classmethod
-    def monomial(cls, var_count: int, exps: Sequence[int], coeff: int = 1) -> "SparsePoly":
-        return cls(var_count, {tuple(exps): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest total degree of a term; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if degrees are mixed.
@@ -444,12 +417,6 @@ class Ring:
     def element(self, value: object) -> "RingElement":
         return RingElement(self, value)
 
-    def zero_element(self) -> "RingElement":
-        return RingElement(self, self.zero, _normalized=True)
-
-    def one_element(self) -> "RingElement":
-        return RingElement(self, self.one, _normalized=True)
-
     def __eq__(self, other: object) -> bool:
         raise NotImplementedError
 
@@ -663,10 +630,7 @@ class ModRing(Ring):
         return math.gcd(a, self.n) == 1
 
     def try_inverse(self, a):
-        g, x, _ = xgcd(a, self.n)
-        if g != 1:
-            return None
-        return x % self.n
+        return pow(a, -1, self.n) if math.gcd(a, self.n) == 1 else None
 
     def from_int(self, k):
         return k % self.n

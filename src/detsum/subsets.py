@@ -56,9 +56,6 @@ class SubsetMask:
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def is_empty(self) -> bool:
         return self.bits == 0
 

@@ -120,10 +120,17 @@ def test_malformed_json_reports_position(capsys):
     assert "line 1" in report["result"]["error"]
 
 
+def test_missing_input_file_gives_one_error_report(capsys, tmp_path):
+    code, report = run_json(capsys, "alt-sum", "--input", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["result"]["error"].startswith("FileNotFoundError: ")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["verify-lemma3", "--m", "4"]) == 1  # missing --n
-    assert main(["verify-lemma3", "--m", "4", "--n", "3", "--threads", "0"]) == 1
+    assert main(["verify-lemma3", "--m", "4", "--n", "3", "--threads", "2"]) == 1  # no such flag
     assert main(["fuzz", "--suites", "no-such-suite"]) == 1
 
 
@@ -307,10 +314,10 @@ def test_contract_violation_exits_two(capsys, monkeypatch):
     from detsum import ContractViolation
     from detsum import cli as cli_mod
 
-    def boom(args, seed):
+    def boom():
         raise ContractViolation("synthetic failure for exit-code plumbing")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "example8", boom)
+    monkeypatch.setattr(cli_mod, "semilocal_counterexample_instances", boom)
     code, report = run_json(capsys, "example8")
     assert code == 2
     assert report["status"] == "violated"
@@ -453,3 +460,58 @@ def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
     assert reports[0]["result"]["residual"] == "-" + digits
     # Only the over-long number changes form; "n" stays an int.
     assert reports[0]["inputs"] == reports[1]["inputs"]
+
+
+# -- input digests ------------------------------------------------------------
+
+_INSTANCE_DOC = (
+    '{"ring":{"kind":"product","components":[{"kind":"prime_field","p":2},'
+    '{"kind":"prime_field","p":%d}]},"elements":[[1,0],[0,1],[1,%d]]}'
+)
+
+
+_DIGESTS = [
+    (["verify-lemma3", "--m", "3", "--n", "2"],
+     "3b28e4a715ed7868c8102e30bc41a37e08cdf41521d2792b086f136bfe98b5c1"),
+    (["verify-lemma2", "--m", "3", "--n", "2"],
+     "fab0ec7626b24210d550a48b16f03295fcbd823cd63e1cb4c974a5d6e9ba23f0"),
+    (["alt-sum", "--input", COUNTEREXAMPLE_DOC],
+     "7dfac2532087d1040a47fee80e4ac219f7fe6826df1ea0a4c915c9dcb0245d41"),
+    (["certificate", "--m", "3", "--n", "2"],
+     "6b275a8cc5da8da680683929ff78d6c68194d67fd18e8b1432e16ca8bbba60c3"),
+    (["perturb", "--input", COUNTEREXAMPLE_DOC],
+     "fa4eb501a80ec2a8586de1cf52c75c91796346fad9975886650bc245d91ed2aa"),
+    (["homogeneous", "--input",
+      '{"ring":{"kind":"integers"},"var_count":2,"poly":{"terms":[[[2,0],1]]},'
+      '"vectors":[[1,2],[3,4],[5,6]]}'],
+     "581bfb0d61a4c1ea06e3bebfc496180d843bb87420551ece69fbb24daba58f1a"),
+    (["simplex", "--input",
+      '{"ring":{"kind":"rationals"},"n":2,'
+      '"matrices":[[[1,0],[0,0]],[[0,1],[0,0]],[[0,0],[1,0]]]}'],
+     "e96029e4219ccd56c1c30dbe727f45b24da9d0174e03f14ba6d8dbb90c570a56"),
+    (["search-subsum", "--input", COUNTEREXAMPLE_DOC, "--bound", "2"],
+     "7c15e99071feb8a6d1cffdf1d4717bddceee64935d74e55f60d189fec9fac9a0"),
+    (["local-counterexample", "--modulus", "6", "--m1", "3", "--m2", "4", "--n", "2"],
+     "28eefb59ac9302edfd8a6684e583c3f7ba177b22a7c1f0ea2f0140af9a97977c"),
+    (["ideal-chain", "--input", COUNTEREXAMPLE_DOC],
+     "c379a53aa7f229e465a4a69533f7245f1ed9cf82420af62c142666e211e3986f"),
+    (["semilocal-search", "--input", _INSTANCE_DOC % (3, 2), "--bound", "2"],
+     "9665a91c35188c18d88ce0ba82fc7fb152e55efe76e1ff37031654cd7acfdd63"),
+    (["embed", "--input", _INSTANCE_DOC % (2, 1)],
+     "dd6acc083e8b81e5f31afdf2335b0f65ae3397512d212436bb98f22172cb0757"),
+    (["example8"],
+     "cff6ca94d64b4face5199789a4839234d365bd113503ad471f868b3c5796a3bc"),
+    (["mine-mixed-char", "--fields", "2,3", "--m", "3", "--bound", "2"],
+     "45a58fb9ab3254aae14c9225c6373010460d607e517de3b581962b55aea11e31"),
+    (["fuzz", "--suites", "inverse-roundtrip", "--trials", "2", "--seed", "3"],
+     "f150ad3f2a254210a9b637b1623f04820408d49a73ebf997236832dc3bb2c73c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _DIGESTS, ids=[argv[0] for argv, _ in _DIGESTS])
+def test_input_digests_are_stable(capsys, argv, digest):
+    # The digest covers the resolved inputs only; a change of it breaks every
+    # stored report, so each subcommand's is pinned here.
+    code, report = run_json(capsys, *argv)
+    assert code == 0, report
+    assert report["inputs"] == "sha256:" + digest
