@@ -18,6 +18,7 @@ from .identities import (
     alternating_subset_det_sum,
     find_perturbing_subset,
     homogeneous_alternating_sum,
+    monomial_coefficient_check,
     perturbation_identity_residual,
     simplex_centroid_check,
 )
@@ -52,7 +53,13 @@ from .search import (
     local_counterexample_matrices,
     semilocal_find_unit_subsum,
 )
-from .subsets import SubsetMask, gray_sums, masks_in_search_order, search_order_sums
+from .subsets import (
+    SubsetMask,
+    gray_sums,
+    masks_in_search_order,
+    search_order_sums,
+    superset_sign_sums,
+)
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "DEFAULT_TRIALS"]
 
@@ -320,6 +327,34 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
                 ok and steps == (1 << m) - 1,
                 lambda: f"Gray walk differs over {ring!r} (n={n}, m={m})",
             )
+
+
+def suite_superset_sign_sums(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """Every c(T) with 1 <= |T| <= size, present or absent, matches a direct
+    count over the supersets of T, and ``monomial_coefficient_check`` when
+    m > |T|; m <= 12 and size <= 4 are drawn at random."""
+    for _ in range(trials):
+        m = rng.randint(1, 12)
+        size = rng.randint(1, 4)
+        sums = superset_sign_sums(m, size)
+        full = (1 << m) - 1
+        rec.check(
+            all(1 <= t.bit_count() <= size and t <= full and c for t, c in sums.items()),
+            lambda: f"superset sign sums hold a bad key or a zero (m={m}, size={size})",
+        )
+        for t in range(1, full + 1):
+            if t.bit_count() > size:
+                continue
+            direct, s = 0, t
+            while s <= full:  # s runs over every mask with s & t == t, ascending
+                direct += -1 if s.bit_count() & 1 else 1
+                s = (s + 1) | t
+            got = sums.get(t, 0)
+            ok = got == direct
+            if m > t.bit_count():
+                members = list(SubsetMask(t, m))
+                ok = ok and got == monomial_coefficient_check(m, len(members), members)
+            rec.check(ok, lambda: f"c({t:#x}) = {got}, direct count {direct} (m={m}, size={size})")
 
 
 def suite_perturbation_residual(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -594,6 +629,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
     "subset-walks": (suite_subset_walks, 10),
+    "superset-sign-sums": (suite_superset_sign_sums, 40),
     "perturbation-residual": (suite_perturbation_residual, 100),
     "perturbation-witness": (suite_perturbation_witness, 50),
     "homogeneous-sum": (suite_homogeneous_sum, 50),

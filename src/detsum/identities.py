@@ -32,7 +32,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, _raw_matrix, det_rows, family_ring_shape, subset_sum
 from .rings import RATIONALS, IntPolyRing, RingElement, SparsePoly
-from .subsets import MAX_FAMILY, SubsetMask, gray_sums, gray_walk, search_order_sums
+from .subsets import MAX_FAMILY, SubsetMask, gray_sums, search_order_sums, superset_sign_sums
 
 __all__ = [
     "IdentityReport",
@@ -53,7 +53,7 @@ __all__ = [
 
 PRODUCT_IDENTITY_SIZE_CAP = 36        # m*n cap for the symbolic product identity
 DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
-COEFFICIENT_CHECK_FAMILY_CAP = 24     # 2^m superset enumeration cap
+COEFFICIENT_CHECK_FAMILY_CAP = 24     # m cap for the 2^m subset walks
 
 
 @dataclass(frozen=True)
@@ -115,53 +115,31 @@ def check_alternating_product_identity(
     whenever m > n.  With ``enforce_hypothesis=False`` the sum is built
     for any sizes so the failure of small families can be inspected.
 
-    Runtime grows like 2^m, so inputs near the size cap with n == 1 take
-    far longer than the typical sweep sizes.
+    The coefficient of a monomial depends only on its support T, so one
+    walk over the 2^m subsets S sums the signs per T with |T| <= n, at a
+    cost of sum_{k<n} C(|S|, k) per step (constant for n == 1); only
+    m <= n leaves a nonzero sum to expand.  Besides m*n <= 36, the walk
+    caps m at 24.
     """
     if m < 1 or n < 1:
         raise InvalidParameters(f"need m, n >= 1, got m={m}, n={n}")
     if m * n > PRODUCT_IDENTITY_SIZE_CAP:
         raise SizeLimit(f"m*n = {m * n} exceeds the cap {PRODUCT_IDENTITY_SIZE_CAP}")
+    if m > COEFFICIENT_CHECK_FAMILY_CAP:
+        raise SizeLimit(f"m = {m} exceeds the cap {COEFFICIENT_CHECK_FAMILY_CAP}")
     if enforce_hypothesis and m <= n:
         raise HypothesisViolation(f"the identity needs m > n, got m={m} <= n={n}")
 
+    # The coefficient of z_{pick[0],0} ... z_{pick[n-1],n-1} is c(support of pick).
     terms: dict[tuple[int, ...], int] = {}
-    if n == 1:
-        # Same coefficients as the general branch, which is 2-3x slower at m = 16..20.
-        counts = [0] * m
-        current: set[int] = set()
-        for idx, added, parity in gray_walk(m):
-            if added:
-                current.add(idx)
-            else:
-                current.remove(idx)
-            sgn = -1 if parity else 1
-            for i in current:
-                counts[i] += sgn
-        for i, c in enumerate(counts):
-            if c:
-                exps = [0] * m
-                exps[i] = 1
+    for support, c in superset_sign_sums(m, n).items():
+        members = list(SubsetMask(support, m))
+        for pick in itertools.product(members, repeat=n):
+            if len(set(pick)) == len(members):
+                exps = [0] * (m * n)
+                for j, i in enumerate(pick):
+                    exps[i * n + j] = 1
                 terms[tuple(exps)] = c
-    else:
-        coeffs: dict[tuple[int, ...], int] = {}
-        current = set()
-        for idx, added, parity in gray_walk(m):
-            if added:
-                current.add(idx)
-            else:
-                current.remove(idx)
-            sgn = -1 if parity else 1
-            members = tuple(current)
-            for pick in itertools.product(members, repeat=n):
-                coeffs[pick] = coeffs.get(pick, 0) + sgn
-        for pick, c in coeffs.items():
-            if not c:
-                continue
-            exps = [0] * (m * n)
-            for j, i in enumerate(pick):
-                exps[i * n + j] = 1
-            terms[tuple(exps)] = c
 
     residual = SparsePoly(m * n, terms)
     return IdentityReport(

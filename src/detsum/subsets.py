@@ -8,9 +8,10 @@ always the minimal witness in that order.
 This module is the one place that walks subsets and builds their sums.
 A member is a raw array (a sequence of rows of ring values); a vector is
 a one-row array and a ring element a 1x1 array.  :func:`gray_sums` visits
-every nonempty subset with one in-place update per step, and
+every nonempty subset with one in-place update per step,
 :func:`search_order_sums` visits subsets in search order with one
-addition per sum.
+addition per sum, and :func:`superset_sign_sums` walks all subsets in
+Gray order to sum signs over the supersets of each small subset.
 """
 
 from __future__ import annotations
@@ -158,6 +159,45 @@ def gray_sums(ring, members: Sequence[Sequence[Sequence[object]]]) -> Iterator[t
             for j in cols:
                 row[j] = op(row[j], srow[j])
         yield parity, total
+
+
+def superset_sign_sums(m: int, size: int) -> dict[int, int]:
+    """Map each mask T with 1 <= |T| <= size to its nonzero c(T).
+
+    c(T) is the sum of (-1)^|S| over the supersets S of T; ``size`` must
+    be at least 1.  One Gray walk visits all 2^m subsets of ``{0..m-1}``
+    and keeps the signed count of those visited so far.  A T records that
+    count when it joins the current set, and adds the count's growth to
+    c(T) when it leaves; T's still open at the end are closed there.  A
+    step that toggles index i opens or closes T' | {i} for each subset T'
+    of the rest of the current set with |T'| < size.
+    """
+    sums: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    get, pop = sums.get, opened.pop
+    subs = [0]  # masks of the current set's subsets with fewer than size members
+    below = size - 1  # 0 keeps subs at [0], so size 1 skips both list rebuilds
+    count, sign = 1, -1  # the empty set is visited first; sizes alternate in parity
+    gray = 0
+    for k in range(1, 1 << m):
+        bit = k & -k
+        gray ^= bit
+        if gray & bit:
+            for t in subs:
+                opened[t | bit] = count
+            if below:
+                subs += [t | bit for t in subs if t.bit_count() < below]
+        else:
+            if below:
+                subs = [t for t in subs if not t & bit]
+            for t in subs:
+                t |= bit
+                sums[t] = get(t, 0) + count - pop(t)
+        count += sign
+        sign = -sign
+    for t, start in opened.items():
+        sums[t] = get(t, 0) + count - start
+    return {t: c for t, c in sums.items() if c}
 
 
 def search_order_sums(

@@ -7,6 +7,8 @@ loops, so they can catch systematic bugs in the fast paths.
 
 import itertools
 
+from detsum.rings import IntPolyRing
+
 
 def ref_det(rows):
     """Permutation-expansion determinant over plain ints or Fractions."""
@@ -42,6 +44,25 @@ def ref_alternating_det_sum(rows_list):
         indices = [i for i in range(m) if bits >> i & 1]
         d = ref_det(ref_subset_sum(rows_list, indices))
         total = total - d if len(indices) & 1 else total + d
+    return total
+
+
+def ref_product_sum(m, n):
+    """sum_S (-1)^|S| prod_j (sum_{i in S} z_ij), expanded subset by subset.
+
+    z_ij is variable i*n + j of IntPolyRing(m*n); returns the raw polynomial.
+    """
+    ring = IntPolyRing(m * n)
+    total = ring.zero
+    for bits in range(1 << m):
+        members = [i for i in range(m) if bits >> i & 1]
+        product = ring.one
+        for j in range(n):
+            column = ring.zero
+            for i in members:
+                column = ring.add(column, ring.variable(i * n + j))
+            product = ring.mul(product, column)
+        total = ring.sub(total, product) if len(members) & 1 else ring.add(total, product)
     return total
 
 

@@ -127,6 +127,13 @@ def test_missing_input_file_gives_one_error_report(capsys, tmp_path):
     assert report["result"]["error"].startswith("FileNotFoundError: ")
 
 
+def test_verify_lemma3_refuses_a_family_past_the_walk_cap(capsys):
+    code, report = run_json(capsys, "verify-lemma3", "--m", "25", "--n", "1")
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["result"]["error"] == "SizeLimit: m = 25 exceeds the cap 24"
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["verify-lemma3", "--m", "4"]) == 1  # missing --n

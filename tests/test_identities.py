@@ -33,7 +33,7 @@ from detsum import (
     subset_sum,
 )
 
-from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_subset_sum
+from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_product_sum, ref_subset_sum
 
 Z10 = ModRing(10)
 Z6 = ModRing(6)
@@ -107,6 +107,15 @@ def test_product_identity_fails_without_hypothesis():
     assert report.residual.value == expected
 
 
+@pytest.mark.parametrize(
+    "m, n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (3, 2), (5, 2)]
+)
+def test_product_identity_residual_matches_expansion(m, n):
+    report = check_alternating_product_identity(m, n, enforce_hypothesis=False)
+    assert report.residual.value == ref_product_sum(m, n)
+    assert report.holds == (m > n)
+
+
 def test_product_identity_validation():
     with pytest.raises(HypothesisViolation):
         check_alternating_product_identity(3, 3)
@@ -114,6 +123,8 @@ def test_product_identity_validation():
         check_alternating_product_identity(2, 5)
     with pytest.raises(SizeLimit):
         check_alternating_product_identity(37, 1)
+    with pytest.raises(SizeLimit):
+        check_alternating_product_identity(25, 1)  # m*n within its cap, 2^m walk is not
 
 
 # -- coefficient cancellation -----------------------------------------------

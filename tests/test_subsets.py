@@ -65,3 +65,9 @@ def test_subset_walks_suite():
     # m = 1..10 over the seven alt-sum rings and IntPolyRing(2), every bound.
     result = run_suite("subset-walks", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+def test_superset_sign_sums_suite():
+    # Random m <= 12 and size <= 4 against a direct count over the supersets.
+    result = run_suite("superset-sign-sums", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
