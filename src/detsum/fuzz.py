@@ -197,6 +197,8 @@ def suite_poly_dense_agreement(rng: random.Random, trials: int, rec: _Recorder) 
             rec.check(ok, lambda: f"sparse/dense mismatch for f={f!r}, g={g!r} at {pt}")
 
 
+_BIG_MODULUS = 2**512 - 1  # composite, 512 bits
+_BIG_PRIME = 2**521 - 1
 # (ring, largest n, modulus of the lift to Z or None)
 _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
     (INTEGERS, 6, None),
@@ -206,13 +208,20 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
     (ModRing(10), 16, 10),
     (_f2x3x5(), 6, None),
     (IntPolyRing(3), 3, None),
+    (ModRing(_BIG_MODULUS), 5, _BIG_MODULUS),
+    (PrimeField(_BIG_PRIME), 5, _BIG_PRIME),
 )
 LEIBNIZ_ORACLE_MAX_N = 6
 
 
 def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """det agrees with Berkowitz at every n, with Leibniz for n <= 6, and
-    over F_p and Z/N with the determinant over Z of the lifted entries."""
+    over F_p and Z/N with the determinant over Z of the lifted entries.
+
+    For n <= 4 the lifted value runs the same closed form as det over
+    F_p and Z/N, so there Leibniz and Berkowitz are the independent
+    oracles; the 512- and 521-bit moduli check the closed form on
+    residues far wider than a machine word."""
     for ring, max_n, modulus in _CROSS_CHECK_RINGS:
         for t in range(trials):
             n = t % max_n + 1

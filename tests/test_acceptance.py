@@ -235,6 +235,6 @@ def test_c10_geometry_and_homogeneous():
 
 def test_c11_determinant_cross_validation():
     result = run_suite("det-agreement", seed=0, trials=500)
-    assert result.checks == 7 * 500
+    assert result.checks == 9 * 500
     assert result.failures == 0, result.first_failure
     _report(11, f"{result.checks} determinants agree across all applicable algorithms")

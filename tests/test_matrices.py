@@ -8,6 +8,7 @@ import pytest
 from detsum import (
     INTEGERS,
     RATIONALS,
+    IntPolyRing,
     MaskOutOfRange,
     ModRing,
     PrimeField,
@@ -24,7 +25,8 @@ from detsum import (
     random_matrix,
     subset_sum,
 )
-from detsum.matrices import _det_leibniz, mat_mul
+from detsum import matrices
+from detsum.matrices import LEIBNIZ_MAX_N, _det_berkowitz, _det_leibniz, mat_mul
 
 from conftest import int_rows, ref_det
 
@@ -115,6 +117,84 @@ def test_det_algorithm_agreement():
             for _ in range(20):
                 mat = random_matrix(ring, n, rng)
                 assert det(mat).value == _det_leibniz(ring, mat.rows)
+
+
+def test_closed_form_with_large_entries():
+    # 64- to 521-bit entries through the n <= 4 closed form, against the
+    # permutation expansion reduced into each (component) ring.
+    rng = random.Random(137)
+    big, p521 = 3**323, 2**521 - 1  # a 512-bit prime power and a prime
+    cases = [
+        (INTEGERS, lambda: rng.randrange(-(2**63), 2**63)),
+        (INTEGERS, lambda: rng.randrange(-(2**511), 2**511)),
+        (RATIONALS, lambda: Fraction(rng.randrange(-(2**63), 2**63), rng.randrange(1, 2**63))),
+        (ModRing(big), lambda: rng.randrange(big)),
+        (PrimeField(p521), lambda: rng.randrange(p521)),
+        (
+            ProductRing([ModRing(big), PrimeField(p521)]),
+            lambda: (rng.randrange(big), rng.randrange(p521)),
+        ),
+    ]
+
+    def reference(ring, rows):
+        if isinstance(ring, ProductRing):
+            return tuple(
+                reference(comp, [[e[c] for e in row] for row in rows])
+                for c, comp in enumerate(ring.components)
+            )
+        return ring.normalize(ref_det(rows))
+
+    for ring, draw in cases:
+        for n in (2, 3, 4):
+            for _ in range(10):
+                mat = SquareMatrix(ring, [[draw() for _ in range(n)] for _ in range(n)])
+                assert det(mat).value == reference(ring, mat.rows), (ring, n)
+
+
+ROUTE_NAMES = (
+    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination"
+)
+# (ring, sizes, the routes det_rows takes there); n == 1 takes none on every ring.
+ROUTE_PINS = [
+    (INTEGERS, range(2, 5), {"_det_cofactor"}),
+    (INTEGERS, range(5, 7), {"_det_bareiss"}),
+    (RATIONALS, range(2, 5), {"_det_cofactor"}),
+    (RATIONALS, range(5, 7), {"_det_bareiss"}),
+    (Z6, range(2, 5), {"_det_cofactor"}),
+    (Z6, range(5, 7), {"_det_berkowitz"}),
+    (F7, range(2, 5), {"_det_cofactor"}),
+    (F7, range(5, 7), {"_det_elimination"}),
+    (ProductRing([Z6, F7]), range(2, 5), {"_det_cofactor"}),
+    (ProductRing([Z6, F7]), range(5, 7), {"_det_berkowitz", "_det_elimination"}),
+    (IntPolyRing(1), range(2, LEIBNIZ_MAX_N + 1), {"_det_leibniz"}),
+    (IntPolyRing(1), range(LEIBNIZ_MAX_N + 1, LEIBNIZ_MAX_N + 2), {"_det_berkowitz"}),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, sizes, routes", ROUTE_PINS, ids=[f"{r.kind}-n{s[0]}" for r, s, _ in ROUTE_PINS]
+)
+def test_det_route_pins(monkeypatch, ring, sizes, routes):
+    calls = []
+    for name in ROUTE_NAMES:
+        def spy(*args, _real=getattr(matrices, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(matrices, name, spy)
+    rng = random.Random(139)
+    for n in (1, *sizes):
+        calls.clear()
+        rows = random_matrix(ring, n, rng).rows
+        matrices.det_rows(ring, rows)
+        assert set(calls) == (routes if n > 1 else set()), (ring, n)
+
+
+def test_leibniz_cutoff_over_int_poly():
+    # At the cutoff Leibniz runs; Berkowitz is its oracle.
+    rng = random.Random(149)
+    for ring in (IntPolyRing(2), IntPolyRing(3)):
+        mat = random_matrix(ring, LEIBNIZ_MAX_N, rng)
+        assert det(mat).value == _det_berkowitz(ring, mat.rows)
 
 
 def test_det_product_ring_componentwise():
