@@ -49,7 +49,7 @@ from .jsonio import (
     simplex_report_to_json,
     value_from_json,
 )
-from .matrices import SquareMatrix, det, det_rows, is_invertible, subset_sum
+from .matrices import SquareMatrix, det, det_rows, is_invertible, lift_family, subset_sum
 from .rings import IntPolyRing, PrimeField, RingElement
 from .search import (
     embed_product_to_matrices,
@@ -257,12 +257,14 @@ def _cmd_local_counterexample(args, seed, doc):
     total = subset_sum(family, SubsetMask.full(len(family)))
     total_is_identity = total == SquareMatrix.identity(ring, args.n)
     status = "holds" if defeated and total_is_identity else "violated"
-    sums = search_order_sums(ring, [a.rows for a in family], len(family))
+    lift = lift_family(ring, [a.rows for a in family])
+    sums = search_order_sums(lift.ring, lift.members, len(family))
+    dets = {lift.finish(det_rows(lift.det_ring, rows)) for _, rows in sums}
     result = {
         "family": matrices_to_json(family),
         "bound_defeated": defeated,
         "total_is_identity": total_is_identity,
-        "subset_determinants": sorted({str(det_rows(ring, rows)) for _, rows in sums}),
+        "subset_determinants": sorted(map(str, dets)),
     }
     params = {"modulus": args.modulus, "m1": args.m1, "m2": args.m2, "n": args.n}
     return status, result, params

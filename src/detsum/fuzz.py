@@ -10,8 +10,10 @@ trial counts.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .identities import (
@@ -36,12 +38,14 @@ from .matrices import (
 from .rings import (
     INTEGERS,
     RATIONALS,
+    IntegerRing,
     IntPolyRing,
     ModRing,
     PrimeField,
     ProductRing,
     Ring,
     RingElement,
+    is_probable_prime,
     random_homogeneous_poly,
     random_poly,
 )
@@ -57,6 +61,7 @@ from .subsets import (
     SubsetMask,
     gray_sums,
     masks_in_search_order,
+    masks_of_cardinality,
     search_order_sums,
     superset_sign_sums,
 )
@@ -208,7 +213,7 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
     (ModRing(10), 16, 10),
     (_f2x3x5(), 6, None),
     (IntPolyRing(3), 3, None),
-    (ModRing(_BIG_MODULUS), 5, _BIG_MODULUS),
+    (ModRing(_BIG_MODULUS), 9, _BIG_MODULUS),
     (PrimeField(_BIG_PRIME), 5, _BIG_PRIME),
 )
 LEIBNIZ_ORACLE_MAX_N = 6
@@ -626,6 +631,110 @@ def suite_two_component_bound(rng: random.Random, trials: int, rec: _Recorder) -
                 )
 
 
+def _coprime_rational_row(rng: random.Random, n: int) -> list[Fraction]:
+    # One fresh random 64-bit prime denominator per row: the rows of a
+    # family have pairwise coprime denominators but for a ~2^-57 chance.
+    while True:
+        d = rng.getrandbits(64) | (1 << 63) | 1
+        if is_probable_prime(d):
+            return [Fraction(rng.randrange(-(2**64), 2**64), d) for _ in range(n)]
+
+
+LIFTED_WALK_MAX_N = 6
+LIFTED_WALK_MAX_M = 8
+# (ring, draw of one row of n entries)
+_LIFTED_WALK_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] = (
+    *(
+        (ring, lambda rng, n, ring=ring: [ring.random(rng) for _ in range(n)])
+        for ring in (INTEGERS, RATIONALS, ModRing(6), ModRing(10), ModRing(_BIG_MODULUS),
+                     PrimeField(7), PrimeField(_BIG_PRIME))
+    ),
+    (RATIONALS, _coprime_rational_row),
+)
+
+
+def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """Engines that walk lifted families agree with ring arithmetic.
+
+    Trial t takes ring t % 8 (Z, Q with small denominators, Z/6, Z/10,
+    Z/(2^512-1), F_7, F_(2^521-1), and Q with one 64-bit prime
+    denominator per row, which puts the lift on both sides of its gate),
+    n = t // 8 % 6 + 1 and m <= 8 members.  The oracle sums every
+    subset with ``subset_sum`` and takes its determinant by Berkowitz in
+    the ring.  Checked: the alternating sum over the first m members;
+    the invertible-subsum witness at a random bound; the ideal chain
+    over Z and Z/N; and, with the first n members and member n as B, the
+    perturbation residual and perturbing subset, and over Q the simplex
+    report of the first n + 1 members.
+    """
+    for t in range(trials):
+        ring, draw = _LIFTED_WALK_RINGS[t % len(_LIFTED_WALK_RINGS)]
+        n = t // len(_LIFTED_WALK_RINGS) % LIFTED_WALK_MAX_N + 1
+        m = rng.randint(1, LIFTED_WALK_MAX_M)
+        size = max(m, n + 1)
+        fam = [
+            SquareMatrix(ring, [draw(rng, n) for _ in range(n)])
+            for _ in range(size)
+        ]
+        dets = {
+            bits: _det_berkowitz(ring, subset_sum(fam, SubsetMask(bits, size)).rows)
+            for bits in range(1, 1 << size)
+        }
+
+        def where(what):
+            return lambda: f"{what} differs from ring arithmetic over {ring!r} (n={n}, m={m})"
+
+        alt = ring.zero
+        for bits in range(1, 1 << m):
+            alt = (ring.sub if bits.bit_count() & 1 else ring.add)(alt, dets[bits])
+        rec.check(alternating_subset_det_sum(fam[:m]).value == alt, where("alternating sum"))
+
+        bound = rng.randint(1, m)
+        first_unit = next(
+            (bits for bits in masks_in_search_order(m, bound) if ring.is_unit(dets[bits])), None
+        )
+        witness = find_invertible_subsum(fam[:m], bound)
+        rec.check(
+            (witness.bits if witness else None) == first_unit,
+            where(f"invertible-subsum witness at bound {bound}"),
+        )
+
+        if isinstance(ring, (IntegerRing, ModRing)):
+            modulus = ring.n if isinstance(ring, ModRing) else 0
+            gens, g = [0], 0
+            for k in range(1, m + 1):
+                for bits in masks_of_cardinality(m, k):
+                    g = math.gcd(g, dets[bits])
+                gens.append(math.gcd(g, modulus) if modulus else g)
+            rec.check(ideal_chain(fam[:m]).generators == tuple(gens), where("ideal chain"))
+
+        b_bit = 1 << n  # member n is B
+        residual = ring.neg(dets[b_bit])
+        moving = None
+        for bits in masks_in_search_order(n):
+            term = ring.sub(dets[bits], dets[bits | b_bit])
+            residual = (ring.sub if bits.bit_count() & 1 else ring.add)(residual, term)
+            if moving is None and not ring.is_zero(term):
+                moving = bits
+        rec.check(
+            perturbation_identity_residual(fam[:n], fam[n]).value == residual,
+            where("perturbation residual"),
+        )
+        witness = find_perturbing_subset(fam[:n], fam[n])
+        rec.check((witness.bits if witness else None) == moving, where("perturbing subset"))
+
+        if ring == RATIONALS:
+            full = (1 << (n + 1)) - 1
+            report = simplex_centroid_check(fam[: n + 1])
+            failing = [bits for bits in masks_in_search_order(n + 1) if bits != full and dets[bits]]
+            rec.check(
+                [mask.bits for mask in report.failing_subsets] == failing
+                and report.premise_holds == (not failing)
+                and report.centroid_singular == (dets[full] == 0),
+                where("simplex report"),
+            )
+
+
 SUITES: dict[str, tuple[Callable, int]] = {
     "ring-axioms": (suite_ring_axioms, 1000),
     "unit-product": (suite_unit_product, 200),
@@ -651,6 +760,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "semilocal-guarantee": (suite_semilocal_guarantee, 50),
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),
+    "lifted-walks": (suite_lifted_walks, 48),
 }
 
 

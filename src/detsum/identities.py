@@ -30,7 +30,14 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import SquareMatrix, _raw_matrix, det_rows, family_ring_shape, subset_sum
+from .matrices import (
+    SquareMatrix,
+    _raw_matrix,
+    det_rows,
+    family_ring_shape,
+    lift_family,
+    subset_sum,
+)
 from .rings import RATIONALS, IntPolyRing, RingElement, SparsePoly
 from .subsets import MAX_FAMILY, SubsetMask, gray_sums, search_order_sums, superset_sign_sums
 
@@ -96,10 +103,12 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
+    lift = lift_family(ring, [a.rows for a in matrices])
+    det_ring, finish = lift.det_ring, lift.finish
     add, sub = ring.add, ring.sub
     acc = ring.zero
-    for parity, rows in gray_sums(ring, [a.rows for a in matrices]):
-        d = det_rows(ring, rows)
+    for parity, rows in gray_sums(lift.ring, lift.members):
+        d = finish(det_rows(det_ring, rows))
         acc = sub(acc, d) if parity else add(acc, d)
     return RingElement(ring, acc, _normalized=True)
 
@@ -299,17 +308,17 @@ def perturbation_identity_residual(
         raise ShapeMismatch(
             f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
         )
+    lift = lift_family(ring, [a.rows for a in family], perturbation.rows)
+    det_ring, finish, b_rows = lift.det_ring, lift.finish, lift.perturb
+    walk_add = lift.ring.add
     add, sub = ring.add, ring.sub
-    b_rows = perturbation.rows
     acc = ring.zero
-    for parity, rows in gray_sums(ring, [a.rows for a in family]):
-        plain = det_rows(ring, rows)
-        shifted = det_rows(
-            ring, [[add(rows[i][j], b_rows[i][j]) for j in range(n)] for i in range(n)]
-        )
-        term = sub(plain, shifted)
+    for parity, rows in gray_sums(lift.ring, lift.members):
+        plain = det_rows(det_ring, rows)
+        shifted = det_rows(det_ring, [list(map(walk_add, r, b)) for r, b in zip(rows, b_rows)])
+        term = finish(det_ring.sub(plain, shifted))
         acc = sub(acc, term) if parity else add(acc, term)
-    acc = sub(acc, det_rows(ring, b_rows))
+    acc = sub(acc, det_rows(ring, perturbation.rows))
     return RingElement(ring, acc, _normalized=True)
 
 
@@ -328,13 +337,12 @@ def find_perturbing_subset(
         raise ShapeMismatch(
             f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
         )
-    add = ring.add
-    b_rows = perturbation.rows
-    for bits, rows in search_order_sums(ring, [a.rows for a in family], n):
-        plain = det_rows(ring, rows)
-        shifted = det_rows(
-            ring, [[add(rows[i][j], b_rows[i][j]) for j in range(n)] for i in range(n)]
-        )
+    lift = lift_family(ring, [a.rows for a in family], perturbation.rows)
+    det_ring, b_rows = lift.det_ring, lift.perturb
+    walk_add = lift.ring.add
+    for bits, rows in search_order_sums(lift.ring, lift.members, n):
+        plain = det_rows(det_ring, rows)
+        shifted = det_rows(det_ring, [list(map(walk_add, r, b)) for r, b in zip(rows, b_rows)])
         if plain != shifted:
             return SubsetMask(bits, n)
     return None
@@ -401,9 +409,11 @@ def simplex_centroid_check(points: Sequence[SquareMatrix]) -> SimplexReport:
         raise ShapeMismatch(f"need n+1 = {n + 1} points for {n}x{n} matrices, got {len(points)}")
     m = n + 1
     full = (1 << m) - 1
+    lift = lift_family(ring, [p.rows for p in points])
+    det_ring = lift.det_ring
     failing = []
-    for bits, rows in search_order_sums(ring, [p.rows for p in points], m):
-        singular = ring.is_zero(det_rows(ring, rows))
+    for bits, rows in search_order_sums(lift.ring, lift.members, m):
+        singular = det_ring.is_zero(det_rows(det_ring, rows))
         if bits == full:
             centroid_singular = singular
         elif not singular:

@@ -3,18 +3,27 @@
 :func:`det_rows` is the one determinant entry.  It refuses n > 64 and
 picks its route from the ring and n:
 
-* n == 1        -- the entry itself
-* products      -- componentwise, one determinant per component ring
+* n == 1        -- the entry itself, reduced over Z/N and F_p
+* products      -- the rows split into one matrix per component in one
+  pass, each taking its component's route
 * Z             -- the closed-form integer determinant for n <= 4
   (:func:`_det_cofactor`), fraction-free Bareiss elimination above
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
-* Z/N, F_p      -- for n <= 4 the closed form on the residues, reduced
-  mod N (exact: the determinant is an integer polynomial in the entries);
-  above, Berkowitz over Z/N and Gaussian elimination over F_p
+* Z/N           -- rows of any integer representatives (exact: the
+  determinant is an integer polynomial in the entries): the closed form
+  for n <= 4 and integer Bareiss while n * bit_length(N) <= 4096, each
+  reduced mod N at the end; Berkowitz over Z/N on the reduced rows past
+  that
+* F_p           -- rows of any integer representatives: the closed form
+  mod p for n <= 4, Gaussian elimination on reduced ints above
 * Z[x...]       -- Leibniz (signed permutation sum) for n <= 6, Berkowitz
   above; neither ever divides, so both hold over any commutative ring
+
+:func:`lift_family` readies a family for the engines' subset walks: Z,
+Z/N and F_p members, and Q members scaled by shared row multipliers,
+are summed as plain ints, and only each determinant is mapped back.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -27,10 +36,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
-from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
+from .rings import INTEGERS, IntegerRing, ModRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
 from .subsets import SubsetMask
 
 __all__ = [
@@ -44,6 +53,13 @@ __all__ = [
 
 DET_SIZE_CAP = 64
 CLOSED_FORM_MAX_N = 4
+# Z/N above the closed form: integer Bareiss on the residues while
+# n * bit_length(N) stays at or below this, Berkowitz over Z/N above it.
+LIFTED_BAREISS_MAX_BITS = 4096
+# Q families walk on integers while n times the bits that the shared row
+# scales add to the members' own stays at or below this.  Alt-sum with
+# m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
+RATIONAL_LIFT_MAX_EXCESS_BITS = 4096
 # Leibniz or Berkowitz over Z[x...] only.  ms/det with random IntPolyRing(2)
 # entries, Leibniz vs Berkowitz: 13.8 vs 15.7 at n=6, 132 vs 63 at n=7.
 LEIBNIZ_MAX_N = 6
@@ -309,85 +325,195 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_integer(rows: Sequence[Sequence[int]]) -> int:
-    # n >= 2; callers return the entry itself at n == 1.
-    return _det_cofactor(rows) if len(rows) <= CLOSED_FORM_MAX_N else _det_bareiss(rows)
+def _det_gauss_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    # Gaussian elimination over F_p on Python ints: reduce once, then one
+    # modular inverse per pivot and one reduction per updated entry.
+    n = len(rows)
+    m = [[e % p for e in row] for row in rows]
+    det = 1
+    for k in range(n - 1):
+        for i in range(k, n):
+            if m[i][k]:
+                break
+        else:
+            return 0
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        row_k = m[k]
+        pivot = row_k[k]
+        det = det * pivot % p
+        inv = pow(pivot, -1, p)
+        tail = row_k[k + 1:]
+        for row_i in m[k + 1:]:
+            f = row_i[k] * inv % p
+            if f:
+                row_i[k + 1:] = [(a - f * b) % p for a, b in zip(row_i[k + 1:], tail)]
+    return det * m[n - 1][n - 1] % p
 
 
-def _det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+# One route per ring type; each takes (ring, rows) at any n >= 1.
+
+
+def _det_integer(ring: Ring, rows: Sequence[Sequence[int]]) -> int:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    return _det_cofactor(rows) if n <= CLOSED_FORM_MAX_N else _det_bareiss(rows)
+
+
+def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
     # Scale each row to integers by the lcm of its denominators, so that
     # det(A) = det(D*A) / det(D) with D diagonal.
+    if len(rows) == 1:
+        return rows[0][0]
     scale = 1
     scaled = []
     for row in rows:
         d = math.lcm(*(e.denominator for e in row))
         scale *= d
         scaled.append([e.numerator * (d // e.denominator) for e in row])
-    return Fraction(_det_integer(scaled), scale)
+    return Fraction(_det_integer(INTEGERS, scaled), scale)
 
 
-def _det_elimination(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    # Plain Gaussian elimination; only for fields.
-    n = len(rows)
-    m = [list(r) for r in rows]
-    d = ring.one
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if not ring.is_zero(m[i][k]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ring.zero
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            d = ring.neg(d)
-        pivot = m[k][k]
-        d = ring.mul(d, pivot)
-        inv = ring.try_inverse(pivot)
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            if ring.is_zero(row_i[k]):
-                continue
-            factor = ring.mul(row_i[k], inv)
-            for j in range(k + 1, n):
-                row_i[j] = ring.sub(row_i[j], ring.mul(factor, row_k[j]))
-            row_i[k] = ring.zero
-    return d
+def _det_mod(ring: ModRing, rows: Sequence[Sequence[int]]) -> int:
+    # Rows of any integer representatives: the determinant is an integer
+    # polynomial in the entries, so it is reduced mod N at the end.
+    modulus, n = ring.n, len(rows)
+    if n <= CLOSED_FORM_MAX_N:
+        return (rows[0][0] if n == 1 else _det_cofactor(rows)) % modulus
+    reduced = [[e % modulus for e in row] for row in rows]
+    if n * modulus.bit_length() <= LIFTED_BAREISS_MAX_BITS:
+        return _det_bareiss(reduced) % modulus
+    return _det_berkowitz(ring, reduced)
 
 
-def _det(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
+def _det_prime_field(ring: PrimeField, rows: Sequence[Sequence[int]]) -> int:
+    # Rows of any integer representatives, as over Z/N.
+    p, n = ring.p, len(rows)
+    if n <= CLOSED_FORM_MAX_N:
+        return (rows[0][0] if n == 1 else _det_cofactor(rows)) % p
+    return _det_gauss_mod_p(rows, p)
+
+
+def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
+    # One pass over the rows splits them into one matrix per component.
+    if len(rows) == 1:
+        return rows[0][0]
+    parts = zip(*[zip(*row) for row in rows])  # component c's rows, for each c
+    return tuple(
+        _ROUTES.get(type(comp), _det_generic)(comp, part)
+        for comp, part in zip(ring.components, parts)
+    )
+
+
+def _det_generic(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
+    # Z[x...] and any other commutative ring: neither route divides.
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    if isinstance(ring, ProductRing):
-        return tuple(
-            _det(comp, [[entry[c] for entry in row] for row in rows])
-            for c, comp in enumerate(ring.components)
-        )
-    if isinstance(ring, ModRing):
-        if n <= CLOSED_FORM_MAX_N:
-            return _det_cofactor(rows) % ring.n
-        return _det_berkowitz(ring, rows)
-    if isinstance(ring, PrimeField):
-        if n <= CLOSED_FORM_MAX_N:
-            return _det_cofactor(rows) % ring.p
-        return _det_elimination(ring, rows)
-    if isinstance(ring, IntegerRing):
-        return _det_integer(rows)
-    if isinstance(ring, RationalRing):
-        return _det_rational(rows)
     if n <= LEIBNIZ_MAX_N:
         return _det_leibniz(ring, rows)
     return _det_berkowitz(ring, rows)
 
 
+_ROUTES = {
+    IntegerRing: _det_integer,
+    RationalRing: _det_rational,
+    ModRing: _det_mod,
+    PrimeField: _det_prime_field,
+    ProductRing: _det_product,
+}
+
+
 def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    """Determinant on raw rows; the low-level path behind :func:`det`."""
+    """Determinant on raw rows; the low-level path behind :func:`det`.
+
+    Over Z/N and F_p the rows may hold any integer representatives; the
+    result is the reduced residue.
+    """
     if len(rows) > DET_SIZE_CAP:
         raise SizeLimit(f"determinants are capped at n <= {DET_SIZE_CAP}, got {len(rows)}")
-    return _det(ring, rows)
+    return _ROUTES.get(type(ring), _det_generic)(ring, rows)
+
+
+class Lift(NamedTuple):
+    """A family made ready for its subset walk by :func:`lift_family`.
+
+    An engine walks ``members`` (and adds ``perturb``) with ``ring``, and
+    maps ``det_rows(det_ring, walked_sum)`` into the family's ring with
+    ``finish``.  ``finish`` is additive and one-to-one, so differences
+    may be taken before it, and equality and zero tests may skip it.
+    """
+
+    ring: Ring
+    members: Sequence
+    perturb: Optional[Sequence]
+    det_ring: Ring
+    finish: Callable[[object], object]
+
+
+def _unchanged(value):
+    return value
+
+
+def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = None) -> Lift:
+    """Lift a family's raw arrays once, so that its subset sums add as ints.
+
+    The determinant is an integer polynomial in the entries, so over any
+    commutative ring it may be taken on integer lifts and mapped into the
+    ring at the end:
+
+    * Z          -- the members as they are;
+    * Z/N, F_p   -- the residues as they are, summed as plain ints; each
+      determinant is reduced by ``det_rows``, which takes any integer
+      representatives;
+    * Q          -- row i of every member, and of ``perturb``, scaled by
+      D_i, the lcm of the row-i denominators across all of them; the
+      determinant over Z divided by prod D_i is the one over Q.  This
+      runs only while the D_i stay near the members' own row lcms
+      (:func:`_shared_row_scales`); otherwise the walk adds fractions;
+    * products, Z[x...] -- walked in the ring itself.
+    """
+    if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
+        return Lift(INTEGERS, members, perturb, ring, _unchanged)
+    if isinstance(ring, RationalRing):
+        arrays = [*members] if perturb is None else [*members, perturb]
+        scales = _shared_row_scales(arrays)
+        if scales is not None:
+            lifted = [
+                [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(a, scales)]
+                for a in arrays
+            ]
+            scale = math.prod(scales)
+            return Lift(
+                INTEGERS,
+                lifted[: len(members)],
+                None if perturb is None else lifted[-1],
+                INTEGERS,
+                lambda d: Fraction(d, scale),
+            )
+    return Lift(ring, members, perturb, ring, _unchanged)
+
+
+def _shared_row_scales(arrays: Sequence[Sequence[Sequence[Fraction]]]) -> Optional[list[int]]:
+    """The lcm D_i of the row-i denominators over all arrays, or None.
+
+    The excess of row i is the bit length of D_i less that of the
+    largest single array's row-i lcm.  None when n times the summed
+    excess passes ``RATIONAL_LIFT_MAX_EXCESS_BITS``: then every lifted
+    sum carries the denominators of the whole family (pairwise coprime
+    ones, say), and adding fractions is the cheaper walk.
+    """
+    n = len(arrays[0])
+    scales = []
+    excess = 0
+    for i in range(n):
+        own = [math.lcm(*(e.denominator for e in a[i])) for a in arrays]
+        shared = math.lcm(*own)
+        excess += shared.bit_length() - max(own).bit_length()
+        scales.append(shared)
+    return scales if n * excess <= RATIONAL_LIFT_MAX_EXCESS_BITS else None
 
 
 def det(matrix: SquareMatrix) -> RingElement:

@@ -28,7 +28,7 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import SquareMatrix, det_rows, family_ring_shape
+from .matrices import SquareMatrix, det_rows, family_ring_shape, lift_family
 from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
@@ -71,8 +71,10 @@ def find_invertible_subsum(
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     _check_bound(bound, m)
-    for bits, rows in search_order_sums(ring, [a.rows for a in matrices], bound):
-        if ring.is_unit(det_rows(ring, rows)):
+    lift = lift_family(ring, [a.rows for a in matrices])
+    det_ring, finish, is_unit = lift.det_ring, lift.finish, ring.is_unit
+    for bits, rows in search_order_sums(lift.ring, lift.members, bound):
+        if is_unit(finish(det_rows(det_ring, rows))):
             return SubsetMask(bits, m)
     return None
 
@@ -145,12 +147,14 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
         raise TooManyMatrices(
             f"family of {m} exceeds the {IDEAL_CHAIN_FAMILY_CAP}-element chain cap"
         )
+    lift = lift_family(ring, [a.rows for a in matrices])
+    det_ring, finish = lift.det_ring, lift.finish
     generators = [0]
     acc = 0
-    for bits, rows in search_order_sums(ring, [a.rows for a in matrices], m):
+    for bits, rows in search_order_sums(lift.ring, lift.members, m):
         if bits.bit_count() == len(generators) + 1:  # the level below is complete
             generators.append(math.gcd(acc, modulus) if modulus else acc)
-        acc = math.gcd(acc, det_rows(ring, rows))
+        acc = math.gcd(acc, finish(det_rows(det_ring, rows)))
     generators.append(math.gcd(acc, modulus) if modulus else acc)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 

@@ -26,12 +26,24 @@ from detsum import (
     subset_sum,
 )
 from detsum import matrices
-from detsum.matrices import LEIBNIZ_MAX_N, _det_berkowitz, _det_leibniz, mat_mul
+from detsum.matrices import (
+    LEIBNIZ_MAX_N,
+    LIFTED_BAREISS_MAX_BITS,
+    RATIONAL_LIFT_MAX_EXCESS_BITS,
+    _det_berkowitz,
+    _det_leibniz,
+    det_rows,
+    lift_family,
+    mat_mul,
+)
+from detsum.fuzz import _coprime_rational_row, run_suite
 
 from conftest import int_rows, ref_det
 
 Z6 = ModRing(6)
 F7 = PrimeField(7)
+Z_BIG = ModRing(2**512 - 1)  # composite, 512 bits
+BIG_BAREISS_MAX_N = LIFTED_BAREISS_MAX_BITS // 512
 
 
 def diag(ring, values):
@@ -152,7 +164,7 @@ def test_closed_form_with_large_entries():
 
 
 ROUTE_NAMES = (
-    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination"
+    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_gauss_mod_p"
 )
 # (ring, sizes, the routes det_rows takes there); n == 1 takes none on every ring.
 ROUTE_PINS = [
@@ -161,11 +173,13 @@ ROUTE_PINS = [
     (RATIONALS, range(2, 5), {"_det_cofactor"}),
     (RATIONALS, range(5, 7), {"_det_bareiss"}),
     (Z6, range(2, 5), {"_det_cofactor"}),
-    (Z6, range(5, 7), {"_det_berkowitz"}),
+    (Z6, range(5, 7), {"_det_bareiss"}),
+    (Z_BIG, range(BIG_BAREISS_MAX_N, BIG_BAREISS_MAX_N + 1), {"_det_bareiss"}),
+    (Z_BIG, range(BIG_BAREISS_MAX_N + 1, BIG_BAREISS_MAX_N + 2), {"_det_berkowitz"}),
     (F7, range(2, 5), {"_det_cofactor"}),
-    (F7, range(5, 7), {"_det_elimination"}),
+    (F7, range(5, 7), {"_det_gauss_mod_p"}),
     (ProductRing([Z6, F7]), range(2, 5), {"_det_cofactor"}),
-    (ProductRing([Z6, F7]), range(5, 7), {"_det_berkowitz", "_det_elimination"}),
+    (ProductRing([Z6, F7]), range(5, 7), {"_det_bareiss", "_det_gauss_mod_p"}),
     (IntPolyRing(1), range(2, LEIBNIZ_MAX_N + 1), {"_det_leibniz"}),
     (IntPolyRing(1), range(LEIBNIZ_MAX_N + 1, LEIBNIZ_MAX_N + 2), {"_det_berkowitz"}),
 ]
@@ -187,6 +201,27 @@ def test_det_route_pins(monkeypatch, ring, sizes, routes):
         rows = random_matrix(ring, n, rng).rows
         matrices.det_rows(ring, rows)
         assert set(calls) == (routes if n > 1 else set()), (ring, n)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Z6, ModRing(10), Z_BIG, F7, PrimeField(2**521 - 1)],
+    ids=["Z6", "Z10", "Z_2^512-1", "F7", "F_2^521-1"],
+)
+def test_det_rows_reduces_any_representatives(ring):
+    # Shifting entries by random multiples of the modulus, negative ones
+    # included, leaves the determinant's residue unchanged, on both sides
+    # of the closed form and of the lifted-Bareiss gate.
+    modulus = ring.n if isinstance(ring, ModRing) else ring.p
+    rng = random.Random(151)
+    for n in (1, 2, 4, 5, 8, BIG_BAREISS_MAX_N + 1):
+        for _ in range(3):
+            rows = random_matrix(ring, n, rng).rows
+            shifted = [[e + modulus * rng.randrange(-70, 70) for e in row] for row in rows]
+            assert any(e < 0 for row in shifted for e in row) or n == 1
+            value = det_rows(ring, shifted)
+            assert value == det_rows(ring, rows) == _det_berkowitz(ring, rows), (ring, n)
+            assert 0 <= value < modulus
 
 
 def test_leibniz_cutoff_over_int_poly():
@@ -244,7 +279,7 @@ def test_minor_expansion_handles_mid_sizes():
     rng = random.Random(131)
     mat = random_matrix(Z6, 7, rng)
     viaint = ref_det(int_rows(mat)) % 6
-    assert det(mat).value == viaint  # Berkowitz runs here
+    assert det(mat).value == viaint  # lifted Bareiss runs here
 
 
 def test_is_invertible_examples():
@@ -260,3 +295,40 @@ def test_is_invertible_examples():
 def test_rational_entries_exact():
     a = SquareMatrix(RATIONALS, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
     assert det(a).value == Fraction(1, 10) - Fraction(1, 12)
+
+
+def test_lift_family_walk_rings():
+    rng = random.Random(157)
+    for ring, walk in ((INTEGERS, INTEGERS), (Z6, INTEGERS), (F7, INTEGERS), (RATIONALS, INTEGERS),
+                       (ProductRing([Z6, F7]), None), (IntPolyRing(1), None)):
+        fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
+        lift = lift_family(ring, fam)
+        assert lift.ring == (walk or ring) and lift.det_ring == (INTEGERS if ring == RATIONALS else ring)
+        assert lift.perturb is None
+    # One 64-bit prime denominator per member row: over m members a row's
+    # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
+    # n * excess over n = 4 rows is 4,032..4,096 at m = 5, inside the gate,
+    # and 5,040..5,120 at m = 6, past it: that walk adds fractions.
+    fam = [[_coprime_rational_row(rng, 4) for _ in range(4)] for _ in range(6)]
+    assert RATIONAL_LIFT_MAX_EXCESS_BITS == 4096
+    assert lift_family(RATIONALS, fam[:5]).ring == INTEGERS
+    assert lift_family(RATIONALS, fam).ring == RATIONALS
+
+
+def test_lifted_rational_determinants():
+    # Scaled rows, then the integer determinant over the shared scale.
+    rng = random.Random(163)
+    for n in range(1, 7):
+        fam = [random_matrix(RATIONALS, n, rng) for _ in range(3)]
+        b = random_matrix(RATIONALS, n, rng)
+        lift = lift_family(RATIONALS, [a.rows for a in fam], b.rows)
+        assert lift.ring == INTEGERS
+        for a, rows in zip(fam + [b], lift.members + [lift.perturb]):
+            assert all(isinstance(e, int) for row in rows for e in row)
+            assert lift.finish(det_rows(INTEGERS, rows)) == det(a).value
+
+
+def test_lifted_walks_suite():
+    # Z, Q on both sides of its gate, Z/N past the Bareiss gate and F_p, n <= 6.
+    result = run_suite("lifted-walks", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
