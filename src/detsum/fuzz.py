@@ -213,8 +213,9 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
     (ModRing(10), 16, 10),
     (_f2x3x5(), 6, None),
     (IntPolyRing(3), 3, None),
-    (ModRing(_BIG_MODULUS), 9, _BIG_MODULUS),
-    (PrimeField(_BIG_PRIME), 5, _BIG_PRIME),
+    (ModRing(_BIG_MODULUS), 10, _BIG_MODULUS),
+    (PrimeField(_BIG_PRIME), 10, _BIG_PRIME),
+    (ModRing(2**64), 16, 2**64),
 )
 LEIBNIZ_ORACLE_MAX_N = 6
 
@@ -225,8 +226,9 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
 
     For n <= 4 the lifted value runs the same closed form as det over
     F_p and Z/N, so there Leibniz and Berkowitz are the independent
-    oracles; the 512- and 521-bit moduli check the closed form on
-    residues far wider than a machine word."""
+    oracles; the 512- and 521-bit moduli check every route on residues
+    far wider than a machine word.  Over Z/2^64 a column with no odd
+    entry has no unit, which sends elimination down Euclid's steps."""
     for ring, max_n, modulus in _CROSS_CHECK_RINGS:
         for t in range(trials):
             n = t % max_n + 1

@@ -11,13 +11,12 @@ picks its route from the ring and n:
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
-* Z/N           -- rows of any integer representatives (exact: the
-  determinant is an integer polynomial in the entries): the closed form
-  for n <= 4 and integer Bareiss while n * bit_length(N) <= 4096, each
-  reduced mod N at the end; Berkowitz over Z/N on the reduced rows past
-  that
-* F_p           -- rows of any integer representatives: the closed form
-  mod p for n <= 4, Gaussian elimination on reduced ints above
+* Z/N and F_p   -- one route, F_p taken as Z/p, on rows of any integer
+  representatives (exact: the determinant is an integer polynomial in
+  the entries): the closed form for n <= 4 and integer Bareiss for
+  n <= 7, each reduced mod N at the end; Gaussian elimination mod N
+  above, where a column with no unit to pivot on is cleared by Euclid's
+  steps between rows, so N is never factored
 * Z[x...]       -- Leibniz (signed permutation sum) for n <= 6, Berkowitz
   above; neither ever divides, so both hold over any commutative ring
 
@@ -53,9 +52,9 @@ __all__ = [
 
 DET_SIZE_CAP = 64
 CLOSED_FORM_MAX_N = 4
-# Z/N above the closed form: integer Bareiss on the residues while
-# n * bit_length(N) stays at or below this, Berkowitz over Z/N above it.
-LIFTED_BAREISS_MAX_BITS = 4096
+# Z/N and F_p above the closed form: integer Bareiss on the residues up
+# to this n, elimination mod N above it.
+RESIDUE_BAREISS_MAX_N = 7
 # Q families walk on integers while n times the bits that the shared row
 # scales add to the members' own stays at or below this.  Alt-sum with
 # m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
@@ -325,31 +324,45 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_gauss_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    # Gaussian elimination over F_p on Python ints: reduce once, then one
-    # modular inverse per pivot and one reduction per updated entry.
+def _reduced(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
+    return [[e % modulus for e in row] for row in rows]
+
+
+def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    # Gaussian elimination over Z/N on reduced ints; N is never factored.
+    # A column's first unit in row order (over a field, its first nonzero
+    # entry) clears it, one row operation per row.  A column with no unit
+    # is cleared by Euclid's steps between the pivot row and each row below,
+    # a row subtraction (det 1) and a swap (det -1), till their gcd is on top.
     n = len(rows)
-    m = [[e % p for e in row] for row in rows]
+    m = _reduced(rows, modulus)
     det = 1
     for k in range(n - 1):
         for i in range(k, n):
-            if m[i][k]:
+            if m[i][k] and math.gcd(m[i][k], modulus) == 1:
+                if i != k:
+                    m[k], m[i] = m[i], m[k]
+                    det = -det
+                row_k = m[k]
+                inv = pow(row_k[k], -1, modulus)
+                tail = row_k[k + 1:]
+                for row_i in m[k + 1:]:
+                    f = row_i[k] * inv % modulus
+                    if f:
+                        row_i[k + 1:] = [(a - f * b) % modulus for a, b in zip(row_i[k + 1:], tail)]
                 break
         else:
+            for i in range(k + 1, n):
+                while m[i][k]:
+                    row_k, row_i = m[k], m[i]
+                    q = row_k[k] // row_i[k]
+                    row_k[k:] = [(a - q * b) % modulus for a, b in zip(row_k[k:], row_i[k:])]
+                    m[k], m[i] = row_i, row_k
+                    det = -det
+        det = det * m[k][k] % modulus
+        if not det:
             return 0
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            det = -det
-        row_k = m[k]
-        pivot = row_k[k]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        tail = row_k[k + 1:]
-        for row_i in m[k + 1:]:
-            f = row_i[k] * inv % p
-            if f:
-                row_i[k + 1:] = [(a - f * b) % p for a, b in zip(row_i[k + 1:], tail)]
-    return det * m[n - 1][n - 1] % p
+    return det * m[n - 1][n - 1] % modulus
 
 
 # One route per ring type; each takes (ring, rows) at any n >= 1.
@@ -376,24 +389,16 @@ def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_det_integer(INTEGERS, scaled), scale)
 
 
-def _det_mod(ring: ModRing, rows: Sequence[Sequence[int]]) -> int:
-    # Rows of any integer representatives: the determinant is an integer
-    # polynomial in the entries, so it is reduced mod N at the end.
-    modulus, n = ring.n, len(rows)
+def _det_residue(ring: ModRing | PrimeField, rows: Sequence[Sequence[int]]) -> int:
+    # Z/N, and F_p as Z/p, on any integer representatives.  No comprehension
+    # here: one over modulus would give the n <= 4 path a closure cell.
+    modulus = ring.p if type(ring) is PrimeField else ring.n
+    n = len(rows)
     if n <= CLOSED_FORM_MAX_N:
         return (rows[0][0] if n == 1 else _det_cofactor(rows)) % modulus
-    reduced = [[e % modulus for e in row] for row in rows]
-    if n * modulus.bit_length() <= LIFTED_BAREISS_MAX_BITS:
-        return _det_bareiss(reduced) % modulus
-    return _det_berkowitz(ring, reduced)
-
-
-def _det_prime_field(ring: PrimeField, rows: Sequence[Sequence[int]]) -> int:
-    # Rows of any integer representatives, as over Z/N.
-    p, n = ring.p, len(rows)
-    if n <= CLOSED_FORM_MAX_N:
-        return (rows[0][0] if n == 1 else _det_cofactor(rows)) % p
-    return _det_gauss_mod_p(rows, p)
+    if n <= RESIDUE_BAREISS_MAX_N:
+        return _det_bareiss(_reduced(rows, modulus)) % modulus
+    return _det_elimination_mod(rows, modulus)
 
 
 def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
@@ -420,8 +425,8 @@ def _det_generic(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
 _ROUTES = {
     IntegerRing: _det_integer,
     RationalRing: _det_rational,
-    ModRing: _det_mod,
-    PrimeField: _det_prime_field,
+    ModRing: _det_residue,
+    PrimeField: _det_residue,
     ProductRing: _det_product,
 }
 

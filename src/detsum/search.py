@@ -23,7 +23,6 @@ from .errors import (
     MixedComponentFields,
     RingMismatch,
     SearchSpaceTooLarge,
-    ShapeMismatch,
     TooManyElements,
     TooManyMatrices,
     UnsupportedRing,
@@ -243,25 +242,17 @@ def semilocal_counterexample_instances() -> tuple[SemilocalInstance, SemilocalIn
     exhaustively at construction time.
     """
     f2, f3, f5, f7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
-
-    ring_a = ProductRing([f2, f3, f5])
-    first_three = [(0, 1, 1), (1, 2, 0), (1, 2, 0)]
-    partial = ring_a.zero
-    for t in first_three:
-        partial = ring_a.add(partial, ring_a.normalize(t))
-    closing = ring_a.sub(ring_a.one, partial)
-    instance_a = SemilocalInstance.from_raw(ring_a, first_three + [closing])
-
-    ring_b = ProductRing([f2, f3, f5, f7])
-    first_four = [(0, 0, 0, 1), (1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 0, 2)]
-    partial = ring_b.zero
-    for t in first_four:
-        partial = ring_b.add(partial, ring_b.normalize(t))
-    closing = ring_b.sub(ring_b.one, partial)
-    instance_b = SemilocalInstance.from_raw(ring_b, first_four + [closing])
-
-    for label, inst in (("a", instance_a), ("b", instance_b)):
-        ring = inst.ring
+    instances = []
+    # All but the last member; the last one closes the total to 1.
+    for label, fields, first in (
+        ("a", [f2, f3, f5], [(0, 1, 1), (1, 2, 0), (1, 2, 0)]),
+        ("b", [f2, f3, f5, f7], [(0, 0, 0, 1), (1, 2, 0, 0), (1, 2, 0, 1), (1, 2, 0, 2)]),
+    ):
+        ring = ProductRing(fields)
+        partial = ring.zero
+        for t in first:
+            partial = ring.add(partial, ring.normalize(t))
+        inst = SemilocalInstance.from_raw(ring, first + [ring.sub(ring.one, partial)])
         raw = inst.raw_elements()
         total = ring.zero
         for t in raw:
@@ -270,6 +261,8 @@ def semilocal_counterexample_instances() -> tuple[SemilocalInstance, SemilocalIn
             raise ContractViolation(f"instance ({label}): total sum is not a unit")
         if _first_unit_subsum(ring, raw, len(raw) - 1) is not None:
             raise ContractViolation(f"instance ({label}): some proper subset sums to a unit")
+        instances.append(inst)
+    instance_a, instance_b = instances
     if len(set(instance_b.raw_elements())) != len(instance_b.elements):
         raise ContractViolation("instance (b): elements are not pairwise distinct")
     return instance_a, instance_b

@@ -31,6 +31,7 @@ from detsum import (
     semilocal_find_unit_subsum,
     subset_sum,
 )
+from detsum import fuzz
 from detsum.fuzz import run_suite
 from detsum.subsets import masks_in_search_order
 
@@ -235,6 +236,14 @@ def test_c10_geometry_and_homogeneous():
 
 def test_c11_determinant_cross_validation():
     result = run_suite("det-agreement", seed=0, trials=500)
-    assert result.checks == 9 * 500
+    assert result.checks == 10 * 500
     assert result.failures == 0, result.first_failure
     _report(11, f"{result.checks} determinants agree across all applicable algorithms")
+
+
+def test_every_fuzz_suite_passes():
+    # A few trials of each registered suite, so that none goes unrun.
+    results = fuzz.run_suites(seed=0, trials=3)
+    assert [r.name for r in results] == list(fuzz.SUITES)
+    failed = [(r.name, r.first_failure) for r in results if r.failures]
+    assert not failed, failed

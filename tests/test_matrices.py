@@ -28,9 +28,10 @@ from detsum import (
 from detsum import matrices
 from detsum.matrices import (
     LEIBNIZ_MAX_N,
-    LIFTED_BAREISS_MAX_BITS,
     RATIONAL_LIFT_MAX_EXCESS_BITS,
+    RESIDUE_BAREISS_MAX_N,
     _det_berkowitz,
+    _det_elimination_mod,
     _det_leibniz,
     det_rows,
     lift_family,
@@ -43,7 +44,6 @@ from conftest import int_rows, ref_det
 Z6 = ModRing(6)
 F7 = PrimeField(7)
 Z_BIG = ModRing(2**512 - 1)  # composite, 512 bits
-BIG_BAREISS_MAX_N = LIFTED_BAREISS_MAX_BITS // 512
 
 
 def diag(ring, values):
@@ -164,22 +164,28 @@ def test_closed_form_with_large_entries():
 
 
 ROUTE_NAMES = (
-    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_gauss_mod_p"
+    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination_mod"
 )
+BAREISS_SIZES = range(5, RESIDUE_BAREISS_MAX_N + 1)
+ELIMINATION_SIZES = range(RESIDUE_BAREISS_MAX_N + 1, RESIDUE_BAREISS_MAX_N + 3)
 # (ring, sizes, the routes det_rows takes there); n == 1 takes none on every ring.
+# The Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_det_cofactor"}),
     (INTEGERS, range(5, 7), {"_det_bareiss"}),
     (RATIONALS, range(2, 5), {"_det_cofactor"}),
     (RATIONALS, range(5, 7), {"_det_bareiss"}),
     (Z6, range(2, 5), {"_det_cofactor"}),
-    (Z6, range(5, 7), {"_det_bareiss"}),
-    (Z_BIG, range(BIG_BAREISS_MAX_N, BIG_BAREISS_MAX_N + 1), {"_det_bareiss"}),
-    (Z_BIG, range(BIG_BAREISS_MAX_N + 1, BIG_BAREISS_MAX_N + 2), {"_det_berkowitz"}),
+    (Z6, BAREISS_SIZES, {"_det_bareiss"}),
+    (Z6, ELIMINATION_SIZES, {"_det_elimination_mod"}),
+    (Z_BIG, BAREISS_SIZES[1:], {"_det_bareiss"}),
+    (Z_BIG, ELIMINATION_SIZES[1:], {"_det_elimination_mod"}),
     (F7, range(2, 5), {"_det_cofactor"}),
-    (F7, range(5, 7), {"_det_gauss_mod_p"}),
+    (F7, BAREISS_SIZES, {"_det_bareiss"}),
+    (F7, ELIMINATION_SIZES, {"_det_elimination_mod"}),
     (ProductRing([Z6, F7]), range(2, 5), {"_det_cofactor"}),
-    (ProductRing([Z6, F7]), range(5, 7), {"_det_bareiss", "_det_gauss_mod_p"}),
+    (ProductRing([Z6, F7]), BAREISS_SIZES, {"_det_bareiss"}),
+    (ProductRing([Z6, F7]), ELIMINATION_SIZES, {"_det_elimination_mod"}),
     (IntPolyRing(1), range(2, LEIBNIZ_MAX_N + 1), {"_det_leibniz"}),
     (IntPolyRing(1), range(LEIBNIZ_MAX_N + 1, LEIBNIZ_MAX_N + 2), {"_det_berkowitz"}),
 ]
@@ -211,10 +217,10 @@ def test_det_route_pins(monkeypatch, ring, sizes, routes):
 def test_det_rows_reduces_any_representatives(ring):
     # Shifting entries by random multiples of the modulus, negative ones
     # included, leaves the determinant's residue unchanged, on both sides
-    # of the closed form and of the lifted-Bareiss gate.
+    # of the closed form and of the Bareiss cutoff.
     modulus = ring.n if isinstance(ring, ModRing) else ring.p
     rng = random.Random(151)
-    for n in (1, 2, 4, 5, 8, BIG_BAREISS_MAX_N + 1):
+    for n in (1, 2, 4, 5, RESIDUE_BAREISS_MAX_N, RESIDUE_BAREISS_MAX_N + 1, 12):
         for _ in range(3):
             rows = random_matrix(ring, n, rng).rows
             shifted = [[e + modulus * rng.randrange(-70, 70) for e in row] for row in rows]
@@ -222,6 +228,36 @@ def test_det_rows_reduces_any_representatives(ring):
             value = det_rows(ring, shifted)
             assert value == det_rows(ring, rows) == _det_berkowitz(ring, rows), (ring, n)
             assert 0 <= value < modulus
+
+
+@pytest.mark.parametrize(
+    "modulus, non_unit",
+    [
+        # Z/12 non-units: a column such as (4, 6, 9) has no unit but gcd 1.
+        (12, lambda rng: rng.choice((0, 2, 3, 4, 6, 8, 9, 10))),
+        # Z/2^64 even entries: row operations keep a column even, so no
+        # odd entry ever turns up in it to serve as a unit.
+        (2**64, lambda rng: 2 * rng.randrange(2**63)),
+    ],
+    ids=["Z12", "Z_2^64"],
+)
+def test_elimination_clears_columns_without_a_unit(modulus, non_unit):
+    # With no unit to pivot on, elimination clears the column by Euclid's
+    # steps between rows, checked against the permutation expansion and,
+    # past the Bareiss cutoff, against Bareiss over Z and Berkowitz.
+    rng = random.Random(167)
+    ring = ModRing(modulus)
+    for n in (2, 3, 4, 5, 6, RESIDUE_BAREISS_MAX_N + 1, 12):
+        for _ in range(4):
+            rows = [[non_unit(rng) for _ in range(n)] for _ in range(n)]
+            if modulus == 12 and n >= 3:
+                for row, e in zip(rows, (4, 6, 9)):
+                    row[0] = e
+            if n <= 6:
+                assert _det_elimination_mod(rows, modulus) == ref_det(rows) % modulus, rows
+            else:
+                value = det_rows(ring, rows)
+                assert value == det_rows(INTEGERS, rows) % modulus == _det_berkowitz(ring, rows)
 
 
 def test_leibniz_cutoff_over_int_poly():
@@ -279,7 +315,7 @@ def test_minor_expansion_handles_mid_sizes():
     rng = random.Random(131)
     mat = random_matrix(Z6, 7, rng)
     viaint = ref_det(int_rows(mat)) % 6
-    assert det(mat).value == viaint  # lifted Bareiss runs here
+    assert det(mat).value == viaint  # integer Bareiss on the residues runs here
 
 
 def test_is_invertible_examples():
@@ -329,6 +365,6 @@ def test_lifted_rational_determinants():
 
 
 def test_lifted_walks_suite():
-    # Z, Q on both sides of its gate, Z/N past the Bareiss gate and F_p, n <= 6.
+    # Z, Q on both sides of its gate, Z/N and F_p with moduli of up to 521 bits, n <= 6.
     result = run_suite("lifted-walks", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
