@@ -644,12 +644,16 @@ def _coprime_rational_row(rng: random.Random, n: int) -> list[Fraction]:
 
 LIFTED_WALK_MAX_N = 6
 LIFTED_WALK_MAX_M = 8
+_F2_F3_F5 = ProductRing([PrimeField(2), PrimeField(3), PrimeField(5)])
 # (ring, draw of one row of n entries)
 _LIFTED_WALK_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] = (
     *(
         (ring, lambda rng, n, ring=ring: [ring.random(rng) for _ in range(n)])
         for ring in (INTEGERS, RATIONALS, ModRing(6), ModRing(10), ModRing(_BIG_MODULUS),
-                     PrimeField(7), PrimeField(_BIG_PRIME))
+                     PrimeField(7), PrimeField(_BIG_PRIME),
+                     _F2_F3_F5, ProductRing([ModRing(4), ModRing(9)]),
+                     ProductRing([ModRing(6), PrimeField(3)]),
+                     ProductRing([ModRing(2**64 - 1), PrimeField(_BIG_PRIME)]))
     ),
     (RATIONALS, _coprime_rational_row),
 )
@@ -658,16 +662,20 @@ _LIFTED_WALK_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] 
 def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """Engines that walk lifted families agree with ring arithmetic.
 
-    Trial t takes ring t % 8 (Z, Q with small denominators, Z/6, Z/10,
-    Z/(2^512-1), F_7, F_(2^521-1), and Q with one 64-bit prime
-    denominator per row, which puts the lift on both sides of its gate),
-    n = t // 8 % 6 + 1 and m <= 8 members.  The oracle sums every
-    subset with ``subset_sum`` and takes its determinant by Berkowitz in
-    the ring.  Checked: the alternating sum over the first m members;
-    the invertible-subsum witness at a random bound; the ideal chain
-    over Z and Z/N; and, with the first n members and member n as B, the
-    perturbation residual and perturbing subset, and over Q the simplex
-    report of the first n + 1 members.
+    Trial t takes ring t % 12 and n = t // 12 % 6 + 1, so the default
+    72 trials draw every (ring, n) cell, and m <= 8 members.  The rings
+    are Z, Q with small denominators, Z/6, Z/10, Z/(2^512-1), F_7,
+    F_(2^521-1); the products F2xF3xF5 and Z/4xZ/9, which walk as Z/30
+    and Z/36, Z/6xF3 (not coprime) and Z/(2^64-1)xF_(2^521-1) (585
+    bits, past the cap), which walk in the ring; and Q with one 64-bit
+    prime denominator per row, which puts the lift on both sides of its
+    gate.  The oracle sums every subset with ``subset_sum`` and takes its
+    determinant by Berkowitz in the ring.  Checked: the alternating sum
+    over the first m members; the invertible-subsum witness at a random
+    bound, and at n = 1 over F2xF3xF5 the semilocal search's; the ideal
+    chain over Z and Z/N; and, with the first n members and member n as
+    B, the perturbation residual and perturbing subset, and over Q the
+    simplex report of the first n + 1 members.
     """
     for t in range(trials):
         ring, draw = _LIFTED_WALK_RINGS[t % len(_LIFTED_WALK_RINGS)]
@@ -700,6 +708,13 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             (witness.bits if witness else None) == first_unit,
             where(f"invertible-subsum witness at bound {bound}"),
         )
+        if n == 1 and ring == _F2_F3_F5:
+            instance = SemilocalInstance.from_raw(ring, [a.rows[0][0] for a in fam[:m]])
+            witness = semilocal_find_unit_subsum(instance, bound)
+            rec.check(
+                (witness.bits if witness else None) == first_unit,
+                where(f"unit-subsum witness at bound {bound}"),
+            )
 
         if isinstance(ring, (IntegerRing, ModRing)):
             modulus = ring.n if isinstance(ring, ModRing) else 0
@@ -762,7 +777,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "semilocal-guarantee": (suite_semilocal_guarantee, 50),
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),
-    "lifted-walks": (suite_lifted_walks, 48),
+    "lifted-walks": (suite_lifted_walks, 72),
 }
 
 

@@ -5,7 +5,8 @@ picks its route from the ring and n:
 
 * n == 1        -- the entry itself, reduced over Z/N and F_p
 * products      -- the rows split into one matrix per component in one
-  pass, each taking its component's route
+  pass, each taking its component's route (the engines walk coprime
+  Z/N and F_p products as one Z/M instead; see below)
 * Z             -- the closed-form integer determinant for n <= 4
   (:func:`_det_cofactor`), fraction-free Bareiss elimination above
 * Q             -- each row scaled to integers by the lcm of its
@@ -21,8 +22,11 @@ picks its route from the ring and n:
   above; neither ever divides, so both hold over any commutative ring
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
-Z/N and F_p members, and Q members scaled by shared row multipliers,
-are summed as plain ints, and only each determinant is mapped back.
+Z/N and F_p members, Q members scaled by shared row multipliers, and
+members of a product of Z/n_c and F_p with pairwise coprime moduli,
+taken by the Chinese remainder theorem into Z/M with M = prod n_c, are
+summed as plain ints, and only each determinant is mapped back.  Such a
+product's determinants therefore run the Z/M route.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +64,12 @@ RESIDUE_BAREISS_MAX_N = 7
 # scales add to the members' own stays at or below this.  Alt-sum with
 # m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
 RATIONAL_LIFT_MAX_EXCESS_BITS = 4096
+# Products of Z/n_c and F_p with pairwise coprime moduli walk as Z/M while
+# M has at most this many bits.  Per determinant at n = 3..12, Z/M over the
+# split product: 0.15-0.54x for F2xF3xF5, 0.35-0.90x for 2x64 bits,
+# 0.51-1.01x for 2x128 bits, 0.78-0.98x for 64x521 bits, 1.27-1.45x for
+# 2x512 bits (timeit, one pinned CPU).
+PRODUCT_LIFT_MAX_BITS = 256
 # Leibniz or Berkowitz over Z[x...] only.  ms/det with random IntPolyRing(2)
 # entries, Leibniz vs Berkowitz: 13.8 vs 15.7 at n=6, 132 vs 63 at n=7.
 LEIBNIZ_MAX_N = 6
@@ -478,10 +489,31 @@ def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = Non
       determinant over Z divided by prod D_i is the one over Q.  This
       runs only while the D_i stay near the members' own row lcms
       (:func:`_shared_row_scales`); otherwise the walk adds fractions;
-    * products, Z[x...] -- walked in the ring itself.
+    * products of Z/n_c and F_p with pairwise coprime moduli -- each
+      element the CRT integer sum_c x_c e_c mod M, with e_c = 1 mod n_c
+      and 0 mod the other moduli, while M = prod n_c has at most
+      ``PRODUCT_LIFT_MAX_BITS`` bits; the determinant is taken over Z/M
+      and split into its residues mod each n_c, a ring isomorphism;
+    * other products, Z[x...] -- walked in the ring itself.
     """
     if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
         return Lift(INTEGERS, members, perturb, ring, _unchanged)
+    if isinstance(ring, ProductRing):
+        moduli = _coprime_moduli(ring)
+        if moduli is not None:
+            modulus = math.prod(moduli)
+            basis = [(modulus // n) * pow(modulus // n, -1, n) for n in moduli]
+
+            def crt(a):
+                return [[sum(map(operator.mul, e, basis)) % modulus for e in row] for row in a]
+
+            return Lift(
+                INTEGERS,
+                [crt(a) for a in members],
+                None if perturb is None else crt(perturb),
+                ModRing(modulus),
+                lambda d: tuple(d % n for n in moduli),
+            )
     if isinstance(ring, RationalRing):
         arrays = [*members] if perturb is None else [*members, perturb]
         scales = _shared_row_scales(arrays)
@@ -499,6 +531,26 @@ def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = Non
                 lambda d: Fraction(d, scale),
             )
     return Lift(ring, members, perturb, ring, _unchanged)
+
+
+def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:
+    """The component moduli, when a product is Z/M by the CRT; else None.
+
+    That needs every component to be Z/n_c or F_p, the moduli pairwise
+    coprime, and their product within ``PRODUCT_LIFT_MAX_BITS``.
+    """
+    moduli = []
+    for comp in ring.components:
+        if type(comp) is ModRing:
+            moduli.append(comp.n)
+        elif type(comp) is PrimeField:
+            moduli.append(comp.p)
+        else:
+            return None
+    modulus = math.prod(moduli)
+    if math.lcm(*moduli) != modulus or modulus.bit_length() > PRODUCT_LIFT_MAX_BITS:
+        return None
+    return moduli
 
 
 def _shared_row_scales(arrays: Sequence[Sequence[Sequence[Fraction]]]) -> Optional[list[int]]:

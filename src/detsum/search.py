@@ -12,6 +12,7 @@ miner for mixed-characteristic counterexamples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import SquareMatrix, det_rows, family_ring_shape, lift_family
+from .matrices import Lift, SquareMatrix, det_rows, family_ring_shape, lift_family
 from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
@@ -192,8 +193,17 @@ def _first_unit_subsum(
     ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
 ) -> Optional[int]:
     """Mask of the first subset of size <= bound summing to a unit, or None."""
-    for bits, ((total,),) in search_order_sums(ring, [((t,),) for t in raw], bound):
-        if ring.is_unit(total):
+    lift = lift_family(ring, [((t,),) for t in raw])
+    return _first_unit_in(lift, lift.members, bound)
+
+
+def _first_unit_in(lift: Lift, members: Sequence, bound: int) -> Optional[int]:
+    # members are 1x1 arrays of a product lifted by lift, whose finish is
+    # the CRT isomorphism from Z/M or the identity: a walked value is a
+    # unit of det_ring exactly when its image is one of the product.
+    is_unit = lift.det_ring.is_unit
+    for bits, ((total,),) in search_order_sums(lift.ring, members, bound):
+        if is_unit(total):
             return bits
     return None
 
@@ -281,6 +291,9 @@ def mixed_char_counterexample_search(
     equal-characteristic components the result is provably empty when
     subset_bound covers the component count; over two components it is
     empty regardless of characteristics once subset_bound >= 2.
+
+    The pool is lifted once (to Z/M, M the product of the primes, when
+    they are distinct) and each multiset is summed on the lifted values.
     """
     caps = MINER_CAPS
     if not 1 <= len(component_fields) <= caps["max_fields"]:
@@ -314,13 +327,14 @@ def mixed_char_counterexample_search(
         )
 
     bound = min(subset_bound, m)
+    lift = lift_family(ring, [((t,),) for t in pool])
+    members, add, is_unit = lift.members, lift.ring.add, lift.det_ring.is_unit
+    values = [a[0][0] for a in members]
     found = []
-    for combo in itertools.combinations_with_replacement(pool, m):
-        total = ring.zero
-        for t in combo:
-            total = ring.add(total, t)
-        if not ring.is_unit(total):
+    for combo in itertools.combinations_with_replacement(range(len(pool)), m):
+        total = functools.reduce(add, map(values.__getitem__, combo))
+        if not is_unit(total):
             continue
-        if _first_unit_subsum(ring, combo, bound) is None:
-            found.append(SemilocalInstance.from_raw(ring, combo))
+        if _first_unit_in(lift, [members[i] for i in combo], bound) is None:
+            found.append(SemilocalInstance.from_raw(ring, [pool[i] for i in combo]))
     return found

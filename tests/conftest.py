@@ -69,3 +69,37 @@ def ref_product_sum(m, n):
 def int_rows(matrix):
     """Raw integer rows of a library matrix over Z, Z/N, or F_p."""
     return [list(row) for row in matrix.rows]
+
+
+def ref_first_unit_subsum(primes, elements, bound):
+    """First mask (by size, then value) of at most bound elements of
+    F_p1 x ... x F_pk whose tuple sum is a unit, or None.
+
+    Tries the masks in that order, summing each coordinate by coordinate;
+    a unit has no zero coordinate.
+    """
+    m = len(elements)
+    for bits in sorted(range(1, 1 << m), key=lambda b: (bin(b).count("1"), b)):
+        members = [elements[i] for i in range(m) if bits >> i & 1]
+        if len(members) > bound:
+            return None
+        if all(sum(e[c] for e in members) % p for c, p in enumerate(primes)):
+            return bits
+    return None
+
+
+def ref_mixed_char_families(primes, m):
+    """Map each bound b in 1..m to the miner's families over the given fields.
+
+    A family is an m-element multiset of F_p1 x ... x F_pk, taken over all
+    elements in lexicographic order, whose total is a unit while no subset
+    of at most b members sums to one.  Each is a tuple of element tuples.
+    """
+    elements = list(itertools.product(*(range(p) for p in primes)))
+    found = {b: [] for b in range(1, m + 1)}
+    for family in itertools.combinations_with_replacement(elements, m):
+        if all(sum(e[c] for e in family) % p for c, p in enumerate(primes)):
+            smallest = bin(ref_first_unit_subsum(primes, family, m)).count("1")
+            for b in range(1, smallest):
+                found[b].append(family)
+    return found

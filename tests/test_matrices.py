@@ -335,11 +335,22 @@ def test_rational_entries_exact():
 
 def test_lift_family_walk_rings():
     rng = random.Random(157)
-    for ring, walk in ((INTEGERS, INTEGERS), (Z6, INTEGERS), (F7, INTEGERS), (RATIONALS, INTEGERS),
-                       (ProductRing([Z6, F7]), None), (IntPolyRing(1), None)):
+    # (ring, walk ring, determinant ring); None stands for the ring itself.
+    for ring, walk, det_ring in (
+        (INTEGERS, INTEGERS, None),
+        (Z6, INTEGERS, None),
+        (F7, INTEGERS, None),
+        (RATIONALS, INTEGERS, INTEGERS),
+        (ProductRing([Z6, F7]), INTEGERS, ModRing(42)),  # coprime: Z/42 by the CRT
+        (ProductRing([Z6, PrimeField(3)]), None, None),  # not coprime
+        (ProductRing([PrimeField(2), PrimeField(2)]), None, None),
+        (ProductRing([INTEGERS, F7]), None, None),
+        (ProductRing([ModRing(2**512 - 1), ModRing(2**512 + 1)]), None, None),  # past the cap
+        (IntPolyRing(1), None, None),
+    ):
         fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
         lift = lift_family(ring, fam)
-        assert lift.ring == (walk or ring) and lift.det_ring == (INTEGERS if ring == RATIONALS else ring)
+        assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
         assert lift.perturb is None
     # One 64-bit prime denominator per member row: over m members a row's
     # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
@@ -349,6 +360,29 @@ def test_lift_family_walk_rings():
     assert RATIONAL_LIFT_MAX_EXCESS_BITS == 4096
     assert lift_family(RATIONALS, fam[:5]).ring == INTEGERS
     assert lift_family(RATIONALS, fam).ring == RATIONALS
+
+
+def test_coprime_products_lift_to_one_residue_ring():
+    # The CRT lift is an isomorphism onto Z/M: each lifted entry and each
+    # lifted determinant maps back to the value in the product.
+    rng = random.Random(167)
+    assert matrices.PRODUCT_LIFT_MAX_BITS == 256
+    for ring, modulus in (
+        (ProductRing([PrimeField(2), PrimeField(3), PrimeField(5)]), 30),
+        (ProductRing([ModRing(4), ModRing(9)]), 36),
+        (ProductRing([ModRing(2**128 - 1), ModRing(2**128 + 1)]), 2**256 - 1),  # 256 bits
+        (ProductRing([F7]), 7),
+    ):
+        for n in (1, 2, 5, 8):
+            fam = [random_matrix(ring, n, rng) for _ in range(2)]
+            lift = lift_family(ring, [a.rows for a in fam[:1]], fam[1].rows)
+            assert lift.ring == INTEGERS and lift.det_ring == ModRing(modulus)
+            for a, rows in zip(fam, lift.members + [lift.perturb]):
+                assert [[lift.finish(e) for e in row] for row in rows] == [list(r) for r in a.rows]
+                assert lift.finish(det_rows(lift.det_ring, rows)) == det(a).value
+    # One bit past the cap, the product walks in the ring.
+    ring = ProductRing([ModRing(2**128 + 1), ModRing(2**128 + 3)])
+    assert lift_family(ring, [random_matrix(ring, 2, rng).rows]).ring == ring
 
 
 def test_lifted_rational_determinants():

@@ -31,8 +31,15 @@ from detsum import (
     semilocal_find_unit_subsum,
     subset_sum,
 )
+from detsum import search
 
-from conftest import int_rows, ref_det, ref_subset_sum
+from conftest import (
+    int_rows,
+    ref_det,
+    ref_first_unit_subsum,
+    ref_mixed_char_families,
+    ref_subset_sum,
+)
 
 Z6 = ModRing(6)
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -220,6 +227,26 @@ def test_semilocal_search_basic():
     assert semilocal_find_unit_subsum(inst, 2) == SubsetMask.from_indices(3, [2])
 
 
+# Mixed and equal characteristics: F2xF3xF5 and F2xF3xF7 walk as Z/30 and
+# Z/42, F5xF7 as Z/35; F2xF2xF3 and F3xF3 are not coprime and walk in the ring.
+ORACLE_FIELDS = ((2, 3, 5), (2, 3, 7), (5, 7), (2, 2, 3), (3, 3))
+
+
+def test_semilocal_search_matches_brute_force():
+    rng = random.Random(359)
+    inst_a, inst_b = semilocal_counterexample_instances()
+    cases = [(inst_a.raw_elements(), (2, 3, 5)), (inst_b.raw_elements(), (2, 3, 5, 7))]
+    for primes in ORACLE_FIELDS:
+        for m in range(1, 7):
+            for _ in range(6):
+                cases.append(([tuple(rng.randrange(p) for p in primes) for _ in range(m)], primes))
+    for raw, primes in cases:
+        inst = SemilocalInstance.from_raw(ProductRing([PrimeField(p) for p in primes]), raw)
+        for bound in range(1, len(raw) + 1):
+            witness = semilocal_find_unit_subsum(inst, bound)
+            assert (witness.bits if witness else None) == ref_first_unit_subsum(primes, raw, bound)
+
+
 def test_builtin_counterexample_instances():
     inst_a, inst_b = semilocal_counterexample_instances()
 
@@ -362,3 +389,46 @@ def test_miner_results_are_verified_counterexamples():
         assert ring.is_unit(total)
         for el in inst.elements:
             assert not ring.is_unit(el.value)
+
+
+def test_miner_matches_brute_force():
+    # Every multiset of every element, in order, against the miner's list.
+    for primes in ORACLE_FIELDS:
+        fields = [PrimeField(p) for p in primes]
+        for m in range(1, 5):
+            expected = ref_mixed_char_families(primes, m)
+            for bound in range(1, m + 1):
+                found = mixed_char_counterexample_search(fields, m, bound)
+                assert [inst.raw_elements() for inst in found] == expected[bound], (primes, m, bound)
+
+
+@pytest.mark.parametrize(
+    "primes, m, bound, count",
+    [
+        ((2, 3, 5), 4, 3, 16),
+        ((2, 3, 5), 4, 2, 312),
+        ((2, 3, 5), 4, 1, 3200),
+        ((2, 3, 5), 3, 2, 112),
+        ((2, 2, 3), 4, 3, 4),
+        ((2, 3, 7), 4, 3, 24),
+        ((2, 5, 7), 4, 3, 48),
+        ((2, 3, 5), 5, 2, 952),
+    ],
+)
+def test_miner_family_counts(primes, m, bound, count):
+    assert len(mixed_char_counterexample_search([PrimeField(p) for p in primes], m, bound)) == count
+
+
+def test_miner_lifts_its_pool_once(monkeypatch):
+    calls = []
+    lift_family = search.lift_family
+
+    def counting_lift(ring, *args):
+        calls.append(ring)
+        return lift_family(ring, *args)
+
+    monkeypatch.setattr(search, "lift_family", counting_lift)
+    for primes, families in (((2, 3, 5), 16), ((2, 2, 3), 4)):  # lifted to Z/30; in the ring
+        calls.clear()
+        assert len(mixed_char_counterexample_search([PrimeField(p) for p in primes], 4, 3)) == families
+        assert calls == [ProductRing([PrimeField(p) for p in primes])]
