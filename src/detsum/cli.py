@@ -49,7 +49,7 @@ from .jsonio import (
     simplex_report_to_json,
     value_from_json,
 )
-from .matrices import SquareMatrix, det, det_rows, is_invertible, lift_family, subset_sum
+from .matrices import SquareMatrix, det, is_invertible, lift_family, subset_sum
 from .rings import IntPolyRing, PrimeField, RingElement
 from .search import (
     embed_product_to_matrices,
@@ -257,9 +257,9 @@ def _cmd_local_counterexample(args, seed, doc):
     total = subset_sum(family, SubsetMask.full(len(family)))
     total_is_identity = total == SquareMatrix.identity(ring, args.n)
     status = "holds" if defeated and total_is_identity else "violated"
-    lift = lift_family(ring, [a.rows for a in family])
-    sums = search_order_sums(lift.ring, lift.members, len(family))
-    dets = {lift.finish(det_rows(lift.det_ring, rows)) for _, rows in sums}
+    lift = lift_family(ring, [a.rows for a in family], len(family))
+    sums = search_order_sums(lift.members, lift.add, len(family))
+    dets = {lift.finish(lift.det(value, bits.bit_count())) for bits, value in sums}
     result = {
         "family": matrices_to_json(family),
         "bound_defeated": defeated,

@@ -31,6 +31,7 @@ from .matrices import (
     det,
     det_rows,
     is_invertible,
+    lift_family,
     mat_mul,
     random_matrix,
     subset_sum,
@@ -59,6 +60,7 @@ from .search import (
 )
 from .subsets import (
     SubsetMask,
+    array_ops,
     gray_sums,
     masks_in_search_order,
     masks_of_cardinality,
@@ -311,9 +313,33 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     )
 
 
+def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object, int], tuple]:
+    """Decode a walked value of ``lift`` to its rows over ``ring``.
+
+    Each lifted int maps back by the canonical map from Z, and over Q by
+    dividing by D_i, the lcm of the row-i denominators across the
+    members, as the lift's shared row scaling does.
+    """
+    n = len(members[0])
+    if ring == RATIONALS:
+        scales = [math.lcm(*(e.denominator for a in members for e in a[i])) for i in range(n)]
+        entry = lambda i, c: Fraction(c, scales[i])
+    else:
+        entry = lambda i, c: ring.from_int(c)
+
+    def rows_of(value, count):
+        cells = lift.cells(value, count)
+        return tuple(tuple(entry(i, c) for c in cells[i * n:(i + 1) * n]) for i in range(n))
+
+    return rows_of
+
+
 def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """Both subset walks agree with ``subset_sum``; trial t uses m = t % 10 + 1
-    members and checks the search-order walk at every bound."""
+    """Both subset walks agree with ``subset_sum``, walking arrays over the
+    ring and, where the family lifts to ints, the lifted values (packed
+    ints, or plain ints at n = 1) decoded back to the ring; trial t uses
+    m = t % 10 + 1 members and checks the search-order walk at every
+    bound, each a prefix of the walk at bound m."""
     for ring in ALT_SUM_RINGS + (IntPolyRing(2),):
         for t in range(trials):
             m = t % 10 + 1
@@ -321,28 +347,36 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             fam = [random_matrix(ring, n, rng) for _ in range(m)]
             members = [a.rows for a in fam]
             oracle = {bits: subset_sum(fam, SubsetMask(bits, m)).rows for bits in range(1, 1 << m)}
-            for bound in range(1, m + 1):
-                walked = [
-                    (bits, tuple(map(tuple, rows)))
-                    for bits, rows in search_order_sums(ring, members, bound)
+            as_rows = lambda rows, count: tuple(map(tuple, rows))
+            walks = [("arrays", members, *array_ops(ring), as_rows)]
+            lift = lift_family(ring, members, m)
+            if lift.ring == INTEGERS:
+                rows_of = _lifted_rows(ring, members, lift)
+                walks.append((f"width {lift.width}", lift.members, lift.add, lift.sub, rows_of))
+            for label, walked, add, sub, rows_of in walks:
+                for bound in range(m, 0, -1):
+                    got = list(search_order_sums(walked, add, bound))
+                    if bound == m:
+                        full = got
+                        ok = [(bits, rows_of(value, bits.bit_count())) for bits, value in got] == [
+                            (bits, oracle[bits]) for bits in masks_in_search_order(m)
+                        ]
+                    else:  # the walk at a lower bound is a prefix of the full one
+                        ok = got == full[: sum(math.comb(m, k) for k in range(1, bound + 1))]
+                    rec.check(
+                        ok,
+                        lambda: f"search-order walk on {label} differs over {ring!r} "
+                        f"(n={n}, m={m}, bound={bound})",
+                    )
+                got = [
+                    (bits, rows_of(value, bits.bit_count()))
+                    for bits, value in gray_sums(walked, add, sub)
                 ]
-                expected = [(bits, oracle[bits]) for bits in masks_in_search_order(m, bound)]
+                expected = [(k ^ (k >> 1), oracle[k ^ (k >> 1)]) for k in range(1, 1 << m)]
                 rec.check(
-                    walked == expected,
-                    lambda: f"search-order walk differs over {ring!r} "
-                    f"(n={n}, m={m}, bound={bound})",
+                    got == expected,
+                    lambda: f"Gray walk on {label} differs over {ring!r} (n={n}, m={m})",
                 )
-            steps = 0
-            ok = True
-            for k, (parity, rows) in enumerate(gray_sums(ring, members), 1):
-                gray = k ^ (k >> 1)
-                same = tuple(map(tuple, rows)) == oracle[gray]
-                ok = ok and same and parity == gray.bit_count() & 1
-                steps = k
-            rec.check(
-                ok and steps == (1 << m) - 1,
-                lambda: f"Gray walk differs over {ring!r} (n={n}, m={m})",
-            )
 
 
 def suite_superset_sign_sums(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -659,6 +693,104 @@ _LIFTED_WALK_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] 
 )
 
 
+def _oracle_det(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
+    """Berkowitz in the ring; over Q on integer rows, divided once.
+
+    Each row of a Q matrix is scaled by the lcm of its own denominators,
+    so Berkowitz runs over Z, and the result is divided by the product
+    of those lcms.  This is independent of the lift's family-wide row
+    scaling and of the Bareiss and closed-form routes.
+    """
+    if ring != RATIONALS:
+        return _det_berkowitz(ring, rows)
+    scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
+    scaled = [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(rows, scales)]
+    return Fraction(_det_berkowitz(INTEGERS, scaled), math.prod(scales))
+
+
+def _slot_cases(rng: random.Random, n: int) -> list[tuple[Ring, int, int, Optional[int], list]]:
+    """(ring, m, size, expected slot width, members) at the edges of each width.
+
+    For each width w, with m = 4: residues whose 4-fold sums just fit w
+    bits, and one more that does not; Z entries in [-a, a] whose 4-fold
+    sums just fit a signed w-bit cell, and a + 1; Z/2^w residues at the
+    top of their slot at size 1 and 2.  Past 64 bits the family walks as
+    int arrays (width None).  Each family repeats a member whose entries
+    are all at the edge, so that some walked sum reaches the slot's
+    limit, and adds random members."""
+
+    def family(m, peak, draw):
+        edge = [[peak] * n for _ in range(n)]
+        return [edge, edge] + [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(m - 2)]
+
+    cases = []
+    for w, past in ((8, 16), (16, 32), (32, 64), (64, None)):
+        top = ((1 << w) - 1) // 4  # 4 * top < 2^w <= 4 * (top + 1)
+        for t, width in ((top, w), (top + 1, past)):
+            cases.append((ModRing(t + 1), 4, 4, width, family(4, t, lambda: rng.randint(0, t))))
+        a = ((1 << (w - 1)) - 1) // 4  # 4 * a < 2^(w-1) <= 4 * (a + 1)
+        for b, width in ((a, w), (a + 1, past)):
+            for peak in (b, -b):
+                cases.append((INTEGERS, 4, 4, width, family(4, peak, lambda: rng.randint(-b, b))))
+        for size, width in ((1, w), (2, past)):
+            draw = lambda: rng.randrange(1 << w)
+            cases.append((ModRing(1 << w), 4, size, width, family(4, (1 << w) - 1, draw)))
+    # Negative Q numerators after scaling: the member of sixths makes
+    # every row lcm 30, so entries scale to at most 270 and the peak -9/5
+    # to -54; five-fold sums need 16 bits.
+    fam = family(4, Fraction(-9, 5), lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))))
+    fam.append([[Fraction(1, 6)] * n for _ in range(n)])
+    cases.append((RATIONALS, 5, 5, 16, fam))
+    # 64 members at bound 1 and 2.
+    wide = [[[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for _ in range(64)]
+    wide[0][0][0] = -99  # two-fold sums need 16 bits
+    cases += [(INTEGERS, 64, 1, 8, wide), (INTEGERS, 64, 2, 16, wide)]
+    return cases
+
+
+def suite_lifted_slots(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """Packed walks at the edges of their slots agree with ``subset_sum``
+    plus Berkowitz in the ring.
+
+    Trial t takes n = (2, 4, 5)[t % 3], so both the closed form and the
+    rows sliced for n > 4 read the cells.  Each case of
+    :func:`_slot_cases`, and plain ints over Z at n = 1 with entries of
+    up to 80 bits either side of 0, pins the slot width that
+    ``lift_family`` picks.  Then every sum of the search-order walk at
+    bound ``size``, and of the Gray walk when size is m, is decoded
+    against ``subset_sum`` and its determinant checked against
+    :func:`_oracle_det`.
+    """
+    for t in range(trials):
+        n = (2, 4, 5)[t % 3]
+        cases = _slot_cases(rng, n)
+        cases.append((INTEGERS, 8, 8, 0, [[[rng.randint(-(2**80), 2**80)]] for _ in range(8)]))
+        for ring, m, size, width, members in cases:
+            fam = [SquareMatrix(ring, a) for a in members]
+            members = [a.rows for a in fam]
+            lift = lift_family(ring, members, size)
+            rows_of = _lifted_rows(ring, members, lift)
+
+            def where(what):
+                return lambda: (
+                    f"{what} over {ring!r} (n={len(members[0])}, m={m}, size={size}, "
+                    f"width {lift.width}, expected {width})"
+                )
+
+            rec.check(lift.width == width and len(lift.members) == m, where("slot width"))
+            walks = [search_order_sums(lift.members, lift.add, size)]
+            if size == m:
+                walks.append(gray_sums(lift.members, lift.add, lift.sub))
+            for walk in walks:
+                ok = True
+                for bits, value in walk:
+                    count = bits.bit_count()
+                    rows = subset_sum(fam, SubsetMask(bits, m)).rows
+                    ok = ok and rows_of(value, count) == rows
+                    ok = ok and lift.finish(lift.det(value, count)) == _oracle_det(ring, rows)
+                rec.check(ok, where("walked sums or determinants differ"))
+
+
 def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """Engines that walk lifted families agree with ring arithmetic.
 
@@ -670,7 +802,8 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
     bits, past the cap), which walk in the ring; and Q with one 64-bit
     prime denominator per row, which puts the lift on both sides of its
     gate.  The oracle sums every subset with ``subset_sum`` and takes its
-    determinant by Berkowitz in the ring.  Checked: the alternating sum
+    determinant by Berkowitz in the ring (over Q on the sum's rows scaled
+    by their own lcms, see :func:`_oracle_det`).  Checked: the alternating sum
     over the first m members; the invertible-subsum witness at a random
     bound, and at n = 1 over F2xF3xF5 the semilocal search's; the ideal
     chain over Z and Z/N; and, with the first n members and member n as
@@ -687,7 +820,7 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             for _ in range(size)
         ]
         dets = {
-            bits: _det_berkowitz(ring, subset_sum(fam, SubsetMask(bits, size)).rows)
+            bits: _oracle_det(ring, subset_sum(fam, SubsetMask(bits, size)).rows)
             for bits in range(1, 1 << size)
         }
 
@@ -778,6 +911,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),
     "lifted-walks": (suite_lifted_walks, 72),
+    "lifted-slots": (suite_lifted_slots, 3),
 }
 
 

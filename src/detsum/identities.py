@@ -39,7 +39,14 @@ from .matrices import (
     subset_sum,
 )
 from .rings import RATIONALS, IntPolyRing, RingElement, SparsePoly
-from .subsets import MAX_FAMILY, SubsetMask, gray_sums, search_order_sums, superset_sign_sums
+from .subsets import (
+    MAX_FAMILY,
+    SubsetMask,
+    array_ops,
+    gray_sums,
+    search_order_sums,
+    superset_sign_sums,
+)
 
 __all__ = [
     "IdentityReport",
@@ -103,14 +110,15 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
-    lift = lift_family(ring, [a.rows for a in matrices])
-    det_ring, finish = lift.det_ring, lift.finish
-    add, sub = ring.add, ring.sub
-    acc = ring.zero
-    for parity, rows in gray_sums(lift.ring, lift.members):
-        d = finish(det_rows(det_ring, rows))
-        acc = sub(acc, d) if parity else add(acc, d)
-    return RingElement(ring, acc, _normalized=True)
+    lift = lift_family(ring, [a.rows for a in matrices], m)
+    det, det_ring = lift.det, lift.det_ring
+    add, sub = det_ring.add, det_ring.sub
+    acc = det_ring.zero
+    for bits, value in gray_sums(lift.members, lift.add, lift.sub):
+        count = bits.bit_count()
+        d = det(value, count)
+        acc = sub(acc, d) if count & 1 else add(acc, d)
+    return RingElement(ring, lift.finish(acc), _normalized=True)
 
 
 def check_alternating_product_identity(
@@ -308,17 +316,16 @@ def perturbation_identity_residual(
         raise ShapeMismatch(
             f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
         )
-    lift = lift_family(ring, [a.rows for a in family], perturbation.rows)
-    det_ring, finish, b_rows = lift.det_ring, lift.finish, lift.perturb
-    walk_add = lift.ring.add
-    add, sub = ring.add, ring.sub
-    acc = ring.zero
-    for parity, rows in gray_sums(lift.ring, lift.members):
-        plain = det_rows(det_ring, rows)
-        shifted = det_rows(det_ring, [list(map(walk_add, r, b)) for r, b in zip(rows, b_rows)])
-        term = finish(det_ring.sub(plain, shifted))
-        acc = sub(acc, term) if parity else add(acc, term)
-    acc = sub(acc, det_rows(ring, perturbation.rows))
+    lift = lift_family(ring, [a.rows for a in family], n + 1, perturbation.rows)
+    det, walk_add, b = lift.det, lift.add, lift.perturb
+    det_ring = lift.det_ring
+    add, sub = det_ring.add, det_ring.sub
+    acc = det_ring.zero
+    for bits, value in gray_sums(lift.members, walk_add, lift.sub):
+        count = bits.bit_count()
+        term = sub(det(value, count), det(walk_add(value, b), count + 1))
+        acc = sub(acc, term) if count & 1 else add(acc, term)
+    acc = ring.sub(lift.finish(acc), det_rows(ring, perturbation.rows))
     return RingElement(ring, acc, _normalized=True)
 
 
@@ -337,13 +344,11 @@ def find_perturbing_subset(
         raise ShapeMismatch(
             f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
         )
-    lift = lift_family(ring, [a.rows for a in family], perturbation.rows)
-    det_ring, b_rows = lift.det_ring, lift.perturb
-    walk_add = lift.ring.add
-    for bits, rows in search_order_sums(lift.ring, lift.members, n):
-        plain = det_rows(det_ring, rows)
-        shifted = det_rows(det_ring, [list(map(walk_add, r, b)) for r, b in zip(rows, b_rows)])
-        if plain != shifted:
+    lift = lift_family(ring, [a.rows for a in family], n + 1, perturbation.rows)
+    det, walk_add, b = lift.det, lift.add, lift.perturb
+    for bits, value in search_order_sums(lift.members, walk_add, n):
+        count = bits.bit_count()
+        if det(value, count) != det(walk_add(value, b), count + 1):
             return SubsetMask(bits, n)
     return None
 
@@ -386,9 +391,9 @@ def homogeneous_alternating_sum(
 
     add, sub = ring.add, ring.sub
     acc = poly.eval_raw(ring, [ring.zero] * poly.var_count)  # empty subset: f(0)
-    for parity, (point,) in gray_sums(ring, [[vec] for vec in raw_vectors]):
+    for bits, (point,) in gray_sums([[vec] for vec in raw_vectors], *array_ops(ring)):
         value = poly.eval_raw(ring, point)
-        acc = sub(acc, value) if parity else add(acc, value)
+        acc = sub(acc, value) if bits.bit_count() & 1 else add(acc, value)
     return RingElement(ring, acc, _normalized=True)
 
 
@@ -409,11 +414,11 @@ def simplex_centroid_check(points: Sequence[SquareMatrix]) -> SimplexReport:
         raise ShapeMismatch(f"need n+1 = {n + 1} points for {n}x{n} matrices, got {len(points)}")
     m = n + 1
     full = (1 << m) - 1
-    lift = lift_family(ring, [p.rows for p in points])
-    det_ring = lift.det_ring
+    lift = lift_family(ring, [p.rows for p in points], m)
+    det, is_zero = lift.det, lift.det_ring.is_zero
     failing = []
-    for bits, rows in search_order_sums(lift.ring, lift.members, m):
-        singular = det_ring.is_zero(det_rows(det_ring, rows))
+    for bits, value in search_order_sums(lift.members, lift.add, m):
+        singular = is_zero(det(value, bits.bit_count()))
         if bits == full:
             centroid_singular = singular
         elif not singular:

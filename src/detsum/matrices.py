@@ -25,8 +25,12 @@ picks its route from the ring and n:
 Z/N and F_p members, Q members scaled by shared row multipliers, and
 members of a product of Z/n_c and F_p with pairwise coprime moduli,
 taken by the Chinese remainder theorem into Z/M with M = prod n_c, are
-summed as plain ints, and only each determinant is mapped back.  Such a
-product's determinants therefore run the Z/M route.
+summed as ints, and only each determinant is mapped back.  Such a
+product's determinants therefore run the Z/M route.  Each lifted member
+is packed into one int with a fixed-width slot per entry (Kronecker
+substitution), so that a subset sum is one int addition; the returned
+:class:`Lift` unpacks a sum and takes its determinant, the closed form
+on the unpacked cells for n <= 4 and rows sliced from them above.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -38,13 +42,14 @@ import itertools
 import math
 import operator
 import random
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
 from .rings import INTEGERS, IntegerRing, ModRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
-from .subsets import SubsetMask
+from .subsets import SubsetMask, array_ops
 
 __all__ = [
     "SquareMatrix",
@@ -285,19 +290,19 @@ def _det_berkowitz(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     return poly[n] if n % 2 == 0 else ring.neg(poly[n])
 
 
-def _det_cofactor(rows: Sequence[Sequence[int]]) -> int:
-    # Closed-form determinant of a 2x2, 3x3 or 4x4 matrix of Python ints:
-    # ad - bc, the cofactor expansion along the first row, and the Laplace
-    # expansion of the top two rows against the bottom two (six pairs of
-    # complementary 2x2 minors).  No ring calls, no division.
-    n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
+def _det_cofactor(cells: Sequence[int]) -> int:
+    # Closed-form determinant of a 2x2, 3x3 or 4x4 matrix of Python ints,
+    # given as its n^2 cells row by row: ad - bc, the cofactor expansion
+    # along the first row, and the Laplace expansion of the top two rows
+    # against the bottom two (six pairs of complementary 2x2 minors).  No
+    # ring calls, no division.
+    if len(cells) == 4:
+        a, b, c, d = cells
         return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
+    if len(cells) == 9:
+        a, b, c, d, e, f, g, h, i = cells
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = cells
     return (
         (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
         - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
@@ -383,7 +388,9 @@ def _det_integer(ring: Ring, rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    return _det_cofactor(rows) if n <= CLOSED_FORM_MAX_N else _det_bareiss(rows)
+    if n <= CLOSED_FORM_MAX_N:
+        return _det_cofactor([e for row in rows for e in row])
+    return _det_bareiss(rows)
 
 
 def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -400,13 +407,16 @@ def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_det_integer(INTEGERS, scaled), scale)
 
 
+def _modulus(ring: ModRing | PrimeField) -> int:
+    return ring.p if type(ring) is PrimeField else ring.n
+
+
 def _det_residue(ring: ModRing | PrimeField, rows: Sequence[Sequence[int]]) -> int:
-    # Z/N, and F_p as Z/p, on any integer representatives.  No comprehension
-    # here: one over modulus would give the n <= 4 path a closure cell.
-    modulus = ring.p if type(ring) is PrimeField else ring.n
+    # Z/N, and F_p as Z/p, on any integer representatives.
+    modulus = _modulus(ring)
     n = len(rows)
     if n <= CLOSED_FORM_MAX_N:
-        return (rows[0][0] if n == 1 else _det_cofactor(rows)) % modulus
+        return (rows[0][0] if n == 1 else _det_cofactor([e for row in rows for e in row])) % modulus
     if n <= RESIDUE_BAREISS_MAX_N:
         return _det_bareiss(_reduced(rows, modulus)) % modulus
     return _det_elimination_mod(rows, modulus)
@@ -454,36 +464,52 @@ def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
 
 
 class Lift(NamedTuple):
-    """A family made ready for its subset walk by :func:`lift_family`.
+    """A family made ready for its subset walks by :func:`lift_family`.
 
-    An engine walks ``members`` (and adds ``perturb``) with ``ring``, and
-    maps ``det_rows(det_ring, walked_sum)`` into the family's ring with
-    ``finish``.  ``finish`` is additive and one-to-one, so differences
-    may be taken before it, and equality and zero tests may skip it.
+    An engine walks ``members`` with ``add`` (and ``sub`` in Gray order),
+    and shifts a walked sum by ``add(value, perturb)``.  ``det(value,
+    count)`` is the determinant, in ``det_ring``, of a walked value that
+    sums ``count`` arrays (members and B alike), and ``finish`` maps it
+    into the family's ring.  ``finish`` is additive and one-to-one, so
+    determinants may be added, subtracted and compared in ``det_ring``
+    before it, and zero tests may skip it.  ``cells(value, count)`` is
+    the value's n^2 entries over ``ring``, row by row.
+
+    ``width`` says what a walked value is: a packed int of n^2 slots of
+    ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
+    and an array over ``ring`` when it is None.  Engines need not know.
     """
 
     ring: Ring
     members: Sequence
-    perturb: Optional[Sequence]
+    perturb: Optional[object]
+    add: Callable[[object, object], object]
+    sub: Callable[[object, object], object]
+    det: Callable[[object, int], object]
+    cells: Callable[[object, int], Sequence]
     det_ring: Ring
     finish: Callable[[object], object]
+    width: Optional[int]
 
 
 def _unchanged(value):
     return value
 
 
-def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = None) -> Lift:
+def lift_family(
+    ring: Ring, members: Sequence, size: int, perturb: Optional[Sequence] = None
+) -> Lift:
     """Lift a family's raw arrays once, so that its subset sums add as ints.
 
-    The determinant is an integer polynomial in the entries, so over any
-    commutative ring it may be taken on integer lifts and mapped into the
-    ring at the end:
+    ``size`` is the most arrays that one walked sum adds up, B included:
+    the bound of a search, m for a Gray walk or a chain, n + 1 for sums
+    that include ``perturb``.  The determinant is an integer polynomial
+    in the entries, so over any commutative ring it may be taken on
+    integer lifts and mapped into the ring at the end:
 
     * Z          -- the members as they are;
     * Z/N, F_p   -- the residues as they are, summed as plain ints; each
-      determinant is reduced by ``det_rows``, which takes any integer
-      representatives;
+      determinant is reduced mod N;
     * Q          -- row i of every member, and of ``perturb``, scaled by
       D_i, the lcm of the row-i denominators across all of them; the
       determinant over Z divided by prod D_i is the one over Q.  This
@@ -494,10 +520,18 @@ def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = Non
       and 0 mod the other moduli, while M = prod n_c has at most
       ``PRODUCT_LIFT_MAX_BITS`` bits; the determinant is taken over Z/M
       and split into its residues mod each n_c, a ring isomorphism;
-    * other products, Z[x...] -- walked in the ring itself.
+    * other products, Z[x...] -- walked as arrays in the ring itself.
+
+    A lifted 1x1 member is its plain int.  Larger lifted members are
+    packed into one int each (Kronecker substitution) when every entry
+    of every walked sum fits a slot of 8, 16, 32 or 64 bits
+    (:func:`_slot_width`), so that a subset sum is one int addition;
+    wider entries walk as int arrays.  Entries below zero (Z, or Q after
+    scaling) are packed with a bias B = -(least entry), which the unpack
+    removes as ``count`` * B per slot.
     """
     if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
-        return Lift(INTEGERS, members, perturb, ring, _unchanged)
+        return _int_lift(members, size, perturb, ring, _unchanged)
     if isinstance(ring, ProductRing):
         moduli = _coprime_moduli(ring)
         if moduli is not None:
@@ -507,9 +541,9 @@ def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = Non
             def crt(a):
                 return [[sum(map(operator.mul, e, basis)) % modulus for e in row] for row in a]
 
-            return Lift(
-                INTEGERS,
+            return _int_lift(
                 [crt(a) for a in members],
+                size,
                 None if perturb is None else crt(perturb),
                 ModRing(modulus),
                 lambda d: tuple(d % n for n in moduli),
@@ -523,14 +557,126 @@ def lift_family(ring: Ring, members: Sequence, perturb: Optional[Sequence] = Non
                 for a in arrays
             ]
             scale = math.prod(scales)
-            return Lift(
-                INTEGERS,
+            return _int_lift(
                 lifted[: len(members)],
+                size,
                 None if perturb is None else lifted[-1],
                 INTEGERS,
                 lambda d: Fraction(d, scale),
             )
-    return Lift(ring, members, perturb, ring, _unchanged)
+    return _array_lift(ring, members, perturb, ring, _unchanged)
+
+
+def _array_lift(walk_ring: Ring, members, perturb, det_ring: Ring, finish) -> Lift:
+    add, sub = array_ops(walk_ring)
+
+    def det(rows, count):
+        return det_rows(det_ring, rows)
+
+    def cells(rows, count):
+        return tuple(e for row in rows for e in row)
+
+    return Lift(walk_ring, members, perturb, add, sub, det, cells, det_ring, finish, None)
+
+
+# Slot widths of a packed member, each the size of a struct cell.
+_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _slot_width(size: int, low: int, high: int, signed: bool) -> Optional[int]:
+    """The least slot width that holds every walked sum, or None.
+
+    ``low`` and ``high`` bound every lifted entry.  Residues are never
+    negative, and a slot holds a sum of at most ``size`` of them as it
+    is: size * high < 2^w.  Over Z (and Q after scaling) a slot holds the
+    sum plus count * B, with B = -low when low < 0, at most
+    size * (high - low); the unpack reads the sum itself as a signed
+    w-bit cell, so size * max(-low, high) < 2^(w-1), which implies the
+    first bound.
+    """
+    top = 2 * size * max(-low, high) if signed else size * high
+    return next((w for w in _SLOT_CODES if top < 1 << w), None)
+
+
+def _int_lift(members, size: int, perturb, det_ring: Ring, finish) -> Lift:
+    # members and perturb are arrays of ints; det_ring is Z, Z/N or F_p.
+    n = len(members[0])
+    arrays = members if perturb is None else [*members, perturb]
+    flat = [[e for row in a for e in row] for a in arrays]
+    modulus = 0 if det_ring == INTEGERS else _modulus(det_ring)
+    if n == 1:
+        width, values = 0, [c[0] for c in flat]
+        cells = _one_cell
+        det = (lambda value, count: value % modulus) if modulus else _one_entry
+    else:
+        low = min(map(min, flat))
+        width = _slot_width(size, low, max(map(max, flat)), signed=not modulus)
+        if width is None:
+            return _array_lift(INTEGERS, members, perturb, det_ring, finish)
+        values, cells, det = _packed(flat, n, width, max(-low, 0), size, det_ring, modulus)
+    return Lift(
+        INTEGERS, values[: len(members)], None if perturb is None else values[-1],
+        operator.add, operator.sub, det, cells, det_ring, finish, width,
+    )
+
+
+def _one_cell(value, count):
+    return (value,)
+
+
+def _one_entry(value, count):
+    return value
+
+
+def _packed(flat, n: int, width: int, bias: int, size: int, det_ring: Ring, modulus: int):
+    """Each array's n^2 cells packed into one int; the unpack and det of a sum.
+
+    Cell k of an array goes to bits [k*width, (k+1)*width), plus ``bias``.
+    The unpack is one ``to_bytes`` and one ``struct`` read of all cells.
+    Residues (``modulus`` > 0) are read as unsigned cells and each
+    determinant reduced mod N.  Over Z a sum of ``count`` arrays holds
+    count * bias on top of every cell: adding 2^(w-1) - count*bias to
+    every slot leaves the true cell plus 2^(w-1), in [0, 2^w) by
+    :func:`_slot_width`, so no slot borrows or carries; flipping each
+    slot's top bit then leaves the cell's w-bit two's complement, read as
+    a signed cell.  Up to n = 4 the closed form takes the cells as they
+    come; above, rows sliced from them go to :func:`det_rows`.
+    """
+    code = _SLOT_CODES[width]
+    layout = struct.Struct(f"<{n * n}{code}")
+    nbytes = layout.size
+    values = [int.from_bytes(layout.pack(*[e + bias for e in c]), "little") for c in flat]
+    if modulus:
+        unpack = layout.unpack
+
+        def cells(value, count):
+            return unpack(value.to_bytes(nbytes, "little"))
+
+        def small_det(value, count):
+            return _det_cofactor(unpack(value.to_bytes(nbytes, "little"))) % modulus
+
+    else:
+        ones = int.from_bytes(layout.pack(*[1] * (n * n)), "little")
+        half = 1 << (width - 1)
+        signs = half * ones
+        offsets = [(half - count * bias) * ones for count in range(size + 1)]
+        unpack = struct.Struct(f"<{n * n}{code.lower()}").unpack
+
+        def cells(value, count):
+            return unpack(((value + offsets[count]) ^ signs).to_bytes(nbytes, "little"))
+
+        def small_det(value, count):
+            value = (value + offsets[count]) ^ signs
+            return _det_cofactor(unpack(value.to_bytes(nbytes, "little")))
+
+    if n <= CLOSED_FORM_MAX_N:
+        return values, cells, small_det
+
+    def det(value, count):
+        entries = cells(value, count)
+        return det_rows(det_ring, [entries[i:i + n] for i in range(0, n * n, n)])
+
+    return values, cells, det
 
 
 def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:

@@ -28,7 +28,7 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import Lift, SquareMatrix, det_rows, family_ring_shape, lift_family
+from .matrices import Lift, SquareMatrix, family_ring_shape, lift_family
 from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
@@ -71,10 +71,10 @@ def find_invertible_subsum(
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     _check_bound(bound, m)
-    lift = lift_family(ring, [a.rows for a in matrices])
-    det_ring, finish, is_unit = lift.det_ring, lift.finish, ring.is_unit
-    for bits, rows in search_order_sums(lift.ring, lift.members, bound):
-        if is_unit(finish(det_rows(det_ring, rows))):
+    lift = lift_family(ring, [a.rows for a in matrices], bound)
+    det, finish, is_unit = lift.det, lift.finish, ring.is_unit
+    for bits, value in search_order_sums(lift.members, lift.add, bound):
+        if is_unit(finish(det(value, bits.bit_count()))):
             return SubsetMask(bits, m)
     return None
 
@@ -147,14 +147,15 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
         raise TooManyMatrices(
             f"family of {m} exceeds the {IDEAL_CHAIN_FAMILY_CAP}-element chain cap"
         )
-    lift = lift_family(ring, [a.rows for a in matrices])
-    det_ring, finish = lift.det_ring, lift.finish
+    lift = lift_family(ring, [a.rows for a in matrices], m)
+    det, finish = lift.det, lift.finish
     generators = [0]
     acc = 0
-    for bits, rows in search_order_sums(lift.ring, lift.members, m):
-        if bits.bit_count() == len(generators) + 1:  # the level below is complete
+    for bits, value in search_order_sums(lift.members, lift.add, m):
+        count = bits.bit_count()
+        if count == len(generators) + 1:  # the level below is complete
             generators.append(math.gcd(acc, modulus) if modulus else acc)
-        acc = math.gcd(acc, finish(det_rows(det_ring, rows)))
+        acc = math.gcd(acc, finish(det(value, count)))
     generators.append(math.gcd(acc, modulus) if modulus else acc)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
@@ -193,17 +194,18 @@ def _first_unit_subsum(
     ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
 ) -> Optional[int]:
     """Mask of the first subset of size <= bound summing to a unit, or None."""
-    lift = lift_family(ring, [((t,),) for t in raw])
+    lift = lift_family(ring, [((t,),) for t in raw], bound)
     return _first_unit_in(lift, lift.members, bound)
 
 
 def _first_unit_in(lift: Lift, members: Sequence, bound: int) -> Optional[int]:
-    # members are 1x1 arrays of a product lifted by lift, whose finish is
-    # the CRT isomorphism from Z/M or the identity: a walked value is a
-    # unit of det_ring exactly when its image is one of the product.
-    is_unit = lift.det_ring.is_unit
-    for bits, ((total,),) in search_order_sums(lift.ring, members, bound):
-        if is_unit(total):
+    # members are walked values of 1x1 arrays of a product lifted by lift,
+    # whose finish is the CRT isomorphism from Z/M or the identity: a
+    # determinant is a unit of det_ring exactly when its image is one of
+    # the product.
+    det, is_unit = lift.det, lift.det_ring.is_unit
+    for bits, total in search_order_sums(members, lift.add, bound):
+        if is_unit(det(total, bits.bit_count())):
             return bits
     return None
 
@@ -327,13 +329,11 @@ def mixed_char_counterexample_search(
         )
 
     bound = min(subset_bound, m)
-    lift = lift_family(ring, [((t,),) for t in pool])
-    members, add, is_unit = lift.members, lift.ring.add, lift.det_ring.is_unit
-    values = [a[0][0] for a in members]
+    lift = lift_family(ring, [((t,),) for t in pool], m)
+    members, add, det, is_unit = lift.members, lift.add, lift.det, lift.det_ring.is_unit
     found = []
     for combo in itertools.combinations_with_replacement(range(len(pool)), m):
-        total = functools.reduce(add, map(values.__getitem__, combo))
-        if not is_unit(total):
+        if not is_unit(det(functools.reduce(add, map(members.__getitem__, combo)), m)):
             continue
         if _first_unit_in(lift, [members[i] for i in combo], bound) is None:
             found.append(SemilocalInstance.from_raw(ring, [pool[i] for i in combo]))

@@ -6,9 +6,12 @@ cardinality, ties broken by ascending mask value, so the first hit is
 always the minimal witness in that order.
 
 This module is the one place that walks subsets and builds their sums.
-A member is a raw array (a sequence of rows of ring values); a vector is
-a one-row array and a ring element a 1x1 array.  :func:`gray_sums` visits
-every nonempty subset with one in-place update per step,
+A walk takes the members and the operation that sums two of them, so it
+does not know what a member is: a lifted family's packed int (one
+``int`` addition per sum, see :func:`detsum.matrices.lift_family`), a
+plain int, or an array (a sequence of rows of ring values) summed entry
+by entry with :func:`array_ops`.  :func:`gray_sums` visits every
+nonempty subset with one addition or subtraction per step,
 :func:`search_order_sums` visits subsets in search order with one
 addition per sum, and :func:`superset_sign_sums` walks all subsets in
 Gray order to sum signs over the supersets of each small subset.
@@ -16,9 +19,11 @@ Gray order to sum signs over the supersets of each small subset.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 MAX_FAMILY = 64
+
+T = TypeVar("T")
 
 
 class SubsetMask:
@@ -124,41 +129,43 @@ def masks_in_search_order(
         yield from masks_of_cardinality(m, k)
 
 
-def gray_walk(m: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (toggled index, added, parity of size) along the Gray code.
+def array_ops(ring) -> tuple[Callable, Callable]:
+    """(add, sub) of two same-shape arrays over ``ring``, entry by entry.
+
+    Each returns a new array, so a walk may yield its sums and keep them.
+    """
+    add, sub = ring.add, ring.sub
+
+    def array_add(a, b):
+        return [list(map(add, ra, rb)) for ra, rb in zip(a, b)]
+
+    def array_sub(a, b):
+        return [list(map(sub, ra, rb)) for ra, rb in zip(a, b)]
+
+    return array_add, array_sub
+
+
+def gray_sums(
+    members: Sequence[T], add: Callable[[T, T], T], sub: Callable[[T, T], T]
+) -> Iterator[tuple[int, T]]:
+    """Yield (mask, sum) for the 2^m - 1 nonempty subsets, in Gray order.
 
     Step k moves from subset gray(k-1) to gray(k) = k ^ (k >> 1) by
-    toggling one index, so callers can keep running state with one update
-    per step; ``added`` is 1 when that index joins the subset, and
-    |gray(k)| has the parity of k.
-    """
-    gray = 0
-    for k in range(1, 1 << m):
-        idx = (k & -k).bit_length() - 1
-        gray ^= 1 << idx
-        yield idx, (gray >> idx) & 1, k & 1
-
-
-def gray_sums(ring, members: Sequence[Sequence[Sequence[object]]]) -> Iterator[tuple[int, list]]:
-    """Yield (parity of size, sum) for the 2^m - 1 nonempty subsets.
-
-    Subsets come in Gray-code order.  The sum is one array, updated in
-    place by adding or subtracting one member per step, so it must be
-    read before the next step and copied if kept.  Exact ring addition is
+    toggling one member, and the sum follows with one ``add`` or ``sub``
+    of that member.  The first sum is member 0 itself.  Every running sum
+    is a subset sum, never a difference.  Exact ring addition is
     order-independent, so any signed total over the walk matches the
     cardinality-ordered one exactly.
     """
-    add, sub = ring.add, ring.sub
-    total = [[ring.zero] * len(row) for row in members[0]]
-    rows, cols = range(len(total)), range(len(total[0]))
-    for idx, added, parity in gray_walk(len(members)):
-        op = add if added else sub
-        src = members[idx]
-        for i in rows:
-            row, srow = total[i], src[i]
-            for j in cols:
-                row[j] = op(row[j], srow[j])
-        yield parity, total
+    total = members[0]
+    yield 1, total
+    gray = 1
+    for k in range(2, 1 << len(members)):
+        bit = k & -k
+        gray ^= bit
+        member = members[bit.bit_length() - 1]
+        total = add(total, member) if gray & bit else sub(total, member)
+        yield gray, total
 
 
 def superset_sign_sums(m: int, size: int) -> dict[int, int]:
@@ -201,27 +208,23 @@ def superset_sign_sums(m: int, size: int) -> dict[int, int]:
 
 
 def search_order_sums(
-    ring, members: Sequence[Sequence[Sequence[object]]], bound: int
-) -> Iterator[tuple[int, Sequence[Sequence[object]]]]:
+    members: Sequence[T], add: Callable[[T, T], T], bound: int
+) -> Iterator[tuple[int, T]]:
     """Yield (mask, sum) for the nonempty subsets of size <= bound.
 
     The order is that of :func:`masks_in_search_order`.  Within one
     cardinality the walk is depth-first, highest member first, which is
-    ascending mask order; each sum is one addition onto the partial sum
+    ascending mask order; each sum is one ``add`` onto the partial sum
     of the subset's higher members, and at most ``bound`` partial sums
     are alive at a time.  A sum must not be modified; a one-member sum is
     the member itself.
     """
-    add = ring.add
 
     def below(k: int, limit: int, high: int, partial):
         # k more members from {0..limit-1} on top of those in high, whose sum
         # is partial (None when high is empty).
         for t in range(k - 1, limit):
-            if partial is None:
-                total = members[t]
-            else:
-                total = [list(map(add, p, a)) for p, a in zip(partial, members[t])]
+            total = members[t] if partial is None else add(partial, members[t])
             if k == 1:
                 yield high | 1 << t, total
             else:

@@ -37,7 +37,7 @@ from detsum.matrices import (
     lift_family,
     mat_mul,
 )
-from detsum.fuzz import _coprime_rational_row, run_suite
+from detsum.fuzz import _coprime_rational_row, _oracle_det, run_suite
 
 from conftest import int_rows, ref_det
 
@@ -349,7 +349,7 @@ def test_lift_family_walk_rings():
         (IntPolyRing(1), None, None),
     ):
         fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
-        lift = lift_family(ring, fam)
+        lift = lift_family(ring, fam, 4)
         assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
         assert lift.perturb is None
     # One 64-bit prime denominator per member row: over m members a row's
@@ -358,8 +358,29 @@ def test_lift_family_walk_rings():
     # and 5,040..5,120 at m = 6, past it: that walk adds fractions.
     fam = [[_coprime_rational_row(rng, 4) for _ in range(4)] for _ in range(6)]
     assert RATIONAL_LIFT_MAX_EXCESS_BITS == 4096
-    assert lift_family(RATIONALS, fam[:5]).ring == INTEGERS
-    assert lift_family(RATIONALS, fam).ring == RATIONALS
+    assert lift_family(RATIONALS, fam[:5], 5).ring == INTEGERS
+    assert lift_family(RATIONALS, fam, 6).ring == RATIONALS
+
+
+def test_lift_family_slot_widths():
+    # Which families pack into one int per member, and at what slot width;
+    # the rest walk as arrays (width None).
+    rng = random.Random(173)
+    big = [[[rng.choice((-1, 1)) * ((1 << 63) + rng.getrandbits(63)) for _ in range(3)]
+            for _ in range(3)] for _ in range(4)]
+    for ring, n, size, members, width in (
+        (ModRing(9), 4, 4, None, 8),  # 4 * 8 < 2^8
+        (PrimeField(101), 3, 3, None, 16),  # 3 * 100 >= 2^8
+        (ModRing(2**512 - 1), 3, 4, None, None),
+        (INTEGERS, 3, 4, big, None),  # entries of ~2^64
+        (IntPolyRing(2), 3, 4, None, None),
+        (ProductRing([Z6, PrimeField(3)]), 3, 4, None, None),  # not coprime
+    ):
+        if members is None:
+            members = [random_matrix(ring, n, rng).rows for _ in range(4)]
+        lift = lift_family(ring, members, size)
+        assert lift.width == width, ring
+        assert all(isinstance(v, int) for v in lift.members) == (width is not None)
 
 
 def test_coprime_products_lift_to_one_residue_ring():
@@ -375,14 +396,17 @@ def test_coprime_products_lift_to_one_residue_ring():
     ):
         for n in (1, 2, 5, 8):
             fam = [random_matrix(ring, n, rng) for _ in range(2)]
-            lift = lift_family(ring, [a.rows for a in fam[:1]], fam[1].rows)
+            lift = lift_family(ring, [a.rows for a in fam[:1]], 2, fam[1].rows)
             assert lift.ring == INTEGERS and lift.det_ring == ModRing(modulus)
-            for a, rows in zip(fam, lift.members + [lift.perturb]):
-                assert [[lift.finish(e) for e in row] for row in rows] == [list(r) for r in a.rows]
-                assert lift.finish(det_rows(lift.det_ring, rows)) == det(a).value
+            for a, value in zip(fam, lift.members + [lift.perturb]):
+                cells = lift.cells(value, 1)
+                assert [[lift.finish(e) for e in cells[i * n:(i + 1) * n]] for i in range(n)] == [
+                    list(r) for r in a.rows
+                ]
+                assert lift.finish(lift.det(value, 1)) == det(a).value
     # One bit past the cap, the product walks in the ring.
     ring = ProductRing([ModRing(2**128 + 1), ModRing(2**128 + 3)])
-    assert lift_family(ring, [random_matrix(ring, 2, rng).rows]).ring == ring
+    assert lift_family(ring, [random_matrix(ring, 2, rng).rows], 1).ring == ring
 
 
 def test_lifted_rational_determinants():
@@ -391,11 +415,26 @@ def test_lifted_rational_determinants():
     for n in range(1, 7):
         fam = [random_matrix(RATIONALS, n, rng) for _ in range(3)]
         b = random_matrix(RATIONALS, n, rng)
-        lift = lift_family(RATIONALS, [a.rows for a in fam], b.rows)
+        lift = lift_family(RATIONALS, [a.rows for a in fam], 4, b.rows)
         assert lift.ring == INTEGERS
-        for a, rows in zip(fam + [b], lift.members + [lift.perturb]):
-            assert all(isinstance(e, int) for row in rows for e in row)
-            assert lift.finish(det_rows(INTEGERS, rows)) == det(a).value
+        for a, value in zip(fam + [b], lift.members + [lift.perturb]):
+            assert all(isinstance(e, int) for e in lift.cells(value, 1))
+            assert lift.finish(lift.det(value, 1)) == det(a).value
+
+
+def test_lifted_slots_suite():
+    # Packed walks at the edge of every slot width, and one step past it.
+    result = run_suite("lifted-slots", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+def test_rational_oracle_matches_berkowitz_over_q():
+    # The lifted-walks oracle scales each sum's own rows to integers first.
+    rng = random.Random(179)
+    for n in range(1, 7):
+        coprime = [_coprime_rational_row(rng, n) for _ in range(n)]
+        for rows in (random_matrix(RATIONALS, n, rng).rows, coprime):
+            assert _oracle_det(RATIONALS, rows) == _det_berkowitz(RATIONALS, rows)
 
 
 def test_lifted_walks_suite():
