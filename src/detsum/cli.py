@@ -259,7 +259,7 @@ def _cmd_local_counterexample(args, seed, doc):
     status = "holds" if defeated and total_is_identity else "violated"
     lift = lift_family(ring, [a.rows for a in family], len(family))
     sums = search_order_sums(lift.members, lift.add, len(family))
-    dets = {lift.finish(lift.det(value, bits.bit_count())) for bits, value in sums}
+    dets = {lift.finish(lift.det(value)) for _, value in sums}
     result = {
         "family": matrices_to_json(family),
         "bound_defeated": defeated,

@@ -313,7 +313,7 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     )
 
 
-def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object, int], tuple]:
+def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object], tuple]:
     """Decode a walked value of ``lift`` to its rows over ``ring``.
 
     Each lifted int maps back by the canonical map from Z, and over Q by
@@ -327,8 +327,8 @@ def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object, int],
     else:
         entry = lambda i, c: ring.from_int(c)
 
-    def rows_of(value, count):
-        cells = lift.cells(value, count)
+    def rows_of(value):
+        cells = lift.cells(value)
         return tuple(tuple(entry(i, c) for c in cells[i * n:(i + 1) * n]) for i in range(n))
 
     return rows_of
@@ -347,7 +347,7 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             fam = [random_matrix(ring, n, rng) for _ in range(m)]
             members = [a.rows for a in fam]
             oracle = {bits: subset_sum(fam, SubsetMask(bits, m)).rows for bits in range(1, 1 << m)}
-            as_rows = lambda rows, count: tuple(map(tuple, rows))
+            as_rows = lambda rows: tuple(map(tuple, rows))
             walks = [("arrays", members, *array_ops(ring), as_rows)]
             lift = lift_family(ring, members, m)
             if lift.ring == INTEGERS:
@@ -358,7 +358,7 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     got = list(search_order_sums(walked, add, bound))
                     if bound == m:
                         full = got
-                        ok = [(bits, rows_of(value, bits.bit_count())) for bits, value in got] == [
+                        ok = [(bits, rows_of(value)) for bits, value in got] == [
                             (bits, oracle[bits]) for bits in masks_in_search_order(m)
                         ]
                     else:  # the walk at a lower bound is a prefix of the full one
@@ -368,10 +368,7 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
                         lambda: f"search-order walk on {label} differs over {ring!r} "
                         f"(n={n}, m={m}, bound={bound})",
                     )
-                got = [
-                    (bits, rows_of(value, bits.bit_count()))
-                    for bits, value in gray_sums(walked, add, sub)
-                ]
+                got = [(bits, rows_of(value)) for bits, value in gray_sums(walked, add, sub)]
                 expected = [(k ^ (k >> 1), oracle[k ^ (k >> 1)]) for k in range(1, 1 << m)]
                 rec.check(
                     got == expected,
@@ -694,13 +691,19 @@ _LIFTED_WALK_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] 
 
 
 def _oracle_det(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    """Berkowitz in the ring; over Q on integer rows, divided once.
+    """Berkowitz in the ring; per component over a product; over Q on
+    integer rows, divided once.
 
-    Each row of a Q matrix is scaled by the lcm of its own denominators,
-    so Berkowitz runs over Z, and the result is divided by the product
-    of those lcms.  This is independent of the lift's family-wide row
-    scaling and of the Bareiss and closed-form routes.
+    A product's rows are split into one matrix per component, each
+    taking its own oracle.  Each row of a Q matrix is scaled by the lcm
+    of its own denominators, so Berkowitz runs over Z, and the result is
+    divided by the product of those lcms.  This is independent of the
+    lift's CRT map and family-wide row scaling, and of the Bareiss,
+    elimination and closed-form routes.
     """
+    if isinstance(ring, ProductRing):
+        parts = zip(*[zip(*row) for row in rows])  # component c's rows, for each c
+        return tuple(_oracle_det(comp, part) for comp, part in zip(ring.components, parts))
     if ring != RATIONALS:
         return _det_berkowitz(ring, rows)
     scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
@@ -784,10 +787,9 @@ def suite_lifted_slots(rng: random.Random, trials: int, rec: _Recorder) -> None:
             for walk in walks:
                 ok = True
                 for bits, value in walk:
-                    count = bits.bit_count()
                     rows = subset_sum(fam, SubsetMask(bits, m)).rows
-                    ok = ok and rows_of(value, count) == rows
-                    ok = ok and lift.finish(lift.det(value, count)) == _oracle_det(ring, rows)
+                    ok = ok and rows_of(value) == rows
+                    ok = ok and lift.finish(lift.det(value)) == _oracle_det(ring, rows)
                 rec.check(ok, where("walked sums or determinants differ"))
 
 
@@ -802,8 +804,9 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
     bits, past the cap), which walk in the ring; and Q with one 64-bit
     prime denominator per row, which puts the lift on both sides of its
     gate.  The oracle sums every subset with ``subset_sum`` and takes its
-    determinant by Berkowitz in the ring (over Q on the sum's rows scaled
-    by their own lcms, see :func:`_oracle_det`).  Checked: the alternating sum
+    determinant by Berkowitz in the ring (per component over a product,
+    and over Q on the sum's rows scaled by their own lcms, see
+    :func:`_oracle_det`).  Checked: the alternating sum
     over the first m members; the invertible-subsum witness at a random
     bound, and at n = 1 over F2xF3xF5 the semilocal search's; the ideal
     chain over Z and Z/N; and, with the first n members and member n as

@@ -44,6 +44,7 @@ from .subsets import (
     SubsetMask,
     array_ops,
     gray_sums,
+    masks_of_cardinality,
     search_order_sums,
     superset_sign_sums,
 )
@@ -115,9 +116,8 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     add, sub = det_ring.add, det_ring.sub
     acc = det_ring.zero
     for bits, value in gray_sums(lift.members, lift.add, lift.sub):
-        count = bits.bit_count()
-        d = det(value, count)
-        acc = sub(acc, d) if count & 1 else add(acc, d)
+        d = det(value)
+        acc = sub(acc, d) if bits.bit_count() & 1 else add(acc, d)
     return RingElement(ring, lift.finish(acc), _normalized=True)
 
 
@@ -254,36 +254,18 @@ def check_alternating_det_identity(m: int, n: int) -> IdentityReport:
 def det_expansion_certificate(m: int, n: int) -> list[tuple[SubsetMask, int]]:
     """Expansion of det(sum of all m matrices) into |S| <= n subset terms.
 
-    Repeatedly rewrites any determinant of more than n generic summands
-    through the alternating identity on that subfamily, starting from the
-    full family, until only subsets of size at most n remain.  Returns
-    (mask, integer coefficient) pairs in (cardinality, mask) order, and
-    verifies the expansion symbolically before returning it.
+    For m > n the coefficient of det(sum over S) depends only on
+    k = |S|: c_S = (-1)^(n-k) * C(m-k-1, n-k), for every S with
+    1 <= k <= n.  Returns (mask, integer coefficient) pairs in
+    (cardinality, mask) order, and verifies the expansion symbolically
+    before returning it.
     """
     _check_det_identity_caps(m, n)
-    coeffs: dict[int, int] = {(1 << m) - 1: 1}
-    while True:
-        oversized = [bits for bits in coeffs if bits.bit_count() > n]
-        if not oversized:
-            break
-        bits = max(oversized, key=lambda b: (b.bit_count(), b))
-        c = coeffs.pop(bits)
-        size = bits.bit_count()
-        # Proper nonempty sub-subsets; the rewritten term det(sum over bits)
-        # equals sum over them of (-1)^(size - |S| + 1) * det(sum over S).
-        sub = (bits - 1) & bits
-        while sub:
-            sign = -1 if (size - sub.bit_count() + 1) & 1 else 1
-            acc = coeffs.get(sub, 0) + c * sign
-            if acc:
-                coeffs[sub] = acc
-            else:
-                coeffs.pop(sub, None)
-            sub = (sub - 1) & bits
-
-    ordered = sorted(coeffs.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
-    certificate = [(SubsetMask(bits, m), c) for bits, c in ordered]
-
+    certificate = [
+        (SubsetMask(bits, m), (-1) ** (n - k) * math.comb(m - k - 1, n - k))
+        for k in range(1, n + 1)
+        for bits in masks_of_cardinality(m, k)
+    ]
     _verify_certificate(m, n, certificate)
     return certificate
 
@@ -322,9 +304,8 @@ def perturbation_identity_residual(
     add, sub = det_ring.add, det_ring.sub
     acc = det_ring.zero
     for bits, value in gray_sums(lift.members, walk_add, lift.sub):
-        count = bits.bit_count()
-        term = sub(det(value, count), det(walk_add(value, b), count + 1))
-        acc = sub(acc, term) if count & 1 else add(acc, term)
+        term = sub(det(value), det(walk_add(value, b)))
+        acc = sub(acc, term) if bits.bit_count() & 1 else add(acc, term)
     acc = ring.sub(lift.finish(acc), det_rows(ring, perturbation.rows))
     return RingElement(ring, acc, _normalized=True)
 
@@ -347,8 +328,7 @@ def find_perturbing_subset(
     lift = lift_family(ring, [a.rows for a in family], n + 1, perturbation.rows)
     det, walk_add, b = lift.det, lift.add, lift.perturb
     for bits, value in search_order_sums(lift.members, walk_add, n):
-        count = bits.bit_count()
-        if det(value, count) != det(walk_add(value, b), count + 1):
+        if det(value) != det(walk_add(value, b)):
             return SubsetMask(bits, n)
     return None
 
@@ -418,7 +398,7 @@ def simplex_centroid_check(points: Sequence[SquareMatrix]) -> SimplexReport:
     det, is_zero = lift.det, lift.det_ring.is_zero
     failing = []
     for bits, value in search_order_sums(lift.members, lift.add, m):
-        singular = is_zero(det(value, bits.bit_count()))
+        singular = is_zero(det(value))
         if bits == full:
             centroid_singular = singular
         elif not singular:

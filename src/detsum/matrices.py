@@ -27,10 +27,11 @@ members of a product of Z/n_c and F_p with pairwise coprime moduli,
 taken by the Chinese remainder theorem into Z/M with M = prod n_c, are
 summed as ints, and only each determinant is mapped back.  Such a
 product's determinants therefore run the Z/M route.  Each lifted member
-is packed into one int with a fixed-width slot per entry (Kronecker
-substitution), so that a subset sum is one int addition; the returned
-:class:`Lift` unpacks a sum and takes its determinant, the closed form
-on the unpacked cells for n <= 4 and rows sliced from them above.
+is packed into one int, the sum of cell_k * 2^(k*w) over its entries
+with one w-bit slot each (Kronecker substitution), so that a subset sum
+is one int addition; the returned :class:`Lift` unpacks a sum and takes
+its determinant, the closed form on the unpacked cells for n <= 4 and
+rows sliced from them above.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -467,13 +468,13 @@ class Lift(NamedTuple):
     """A family made ready for its subset walks by :func:`lift_family`.
 
     An engine walks ``members`` with ``add`` (and ``sub`` in Gray order),
-    and shifts a walked sum by ``add(value, perturb)``.  ``det(value,
-    count)`` is the determinant, in ``det_ring``, of a walked value that
-    sums ``count`` arrays (members and B alike), and ``finish`` maps it
-    into the family's ring.  ``finish`` is additive and one-to-one, so
-    determinants may be added, subtracted and compared in ``det_ring``
-    before it, and zero tests may skip it.  ``cells(value, count)`` is
-    the value's n^2 entries over ``ring``, row by row.
+    and shifts a walked sum by ``add(value, perturb)``.  ``det(value)``
+    is the determinant, in ``det_ring``, of a walked value, and
+    ``finish`` maps it into the family's ring.  ``finish`` is additive
+    and one-to-one, so determinants may be added, subtracted and compared
+    in ``det_ring`` before it, and zero tests may skip it.
+    ``cells(value)`` is the value's n^2 entries over ``ring``, row by
+    row.
 
     ``width`` says what a walked value is: a packed int of n^2 slots of
     ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
@@ -485,8 +486,8 @@ class Lift(NamedTuple):
     perturb: Optional[object]
     add: Callable[[object, object], object]
     sub: Callable[[object, object], object]
-    det: Callable[[object, int], object]
-    cells: Callable[[object, int], Sequence]
+    det: Callable[[object], object]
+    cells: Callable[[object], Sequence]
     det_ring: Ring
     finish: Callable[[object], object]
     width: Optional[int]
@@ -526,9 +527,8 @@ def lift_family(
     packed into one int each (Kronecker substitution) when every entry
     of every walked sum fits a slot of 8, 16, 32 or 64 bits
     (:func:`_slot_width`), so that a subset sum is one int addition;
-    wider entries walk as int arrays.  Entries below zero (Z, or Q after
-    scaling) are packed with a bias B = -(least entry), which the unpack
-    removes as ``count`` * B per slot.
+    wider entries walk as int arrays.  Over Z, and Q after scaling, the
+    slots are signed, so a packed value may be a negative int.
     """
     if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
         return _int_lift(members, size, perturb, ring, _unchanged)
@@ -570,10 +570,10 @@ def lift_family(
 def _array_lift(walk_ring: Ring, members, perturb, det_ring: Ring, finish) -> Lift:
     add, sub = array_ops(walk_ring)
 
-    def det(rows, count):
+    def det(rows):
         return det_rows(det_ring, rows)
 
-    def cells(rows, count):
+    def cells(rows):
         return tuple(e for row in rows for e in row)
 
     return Lift(walk_ring, members, perturb, add, sub, det, cells, det_ring, finish, None)
@@ -588,11 +588,9 @@ def _slot_width(size: int, low: int, high: int, signed: bool) -> Optional[int]:
 
     ``low`` and ``high`` bound every lifted entry.  Residues are never
     negative, and a slot holds a sum of at most ``size`` of them as it
-    is: size * high < 2^w.  Over Z (and Q after scaling) a slot holds the
-    sum plus count * B, with B = -low when low < 0, at most
-    size * (high - low); the unpack reads the sum itself as a signed
-    w-bit cell, so size * max(-low, high) < 2^(w-1), which implies the
-    first bound.
+    is: size * high < 2^w.  Over Z (and Q after scaling) a slot holds a
+    signed sum, read as a signed w-bit cell, so
+    size * max(-low, high) < 2^(w-1).
     """
     top = 2 * size * max(-low, high) if signed else size * high
     return next((w for w in _SLOT_CODES if top < 1 << w), None)
@@ -607,73 +605,67 @@ def _int_lift(members, size: int, perturb, det_ring: Ring, finish) -> Lift:
     if n == 1:
         width, values = 0, [c[0] for c in flat]
         cells = _one_cell
-        det = (lambda value, count: value % modulus) if modulus else _one_entry
+        det = (lambda value: value % modulus) if modulus else _unchanged
     else:
-        low = min(map(min, flat))
-        width = _slot_width(size, low, max(map(max, flat)), signed=not modulus)
+        width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
         if width is None:
             return _array_lift(INTEGERS, members, perturb, det_ring, finish)
-        values, cells, det = _packed(flat, n, width, max(-low, 0), size, det_ring, modulus)
+        values, cells, det = _packed(flat, n, width, det_ring, modulus)
     return Lift(
         INTEGERS, values[: len(members)], None if perturb is None else values[-1],
         operator.add, operator.sub, det, cells, det_ring, finish, width,
     )
 
 
-def _one_cell(value, count):
+def _one_cell(value):
     return (value,)
 
 
-def _one_entry(value, count):
-    return value
-
-
-def _packed(flat, n: int, width: int, bias: int, size: int, det_ring: Ring, modulus: int):
+def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
     """Each array's n^2 cells packed into one int; the unpack and det of a sum.
 
-    Cell k of an array goes to bits [k*width, (k+1)*width), plus ``bias``.
-    The unpack is one ``to_bytes`` and one ``struct`` read of all cells.
-    Residues (``modulus`` > 0) are read as unsigned cells and each
-    determinant reduced mod N.  Over Z a sum of ``count`` arrays holds
-    count * bias on top of every cell: adding 2^(w-1) - count*bias to
-    every slot leaves the true cell plus 2^(w-1), in [0, 2^w) by
-    :func:`_slot_width`, so no slot borrows or carries; flipping each
-    slot's top bit then leaves the cell's w-bit two's complement, read as
-    a signed cell.  Up to n = 4 the closed form takes the cells as they
-    come; above, rows sliced from them go to :func:`det_rows`.
+    An array packs to the sum of cell_k * 2^(k*width), so packed values
+    add and subtract as the arrays do, and a walked value alone fixes
+    its cells.  The unpack is one ``to_bytes`` and one ``struct`` read of
+    all cells.  Residues (``modulus`` > 0) are never negative and are read
+    as unsigned cells, each determinant reduced mod N.  Over Z, adding
+    ``signs``, 2^(w-1) in every slot, leaves each cell plus 2^(w-1), in
+    [0, 2^w) by :func:`_slot_width`, so no slot borrows or carries;
+    flipping each slot's top bit then leaves the cell's w-bit two's
+    complement, read as a signed cell.  Up to n = 4 the closed form takes
+    the cells as they come; above, rows sliced from them go to
+    :func:`det_rows`.
     """
     code = _SLOT_CODES[width]
     layout = struct.Struct(f"<{n * n}{code}")
     nbytes = layout.size
-    values = [int.from_bytes(layout.pack(*[e + bias for e in c]), "little") for c in flat]
     if modulus:
+        values = [int.from_bytes(layout.pack(*c), "little") for c in flat]
         unpack = layout.unpack
 
-        def cells(value, count):
+        def cells(value):
             return unpack(value.to_bytes(nbytes, "little"))
 
-        def small_det(value, count):
+        def small_det(value):
             return _det_cofactor(unpack(value.to_bytes(nbytes, "little"))) % modulus
 
     else:
-        ones = int.from_bytes(layout.pack(*[1] * (n * n)), "little")
         half = 1 << (width - 1)
-        signs = half * ones
-        offsets = [(half - count * bias) * ones for count in range(size + 1)]
+        signs = int.from_bytes(layout.pack(*[half] * (n * n)), "little")
+        values = [int.from_bytes(layout.pack(*[e + half for e in c]), "little") - signs for c in flat]
         unpack = struct.Struct(f"<{n * n}{code.lower()}").unpack
 
-        def cells(value, count):
-            return unpack(((value + offsets[count]) ^ signs).to_bytes(nbytes, "little"))
+        def cells(value):
+            return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
 
-        def small_det(value, count):
-            value = (value + offsets[count]) ^ signs
-            return _det_cofactor(unpack(value.to_bytes(nbytes, "little")))
+        def small_det(value):
+            return _det_cofactor(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
     if n <= CLOSED_FORM_MAX_N:
         return values, cells, small_det
 
-    def det(value, count):
-        entries = cells(value, count)
+    def det(value):
+        entries = cells(value)
         return det_rows(det_ring, [entries[i:i + n] for i in range(0, n * n, n)])
 
     return values, cells, det

@@ -74,7 +74,7 @@ def find_invertible_subsum(
     lift = lift_family(ring, [a.rows for a in matrices], bound)
     det, finish, is_unit = lift.det, lift.finish, ring.is_unit
     for bits, value in search_order_sums(lift.members, lift.add, bound):
-        if is_unit(finish(det(value, bits.bit_count()))):
+        if is_unit(finish(det(value))):
             return SubsetMask(bits, m)
     return None
 
@@ -152,10 +152,9 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     generators = [0]
     acc = 0
     for bits, value in search_order_sums(lift.members, lift.add, m):
-        count = bits.bit_count()
-        if count == len(generators) + 1:  # the level below is complete
+        if bits.bit_count() == len(generators) + 1:  # the level below is complete
             generators.append(math.gcd(acc, modulus) if modulus else acc)
-        acc = math.gcd(acc, finish(det(value, count)))
+        acc = math.gcd(acc, finish(det(value)))
     generators.append(math.gcd(acc, modulus) if modulus else acc)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
@@ -205,7 +204,7 @@ def _first_unit_in(lift: Lift, members: Sequence, bound: int) -> Optional[int]:
     # the product.
     det, is_unit = lift.det, lift.det_ring.is_unit
     for bits, total in search_order_sums(members, lift.add, bound):
-        if is_unit(det(total, bits.bit_count())):
+        if is_unit(det(total)):
             return bits
     return None
 
@@ -333,7 +332,7 @@ def mixed_char_counterexample_search(
     members, add, det, is_unit = lift.members, lift.add, lift.det, lift.det_ring.is_unit
     found = []
     for combo in itertools.combinations_with_replacement(range(len(pool)), m):
-        if not is_unit(det(functools.reduce(add, map(members.__getitem__, combo)), m)):
+        if not is_unit(det(functools.reduce(add, map(members.__getitem__, combo)))):
             continue
         if _first_unit_in(lift, [members[i] for i in combo], bound) is None:
             found.append(SemilocalInstance.from_raw(ring, [pool[i] for i in combo]))

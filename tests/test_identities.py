@@ -1,5 +1,6 @@
 """Identity engines against hand values and independent oracles."""
 
+import math
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from detsum import (
     simplex_centroid_check,
     subset_sum,
 )
+from detsum.identities import DET_IDENTITY_CAPS
 
 from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_product_sum, ref_subset_sum
 
@@ -223,6 +225,29 @@ def test_certificate_reproduces_full_determinant_numerically():
                 c * ref_det(ref_subset_sum(fam, list(mask))) for mask, c in cert
             )
             assert lhs == rhs
+
+
+_CERTIFICATE_SHAPES = [
+    (m, n)
+    for n in range(1, DET_IDENTITY_CAPS[0] + 1)
+    for m in range(n + 1, DET_IDENTITY_CAPS[1] + 1)
+]
+
+
+@pytest.mark.parametrize("m, n", _CERTIFICATE_SHAPES)
+def test_certificate_support_sums_at_every_allowed_shape(m, n):
+    # det is multilinear in rows, so det(sum over S) is the sum, over maps
+    # f from the n rows to S, of the determinant taking row j from member
+    # f(j).  A term whose image is T occurs in det(sum over S) exactly when
+    # S contains T.  So the expansion holds over every commutative ring iff,
+    # for every T with 1 <= |T| <= n, the coefficients of the S ⊇ T sum to 1.
+    cert = det_expansion_certificate(m, n)
+    coeffs = {mask.bits: c for mask, c in cert}
+    assert len(cert) == len(coeffs) == sum(math.comb(m, k) for k in range(1, n + 1))
+    assert all(1 <= bits.bit_count() <= n for bits in coeffs)
+    for t in range(1, 1 << m):
+        if t.bit_count() <= n:
+            assert sum(c for s, c in coeffs.items() if s & t == t) == 1, bin(t)
 
 
 # -- perturbation -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Matrix construction, subset sums, and cross-validated determinants."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -383,6 +385,33 @@ def test_lift_family_slot_widths():
         assert all(isinstance(v, int) for v in lift.members) == (width is not None)
 
 
+def test_packed_members_are_signed_kronecker_sums():
+    # Over Z a packed member is sum_k cell_k * 2^(k*w) with signed cells, so
+    # packed values add and subtract as the arrays do, whatever their sign
+    # as ints, and a walked value alone fixes its cells and determinant.
+    rng = random.Random(181)
+    n, size, w, edge = 3, 4, 8, 31  # 4 * 31 < 2^7 <= 4 * 32: the signed 8-bit edge
+    top = [[edge if (i + j) % 2 else -edge for j in range(n)] for i in range(n)]
+    members = [top, [[-e for e in row] for row in top]]
+    members += [[[rng.randint(-edge, edge) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    lift = lift_family(INTEGERS, members, size)
+    assert lift.width == w
+    flat = [[e for row in a for e in row] for a in members]
+    for value, cells in zip(lift.members, flat):
+        assert value == sum(c << (k * w) for k, c in enumerate(cells))
+
+    def decodes_to(value, cells):
+        rows = [cells[i:i + n] for i in range(0, n * n, n)]
+        return list(lift.cells(value)) == cells and lift.det(value) == det_rows(INTEGERS, rows)
+
+    assert lift.members[0] < 0  # its last cell is -edge
+    for (x, fx), (y, fy) in itertools.product(zip(lift.members, flat), repeat=2):
+        assert decodes_to(lift.add(x, y), [a + b for a, b in zip(fx, fy)])
+        assert decodes_to(lift.sub(x, y), [a - b for a, b in zip(fx, fy)])
+    for x, fx in zip(lift.members, flat):  # four-fold sums reach the edge of the slot
+        assert decodes_to(functools.reduce(lift.add, [x] * size), [size * a for a in fx])
+
+
 def test_coprime_products_lift_to_one_residue_ring():
     # The CRT lift is an isomorphism onto Z/M: each lifted entry and each
     # lifted determinant maps back to the value in the product.
@@ -399,11 +428,11 @@ def test_coprime_products_lift_to_one_residue_ring():
             lift = lift_family(ring, [a.rows for a in fam[:1]], 2, fam[1].rows)
             assert lift.ring == INTEGERS and lift.det_ring == ModRing(modulus)
             for a, value in zip(fam, lift.members + [lift.perturb]):
-                cells = lift.cells(value, 1)
+                cells = lift.cells(value)
                 assert [[lift.finish(e) for e in cells[i * n:(i + 1) * n]] for i in range(n)] == [
                     list(r) for r in a.rows
                 ]
-                assert lift.finish(lift.det(value, 1)) == det(a).value
+                assert lift.finish(lift.det(value)) == det(a).value
     # One bit past the cap, the product walks in the ring.
     ring = ProductRing([ModRing(2**128 + 1), ModRing(2**128 + 3)])
     assert lift_family(ring, [random_matrix(ring, 2, rng).rows], 1).ring == ring
@@ -418,8 +447,8 @@ def test_lifted_rational_determinants():
         lift = lift_family(RATIONALS, [a.rows for a in fam], 4, b.rows)
         assert lift.ring == INTEGERS
         for a, value in zip(fam + [b], lift.members + [lift.perturb]):
-            assert all(isinstance(e, int) for e in lift.cells(value, 1))
-            assert lift.finish(lift.det(value, 1)) == det(a).value
+            assert all(isinstance(e, int) for e in lift.cells(value))
+            assert lift.finish(lift.det(value)) == det(a).value
 
 
 def test_lifted_slots_suite():
@@ -435,6 +464,17 @@ def test_rational_oracle_matches_berkowitz_over_q():
         coprime = [_coprime_rational_row(rng, n) for _ in range(n)]
         for rows in (random_matrix(RATIONALS, n, rng).rows, coprime):
             assert _oracle_det(RATIONALS, rows) == _det_berkowitz(RATIONALS, rows)
+
+
+def test_product_oracle_splits_components():
+    # Per component, each with its own oracle; Berkowitz through the
+    # product's methods is the reference.
+    rng = random.Random(191)
+    for ring in (ProductRing([PrimeField(2), PrimeField(3), PrimeField(5)]),
+                 ProductRing([Z6, PrimeField(3)]), ProductRing([RATIONALS, Z6])):
+        for n in range(1, 6):
+            rows = random_matrix(ring, n, rng).rows
+            assert _oracle_det(ring, rows) == _det_berkowitz(ring, rows)
 
 
 def test_lifted_walks_suite():
