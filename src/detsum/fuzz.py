@@ -112,8 +112,6 @@ _AXIOM_RANDOM_RINGS: Sequence[Ring] = (
     IntPolyRing(2),
 )
 
-_DIVIDES = lambda d, x: x == 0 if d == 0 else x % d == 0
-
 
 def _check_axiom_triple(ring: Ring, a, b, c, rec: _Recorder) -> None:
     add, mul = ring.add, ring.mul
@@ -570,22 +568,6 @@ def suite_search_nonlocal_counterexample(rng: random.Random, trials: int, rec: _
         rec.check(ok, lambda: f"counterexample family failed for n={n}")
 
 
-def suite_ideal_chain(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    for ring in (INTEGERS, ModRing(12)):
-        for t in range(trials):
-            n = t % 3 + 1
-            m = rng.randint(n, 6)
-            fam = [random_matrix(ring, n, rng) for _ in range(m)]
-            chain = ideal_chain(fam)
-            gens = chain.generators
-            full_det = det(subset_sum(fam, SubsetMask.full(m))).value
-            ok = all(_DIVIDES(gens[j + 1], gens[j]) for j in range(m))
-            if m >= n:
-                ok = ok and all(g == gens[n] for g in gens[n:])
-                ok = ok and _DIVIDES(gens[min(n, m)], int(full_det))
-            rec.check(ok, lambda: f"ideal chain contract failed over {ring!r}: {gens}")
-
-
 def suite_semilocal_guarantee(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """Unit total over (F_p)^n => a subset of size <= n sums to a unit."""
     for p in (2, 3, 5):
@@ -888,6 +870,75 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             )
 
 
+IDEAL_CHAIN_ORACLE_MAX_N = 4
+IDEAL_CHAIN_ORACLE_MAX_M = 10
+_IDEAL_CHAIN_RINGS: Sequence[Ring] = (INTEGERS, ModRing(12), ModRing(36), ModRing(2**64))
+
+
+def _rank_deficient_family(ring: Ring, n: int, m: int, rng: random.Random) -> list[SquareMatrix]:
+    # Every member's last column is the same combination of its others, so
+    # every subset sum is singular.
+    weights = [rng.randrange(-3, 4) for _ in range(n - 1)]
+    fam = []
+    for _ in range(m):
+        rows = [[ring.random(rng) for _ in range(n - 1)] for _ in range(n)]
+        fam.append(SquareMatrix(ring, [
+            row + [ring.normalize(sum(a * w for a, w in zip(row, weights)))] for row in rows
+        ]))
+    return fam
+
+
+def _rank_one_matrix(ring: Ring, n: int, rng: random.Random) -> SquareMatrix:
+    # u v^T: a sum of fewer than n of them is singular, so below n the
+    # chain holds only 0 (N over Z/N), and a truncation short of n shows.
+    u = [ring.random(rng) for _ in range(n)]
+    v = [ring.random(rng) for _ in range(n)]
+    return SquareMatrix(ring, [[ring.normalize(a * b) for b in v] for a in u])
+
+
+def suite_ideal_chain_truncation(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The ideal chain, walked over the subsets of at most n members,
+    equals the gcd chain of all 2^m subset-sum determinants.
+
+    Trial t takes one of four kinds of family by t % 4: m from n + 1 to
+    10 random members; m from n + 1 to 10 rank-one members, whose chain
+    is 0 below n; m from 1 to 10 members whose last columns are one
+    fixed combination of their others, so that every generator is 0 over
+    Z (N over Z/N); and m from 1 to n random members.  It takes ring
+    t // 4 % 4 of Z, Z/12, Z/36 and Z/2^64, and n = t // 16 % 4 + 1, so
+    the default 64 trials draw every (kind, ring, n) cell.  The oracle
+    sums every subset with ``subset_sum``, takes its determinant with
+    :func:`_oracle_det`, and keeps one gcd per cardinality.
+    """
+    for t in range(trials):
+        kind = t % 4
+        ring = _IDEAL_CHAIN_RINGS[t // 4 % len(_IDEAL_CHAIN_RINGS)]
+        n = t // 16 % IDEAL_CHAIN_ORACLE_MAX_N + 1
+        if kind == 0:
+            m = rng.randint(n + 1, IDEAL_CHAIN_ORACLE_MAX_M)
+            fam = [random_matrix(ring, n, rng) for _ in range(m)]
+        elif kind == 1:
+            m = rng.randint(n + 1, IDEAL_CHAIN_ORACLE_MAX_M)
+            fam = [_rank_one_matrix(ring, n, rng) for _ in range(m)]
+        elif kind == 2:
+            m = rng.randint(1, IDEAL_CHAIN_ORACLE_MAX_M)
+            fam = _rank_deficient_family(ring, n, m, rng)
+        else:
+            m = rng.randint(1, n)
+            fam = [random_matrix(ring, n, rng) for _ in range(m)]
+        modulus = ring.n if isinstance(ring, ModRing) else 0
+        gens, g = [0], 0
+        for k in range(1, m + 1):
+            for bits in masks_of_cardinality(m, k):
+                g = math.gcd(g, _oracle_det(ring, subset_sum(fam, SubsetMask(bits, m)).rows))
+            gens.append(math.gcd(g, modulus) if modulus else g)
+        chain = ideal_chain(fam).generators
+        rec.check(
+            chain == tuple(gens) and (kind != 2 or gens[-1] == modulus),
+            lambda: f"ideal chain {chain} != full walk {tuple(gens)} over {ring!r} (n={n}, m={m})",
+        )
+
+
 SUITES: dict[str, tuple[Callable, int]] = {
     "ring-axioms": (suite_ring_axioms, 1000),
     "unit-product": (suite_unit_product, 200),
@@ -909,7 +960,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "search-minimality": (suite_search_minimality, 50),
     "search-local-guarantee": (suite_search_local_guarantee, 50),
     "search-nonlocal-counterexample": (suite_search_nonlocal_counterexample, 1),
-    "ideal-chain": (suite_ideal_chain, 50),
+    "ideal-chain-truncation": (suite_ideal_chain_truncation, 64),
     "semilocal-guarantee": (suite_semilocal_guarantee, 50),
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),

@@ -12,7 +12,6 @@ miner for mixed-characteristic counterexamples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import Lift, SquareMatrix, family_ring_shape, lift_family
+from .matrices import SquareMatrix, family_ring_shape, lift_family
 from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
@@ -120,7 +119,9 @@ class IdealChain:
     for Z/N; over Z/N each generator is stored as gcd(., N), so the zero
     ideal at positions >= 1 appears as N itself.  generators[0] is the
     empty-sum convention 0, and generators[j+1] always divides
-    generators[j] (the chain ascends; every integer divides 0).
+    generators[j] (the chain ascends; every integer divides 0).  For the
+    matrix size n, g_0..g_n come from the subsets of at most n members,
+    and g_j = g_n for j > n by the subset-sum identity.
     """
 
     modulus: int
@@ -130,12 +131,16 @@ class IdealChain:
 def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     """Generators g_0..g_m of the subset-sum determinant ideals.
 
-    The chain stabilizes at the matrix size n: g_j = g_n for every
-    j >= n, so in particular the full-family determinant is divisible by
-    g_n.  Only the integers and Z/N are supported, where every ideal is
-    principal and a gcd is a canonical generator.
+    The chain stabilizes at the matrix size n: for |S| > n the identity
+    writes det(sum_S A_i) as a signed sum of the determinants of S's
+    proper subsets, so by induction it lies in the ideal of the sums of
+    at most n members, and g_j = g_n for every j >= n.  So g_0..g_n are
+    taken from the sum_{k<=n} C(m, k) subsets of at most n members, and
+    g_n is repeated up to position m; the full-family determinant is
+    divisible by g_n.  Only the integers and Z/N are supported, where
+    every ideal is principal and a gcd is a canonical generator.
     """
-    ring, _ = family_ring_shape(matrices)
+    ring, n = family_ring_shape(matrices)
     if isinstance(ring, IntegerRing):
         modulus = 0
     elif isinstance(ring, ModRing):
@@ -147,15 +152,16 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
         raise TooManyMatrices(
             f"family of {m} exceeds the {IDEAL_CHAIN_FAMILY_CAP}-element chain cap"
         )
-    lift = lift_family(ring, [a.rows for a in matrices], m)
+    top = min(n, m)
+    lift = lift_family(ring, [a.rows for a in matrices], top)
     det, finish = lift.det, lift.finish
     generators = [0]
     acc = 0
-    for bits, value in search_order_sums(lift.members, lift.add, m):
+    for bits, value in search_order_sums(lift.members, lift.add, top):
         if bits.bit_count() == len(generators) + 1:  # the level below is complete
             generators.append(math.gcd(acc, modulus) if modulus else acc)
         acc = math.gcd(acc, finish(det(value)))
-    generators.append(math.gcd(acc, modulus) if modulus else acc)
+    generators += [math.gcd(acc, modulus) if modulus else acc] * (m - top + 1)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
 
@@ -193,17 +199,12 @@ def _first_unit_subsum(
     ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
 ) -> Optional[int]:
     """Mask of the first subset of size <= bound summing to a unit, or None."""
-    lift = lift_family(ring, [((t,),) for t in raw], bound)
-    return _first_unit_in(lift, lift.members, bound)
-
-
-def _first_unit_in(lift: Lift, members: Sequence, bound: int) -> Optional[int]:
-    # members are walked values of 1x1 arrays of a product lifted by lift,
-    # whose finish is the CRT isomorphism from Z/M or the identity: a
-    # determinant is a unit of det_ring exactly when its image is one of
+    # The lift's finish is the CRT isomorphism from Z/M or the identity, so
+    # a determinant is a unit of det_ring exactly when its image is one of
     # the product.
+    lift = lift_family(ring, [((t,),) for t in raw], bound)
     det, is_unit = lift.det, lift.det_ring.is_unit
-    for bits, total in search_order_sums(members, lift.add, bound):
+    for bits, total in search_order_sums(lift.members, lift.add, bound):
         if is_unit(det(total)):
             return bits
     return None
@@ -294,7 +295,12 @@ def mixed_char_counterexample_search(
     empty regardless of characteristics once subset_bound >= 2.
 
     The pool is lifted once (to Z/M, M the product of the primes, when
-    they are distinct) and each multiset is summed on the lifted values.
+    they are distinct).  The multisets are walked depth-first, in
+    ``itertools.combinations_with_replacement`` order, and each depth
+    keeps the sums of its prefix's subsets of fewer than subset_bound
+    members.  A new member is tested only in the sums that contain it,
+    and a prefix with a unit among them is dropped with every multiset
+    that extends it.  The last member is tested in the total first.
     """
     caps = MINER_CAPS
     if not 1 <= len(component_fields) <= caps["max_fields"]:
@@ -331,9 +337,33 @@ def mixed_char_counterexample_search(
     lift = lift_family(ring, [((t,),) for t in pool], m)
     members, add, det, is_unit = lift.members, lift.add, lift.det, lift.det_ring.is_unit
     found = []
-    for combo in itertools.combinations_with_replacement(range(len(pool)), m):
-        if not is_unit(det(functools.reduce(add, map(members.__getitem__, combo)))):
-            continue
-        if _first_unit_in(lift, [members[i] for i in combo], bound) is None:
-            found.append(SemilocalInstance.from_raw(ring, [pool[i] for i in combo]))
+    chosen = [0] * m
+
+    def extend(depth: int, start: int, total, levels: list) -> None:
+        # The pool indices chosen[:depth] sum to total, and levels[k] holds
+        # the sums of their subsets of k + 1 members, for k + 1 < bound.  No
+        # subset of at most bound of them sums to a unit; pool members are
+        # never units, so a new member alone needs no test.
+        if depth == m - 1:
+            kept = [s for level in levels for s in level]
+            for i in range(start, len(members)):
+                x = members[i]
+                if is_unit(det(add(total, x))) and not any(is_unit(det(add(s, x))) for s in kept):
+                    chosen[depth] = i
+                    found.append(SemilocalInstance.from_raw(ring, [pool[j] for j in chosen]))
+            return
+        for i in range(start, len(members)):
+            x = members[i]
+            grown = [[x]]  # the sums that contain x, by size
+            for level in levels:
+                sums = [add(s, x) for s in level]
+                if any(is_unit(det(s)) for s in sums):
+                    break
+                grown.append(sums)
+            else:
+                chosen[depth] = i
+                extend(depth + 1, i, add(total, x), [a + b for a, b in zip(levels, grown)])
+
+    # A member minus itself is the lifted zero, whatever the lift.
+    extend(0, 0, lift.sub(members[0], members[0]), [[] for _ in range(bound - 1)])
     return found

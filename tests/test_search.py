@@ -32,6 +32,7 @@ from detsum import (
     subset_sum,
 )
 from detsum import search
+from detsum.fuzz import run_suite
 
 from conftest import (
     int_rows,
@@ -219,6 +220,35 @@ def test_ideal_chain_ring_and_size_validation():
         ideal_chain([SquareMatrix.identity(INTEGERS, 1)] * 21)
 
 
+def test_ideal_chain_walks_only_subsets_of_at_most_n(monkeypatch):
+    # g_j = g_n above n, so the walk stops at n members: 299 of 4,095
+    # subsets at m = 12, n = 3.
+    walked = []
+    walk = search.search_order_sums
+
+    def recording_walk(members, add, bound):
+        for bits, value in walk(members, add, bound):
+            walked.append(bits)
+            yield bits, value
+
+    monkeypatch.setattr(search, "search_order_sums", recording_walk)
+    rng = random.Random(347)
+    for ring, n, m in ((INTEGERS, 3, 12), (ModRing(12), 2, 9), (INTEGERS, 4, 3), (ModRing(36), 1, 5)):
+        walked.clear()
+        chain = ideal_chain([random_matrix(ring, n, rng) for _ in range(m)])
+        top = min(n, m)
+        assert len(chain.generators) == m + 1
+        assert chain.generators[top:] == (chain.generators[top],) * (m - top + 1)
+        assert len(walked) == sum(math.comb(m, k) for k in range(1, top + 1))
+        assert max(bits.bit_count() for bits in walked) == top
+
+
+def test_ideal_chain_truncation_suite():
+    # Z, Z/12, Z/36 and Z/2^64 at n <= 4, m <= 10, against the full 2^m walk.
+    result = run_suite("ideal-chain-truncation", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
 # -- semilocal instances -----------------------------------------------------------
 
 def test_semilocal_search_basic():
@@ -393,13 +423,18 @@ def test_miner_results_are_verified_counterexamples():
 
 def test_miner_matches_brute_force():
     # Every multiset of every element, in order, against the miner's list.
+    # Bound 1 and bound m (and above, clamped to m) are the edges of the
+    # pruning rule: at bound 1 no subset sum is kept and only the total is
+    # tested; at bound m every prefix sum is kept and the total is among
+    # the tested sums, so nothing is found.
     for primes in ORACLE_FIELDS:
         fields = [PrimeField(p) for p in primes]
         for m in range(1, 5):
             expected = ref_mixed_char_families(primes, m)
-            for bound in range(1, m + 1):
+            assert expected[m] == []
+            for bound in range(1, m + 2):
                 found = mixed_char_counterexample_search(fields, m, bound)
-                assert [inst.raw_elements() for inst in found] == expected[bound], (primes, m, bound)
+                assert [inst.raw_elements() for inst in found] == expected[min(bound, m)], (primes, m, bound)
 
 
 @pytest.mark.parametrize(
