@@ -7,7 +7,8 @@ evaluates that sum numerically over any supported ring, proves it
 symbolically on generic inputs, extracts an explicit rewriting of the
 full-family determinant into small-subset determinants, and exposes two
 consequences: a perturbation detector and a singular-simplex centroid
-check.
+check.  The perturbation residual of A_1..A_n and B is the alternating
+sum of the n + 1 matrices A_1..A_n, B.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .matrices import (
     lift_family,
     subset_sum,
 )
-from .rings import RATIONALS, IntPolyRing, RingElement, SparsePoly
+from .rings import RATIONALS, IntPolyRing, Ring, RingElement, SparsePoly
 from .subsets import (
     MAX_FAMILY,
     SubsetMask,
@@ -284,30 +285,31 @@ def _verify_certificate(m: int, n: int, certificate: list[tuple[SubsetMask, int]
         )
 
 
+def _perturbation_ring_shape(
+    family: Sequence[SquareMatrix], perturbation: SquareMatrix
+) -> tuple[Ring, int]:
+    ring, n = family_ring_shape([*family, perturbation])
+    if len(family) != n:
+        raise ShapeMismatch(
+            f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
+        )
+    return ring, n
+
+
 def perturbation_identity_residual(
     family: Sequence[SquareMatrix], perturbation: SquareMatrix
 ) -> RingElement:
     """Residual of the perturbation identity; always the zero element.
 
     For n matrices A_1..A_n and any B, all n x n, the signed sum over
-    nonempty subsets of det(sum A_i) - det(sum A_i + B) equals det(B);
-    the returned residual subtracts det(B) and must vanish identically.
+    nonempty subsets of det(sum A_i) - det(sum A_i + B) equals det(B).
+    Splitting the subsets of A_1..A_n, B by whether they hold B shows
+    that the residual, that sum minus det(B), is the alternating sum of
+    A_1..A_n, B: the identity on n + 1 matrices, so it vanishes
+    identically.
     """
-    ring, n = family_ring_shape(list(family) + [perturbation])
-    if len(family) != n:
-        raise ShapeMismatch(
-            f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
-        )
-    lift = lift_family(ring, [a.rows for a in family], n + 1, perturbation.rows)
-    det, walk_add, b = lift.det, lift.add, lift.perturb
-    det_ring = lift.det_ring
-    add, sub = det_ring.add, det_ring.sub
-    acc = det_ring.zero
-    for bits, value in gray_sums(lift.members, walk_add, lift.sub):
-        term = sub(det(value), det(walk_add(value, b)))
-        acc = sub(acc, term) if bits.bit_count() & 1 else add(acc, term)
-    acc = ring.sub(lift.finish(acc), det_rows(ring, perturbation.rows))
-    return RingElement(ring, acc, _normalized=True)
+    _perturbation_ring_shape(family, perturbation)
+    return alternating_subset_det_sum([*family, perturbation])
 
 
 def find_perturbing_subset(
@@ -320,14 +322,10 @@ def find_perturbing_subset(
     perturbation identity would force det(B) = 0.  Returns None only
     when no subset changes (possible only for det(B) = 0).
     """
-    ring, n = family_ring_shape(list(family) + [perturbation])
-    if len(family) != n:
-        raise ShapeMismatch(
-            f"need exactly n = {n} family matrices for {n}x{n} inputs, got {len(family)}"
-        )
-    lift = lift_family(ring, [a.rows for a in family], n + 1, perturbation.rows)
-    det, walk_add, b = lift.det, lift.add, lift.perturb
-    for bits, value in search_order_sums(lift.members, walk_add, n):
+    ring, n = _perturbation_ring_shape(family, perturbation)
+    lift = lift_family(ring, [a.rows for a in (*family, perturbation)], n + 1)
+    det, walk_add, b = lift.det, lift.add, lift.members[n]
+    for bits, value in search_order_sums(lift.members[:n], walk_add, n):
         if det(value) != det(walk_add(value, b)):
             return SubsetMask(bits, n)
     return None

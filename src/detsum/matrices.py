@@ -467,12 +467,11 @@ def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
 class Lift(NamedTuple):
     """A family made ready for its subset walks by :func:`lift_family`.
 
-    An engine walks ``members`` with ``add`` (and ``sub`` in Gray order),
-    and shifts a walked sum by ``add(value, perturb)``.  ``det(value)``
-    is the determinant, in ``det_ring``, of a walked value, and
-    ``finish`` maps it into the family's ring.  ``finish`` is additive
-    and one-to-one, so determinants may be added, subtracted and compared
-    in ``det_ring`` before it, and zero tests may skip it.
+    An engine walks ``members`` with ``add`` (and ``sub`` in Gray order).
+    ``det(value)`` is the determinant, in ``det_ring``, of a walked
+    value, and ``finish`` maps it into the family's ring.  ``finish`` is
+    additive and one-to-one, so determinants may be added, subtracted
+    and compared in ``det_ring`` before it, and zero tests may skip it.
     ``cells(value)`` is the value's n^2 entries over ``ring``, row by
     row.
 
@@ -483,7 +482,6 @@ class Lift(NamedTuple):
 
     ring: Ring
     members: Sequence
-    perturb: Optional[object]
     add: Callable[[object, object], object]
     sub: Callable[[object, object], object]
     det: Callable[[object], object]
@@ -497,24 +495,21 @@ def _unchanged(value):
     return value
 
 
-def lift_family(
-    ring: Ring, members: Sequence, size: int, perturb: Optional[Sequence] = None
-) -> Lift:
+def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
     """Lift a family's raw arrays once, so that its subset sums add as ints.
 
-    ``size`` is the most arrays that one walked sum adds up, B included:
-    the bound of a search, m for a Gray walk or a chain, n + 1 for sums
-    that include ``perturb``.  The determinant is an integer polynomial
-    in the entries, so over any commutative ring it may be taken on
-    integer lifts and mapped into the ring at the end:
+    ``size`` is the most arrays that one walked sum adds up: the bound
+    of a search, m for a Gray walk or a chain.  The determinant is an
+    integer polynomial in the entries, so over any commutative ring it
+    may be taken on integer lifts and mapped into the ring at the end:
 
     * Z          -- the members as they are;
     * Z/N, F_p   -- the residues as they are, summed as plain ints; each
       determinant is reduced mod N;
-    * Q          -- row i of every member, and of ``perturb``, scaled by
-      D_i, the lcm of the row-i denominators across all of them; the
-      determinant over Z divided by prod D_i is the one over Q.  This
-      runs only while the D_i stay near the members' own row lcms
+    * Q          -- row i of every member scaled by D_i, the lcm of the
+      row-i denominators across all of them; the determinant over Z
+      divided by prod D_i is the one over Q.  This runs only while the
+      D_i stay near the members' own row lcms
       (:func:`_shared_row_scales`); otherwise the walk adds fractions;
     * products of Z/n_c and F_p with pairwise coprime moduli -- each
       element the CRT integer sum_c x_c e_c mod M, with e_c = 1 mod n_c
@@ -531,7 +526,7 @@ def lift_family(
     slots are signed, so a packed value may be a negative int.
     """
     if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
-        return _int_lift(members, size, perturb, ring, _unchanged)
+        return _int_lift(members, size, ring, _unchanged)
     if isinstance(ring, ProductRing):
         moduli = _coprime_moduli(ring)
         if moduli is not None:
@@ -544,30 +539,22 @@ def lift_family(
             return _int_lift(
                 [crt(a) for a in members],
                 size,
-                None if perturb is None else crt(perturb),
                 ModRing(modulus),
                 lambda d: tuple(d % n for n in moduli),
             )
     if isinstance(ring, RationalRing):
-        arrays = [*members] if perturb is None else [*members, perturb]
-        scales = _shared_row_scales(arrays)
+        scales = _shared_row_scales(members)
         if scales is not None:
             lifted = [
                 [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(a, scales)]
-                for a in arrays
+                for a in members
             ]
             scale = math.prod(scales)
-            return _int_lift(
-                lifted[: len(members)],
-                size,
-                None if perturb is None else lifted[-1],
-                INTEGERS,
-                lambda d: Fraction(d, scale),
-            )
-    return _array_lift(ring, members, perturb, ring, _unchanged)
+            return _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
+    return _array_lift(ring, members, ring, _unchanged)
 
 
-def _array_lift(walk_ring: Ring, members, perturb, det_ring: Ring, finish) -> Lift:
+def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
     add, sub = array_ops(walk_ring)
 
     def det(rows):
@@ -576,7 +563,7 @@ def _array_lift(walk_ring: Ring, members, perturb, det_ring: Ring, finish) -> Li
     def cells(rows):
         return tuple(e for row in rows for e in row)
 
-    return Lift(walk_ring, members, perturb, add, sub, det, cells, det_ring, finish, None)
+    return Lift(walk_ring, members, add, sub, det, cells, det_ring, finish, None)
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -596,11 +583,10 @@ def _slot_width(size: int, low: int, high: int, signed: bool) -> Optional[int]:
     return next((w for w in _SLOT_CODES if top < 1 << w), None)
 
 
-def _int_lift(members, size: int, perturb, det_ring: Ring, finish) -> Lift:
-    # members and perturb are arrays of ints; det_ring is Z, Z/N or F_p.
+def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
+    # members are arrays of ints; det_ring is Z, Z/N or F_p.
     n = len(members[0])
-    arrays = members if perturb is None else [*members, perturb]
-    flat = [[e for row in a for e in row] for a in arrays]
+    flat = [[e for row in a for e in row] for a in members]
     modulus = 0 if det_ring == INTEGERS else _modulus(det_ring)
     if n == 1:
         width, values = 0, [c[0] for c in flat]
@@ -609,12 +595,9 @@ def _int_lift(members, size: int, perturb, det_ring: Ring, finish) -> Lift:
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
         if width is None:
-            return _array_lift(INTEGERS, members, perturb, det_ring, finish)
+            return _array_lift(INTEGERS, members, det_ring, finish)
         values, cells, det = _packed(flat, n, width, det_ring, modulus)
-    return Lift(
-        INTEGERS, values[: len(members)], None if perturb is None else values[-1],
-        operator.add, operator.sub, det, cells, det_ring, finish, width,
-    )
+    return Lift(INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, width)
 
 
 def _one_cell(value):

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import detsum
 from detsum.cli import build_parser, main
 from detsum import jsonio
 from detsum.rings import INTEGERS, ModRing, PrimeField, ProductRing, RATIONALS
-from detsum.matrices import SquareMatrix
+from detsum.matrices import SquareMatrix, lift_family
 
 COUNTEREXAMPLE_DOC = (
     '{"ring":{"kind":"mod","N":6},"n":2,'
@@ -522,3 +524,69 @@ def test_input_digests_are_stable(capsys, argv, digest):
     code, report = run_json(capsys, *argv)
     assert code == 0, report
     assert report["inputs"] == "sha256:" + digest
+
+
+# -- result pins --------------------------------------------------------------
+
+def _wide(rng):
+    return rng.choice((-1, 1)) * ((1 << 63) + rng.getrandbits(63))
+
+
+# One case per kind of lift: (ring, n, entry draw, (walks as ints, slot
+# width) of the lift, sha256 of the perturb result, sha256 of the alt-sum
+# result).  The perturb input is n + 1 matrices; alt-sum takes the first n,
+# so its residual is not forced to zero.
+_RESULT_PINS = {
+    "Z, packed": (
+        {"kind": "integers"}, 2, lambda rng: rng.randint(-9, 9), (True, 8),
+        "65db33a3444f30f24a430e5946043dfc3d1a20cfcc6aa1a555052e17cbd7889e",
+        "0599017fa5a5aebbefa5cd524d3bf6f3b2aaa55b4a6421cb752a06840dfdb7e4"),
+    "Z, int arrays": (
+        {"kind": "integers"}, 5, _wide, (True, None),
+        "1e1dc1e670873bd2ea2aa5583e197f672398e3c0d8a6512fe439959336d2282e",
+        "9eb3daf96c9cbeffaae5ab7fa1034497160f637e774e5ec96b40000ddfb6732b"),
+    "Q, lifted": (
+        {"kind": "rationals"}, 3, lambda rng: f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}",
+        (True, 16),
+        "5a2cbc2b95191768743a19f96e1fb6c8b321d2a9525c47d2c11004bd75470b29",
+        "5775feae73791f486519403aa45eb42be0035cce0d7db83d354de7e80c3e01df"),
+    "Q, past the lift gate": (
+        {"kind": "rationals"}, 3, lambda rng: f"{rng.randint(-9, 9)}/{rng.getrandbits(128) | 1}",
+        (False, None),
+        "6bd9594970e928cd9800a395651b566e3964e6c85c59a8aa74a744f212b0b853",
+        "26dd6e99ec2cb28d2f808d043780daf8f622ee13befe87c5c83b0b466726a3d3"),
+    "Z/10 at n = 6, Bareiss": (
+        {"kind": "mod", "N": 10}, 6, lambda rng: rng.randrange(10), (True, 8),
+        "e22c50bdc0029bb3a15b1b6d0540bb2d81bce1f816e206c91816d7f9bdd13152",
+        "e3d26a677b861add3a1b5d3d07ebab25053950ff5e11c7f6984c7843636a8c1c"),
+    "F2xF3xF5, CRT to Z/30": (
+        {"kind": "product", "components": [{"kind": "prime_field", "p": p} for p in (2, 3, 5)]},
+        3, lambda rng: [rng.randrange(2), rng.randrange(3), rng.randrange(5)], (True, 8),
+        "3032c06bfd348d39e7aad397c7288525f05c928409647233d5b919a5224e988c",
+        "f4bafc562ed1ee9dcfc0aa456b07862a5ddf2a94e48495dc3a1c297c90dfee75"),
+    "Z/6xF3, not coprime": (
+        {"kind": "product", "components": [{"kind": "mod", "N": 6}, {"kind": "prime_field", "p": 3}]},
+        2, lambda rng: [rng.randrange(6), rng.randrange(3)], (False, None),
+        "c504d2b8572040bb500ab97124bf316fff7f5d9156138ace7f57379f3a09b419",
+        "8374108a770a2e704899374291eee611047bc15a20adfc4050a11118b8f698f0"),
+    "n = 1, plain ints": (
+        {"kind": "integers"}, 1, lambda rng: rng.randint(-99, 99), (True, 0),
+        "8640c36af630a14ac4b3543d3df2c549bab2eefa6642ebe574776b91ba431723",
+        "82ead875115890c5d19fa258d1c92fbebca91041948dd72525b557b3492a6172"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RESULT_PINS))
+def test_perturb_and_alt_sum_results_are_pinned(capsys, name):
+    ring, n, draw, kind, perturb_digest, alt_sum_digest = _RESULT_PINS[name]
+    rng = random.Random(name)
+    matrices = [[[draw(rng) for _ in range(n)] for _ in range(n)] for _ in range(n + 1)]
+    for command, count, digest in (("perturb", n + 1, perturb_digest), ("alt-sum", n, alt_sum_digest)):
+        doc = {"ring": ring, "n": n, "matrices": matrices[:count]}
+        family = jsonio.matrices_from_json(doc)
+        lift = lift_family(family[0].ring, [a.rows for a in family], count)
+        assert (lift.ring == INTEGERS, lift.width) == kind, command
+        code, report = run_json(capsys, command, "--input", json.dumps(doc))
+        assert code == 0, report
+        result = json.dumps(report["result"], sort_keys=True).encode()
+        assert hashlib.sha256(result).hexdigest() == digest, command

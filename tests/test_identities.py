@@ -262,6 +262,11 @@ def test_perturbation_residual_hand_cases():
     assert perturbation_identity_residual([zero2, zero2], i2).is_zero()
 
 
+def _wide_entry(rng):
+    # An entry of ~2^64: a lifted family of them walks as int arrays.
+    return rng.choice((-1, 1)) * ((1 << 63) + rng.getrandbits(63))
+
+
 def test_perturbation_residual_seeded():
     rng = random.Random(239)
     for ring in (INTEGERS, Z10):
@@ -270,6 +275,15 @@ def test_perturbation_residual_seeded():
                 fam = [random_matrix(ring, n, rng) for _ in range(n)]
                 b = random_matrix(ring, n, rng)
                 assert perturbation_identity_residual(fam, b).is_zero()
+    # det_large sizes: Bareiss over Z with ~2^64 entries and over Z/10.
+    for ring, draw in ((INTEGERS, _wide_entry), (Z10, lambda rng: rng.randrange(10))):
+        for n in (5, 6, 7):
+            for _ in range(3):
+                fam = [
+                    SquareMatrix(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
+                    for _ in range(n + 1)
+                ]
+                assert perturbation_identity_residual(fam[:n], fam[n]).is_zero()
 
 
 def test_perturbation_shape_validation():
@@ -287,17 +301,27 @@ def test_find_perturbing_subset_hand_cases():
     assert find_perturbing_subset([zero2, zero2], zero2) is None
 
 
+def _perturbing_subset_inputs(rng):
+    # (ring, n, entry draw): small families over Z, then det_large sizes
+    # over Z with ~2^64 entries and over Z/10.
+    for _ in range(60):
+        yield INTEGERS, rng.randint(1, 3), lambda: rng.randrange(-4, 5)
+    for n in (5, 6, 7):
+        for _ in range(2):
+            yield INTEGERS, n, lambda: _wide_entry(rng)
+            yield Z10, n, lambda: rng.randrange(10)
+
+
 def test_find_perturbing_subset_matches_brute_force():
     rng = random.Random(241)
-    for _ in range(60):
-        n = rng.randint(1, 3)
+    for ring, n, draw in _perturbing_subset_inputs(rng):
         fam_rows = [
-            [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            [[draw() for _ in range(n)] for _ in range(n)]
             for _ in range(n)
         ]
-        b_rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        fam = [SquareMatrix(INTEGERS, rows) for rows in fam_rows]
-        b = SquareMatrix(INTEGERS, b_rows)
+        b_rows = [[draw() for _ in range(n)] for _ in range(n)]
+        fam = [SquareMatrix(ring, rows) for rows in fam_rows]
+        b = SquareMatrix(ring, b_rows)
         got = find_perturbing_subset(fam, b)
 
         brute = None
@@ -313,13 +337,13 @@ def test_find_perturbing_subset_matches_brute_force():
                 moved = [
                     [base[i][j] + b_rows[i][j] for j in range(n)] for i in range(n)
                 ]
-                if ref_det(base) != ref_det(moved):
+                if ring.normalize(ref_det(base)) != ring.normalize(ref_det(moved)):
                     brute = SubsetMask(bits, n)
                     break
             if brute is not None:
                 break
         assert got == brute
-        if ref_det(b_rows) != 0:
+        if ring.normalize(ref_det(b_rows)) != 0:
             assert got is not None
 
 

@@ -353,7 +353,6 @@ def test_lift_family_walk_rings():
         fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
         lift = lift_family(ring, fam, 4)
         assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
-        assert lift.perturb is None
     # One 64-bit prime denominator per member row: over m members a row's
     # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
     # n * excess over n = 4 rows is 4,032..4,096 at m = 5, inside the gate,
@@ -425,9 +424,9 @@ def test_coprime_products_lift_to_one_residue_ring():
     ):
         for n in (1, 2, 5, 8):
             fam = [random_matrix(ring, n, rng) for _ in range(2)]
-            lift = lift_family(ring, [a.rows for a in fam[:1]], 2, fam[1].rows)
+            lift = lift_family(ring, [a.rows for a in fam], 2)
             assert lift.ring == INTEGERS and lift.det_ring == ModRing(modulus)
-            for a, value in zip(fam, lift.members + [lift.perturb]):
+            for a, value in zip(fam, lift.members):
                 cells = lift.cells(value)
                 assert [[lift.finish(e) for e in cells[i * n:(i + 1) * n]] for i in range(n)] == [
                     list(r) for r in a.rows
@@ -444,9 +443,9 @@ def test_lifted_rational_determinants():
     for n in range(1, 7):
         fam = [random_matrix(RATIONALS, n, rng) for _ in range(3)]
         b = random_matrix(RATIONALS, n, rng)
-        lift = lift_family(RATIONALS, [a.rows for a in fam], 4, b.rows)
+        lift = lift_family(RATIONALS, [a.rows for a in fam + [b]], 4)
         assert lift.ring == INTEGERS
-        for a, value in zip(fam + [b], lift.members + [lift.perturb]):
+        for a, value in zip(fam + [b], lift.members):
             assert all(isinstance(e, int) for e in lift.cells(value))
             assert lift.finish(lift.det(value)) == det(a).value
 
