@@ -23,6 +23,7 @@ from .identities import (
     monomial_coefficient_check,
     perturbation_identity_residual,
     simplex_centroid_check,
+    superset_sign_counts,
 )
 from .matrices import (
     SquareMatrix,
@@ -65,7 +66,6 @@ from .subsets import (
     masks_in_search_order,
     masks_of_cardinality,
     search_order_sums,
-    superset_sign_sums,
 )
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "DEFAULT_TRIALS"]
@@ -374,14 +374,59 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
                 )
 
 
+def superset_sign_sums(m: int, size: int) -> dict[int, int]:
+    """Map each mask T with 1 <= |T| <= size to its nonzero c(T), by walking.
+
+    The oracle for :func:`detsum.identities.superset_sign_counts`: c(T) is
+    the sum of (-1)^|S| over the supersets S of T; ``size`` must be at
+    least 1.  One Gray walk visits all 2^m subsets of ``{0..m-1}`` and
+    keeps the signed count of those visited so far.  A T records that
+    count when it joins the current set, and adds the count's growth to
+    c(T) when it leaves; T's still open at the end are closed there.  A
+    step that toggles index i opens or closes T' | {i} for each subset T'
+    of the rest of the current set with |T'| < size.
+    """
+    sums: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    get, pop = sums.get, opened.pop
+    subs = [0]  # masks of the current set's subsets with fewer than size members
+    below = size - 1  # 0 keeps subs at [0], so size 1 skips both list rebuilds
+    count, sign = 1, -1  # the empty set is visited first; sizes alternate in parity
+    gray = 0
+    for k in range(1, 1 << m):
+        bit = k & -k
+        gray ^= bit
+        if gray & bit:
+            for t in subs:
+                opened[t | bit] = count
+            if below:
+                subs += [t | bit for t in subs if t.bit_count() < below]
+        else:
+            if below:
+                subs = [t for t in subs if not t & bit]
+            for t in subs:
+                t |= bit
+                sums[t] = get(t, 0) + count - pop(t)
+        count += sign
+        sign = -sign
+    for t, start in opened.items():
+        sums[t] = get(t, 0) + count - start
+    return {t: c for t, c in sums.items() if c}
+
+
 def suite_superset_sign_sums(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """Every c(T) with 1 <= |T| <= size, present or absent, matches a direct
-    count over the supersets of T, and ``monomial_coefficient_check`` when
-    m > |T|; m <= 12 and size <= 4 are drawn at random."""
+    """The counted c(T) of ``superset_sign_counts`` equal the Gray walk's,
+    and every c(T) with 1 <= |T| <= size, present or absent, matches a
+    direct count over the supersets of T, and ``monomial_coefficient_check``
+    when m > |T|; m <= 12 and size <= 4 are drawn at random."""
     for _ in range(trials):
         m = rng.randint(1, 12)
         size = rng.randint(1, 4)
-        sums = superset_sign_sums(m, size)
+        sums = superset_sign_counts(m, size)
+        rec.check(
+            sums == superset_sign_sums(m, size),
+            lambda: f"counted superset sign sums differ from the walk's (m={m}, size={size})",
+        )
         full = (1 << m) - 1
         rec.check(
             all(1 <= t.bit_count() <= size and t <= full and c for t, c in sums.items()),

@@ -47,7 +47,6 @@ from .subsets import (
     gray_sums,
     masks_of_cardinality,
     search_order_sums,
-    superset_sign_sums,
 )
 
 __all__ = [
@@ -69,7 +68,10 @@ __all__ = [
 
 PRODUCT_IDENTITY_SIZE_CAP = 36        # m*n cap for the symbolic product identity
 DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
-COEFFICIENT_CHECK_FAMILY_CAP = 24     # m cap for the 2^m subset walks
+# m cap for monomial_coefficient_check's 2^free superset loop.  The product
+# identity counts its coefficients, but keeps refusing m past the cap, since
+# that refusal is part of the verify-lemma3 contract.
+COEFFICIENT_CHECK_FAMILY_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -128,16 +130,14 @@ def check_alternating_product_identity(
     """Symbolic check that sum_S (-1)^|S| prod_j (sum_{i in S} z_ij) = 0.
 
     The polynomial is built over m*n integer variables, z_ij sitting at
-    flat index i*n + j, by walking all 2^m subsets and expanding each
-    product of column sums; it must cancel to the zero polynomial
-    whenever m > n.  With ``enforce_hypothesis=False`` the sum is built
-    for any sizes so the failure of small families can be inspected.
+    flat index i*n + j; it must cancel to the zero polynomial whenever
+    m > n.  With ``enforce_hypothesis=False`` the sum is built for any
+    sizes so the failure of small families can be inspected.
 
-    The coefficient of a monomial depends only on its support T, so one
-    walk over the 2^m subsets S sums the signs per T with |T| <= n, at a
-    cost of sum_{k<n} C(|S|, k) per step (constant for n == 1); only
-    m <= n leaves a nonzero sum to expand.  Besides m*n <= 36, the walk
-    caps m at 24.
+    The coefficient of a monomial is c(T) of its support T, counted by
+    :func:`superset_sign_counts` without visiting the 2^m subsets; only
+    m <= n leaves a nonzero c(T), whose monomials are expanded.  Besides
+    m*n <= 36, m is capped at ``COEFFICIENT_CHECK_FAMILY_CAP``.
     """
     if m < 1 or n < 1:
         raise InvalidParameters(f"need m, n >= 1, got m={m}, n={n}")
@@ -150,7 +150,7 @@ def check_alternating_product_identity(
 
     # The coefficient of z_{pick[0],0} ... z_{pick[n-1],n-1} is c(support of pick).
     terms: dict[tuple[int, ...], int] = {}
-    for support, c in superset_sign_sums(m, n).items():
+    for support, c in superset_sign_counts(m, n).items():
         members = list(SubsetMask(support, m))
         for pick in itertools.product(members, repeat=n):
             if len(set(pick)) == len(members):
@@ -167,6 +167,21 @@ def check_alternating_product_identity(
         holds=residual.is_zero(),
         term_count=1 << m,
     )
+
+
+def superset_sign_counts(m: int, size: int) -> dict[int, int]:
+    """Map each mask T with 1 <= |T| <= size to its nonzero c(T).
+
+    c(T) is the sum of (-1)^|S| over the supersets S of T in ``{0..m-1}``.
+    A t-set has C(m - t, k) supersets with t + k members, so c(T) depends
+    on t alone and is a sum of m - t + 1 signed binomials.
+    """
+    counts: dict[int, int] = {}
+    for t in range(1, min(size, m) + 1):
+        c = sum((-1) ** (t + k) * math.comb(m - t, k) for k in range(m - t + 1))
+        if c:
+            counts.update(dict.fromkeys(masks_of_cardinality(m, t), c))
+    return counts
 
 
 def monomial_coefficient_check(m: int, n: int, indices: Sequence[int]) -> int:

@@ -19,6 +19,7 @@ Raw value representations (always canonical):
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -250,9 +251,10 @@ class SparsePoly:
             return NotImplemented
         self._require_same_arity(other)
         acc: dict[tuple[int, ...], int] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 v = acc.get(key, 0) + c1 * c2
                 if v:
                     acc[key] = v

@@ -11,10 +11,9 @@ does not know what a member is: a lifted family's packed int (one
 ``int`` addition per sum, see :func:`detsum.matrices.lift_family`), a
 plain int, or an array (a sequence of rows of ring values) summed entry
 by entry with :func:`array_ops`.  :func:`gray_sums` visits every
-nonempty subset with one addition or subtraction per step,
+nonempty subset with one addition or subtraction per step, and
 :func:`search_order_sums` visits subsets in search order with one
-addition per sum, and :func:`superset_sign_sums` walks all subsets in
-Gray order to sum signs over the supersets of each small subset.
+addition per sum.
 """
 
 from __future__ import annotations
@@ -166,45 +165,6 @@ def gray_sums(
         member = members[bit.bit_length() - 1]
         total = add(total, member) if gray & bit else sub(total, member)
         yield gray, total
-
-
-def superset_sign_sums(m: int, size: int) -> dict[int, int]:
-    """Map each mask T with 1 <= |T| <= size to its nonzero c(T).
-
-    c(T) is the sum of (-1)^|S| over the supersets S of T; ``size`` must
-    be at least 1.  One Gray walk visits all 2^m subsets of ``{0..m-1}``
-    and keeps the signed count of those visited so far.  A T records that
-    count when it joins the current set, and adds the count's growth to
-    c(T) when it leaves; T's still open at the end are closed there.  A
-    step that toggles index i opens or closes T' | {i} for each subset T'
-    of the rest of the current set with |T'| < size.
-    """
-    sums: dict[int, int] = {}
-    opened: dict[int, int] = {}
-    get, pop = sums.get, opened.pop
-    subs = [0]  # masks of the current set's subsets with fewer than size members
-    below = size - 1  # 0 keeps subs at [0], so size 1 skips both list rebuilds
-    count, sign = 1, -1  # the empty set is visited first; sizes alternate in parity
-    gray = 0
-    for k in range(1, 1 << m):
-        bit = k & -k
-        gray ^= bit
-        if gray & bit:
-            for t in subs:
-                opened[t | bit] = count
-            if below:
-                subs += [t | bit for t in subs if t.bit_count() < below]
-        else:
-            if below:
-                subs = [t for t in subs if not t & bit]
-            for t in subs:
-                t |= bit
-                sums[t] = get(t, 0) + count - pop(t)
-        count += sign
-        sign = -sign
-    for t, start in opened.items():
-        sums[t] = get(t, 0) + count - start
-    return {t: c for t, c in sums.items() if c}
 
 
 def search_order_sums(

@@ -136,6 +136,13 @@ def test_verify_lemma3_refuses_a_family_past_the_walk_cap(capsys):
     assert report["result"]["error"] == "SizeLimit: m = 25 exceeds the cap 24"
 
 
+def test_verify_lemma3_holds_at_the_family_cap(capsys):
+    code, report = run_json(capsys, "verify-lemma3", "--m", "24", "--n", "1")
+    assert code == 0
+    assert report["result"]["holds"] is True
+    assert report["result"]["term_count"] == 1 << 24
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["verify-lemma3", "--m", "4"]) == 1  # missing --n
@@ -590,3 +597,26 @@ def test_perturb_and_alt_sum_results_are_pinned(capsys, name):
         assert code == 0, report
         result = json.dumps(report["result"], sort_keys=True).encode()
         assert hashlib.sha256(result).hexdigest() == digest, command
+
+
+# sha256 of the result of each symbolic subcommand at a few sizes.
+_SYMBOLIC_RESULT_PINS = [
+    (["verify-lemma3", "--m", "3", "--n", "2"],
+     "b739b6de52a1b8e2534033e29ba79e1f37ad9767de9f49c33d6a059aafab8c85"),
+    (["verify-lemma3", "--m", "20", "--n", "1"],
+     "93bea7a51e78b224429a0edc282e9456b609ea70ac63d7cfdd3d227d0d8ace96"),
+    (["verify-lemma2", "--m", "3", "--n", "2"],
+     "1fbc313ebdd3a9ddf6d2aef94afacaa3c044eb1165196833905370c981cece49"),
+    (["certificate", "--m", "4", "--n", "2"],
+     "51969583d8f9e96b02e001bf3ccfb7817c0d2ebb989a0f8d968d121cd923ccc0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _SYMBOLIC_RESULT_PINS, ids=[" ".join(argv) for argv, _ in _SYMBOLIC_RESULT_PINS]
+)
+def test_symbolic_results_are_pinned(capsys, argv, digest):
+    code, report = run_json(capsys, *argv)
+    assert code == 0, report
+    result = json.dumps(report["result"], sort_keys=True).encode()
+    assert hashlib.sha256(result).hexdigest() == digest

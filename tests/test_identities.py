@@ -33,7 +33,8 @@ from detsum import (
     simplex_centroid_check,
     subset_sum,
 )
-from detsum.identities import DET_IDENTITY_CAPS
+from detsum.fuzz import superset_sign_sums
+from detsum.identities import DET_IDENTITY_CAPS, superset_sign_counts
 
 from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_product_sum, ref_subset_sum
 
@@ -116,6 +117,13 @@ def test_product_identity_residual_matches_expansion(m, n):
     report = check_alternating_product_identity(m, n, enforce_hypothesis=False)
     assert report.residual.value == ref_product_sum(m, n)
     assert report.holds == (m > n)
+
+
+def test_counted_coefficients_match_the_walk():
+    # Every m <= 12 and size <= 4: the binomial count against the 2^m Gray walk.
+    for m in range(1, 13):
+        for size in range(1, 5):
+            assert superset_sign_counts(m, size) == superset_sign_sums(m, size), (m, size)
 
 
 def test_product_identity_validation():

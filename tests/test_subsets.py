@@ -68,6 +68,7 @@ def test_subset_walks_suite():
 
 
 def test_superset_sign_sums_suite():
-    # Random m <= 12 and size <= 4 against a direct count over the supersets.
+    # Random m <= 12 and size <= 4: the counted c(T) against the Gray walk, a
+    # direct count over the supersets and monomial_coefficient_check.
     result = run_suite("superset-sign-sums", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
