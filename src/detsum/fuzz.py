@@ -879,7 +879,7 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
                 where(f"unit-subsum witness at bound {bound}"),
             )
 
-        if isinstance(ring, (IntegerRing, ModRing)):
+        if type(ring) in (IntegerRing, ModRing):  # the rings ideal_chain takes
             modulus = ring.n if isinstance(ring, ModRing) else 0
             gens, g = [0], 0
             for k in range(1, m + 1):

@@ -14,6 +14,9 @@ Ring descriptors:
     {"kind": "product", "components": [<descriptor>, ...]}
     {"kind": "int_poly", "var_count": 4}
 
+"prime_field" is Z/p for a certified prime p of at most 4096 bits, and
+"var_count" is at most ``MAX_VAR_COUNT`` = MAX_FAMILY * DET_SIZE_CAP**2.
+
 Elements: integers/residues as numbers-or-strings; rationals as "a/b"
 strings (plain integers allowed on input); product elements as arrays;
 polynomials as {"terms": [[[e0, e1, ...], coeff], ...]} sorted by
@@ -48,6 +51,7 @@ from .subsets import MAX_FAMILY, SubsetMask
 
 __all__ = [
     "SchemaError",
+    "MAX_VAR_COUNT",
     "encode_int",
     "decode_int",
     "ring_to_json",
@@ -66,6 +70,9 @@ __all__ = [
 ]
 
 JSON_SAFE_INT = (1 << 53) - 1
+# The variables of a generic family of the largest accepted shape: one per
+# entry of each of MAX_FAMILY matrices of size DET_SIZE_CAP.
+MAX_VAR_COUNT = MAX_FAMILY * DET_SIZE_CAP**2
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
 _PLAIN_DIGITS = 640  # below every int/str digit limit an interpreter accepts
@@ -150,7 +157,10 @@ def ring_from_json(obj: Any, where: str = "ring") -> Ring:
                 [ring_from_json(c, f"{where}.components[{i}]") for i, c in enumerate(comps)]
             )
         if kind == "int_poly":
-            return IntPolyRing(decode_int(obj.get("var_count"), f"{where}.var_count"))
+            var_count = decode_int(obj.get("var_count"), f"{where}.var_count")
+            if var_count > MAX_VAR_COUNT:
+                raise ValueError(f"var_count {var_count} exceeds the {MAX_VAR_COUNT}-variable limit")
+            return IntPolyRing(var_count)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
     raise SchemaError(f"{where}.kind: unknown ring kind {kind!r}")
@@ -159,7 +169,7 @@ def ring_from_json(obj: Any, where: str = "ring") -> Ring:
 # -- raw values -------------------------------------------------------------
 
 def value_to_json(ring: Ring, value: Any) -> Any:
-    if isinstance(ring, (IntegerRing, PrimeField, ModRing)):
+    if isinstance(ring, (IntegerRing, ModRing)):
         return encode_int(value)
     if isinstance(ring, RationalRing):
         if value.denominator == 1:
@@ -177,7 +187,7 @@ def value_to_json(ring: Ring, value: Any) -> Any:
 
 
 def value_from_json(ring: Ring, obj: Any, where: str = "value") -> Any:
-    if isinstance(ring, (IntegerRing, PrimeField, ModRing)):
+    if isinstance(ring, (IntegerRing, ModRing)):
         return ring.normalize(decode_int(obj, where))
     if isinstance(ring, RationalRing):
         if isinstance(obj, str) and "/" in obj:

@@ -12,14 +12,16 @@ picks its route from the ring and n:
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
-* Z/N and F_p   -- one route, F_p taken as Z/p, on rows of any integer
+* Z/N and F_p   -- one route: F_p is Z/p (a ``ModRing`` whose prime, of
+  at most 4096 bits, is certified), on rows of any integer
   representatives (exact: the determinant is an integer polynomial in
   the entries): the closed form for n <= 4 and integer Bareiss for
   n <= 7, each reduced mod N at the end; Gaussian elimination mod N
   above, where a column with no unit to pivot on is cleared by Euclid's
   steps between rows, so N is never factored
 * Z[x...]       -- Leibniz (signed permutation sum) for n <= 6, Berkowitz
-  above; neither ever divides, so both hold over any commutative ring
+  above; neither ever divides, so both hold over any commutative ring.
+  A JSON descriptor names at most MAX_FAMILY * DET_SIZE_CAP**2 variables
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
 Z/N and F_p members, Q members scaled by shared row multipliers, and
@@ -408,13 +410,9 @@ def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(_det_integer(INTEGERS, scaled), scale)
 
 
-def _modulus(ring: ModRing | PrimeField) -> int:
-    return ring.p if type(ring) is PrimeField else ring.n
-
-
-def _det_residue(ring: ModRing | PrimeField, rows: Sequence[Sequence[int]]) -> int:
-    # Z/N, and F_p as Z/p, on any integer representatives.
-    modulus = _modulus(ring)
+def _det_residue(ring: ModRing, rows: Sequence[Sequence[int]]) -> int:
+    # Z/N, F_p among them, on any integer representatives.
+    modulus = ring.n
     n = len(rows)
     if n <= CLOSED_FORM_MAX_N:
         return (rows[0][0] if n == 1 else _det_cofactor([e for row in rows for e in row])) % modulus
@@ -525,7 +523,7 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
     wider entries walk as int arrays.  Over Z, and Q after scaling, the
     slots are signed, so a packed value may be a negative int.
     """
-    if isinstance(ring, (IntegerRing, ModRing, PrimeField)):
+    if isinstance(ring, (IntegerRing, ModRing)):
         return _int_lift(members, size, ring, _unchanged)
     if isinstance(ring, ProductRing):
         moduli = _coprime_moduli(ring)
@@ -587,7 +585,7 @@ def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
     # members are arrays of ints; det_ring is Z, Z/N or F_p.
     n = len(members[0])
     flat = [[e for row in a for e in row] for a in members]
-    modulus = 0 if det_ring == INTEGERS else _modulus(det_ring)
+    modulus = 0 if det_ring == INTEGERS else det_ring.n
     if n == 1:
         width, values = 0, [c[0] for c in flat]
         cells = _one_cell
@@ -662,12 +660,9 @@ def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:
     """
     moduli = []
     for comp in ring.components:
-        if type(comp) is ModRing:
-            moduli.append(comp.n)
-        elif type(comp) is PrimeField:
-            moduli.append(comp.p)
-        else:
+        if not isinstance(comp, ModRing):
             return None
+        moduli.append(comp.n)
     modulus = math.prod(moduli)
     if math.lcm(*moduli) != modulus or modulus.bit_length() > PRODUCT_LIFT_MAX_BITS:
         return None

@@ -1,10 +1,15 @@
 """Commutative rings with exact arithmetic.
 
-Supported rings: the integers, the rationals, prime fields F_p, modular
-rings Z/N, finite products of rings, and multivariate polynomials with
+Supported rings: the integers, the rationals, modular rings Z/N, prime
+fields F_p, finite products of rings, and multivariate polynomials with
 integer coefficients.  A :class:`Ring` instance is a descriptor that
 knows how to operate on raw values; :class:`RingElement` pairs a raw
 value with its descriptor and overloads the arithmetic operators.
+
+F_p is Z/p: :class:`PrimeField` is the :class:`ModRing` of a prime of at
+most ``PRIME_FIELD_MAX_BITS`` = 4096 bits, certified at construction, and
+adds only the field's unit test and inverse.  A JSON ``int_poly`` names at
+most ``MAX_FAMILY * DET_SIZE_CAP**2`` variables (``jsonio.MAX_VAR_COUNT``).
 
 Raw value representations (always canonical):
 
@@ -40,12 +45,18 @@ __all__ = [
     "SparsePoly",
     "poly_eval",
     "is_probable_prime",
+    "PRIME_FIELD_MAX_BITS",
     "random_poly",
     "random_homogeneous_poly",
 ]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The longest prime a PrimeField certifies.  The certificate's cost grows
+# about with the cube of the bit length: a fraction of a second at this
+# cap, seconds past 10,000 bits.
+PRIME_FIELD_MAX_BITS = 4096
 
 
 def is_probable_prime(n: int) -> bool:
@@ -536,63 +547,6 @@ class RationalRing(Ring):
         return "RationalRing()"
 
 
-class PrimeField(Ring):
-    """The field F_p of residues modulo a certified prime p."""
-
-    kind = "prime_field"
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_probable_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def normalize(self, value):
-        return _check_int(value) % self.p
-
-    zero = property(lambda self: 0)
-    one = property(lambda self: 1 % self.p)
-
-    def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a, b):
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a != 0
-
-    def try_inverse(self, a):
-        return pow(a, -1, self.p) if a else None
-
-    def from_int(self, k):
-        return k % self.p
-
-    def random(self, rng):
-        return rng.randrange(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("prime_field", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-
 class ModRing(Ring):
     """The ring Z/N of residues modulo N >= 2 (N need not be prime)."""
 
@@ -641,13 +595,41 @@ class ModRing(Ring):
         return rng.randrange(self.n)
 
     def __eq__(self, other):
-        return isinstance(other, ModRing) and self.n == other.n
+        return type(other) is type(self) and other.n == self.n
 
     def __hash__(self):
-        return hash(("mod", self.n))
+        return hash((self.kind, self.n))
 
     def __repr__(self):
-        return f"ModRing({self.n})"
+        return f"{type(self).__name__}({self.n})"
+
+
+class PrimeField(ModRing):
+    """F_p as Z/p for a certified prime p: every nonzero residue is a unit.
+
+    A ring kind of its own, so ``PrimeField(7) != ModRing(7)``.
+    """
+
+    kind = "prime_field"
+
+    __slots__ = ()
+
+    def __init__(self, p: int):
+        if p.bit_length() > PRIME_FIELD_MAX_BITS:
+            raise ValueError(f"modulus of {p.bit_length()} bits exceeds the {PRIME_FIELD_MAX_BITS}-bit cap")
+        if not is_probable_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.n = p
+
+    @property
+    def p(self) -> int:
+        return self.n
+
+    def is_unit(self, a):
+        return a != 0
+
+    def try_inverse(self, a):
+        return pow(a, -1, self.n) if a else None
 
 
 class ProductRing(Ring):
@@ -789,7 +771,10 @@ class IntPolyRing(Ring):
         return a.is_zero()
 
     def is_unit(self, a):
-        return a.terms in ({(0,) * self.var_count: 1}, {(0,) * self.var_count: -1})
+        if len(a.terms) != 1:
+            return False
+        ((exps, coeff),) = a.terms.items()
+        return (coeff == 1 or coeff == -1) and not any(exps)
 
     def try_inverse(self, a):
         return a if self.is_unit(a) else None  # +-1 are self-inverse

@@ -143,7 +143,7 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     ring, n = family_ring_shape(matrices)
     if isinstance(ring, IntegerRing):
         modulus = 0
-    elif isinstance(ring, ModRing):
+    elif type(ring) is ModRing:  # F_p is a ModRing too, and is refused below
         modulus = ring.n
     else:
         raise UnsupportedRing(f"ideal chains need Z or Z/N, got {ring!r}")

@@ -15,7 +15,8 @@ import detsum
 from detsum.cli import build_parser, main
 from detsum import jsonio
 from detsum.rings import INTEGERS, ModRing, PrimeField, ProductRing, RATIONALS
-from detsum.matrices import SquareMatrix, lift_family
+from detsum.matrices import DET_SIZE_CAP, SquareMatrix, lift_family
+from detsum.subsets import MAX_FAMILY
 
 COUNTEREXAMPLE_DOC = (
     '{"ring":{"kind":"mod","N":6},"n":2,'
@@ -420,6 +421,23 @@ def test_ring_descriptor_round_trip():
     ]
     for ring in rings:
         assert jsonio.ring_from_json(jsonio.ring_to_json(ring)) == ring
+    # F_p is a ModRing, yet keeps its own kind in JSON.
+    assert jsonio.ring_to_json(PrimeField(7)) == {"kind": "prime_field", "p": 7}
+    assert jsonio.ring_to_json(ModRing(7)) == {"kind": "mod", "N": 7}
+    assert type(jsonio.ring_from_json({"kind": "mod", "N": 7})) is ModRing
+
+
+def test_int_poly_var_count_is_bounded(capsys):
+    # The variables of a generic family of the largest accepted shape.
+    limit = jsonio.MAX_VAR_COUNT
+    assert limit == MAX_FAMILY * DET_SIZE_CAP**2
+    assert jsonio.ring_from_json({"kind": "int_poly", "var_count": limit}).var_count == limit
+    with pytest.raises(jsonio.SchemaError, match="var_count"):
+        jsonio.ring_from_json({"kind": "int_poly", "var_count": limit + 1})
+    doc = {"ring": {"kind": "int_poly", "var_count": 10**9}, "n": 1, "matrices": [[[{"terms": []}]]]}
+    code, report = run_json(capsys, "search-subsum", "--input", json.dumps(doc), "--bound", "1")
+    assert code == 1 and report["status"] == "error"
+    assert "exceeds the 262144-variable limit" in report["result"]["error"]
 
 
 # -- one parser per process ------------------------------------------------------
@@ -618,5 +636,85 @@ _SYMBOLIC_RESULT_PINS = [
 def test_symbolic_results_are_pinned(capsys, argv, digest):
     code, report = run_json(capsys, *argv)
     assert code == 0, report
+    result = json.dumps(report["result"], sort_keys=True).encode()
+    assert hashlib.sha256(result).hexdigest() == digest
+
+
+def _residue_family(ring, n, m, draw, bound):
+    # m n x n matrices, each entry draw(rng, its row); a search at the
+    # bound, or the ideal chain when the bound is None.
+    def argv():
+        rng = random.Random(json.dumps(ring))
+        matrices = [[[draw(rng, i) for _ in range(n)] for i in range(n)] for _ in range(m)]
+        doc = json.dumps({"ring": ring, "n": n, "matrices": matrices})
+        if bound is None:
+            return ["ideal-chain", "--input", doc]
+        return ["search-subsum", "--input", doc, "--bound", str(bound)]
+
+    return argv
+
+
+def _residue_instance(command, primes, m, draw, *flags):
+    def argv():
+        rng = random.Random(command + str(primes))
+        ring = {"kind": "product", "components": [{"kind": "prime_field", "p": p} for p in primes]}
+        elements = [[draw(rng, c, p) for c, p in enumerate(primes)] for _ in range(m)]
+        return [command, "--input", json.dumps({"ring": ring, "elements": elements}), *flags]
+
+    return argv
+
+
+_F101 = {"kind": "prime_field", "p": 101}
+_Z10 = {"kind": "mod", "N": 10}
+_F2F3F5 = {"kind": "product", "components": [{"kind": "prime_field", "p": p} for p in (2, 3, 5)]}
+
+# (argv builder, status, sha256 of the result) for the residue-ring
+# subcommands: F_p, Z/N and products of them.  A "none" family keeps
+# every subset sum singular: a zero row over F_101, even entries over
+# Z/10, a zero F_2 coordinate over F2xF3xF5.
+_RESIDUE_RESULT_PINS = {
+    "search-subsum F_101, found": (
+        _residue_family(_F101, 3, 6, lambda rng, i: rng.randrange(101), 3), "found",
+        "d48304b1657b5f86f6e04f2d5fb02a0d993eb02ddb5d5a975d16e8a6ee3ccc6b"),
+    "search-subsum F_101, none": (
+        _residue_family(_F101, 3, 6, lambda rng, i: rng.randrange(101) if i else 0, 6), "none",
+        "50f96e991c0af638aa51bb7e9b279c6d43938e8bc8d695955b4108e8ac8c3ec4"),
+    "search-subsum Z/10, found": (
+        _residue_family(_Z10, 2, 5, lambda rng, i: rng.randrange(10), 2), "found",
+        "1267ca96a83ac73b01452e77df019b1bd6b47d0f89009e0ba1ba980895d7750d"),
+    "search-subsum Z/10, none": (
+        _residue_family(_Z10, 2, 5, lambda rng, i: 2 * rng.randrange(5), 5), "none",
+        "e93b0a5a66028c9382a3cd69b9b67efb3c00a0f9053be283c85463cebd6deb1c"),
+    "search-subsum F2xF3xF5, found": (
+        _residue_family(_F2F3F5, 2, 5, lambda rng, i: [rng.randrange(2), rng.randrange(3), rng.randrange(5)], 3),
+        "found", "4f9bad8d518e3a59645cf74890642e31bc7bffcf5ec9f2080e18728bd55c2dd9"),
+    "search-subsum F2xF3xF5, none": (
+        _residue_family(_F2F3F5, 2, 6, lambda rng, i: [0, rng.randrange(3), rng.randrange(5)], 4),
+        "none", "ef0e608264903fed757a472e4b1849ec2cd13bf4a5d1a88d5528e980365c28cf"),
+    "semilocal-search, found": (
+        _residue_instance("semilocal-search", (2, 3, 5), 5, lambda rng, c, p: rng.randrange(p), "--bound", "3"),
+        "found", "d02e10a26e64f25c0a3140142689692eb4ab5dafa93c5edf85c3c438cdd8512f"),
+    "semilocal-search, none": (
+        _residue_instance("semilocal-search", (2, 3, 5), 5,
+                          lambda rng, c, p: rng.randrange(p) if c else 0, "--bound", "5"),
+        "none", "25e6cac72236d7b199b53509f4b952e075013f5cde35b089e5883cbaff2a4b30"),
+    "ideal-chain Z/12": (
+        _residue_family({"kind": "mod", "N": 12}, 2, 6, lambda rng, i: rng.randrange(12), None), "holds",
+        "dd7f4fd51a02b5a97c263476fdbd65b1c86373354c740b653bd36c94ca59ec11"),
+    "embed": (
+        _residue_instance("embed", (3, 3, 3), 4, lambda rng, c, p: rng.randrange(p)), "holds",
+        "07f80d30997c08422324baab6c85bcdf09bedb77376d67436c30d4c226347749"),
+    "example8": (lambda: ["example8"], "holds", "4291b32a90e7d53b42b198d2d9b694c549871fc743de21fa4803acf0df57065b"),
+    "local-counterexample": (
+        lambda: ["local-counterexample", "--modulus", "10", "--m1", "5", "--m2", "6", "--n", "3"], "holds",
+        "3452414496fc5b85e4c56b38c87c587bd6ba358acf1be85e2e7f075701197a50"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RESIDUE_RESULT_PINS))
+def test_residue_ring_results_are_pinned(capsys, name):
+    argv, status, digest = _RESIDUE_RESULT_PINS[name]
+    code, report = run_json(capsys, *argv())
+    assert code == 0 and report["status"] == status, report
     result = json.dumps(report["result"], sort_keys=True).encode()
     assert hashlib.sha256(result).hexdigest() == digest

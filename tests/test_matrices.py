@@ -220,7 +220,7 @@ def test_det_rows_reduces_any_representatives(ring):
     # Shifting entries by random multiples of the modulus, negative ones
     # included, leaves the determinant's residue unchanged, on both sides
     # of the closed form and of the Bareiss cutoff.
-    modulus = ring.n if isinstance(ring, ModRing) else ring.p
+    modulus = ring.n
     rng = random.Random(151)
     for n in (1, 2, 4, 5, RESIDUE_BAREISS_MAX_N, RESIDUE_BAREISS_MAX_N + 1, 12):
         for _ in range(3):

@@ -1,6 +1,7 @@
 """Ring arithmetic, units, inverses, and sparse polynomial behaviour."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,13 @@ from detsum import (
     ProductRing,
     RingMismatch,
     SparsePoly,
+    SquareMatrix,
     poly_eval,
     random_poly,
 )
+from detsum import jsonio
 from detsum.fuzz import run_suite
-from detsum.rings import is_probable_prime
+from detsum.rings import PRIME_FIELD_MAX_BITS, is_probable_prime
 
 Z6 = ModRing(6)
 F7 = PrimeField(7)
@@ -64,6 +67,48 @@ def test_primality_matches_trial_division_below_1e5():
     assert [n for n in range(limit) if is_probable_prime(n)] == [
         n for n in range(limit) if sieve[n]
     ]
+
+
+def test_prime_field_is_z_mod_p_but_its_own_kind():
+    f7, z7 = PrimeField(7), ModRing(7)
+    assert isinstance(f7, ModRing) and f7.p == f7.n == 7
+    assert f7 != z7 and z7 != f7
+    assert hash(f7) == hash(("prime_field", 7)) and hash(z7) == hash(("mod", 7))
+    assert hash(f7) != hash(z7)
+    assert repr(f7) == "PrimeField(7)" and repr(z7) == "ModRing(7)"
+    assert repr(ProductRing([f7, z7])) == "ProductRing([PrimeField(7), ModRing(7)])"
+    with pytest.raises(RingMismatch, match=r"PrimeField\(7\) vs ModRing\(7\)"):
+        f7.element(1) + z7.element(1)
+    with pytest.raises(RingMismatch):
+        SquareMatrix.identity(f7, 2) + SquareMatrix.identity(z7, 2)
+    with pytest.raises(AttributeError):
+        f7.p = 11
+
+
+def test_prime_field_refuses_a_modulus_past_the_bit_cap():
+    # Mersenne primes on each side of the 4096-bit cap.  The product of two
+    # has no small factor, so only the cap keeps its certificate from
+    # running for seconds.
+    assert PRIME_FIELD_MAX_BITS == 4096
+    assert PrimeField(2**3217 - 1).p.bit_length() == 3217
+    for p in (2**4253 - 1, (2**4423 - 1) * (2**9689 - 1)):
+        with pytest.raises(ValueError, match="4096-bit cap"):
+            PrimeField(p)
+        with pytest.raises(jsonio.SchemaError, match="4096-bit cap"):
+            jsonio.ring_from_json({"kind": "prime_field", "p": str(p)})
+
+
+def test_int_poly_unit_test_allocates_nothing_per_variable():
+    ring = IntPolyRing(10**6)
+    values = [ring.zero, ring.one, ring.neg(ring.one), ring.from_int(2), ring.variable(5)]
+    tracemalloc.start()
+    try:
+        units = [ring.is_unit(v) for v in values]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert units == [False, True, True, False, False]
+    assert peak < 10_000  # two 10^6-entry exponent tuples would be 16 MB
 
 
 def test_product_rings_flatten():

@@ -220,6 +220,18 @@ def test_ideal_chain_ring_and_size_validation():
         ideal_chain([SquareMatrix.identity(INTEGERS, 1)] * 21)
 
 
+def test_ideal_chain_refuses_prime_fields():
+    # F_p is a ModRing, but its chain is not Z/N's.
+    with pytest.raises(UnsupportedRing):
+        ideal_chain([SquareMatrix.identity(PrimeField(5), 2)])
+    assert ideal_chain([SquareMatrix.identity(ModRing(5), 2)]).generators == (0, 1)
+
+
+def test_semilocal_instances_refuse_residue_rings():
+    with pytest.raises(UnsupportedRing):
+        SemilocalInstance.from_raw(ProductRing([PrimeField(2), ModRing(7)]), [(1, 1)])
+
+
 def test_ideal_chain_walks_only_subsets_of_at_most_n(monkeypatch):
     # g_j = g_n above n, so the walk stops at n members: 299 of 4,095
     # subsets at m = 12, n = 3.
