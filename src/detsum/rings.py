@@ -7,8 +7,8 @@ knows how to operate on raw values; :class:`RingElement` pairs a raw
 value with its descriptor and overloads the arithmetic operators.
 
 F_p is Z/p: :class:`PrimeField` is the :class:`ModRing` of a prime of at
-most ``PRIME_FIELD_MAX_BITS`` = 4096 bits, certified at construction, and
-adds only the field's unit test and inverse.  A JSON ``int_poly`` names at
+most ``PRIME_FIELD_MAX_BITS`` = 4096 bits, certified at construction; it
+inherits all its arithmetic, since gcd(a, p) = 1 exactly when a != 0.  A JSON ``int_poly`` names at
 most ``MAX_FAMILY * DET_SIZE_CAP**2`` variables (``jsonio.MAX_VAR_COUNT``).
 
 Raw value representations (always canonical):
@@ -624,12 +624,6 @@ class PrimeField(ModRing):
     @property
     def p(self) -> int:
         return self.n
-
-    def is_unit(self, a):
-        return a != 0
-
-    def try_inverse(self, a):
-        return pow(a, -1, self.n) if a else None
 
 
 class ProductRing(Ring):

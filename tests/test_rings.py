@@ -83,6 +83,9 @@ def test_prime_field_is_z_mod_p_but_its_own_kind():
         SquareMatrix.identity(f7, 2) + SquareMatrix.identity(z7, 2)
     with pytest.raises(AttributeError):
         f7.p = 11
+    # Z/7's unit test and inverse: every nonzero residue is a unit.
+    assert [a for a in range(7) if f7.is_unit(a)] == [1, 2, 3, 4, 5, 6]
+    assert [f7.try_inverse(a) for a in range(7)] == [None, 1, 4, 5, 2, 3, 6]
 
 
 def test_prime_field_refuses_a_modulus_past_the_bit_cap():
