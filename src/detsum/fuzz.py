@@ -47,6 +47,7 @@ from .rings import (
     ProductRing,
     Ring,
     RingElement,
+    SparsePoly,
     is_probable_prime,
     random_homogeneous_poly,
     random_poly,
@@ -919,6 +920,113 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             )
 
 
+# Most members per n of a poly-lift-agreement family: the oracle takes a
+# ring-method Berkowitz on each of the 2^m - 1 subset sums.
+_POLY_LIFT_MAX_M = (6, 5, 4, 4, 3, 2, 2)
+# (n, E) at the slot edges: n * E = 2^w - 1 (7, 15, 15, 7) or 2^w (8, 8, 16, 16).
+_POLY_SLOT_EDGES = ((1, 7), (3, 5), (5, 3), (7, 1), (1, 8), (2, 4), (4, 4), (2, 8))
+
+
+def _poly_lift_family(rng: random.Random, kind: str, n: int, top: int):
+    """(ring, m members) of one poly-lift-agreement trial.
+
+    ``small``: Z[x0, x1]; ``wide``: three variables of 2000; ``units``:
+    entries mostly -1, 0 or 1, so that some sums are invertible; ``edge``:
+    every diagonal entry holds x_0^top and no other entry reaches it, so
+    the determinant of each one-member sum has the monomial x_0^(n*top).
+    Entries are zero with probability 0.2 (0.5 at n >= 5, and off the
+    diagonal of an edge family), and coefficients lie in [-4, 4].
+    """
+    if kind == "wide":
+        ring = IntPolyRing(2000)
+        variables = [0, *rng.sample(range(1, 2000), 2)]
+    else:
+        ring = IntPolyRing(2)
+        variables = [0, 1]
+    sparse = 0.5 if n >= 5 or kind == "edge" else 0.2
+
+    def monomial(e0):
+        exps = [0] * ring.var_count
+        exps[variables[0]] = e0
+        for v in variables[1:]:
+            exps[v] = rng.randint(0, top)
+        return tuple(exps)
+
+    def entry(i, j):
+        if kind == "units" and rng.random() < 0.8:
+            return ring.from_int(rng.choice((-1, 0, 1)))
+        poly = {}
+        if kind == "edge" and i == j:
+            poly[monomial(top)] = rng.choice((-3, -1, 1, 2))
+        elif rng.random() < sparse:
+            return ring.zero
+        cap = top - 1 if kind == "edge" else top
+        for _ in range(rng.randint(1, 2)):
+            poly[monomial(rng.randint(0, cap))] = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        return SparsePoly(ring.var_count, poly)
+
+    m = rng.randint(1, 3 if kind == "wide" else _POLY_LIFT_MAX_M[n - 1])
+    return ring, [SquareMatrix(ring, [[entry(i, j) for j in range(n)] for i in range(n)]) for _ in range(m)]
+
+
+def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The packed Z[x...] lift agrees with ``SparsePoly`` arithmetic.
+
+    Trial t takes kind t % 4 of :func:`_poly_lift_family` and n = t // 4
+    % 7 + 1, so both sides of ``LEIBNIZ_MAX_N`` are drawn.  The wide kind,
+    whose oracle hashes exponent tuples of 2000 entries, keeps n <= 3 and
+    m <= 3; the edge kind takes its (n, E) from ``_POLY_SLOT_EDGES``, each
+    once in the default 32 trials.  Checked against ``subset_sum`` and
+    the ring-method Berkowitz on ``SparsePoly`` entries: each entry and
+    determinant of every sum of the search-order walk, the determinant
+    of the full sum by ``det_rows``, the alternating sum and the first
+    invertible subset sum at a random bound; on an edge family, the slot
+    width bit_length(n * E).
+    """
+    kinds = ("small", "wide", "units", "edge")
+    for t in range(trials):
+        kind = kinds[t % 4]
+        if kind == "edge":
+            n, top = _POLY_SLOT_EDGES[t // 4 % len(_POLY_SLOT_EDGES)]
+        else:
+            n, top = t // 4 % (3 if kind == "wide" else 7) + 1, 2
+        ring, fam = _poly_lift_family(rng, kind, n, top)
+        m = len(fam)
+
+        def where(what):
+            return lambda: f"{what} differs from SparsePoly arithmetic ({kind}, n={n}, m={m})"
+
+        lift = lift_family(ring, [a.rows for a in fam], m)
+        if kind == "edge":
+            rec.check(lift.ring.width == (n * top).bit_length(), where("slot width"))
+        dets = {}
+        ok = True
+        for bits, value in search_order_sums(lift.members, lift.add, m):
+            rows = subset_sum(fam, SubsetMask(bits, m)).rows
+            dets[bits] = _det_berkowitz(ring, rows)
+            ok = ok and tuple(map(lift.finish, lift.cells(value))) == tuple(e for row in rows for e in row)
+            ok = ok and lift.finish(lift.det(value)) == dets[bits]
+        rec.check(ok, where("walked sums or determinants"))
+        full = (1 << m) - 1
+        rows = subset_sum(fam, SubsetMask(full, m)).rows
+        rec.check(det_rows(ring, rows) == dets[full], where("det_rows"))
+
+        alt = ring.zero
+        for bits, d in dets.items():
+            alt = (ring.sub if bits.bit_count() & 1 else ring.add)(alt, d)
+        rec.check(alternating_subset_det_sum(fam).value == alt, where("alternating sum"))
+
+        bound = rng.randint(1, m)
+        first_unit = next(
+            (bits for bits in masks_in_search_order(m, bound) if ring.is_unit(dets[bits])), None
+        )
+        witness = find_invertible_subsum(fam, bound)
+        rec.check(
+            (witness.bits if witness else None) == first_unit,
+            where(f"invertible-subsum witness at bound {bound}"),
+        )
+
+
 IDEAL_CHAIN_ORACLE_MAX_N = 4
 IDEAL_CHAIN_ORACLE_MAX_M = 10
 _IDEAL_CHAIN_RINGS: Sequence[Ring] = (INTEGERS, ModRing(12), ModRing(36), ModRing(2**64))
@@ -1015,6 +1123,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "two-component-bound": (suite_two_component_bound, 1),
     "lifted-walks": (suite_lifted_walks, 72),
     "lifted-slots": (suite_lifted_slots, 3),
+    "poly-lift-agreement": (suite_poly_lift_agreement, 32),
 }
 
 

@@ -13,6 +13,7 @@ sum of the n + 1 matrices A_1..A_n, B.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,10 +35,8 @@ from .errors import (
 from .matrices import (
     SquareMatrix,
     _raw_matrix,
-    det_rows,
     family_ring_shape,
     lift_family,
-    subset_sum,
 )
 from .rings import RATIONALS, IntPolyRing, Ring, RingElement, SparsePoly
 from .subsets import (
@@ -287,13 +286,16 @@ def det_expansion_certificate(m: int, n: int) -> list[tuple[SubsetMask, int]]:
 
 
 def _verify_certificate(m: int, n: int, certificate: list[tuple[SubsetMask, int]]) -> None:
-    ring = IntPolyRing(m * n * n)
+    # The certificate lists its subsets in the lifted walk's (cardinality,
+    # mask) order, so the two zip term by term; both sides are compared in
+    # det_ring.
     mats = generic_matrix_family(m, n)
-    lhs = det_rows(ring, subset_sum(mats, SubsetMask.full(m)).rows)
+    lift = lift_family(mats[0].ring, [a.rows for a in mats], m)
+    det, ring = lift.det, lift.det_ring
+    lhs = det(functools.reduce(lift.add, lift.members))
     rhs = ring.zero
-    for mask, c in certificate:
-        d = det_rows(ring, subset_sum(mats, mask).rows)
-        rhs = ring.add(rhs, ring.mul(ring.from_int(c), d))
+    for (_, value), (_, c) in zip(search_order_sums(lift.members, lift.add, n), certificate):
+        rhs = ring.add(rhs, ring.mul(ring.from_int(c), det(value)))
     if lhs != rhs:
         raise ContractViolation(
             f"certificate for (m={m}, n={n}) failed symbolic verification"

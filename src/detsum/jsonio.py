@@ -161,6 +161,8 @@ def ring_from_json(obj: Any, where: str = "ring") -> Ring:
             if var_count > MAX_VAR_COUNT:
                 raise ValueError(f"var_count {var_count} exceeds the {MAX_VAR_COUNT}-variable limit")
             return IntPolyRing(var_count)
+    except SchemaError:
+        raise  # already names its own path
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
     raise SchemaError(f"{where}.kind: unknown ring kind {kind!r}")

@@ -19,9 +19,13 @@ picks its route from the ring and n:
   n <= 7, each reduced mod N at the end; Gaussian elimination mod N
   above, where a column with no unit to pivot on is cleared by Euclid's
   steps between rows, so N is never factored
-* Z[x...]       -- Leibniz (signed permutation sum) for n <= 6, Berkowitz
-  above; neither ever divides, so both hold over any commutative ring.
-  A JSON descriptor names at most MAX_FAMILY * DET_SIZE_CAP**2 variables
+* Z[x...]       -- the entries packed once into dicts of int monomial
+  keys (:class:`_PackedPolyRing`), so that a monomial product is one int
+  addition; on them Leibniz (signed permutation sum) for n <= 6,
+  Berkowitz above; neither ever divides, so both hold over any
+  commutative ring.  The result is unpacked once.  A JSON descriptor
+  names at most MAX_FAMILY * DET_SIZE_CAP**2 variables, and only those
+  that occur in the entries get a slot of the key
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
 Z/N and F_p members, Q members scaled by shared row multipliers, and
@@ -33,7 +37,8 @@ is packed into one int, the sum of cell_k * 2^(k*w) over its entries
 with one w-bit slot each (Kronecker substitution), so that a subset sum
 is one int addition; the returned :class:`Lift` unpacks a sum and takes
 its determinant, the closed form on the unpacked cells for n <= 4 and
-rows sliced from them above.
+rows sliced from them above.  A Z[x...] family is packed entry by entry
+as :func:`det_rows` packs its rows, and walks as arrays of those dicts.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -51,7 +56,19 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
-from .rings import INTEGERS, IntegerRing, ModRing, PrimeField, ProductRing, RationalRing, Ring, RingElement
+from .rings import (
+    INTEGERS,
+    IntegerRing,
+    IntPolyRing,
+    ModRing,
+    PrimeField,
+    ProductRing,
+    RationalRing,
+    Ring,
+    RingElement,
+    SparsePoly,
+    _raw_poly,
+)
 from .subsets import SubsetMask, array_ops
 
 __all__ = [
@@ -78,8 +95,9 @@ RATIONAL_LIFT_MAX_EXCESS_BITS = 4096
 # 0.51-1.01x for 2x128 bits, 0.78-0.98x for 64x521 bits, 1.27-1.45x for
 # 2x512 bits (timeit, one pinned CPU).
 PRODUCT_LIFT_MAX_BITS = 256
-# Leibniz or Berkowitz over Z[x...] only.  ms/det with random IntPolyRing(2)
-# entries, Leibniz vs Berkowitz: 13.8 vs 15.7 at n=6, 132 vs 63 at n=7.
+# Leibniz or Berkowitz over Z[x...] only, on packed keys.  ms/det with
+# random IntPolyRing(2) entries, Leibniz vs Berkowitz (median of 6 to 20
+# matrices, unpinned): 1.4-3.7 vs 1.8-3.5 at n=6, a tie; 19 vs 7.7 at n=7.
 LEIBNIZ_MAX_N = 6
 
 
@@ -432,8 +450,17 @@ def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
     )
 
 
+def _det_int_poly(ring: IntPolyRing, rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
+    # The rows packed once, the determinant taken on the packed dicts.
+    if len(rows) == 1:
+        return rows[0][0]
+    packed = _PackedPolyRing.covering(ring.var_count, [rows])
+    pack = packed.pack
+    return packed.unpack(_det_generic(packed, [[pack(e) for e in row] for row in rows]))
+
+
 def _det_generic(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    # Z[x...] and any other commutative ring: neither route divides.
+    # Packed Z[x...] and any other commutative ring: neither route divides.
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -442,12 +469,146 @@ def _det_generic(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     return _det_berkowitz(ring, rows)
 
 
+class _PackedPolyRing(Ring):
+    """Z[x...] on packed monomial keys, for determinants and subset walks.
+
+    A value is a dict ``{key: coeff}`` of nonzero coefficients.  The key
+    of a monomial is the sum of e_v * 2^(width * s) over the slots s of
+    ``variables``, the variables that occur in the packed entries, so a
+    product of monomials is one int addition of keys.  That is exact
+    while every exponent stays below 2^width: :meth:`covering` takes
+    width = bit_length(n * E), E the largest exponent of an entry.  Every
+    value that a walk, a determinant of an n x n array of walked sums or
+    a sum of such determinants forms is a sum of products of at most n
+    entries, so its exponents are at most n * E.  Values are never
+    mutated, so an operation may return an operand as it is.
+    """
+
+    kind = "int_poly"
+
+    __slots__ = ("var_count", "variables", "width", "_offsets")
+
+    def __init__(self, var_count: int, variables: tuple[int, ...], width: int):
+        self.var_count = var_count
+        self.variables = variables
+        self.width = width
+        self._offsets = {v: s * width for s, v in enumerate(variables)}
+
+    @classmethod
+    def covering(cls, var_count: int, arrays) -> "_PackedPolyRing":
+        """The packing for determinants of sums of the n x n ``arrays``."""
+        used: set[int] = set()
+        top = 0
+        for poly in (e for a in arrays for row in a for e in row):
+            for exps in poly.terms:
+                used.update(itertools.compress(range(var_count), exps))
+                top = max(top, max(exps, default=0))
+        n = len(arrays[0])
+        return cls(var_count, tuple(sorted(used)), max(1, (n * top).bit_length()))
+
+    def pack(self, poly: SparsePoly) -> dict[int, int]:
+        offsets = self._offsets
+        return {
+            sum(exps[v] << offsets[v] for v in itertools.compress(range(len(exps)), exps)): c
+            for exps, c in poly.terms.items()
+        }
+
+    def unpack(self, value: dict[int, int]) -> SparsePoly:
+        width, mask = self.width, (1 << self.width) - 1
+        terms = {}
+        for key, c in value.items():
+            exps = [0] * self.var_count
+            for v in self.variables:
+                if not key:
+                    break
+                exps[v] = key & mask
+                key >>= width
+            terms[tuple(exps)] = c
+        return _raw_poly(self.var_count, terms)
+
+    @property
+    def zero(self):
+        return {}
+
+    @property
+    def one(self):
+        return {0: 1}
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        acc = dict(a)
+        for k, c in b.items():
+            if k not in acc:
+                acc[k] = c
+            elif c := acc[k] + c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return acc
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        acc = dict(a)
+        for k, c in b.items():
+            if k not in acc:
+                acc[k] = -c
+            elif c := acc[k] - c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return acc
+
+    def mul(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # distinct keys stay distinct under one shift
+            ((k2, c2),) = b.items()
+            return {k + k2: c * c2 for k, c in a.items()}
+        acc: dict[int, int] = {}
+        terms = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in terms:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += c1 * c2
+                else:
+                    acc[k] = c1 * c2
+        return {k: c for k, c in acc.items() if c}
+
+    def neg(self, a):
+        return {k: -c for k, c in a.items()}
+
+    def is_zero(self, a):
+        return not a
+
+    def is_unit(self, a):
+        return len(a) == 1 and a.get(0) in (1, -1)
+
+    def from_int(self, k):
+        return {0: k} if k else {}
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _PackedPolyRing)
+            and (self.var_count, self.variables, self.width)
+            == (other.var_count, other.variables, other.width)
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.var_count, self.variables, self.width))
+
+
 _ROUTES = {
     IntegerRing: _det_integer,
     RationalRing: _det_rational,
     ModRing: _det_residue,
     PrimeField: _det_residue,
     ProductRing: _det_product,
+    IntPolyRing: _det_int_poly,
 }
 
 
@@ -514,7 +675,11 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
       and 0 mod the other moduli, while M = prod n_c has at most
       ``PRODUCT_LIFT_MAX_BITS`` bits; the determinant is taken over Z/M
       and split into its residues mod each n_c, a ring isomorphism;
-    * other products, Z[x...] -- walked as arrays in the ring itself.
+    * Z[x...]    -- each entry packed once into a dict of int monomial
+      keys, with a slot for each variable that occurs in the family
+      (:class:`_PackedPolyRing`, also the ``det_ring``); the walk adds
+      arrays of those dicts, and each result is unpacked once;
+    * other products -- walked as arrays in the ring itself.
 
     A lifted 1x1 member is its plain int.  Larger lifted members are
     packed into one int each (Kronecker substitution) when every entry
@@ -549,6 +714,11 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
             ]
             scale = math.prod(scales)
             return _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
+    if isinstance(ring, IntPolyRing):
+        packed = _PackedPolyRing.covering(ring.var_count, members)
+        pack = packed.pack
+        lifted = [[[pack(e) for e in row] for row in a] for a in members]
+        return _array_lift(packed, lifted, packed, packed.unpack)
     return _array_lift(ring, members, ring, _unchanged)
 
 

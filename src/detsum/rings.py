@@ -200,8 +200,9 @@ class SparsePoly:
     def variable(cls, var_count: int, index: int) -> "SparsePoly":
         if not 0 <= index < var_count:
             raise ValueError(f"variable index {index} out of range [0, {var_count})")
-        exps = tuple(1 if i == index else 0 for i in range(var_count))
-        return cls(var_count, {exps: 1})
+        exps = [0] * var_count
+        exps[index] = 1
+        return _raw_poly(var_count, {tuple(exps): 1})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -244,6 +244,25 @@ def test_composite_prime_field_descriptor_is_refused(capsys, p):
 
 
 @pytest.mark.parametrize(
+    "ring, error",
+    [
+        ({"kind": "product", "components": []},
+         "SchemaError: ring.components: expected a nonempty array"),
+        ({"kind": "product", "components": [
+            {"kind": "product", "components": [{"kind": "prime_field", "p": 4}]}]},
+         "SchemaError: ring.components[0].components[0]: modulus 4 is not prime"),
+        ({"kind": "prime_field", "p": "x"}, "SchemaError: ring.p: 'x' is not a decimal integer"),
+        ({"kind": "prime_field", "p": 4}, "SchemaError: ring: modulus 4 is not prime"),
+    ],
+    ids=["empty-product", "nested-composite", "bad-int", "composite"],
+)
+def test_ring_refusals_name_their_path_once(capsys, ring, error):
+    doc = json.dumps({"ring": ring, "n": 1, "matrices": [[[1]]]})
+    code, report = run_json(capsys, "alt-sum", "--input", doc)
+    assert code == 1 and report["result"]["error"] == error
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         '{"ring":' + '{"kind":"product","components":[' * 1200 + '{"kind":"integers"}'
@@ -598,6 +617,13 @@ _RESULT_PINS = {
         {"kind": "integers"}, 1, lambda rng: rng.randint(-99, 99), (True, 0),
         "8640c36af630a14ac4b3543d3df2c549bab2eefa6642ebe574776b91ba431723",
         "82ead875115890c5d19fa258d1c92fbebca91041948dd72525b557b3492a6172"),
+    "Z[x, y, z] at n = 3": (
+        {"kind": "int_poly", "var_count": 3}, 3,
+        lambda rng: {"terms": [[[rng.randint(0, 2) for _ in range(3)], rng.randint(-5, 5)]
+                               for _ in range(rng.randint(0, 2))]},
+        (False, None),
+        "b68ad588d2c48718ad83be927e4f7e31e38d5f407c84c5b01b50f51464fcf272",
+        "c96db93b12880b146eddbe614f8249c159ecac203923c802824e62cbb38b8828"),
 }
 
 
@@ -627,6 +653,10 @@ _SYMBOLIC_RESULT_PINS = [
      "1fbc313ebdd3a9ddf6d2aef94afacaa3c044eb1165196833905370c981cece49"),
     (["certificate", "--m", "4", "--n", "2"],
      "51969583d8f9e96b02e001bf3ccfb7817c0d2ebb989a0f8d968d121cd923ccc0"),
+    (["verify-lemma2", "--m", "5", "--n", "3"],
+     "fb5f436f8f2a26fc224979067ee833968152efd2d69b1f05e7fc37d08cad1c4f"),
+    (["certificate", "--m", "5", "--n", "3"],
+     "0cc066ad6ec61f7b25d74751abc6ac9e9bb764946ac17e776e0f7d64dbe678f2"),
 ]
 
 

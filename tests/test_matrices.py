@@ -348,11 +348,20 @@ def test_lift_family_walk_rings():
         (ProductRing([PrimeField(2), PrimeField(2)]), None, None),
         (ProductRing([INTEGERS, F7]), None, None),
         (ProductRing([ModRing(2**512 - 1), ModRing(2**512 + 1)]), None, None),  # past the cap
-        (IntPolyRing(1), None, None),
     ):
         fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
         lift = lift_family(ring, fam, 4)
         assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
+    # Z[x...] walks and takes determinants on packed monomial keys, with a
+    # slot for each variable that occurs (x_7 and x_400 of 1000 here), each
+    # bit_length(n * E) bits wide: E = 3 and n = 3 give 4 bits.
+    ring = IntPolyRing(1000)
+    x, y = ring.variable(7), ring.variable(400)
+    entries = [x, y * y, x ** 3 - 2 * y, ring.from_int(5), ring.zero, -x * y]
+    fam = [[[rng.choice(entries) for _ in range(3)] for _ in range(3)] for _ in range(4)]
+    fam[0][0][0] = x ** 3
+    lift = lift_family(ring, fam, 4)
+    assert lift.ring == lift.det_ring == matrices._PackedPolyRing(1000, (7, 400), 4)
     # One 64-bit prime denominator per member row: over m members a row's
     # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
     # n * excess over n = 4 rows is 4,032..4,096 at m = 5, inside the gate,
@@ -454,6 +463,27 @@ def test_lifted_slots_suite():
     # Packed walks at the edge of every slot width, and one step past it.
     result = run_suite("lifted-slots", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+def test_poly_lift_agreement_suite():
+    # Packed Z[x...] walks and determinants at n = 1..7, in 2000 variables,
+    # and at both slot edges, against SparsePoly sums and Berkowitz.
+    result = run_suite("poly-lift-agreement", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+def test_packed_polys_round_trip_and_multiply_as_sparse_polys():
+    # Only the variables that occur get a slot; a monomial product is one
+    # key addition, exact while every exponent stays below 2^width.
+    ring = IntPolyRing(5000)
+    x, y = ring.variable(3), ring.variable(4321)
+    f, g = 3 * x * x - y, x * y * y + ring.from_int(2)
+    packed = matrices._PackedPolyRing.covering(5000, [[[f, g], [g, f]]])
+    assert (packed.variables, packed.width) == ((3, 4321), 3)  # 2 * E = 4 < 2^3
+    assert packed.pack(x) == {1: 1} and packed.pack(y) == {1 << 3: 1}
+    assert packed.unpack(packed.mul(packed.pack(f), packed.pack(g))) == f * g
+    assert packed.unpack(packed.sub(packed.pack(f), packed.pack(f))) == ring.zero
+    assert packed.is_unit(packed.pack(ring.from_int(-1))) and not packed.is_unit(packed.pack(x))
 
 
 def test_rational_oracle_matches_berkowitz_over_q():
