@@ -115,7 +115,8 @@ def _divides(d: int, x: int) -> bool:
 # -- subcommand handlers ----------------------------------------------------
 # Each takes the parsed flags, the seed and the --input document (None for
 # subcommands without one) and returns (status, result, params); params
-# feeds the input digest.
+# feeds the input digest.  A refused input returns none, so its digest
+# takes the raw values of the subcommand's flags.
 
 def _cmd_verify_lemma3(args, seed, doc):
     report = check_alternating_product_identity(args.m, args.n)
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
 
     handler, _, flags = _COMMANDS[args.subcommand]
     started = time.perf_counter()
-    params: dict = {}
+    params = {flag: getattr(args, flag) for flag in flags}
     try:
         doc = _load_document(args.input) if "input" in flags else None
         status, result, params = handler(args, seed, doc)

@@ -789,8 +789,9 @@ def suite_lifted_slots(rng: random.Random, trials: int, rec: _Recorder) -> None:
     up to 80 bits either side of 0, pins the slot width that
     ``lift_family`` picks.  Then every sum of the search-order walk at
     bound ``size``, and of the Gray walk when size is m, is decoded
-    against ``subset_sum`` and its determinant checked against
-    :func:`_oracle_det`.
+    against ``subset_sum``, its determinant checked against
+    :func:`_oracle_det`, and ``lift.is_unit`` against the ring's unit
+    test of the finished determinant.
     """
     for t in range(trials):
         n = (2, 4, 5)[t % 3]
@@ -816,9 +817,11 @@ def suite_lifted_slots(rng: random.Random, trials: int, rec: _Recorder) -> None:
                 ok = True
                 for bits, value in walk:
                     rows = subset_sum(fam, SubsetMask(bits, m)).rows
+                    d = lift.det(value)
                     ok = ok and rows_of(value) == rows
-                    ok = ok and lift.finish(lift.det(value)) == _oracle_det(ring, rows)
-                rec.check(ok, where("walked sums or determinants differ"))
+                    ok = ok and lift.finish(d) == _oracle_det(ring, rows)
+                    ok = ok and lift.is_unit(d) == ring.is_unit(lift.finish(d))
+                rec.check(ok, where("walked sums, determinants or unit tests differ"))
 
 
 def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -977,11 +980,11 @@ def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -
     whose oracle hashes exponent tuples of 2000 entries, keeps n <= 3 and
     m <= 3; the edge kind takes its (n, E) from ``_POLY_SLOT_EDGES``, each
     once in the default 32 trials.  Checked against ``subset_sum`` and
-    the ring-method Berkowitz on ``SparsePoly`` entries: each entry and
-    determinant of every sum of the search-order walk, the determinant
-    of the full sum by ``det_rows``, the alternating sum and the first
-    invertible subset sum at a random bound; on an edge family, the slot
-    width bit_length(n * E).
+    the ring-method Berkowitz on ``SparsePoly`` entries: each entry,
+    determinant and unit test of every sum of the search-order walk, the
+    determinant of the full sum by ``det_rows``, the alternating sum and
+    the first invertible subset sum at a random bound; on an edge family,
+    the slot width bit_length(n * E).
     """
     kinds = ("small", "wide", "units", "edge")
     for t in range(trials):
@@ -1004,9 +1007,11 @@ def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -
         for bits, value in search_order_sums(lift.members, lift.add, m):
             rows = subset_sum(fam, SubsetMask(bits, m)).rows
             dets[bits] = _det_berkowitz(ring, rows)
+            d = lift.det(value)
             ok = ok and tuple(map(lift.finish, lift.cells(value))) == tuple(e for row in rows for e in row)
-            ok = ok and lift.finish(lift.det(value)) == dets[bits]
-        rec.check(ok, where("walked sums or determinants"))
+            ok = ok and lift.finish(d) == dets[bits]
+            ok = ok and lift.is_unit(d) == ring.is_unit(lift.finish(d))
+        rec.check(ok, where("walked sums, determinants or unit tests"))
         full = (1 << m) - 1
         rows = subset_sum(fam, SubsetMask(full, m)).rows
         rec.check(det_rows(ring, rows) == dets[full], where("det_rows"))

@@ -591,15 +591,8 @@ class _PackedPolyRing(Ring):
     def from_int(self, k):
         return {0: k} if k else {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, _PackedPolyRing)
-            and (self.var_count, self.variables, self.width)
-            == (other.var_count, other.variables, other.width)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.var_count, self.variables, self.width))
+    def _key(self):
+        return (self.var_count, self.variables, self.width)
 
 
 _ROUTES = {
@@ -631,8 +624,11 @@ class Lift(NamedTuple):
     value, and ``finish`` maps it into the family's ring.  ``finish`` is
     additive and one-to-one, so determinants may be added, subtracted
     and compared in ``det_ring`` before it, and zero tests may skip it.
-    ``cells(value)`` is the value's n^2 entries over ``ring``, row by
-    row.
+    ``is_unit(d)`` tells whether ``finish(d)`` is a unit of the family's
+    ring without taking it: ``det_ring.is_unit``, as ``finish`` keeps
+    units and non-units apart, except over Q lifted to Z, where every
+    nonzero d is one.  ``cells(value)`` is the value's n^2 entries
+    over ``ring``, row by row.
 
     ``width`` says what a walked value is: a packed int of n^2 slots of
     ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
@@ -647,6 +643,7 @@ class Lift(NamedTuple):
     cells: Callable[[object], Sequence]
     det_ring: Ring
     finish: Callable[[object], object]
+    is_unit: Callable[[object], bool]
     width: Optional[int]
 
 
@@ -713,7 +710,8 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
                 for a in members
             ]
             scale = math.prod(scales)
-            return _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
+            lift = _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
+            return lift._replace(is_unit=bool)
     if isinstance(ring, IntPolyRing):
         packed = _PackedPolyRing.covering(ring.var_count, members)
         pack = packed.pack
@@ -731,7 +729,7 @@ def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
     def cells(rows):
         return tuple(e for row in rows for e in row)
 
-    return Lift(walk_ring, members, add, sub, det, cells, det_ring, finish, None)
+    return Lift(walk_ring, members, add, sub, det, cells, det_ring, finish, det_ring.is_unit, None)
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -765,7 +763,9 @@ def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
         if width is None:
             return _array_lift(INTEGERS, members, det_ring, finish)
         values, cells, det = _packed(flat, n, width, det_ring, modulus)
-    return Lift(INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, width)
+    return Lift(
+        INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width
+    )
 
 
 def _one_cell(value):

@@ -381,7 +381,8 @@ class Ring:
 
     Subclasses implement exact arithmetic, canonical normalization, unit
     tests and inverses.  Descriptors are immutable value objects: two
-    descriptors compare equal iff they present the same ring.
+    descriptors compare equal iff they present the same ring, that is,
+    share a class and a :meth:`_key`, which also gives the hash and repr.
     """
 
     kind: str = "ring"
@@ -431,11 +432,19 @@ class Ring:
     def element(self, value: object) -> "RingElement":
         return RingElement(self, value)
 
+    # -- identity -------------------------------------------------------
+    def _key(self) -> tuple:
+        """The constructor arguments that tell rings of one class apart."""
+        return ()
+
     def __eq__(self, other: object) -> bool:
-        raise NotImplementedError
+        return other is self or (type(other) is type(self) and other._key() == self._key())
 
     def __hash__(self) -> int:
-        raise NotImplementedError
+        return hash((self.kind, *self._key()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
 
 def _check_int(value: object) -> int:
@@ -486,15 +495,6 @@ class IntegerRing(Ring):
     def random(self, rng):
         return rng.randrange(-9, 10)
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("integers")
-
-    def __repr__(self):
-        return "IntegerRing()"
-
 
 class RationalRing(Ring):
     """The field of rationals, stored as reduced ``Fraction`` values."""
@@ -537,15 +537,6 @@ class RationalRing(Ring):
 
     def random(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("rationals")
-
-    def __repr__(self):
-        return "RationalRing()"
 
 
 class ModRing(Ring):
@@ -595,14 +586,8 @@ class ModRing(Ring):
     def random(self, rng):
         return rng.randrange(self.n)
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.n == self.n
-
-    def __hash__(self):
-        return hash((self.kind, self.n))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.n})"
+    def _key(self):
+        return (self.n,)
 
 
 class PrimeField(ModRing):
@@ -705,11 +690,8 @@ class ProductRing(Ring):
     def random(self, rng):
         return tuple(r.random(rng) for r in self.components)
 
-    def __eq__(self, other):
-        return isinstance(other, ProductRing) and self.components == other.components
-
-    def __hash__(self):
-        return hash(("product", self.components))
+    def _key(self):
+        return (self.components,)
 
     def __repr__(self):
         inside = ", ".join(repr(r) for r in self.components)
@@ -783,14 +765,8 @@ class IntPolyRing(Ring):
     def random(self, rng):
         return random_poly(self.var_count, rng, max_terms=3, max_exponent=2, coeff_bound=4)
 
-    def __eq__(self, other):
-        return isinstance(other, IntPolyRing) and self.var_count == other.var_count
-
-    def __hash__(self):
-        return hash(("int_poly", self.var_count))
-
-    def __repr__(self):
-        return f"IntPolyRing({self.var_count})"
+    def _key(self):
+        return (self.var_count,)
 
 
 INTEGERS = IntegerRing()

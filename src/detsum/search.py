@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .matrices import SquareMatrix, family_ring_shape, lift_family
-from .rings import IntegerRing, ModRing, PrimeField, ProductRing, RingElement
+from .rings import ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
 
 __all__ = [
@@ -50,11 +50,6 @@ MINER_CAPS = {"max_fields": 4, "max_field_size": 7, "max_family": 5}
 MINER_MULTISET_BUDGET = 5_000_000
 
 
-def _check_bound(bound: int, m: int) -> None:
-    if not 1 <= bound <= m:
-        raise InvalidParameters(f"bound must be in [1, {m}], got {bound}")
-
-
 def find_invertible_subsum(
     matrices: Sequence[SquareMatrix], bound: int
 ) -> Optional[SubsetMask]:
@@ -69,11 +64,12 @@ def find_invertible_subsum(
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
-    _check_bound(bound, m)
+    if not 1 <= bound <= m:
+        raise InvalidParameters(f"bound must be in [1, {m}], got {bound}")
     lift = lift_family(ring, [a.rows for a in matrices], bound)
-    det, finish, is_unit = lift.det, lift.finish, ring.is_unit
+    det, is_unit = lift.det, lift.is_unit
     for bits, value in search_order_sums(lift.members, lift.add, bound):
-        if is_unit(finish(det(value))):
+        if is_unit(det(value)):
             return SubsetMask(bits, m)
     return None
 
@@ -88,7 +84,8 @@ def local_counterexample_matrices(
     N to have at least two distinct prime factors.  The first n matrices
     put m1 in one diagonal slot each; the last is m2 times the identity.
     Every subset of size <= n then has determinant 0, m1^n, or a power
-    of m2, all non-units.
+    of m2, all non-units.  A family of more than ``MAX_FAMILY`` members is
+    refused before any matrix is built.
     """
     if modulus < 2:
         raise InvalidParameters(f"modulus must be at least 2, got {modulus}")
@@ -102,6 +99,8 @@ def local_counterexample_matrices(
         raise InvalidParameters(f"{m1} is a unit modulo {modulus}")
     if math.gcd(r2, modulus) == 1:
         raise InvalidParameters(f"{m2} is a unit modulo {modulus}")
+    if n + 1 > MAX_FAMILY:
+        raise TooManyMatrices(f"family of {n + 1} exceeds the {MAX_FAMILY}-element limit")
     family = [
         SquareMatrix.diagonal(ring, [r1 if i == j else 0 for j in range(n)])
         for i in range(n)
@@ -141,12 +140,9 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     every ideal is principal and a gcd is a canonical generator.
     """
     ring, n = family_ring_shape(matrices)
-    if isinstance(ring, IntegerRing):
-        modulus = 0
-    elif type(ring) is ModRing:  # F_p is a ModRing too, and is refused below
-        modulus = ring.n
-    else:
+    if ring.kind not in ("integers", "mod"):  # F_p is a ModRing of its own kind
         raise UnsupportedRing(f"ideal chains need Z or Z/N, got {ring!r}")
+    modulus = ring.n if ring.kind == "mod" else 0
     m = len(matrices)
     if m > IDEAL_CHAIN_FAMILY_CAP:
         raise TooManyMatrices(
@@ -159,9 +155,9 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     acc = 0
     for bits, value in search_order_sums(lift.members, lift.add, top):
         if bits.bit_count() == len(generators) + 1:  # the level below is complete
-            generators.append(math.gcd(acc, modulus) if modulus else acc)
+            generators.append(math.gcd(acc, modulus))  # gcd(acc, 0) = acc
         acc = math.gcd(acc, finish(det(value)))
-    generators += [math.gcd(acc, modulus) if modulus else acc] * (m - top + 1)
+    generators += [math.gcd(acc, modulus)] * (m - top + 1)
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
 
@@ -195,21 +191,6 @@ class SemilocalInstance:
         return tuple(el.value for el in self.elements)
 
 
-def _first_unit_subsum(
-    ring: ProductRing, raw: Sequence[tuple[int, ...]], bound: int
-) -> Optional[int]:
-    """Mask of the first subset of size <= bound summing to a unit, or None."""
-    # The lift's finish is the CRT isomorphism from Z/M or the identity, so
-    # a determinant is a unit of det_ring exactly when its image is one of
-    # the product.
-    lift = lift_family(ring, [((t,),) for t in raw], bound)
-    det, is_unit = lift.det, lift.det_ring.is_unit
-    for bits, total in search_order_sums(lift.members, lift.add, bound):
-        if is_unit(det(total)):
-            return bits
-    return None
-
-
 def semilocal_find_unit_subsum(
     instance: SemilocalInstance, bound: int
 ) -> Optional[SubsetMask]:
@@ -217,14 +198,16 @@ def semilocal_find_unit_subsum(
 
     Succeeds whenever all component fields share one characteristic, the
     total sum is a unit, and bound covers the component count; with mixed
-    characteristics it may find nothing even then.
+    characteristics it may find nothing even then.  The search is
+    :func:`find_invertible_subsum` on the 1x1 matrices of the elements,
+    since a 1x1 matrix is invertible exactly when its entry is a unit.
     """
     m = len(instance.elements)
     if m > MAX_FAMILY:
         raise TooManyElements(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
-    _check_bound(bound, m)
-    bits = _first_unit_subsum(instance.ring, instance.raw_elements(), bound)
-    return None if bits is None else SubsetMask(bits, m)
+    return find_invertible_subsum(
+        [SquareMatrix(instance.ring, [[el.value]]) for el in instance.elements], bound
+    )
 
 
 def embed_product_to_matrices(instance: SemilocalInstance) -> list[SquareMatrix]:
@@ -271,7 +254,7 @@ def semilocal_counterexample_instances() -> tuple[SemilocalInstance, SemilocalIn
             total = ring.add(total, t)
         if not ring.is_unit(total):
             raise ContractViolation(f"instance ({label}): total sum is not a unit")
-        if _first_unit_subsum(ring, raw, len(raw) - 1) is not None:
+        if semilocal_find_unit_subsum(inst, len(raw) - 1) is not None:
             raise ContractViolation(f"instance ({label}): some proper subset sums to a unit")
         instances.append(inst)
     instance_a, instance_b = instances
@@ -335,7 +318,7 @@ def mixed_char_counterexample_search(
 
     bound = min(subset_bound, m)
     lift = lift_family(ring, [((t,),) for t in pool], m)
-    members, add, det, is_unit = lift.members, lift.add, lift.det, lift.det_ring.is_unit
+    members, add, det, is_unit = lift.members, lift.add, lift.det, lift.is_unit
     found = []
     chosen = [0] * m
 

@@ -262,6 +262,19 @@ def test_ring_refusals_name_their_path_once(capsys, ring, error):
     assert code == 1 and report["result"]["error"] == error
 
 
+def test_error_reports_digest_their_raw_inputs(capsys):
+    # A refused input resolves no params, so its digest covers the raw
+    # flag values: two malformed rings differ, one ring given twice agrees.
+    digests = []
+    for ring in ('{"kind":"product","components":[]}', '{"kind":"mod","N":1}',
+                 '{"kind":"product","components":[]}'):
+        code, report = run_json(capsys, "alt-sum", "--input",
+                                '{"ring":%s,"n":1,"matrices":[[[1]]]}' % ring)
+        assert code == 1 and report["status"] == "error"
+        digests.append(report["inputs"])
+    assert digests[0] != digests[1] and digests[0] == digests[2]
+
+
 @pytest.mark.parametrize(
     "doc",
     [

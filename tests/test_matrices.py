@@ -40,6 +40,7 @@ from detsum.matrices import (
     mat_mul,
 )
 from detsum.fuzz import _coprime_rational_row, _oracle_det, run_suite
+from detsum.subsets import search_order_sums
 
 from conftest import int_rows, ref_det
 
@@ -335,9 +336,16 @@ def test_rational_entries_exact():
     assert det(a).value == Fraction(1, 10) - Fraction(1, 12)
 
 
+def _units_agree(ring, lift, size):
+    # lift.is_unit(d) answers for finish(d) on every walked sum.
+    dets = [lift.det(value) for _, value in search_order_sums(lift.members, lift.add, size)]
+    return all(lift.is_unit(d) == ring.is_unit(lift.finish(d)) for d in dets)
+
+
 def test_lift_family_walk_rings():
     rng = random.Random(157)
     # (ring, walk ring, determinant ring); None stands for the ring itself.
+    # The identity joins each family, so that some walked sum is a unit.
     for ring, walk, det_ring in (
         (INTEGERS, INTEGERS, None),
         (Z6, INTEGERS, None),
@@ -350,8 +358,9 @@ def test_lift_family_walk_rings():
         (ProductRing([ModRing(2**512 - 1), ModRing(2**512 + 1)]), None, None),  # past the cap
     ):
         fam = [random_matrix(ring, 3, rng).rows for _ in range(4)]
-        lift = lift_family(ring, fam, 4)
+        lift = lift_family(ring, fam + [SquareMatrix.identity(ring, 3).rows], 4)
         assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
+        assert _units_agree(ring, lift, 4), ring
     # Z[x...] walks and takes determinants on packed monomial keys, with a
     # slot for each variable that occurs (x_7 and x_400 of 1000 here), each
     # bit_length(n * E) bits wide: E = 3 and n = 3 give 4 bits.
@@ -360,16 +369,18 @@ def test_lift_family_walk_rings():
     entries = [x, y * y, x ** 3 - 2 * y, ring.from_int(5), ring.zero, -x * y]
     fam = [[[rng.choice(entries) for _ in range(3)] for _ in range(3)] for _ in range(4)]
     fam[0][0][0] = x ** 3
-    lift = lift_family(ring, fam, 4)
+    lift = lift_family(ring, fam + [SquareMatrix.identity(ring, 3).rows], 4)
     assert lift.ring == lift.det_ring == matrices._PackedPolyRing(1000, (7, 400), 4)
+    assert _units_agree(ring, lift, 4)
     # One 64-bit prime denominator per member row: over m members a row's
     # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
     # n * excess over n = 4 rows is 4,032..4,096 at m = 5, inside the gate,
     # and 5,040..5,120 at m = 6, past it: that walk adds fractions.
     fam = [[_coprime_rational_row(rng, 4) for _ in range(4)] for _ in range(6)]
     assert RATIONAL_LIFT_MAX_EXCESS_BITS == 4096
-    assert lift_family(RATIONALS, fam[:5], 5).ring == INTEGERS
-    assert lift_family(RATIONALS, fam, 6).ring == RATIONALS
+    for members, walk in ((fam[:5], INTEGERS), (fam, RATIONALS)):
+        lift = lift_family(RATIONALS, members, len(members))
+        assert lift.ring == walk and _units_agree(RATIONALS, lift, len(members))
 
 
 def test_lift_family_slot_widths():

@@ -20,7 +20,7 @@ from detsum import (
     poly_eval,
     random_poly,
 )
-from detsum import jsonio
+from detsum import jsonio, matrices
 from detsum.fuzz import run_suite
 from detsum.rings import PRIME_FIELD_MAX_BITS, is_probable_prime
 
@@ -77,6 +77,14 @@ def test_prime_field_is_z_mod_p_but_its_own_kind():
     assert hash(f7) != hash(z7)
     assert repr(f7) == "PrimeField(7)" and repr(z7) == "ModRing(7)"
     assert repr(ProductRing([f7, z7])) == "ProductRing([PrimeField(7), ModRing(7)])"
+    # Every ring's equality, hash and repr come from its class and _key().
+    assert [repr(r) for r in (INTEGERS, RATIONALS, IntPolyRing(3))] == [
+        "IntegerRing()", "RationalRing()", "IntPolyRing(3)"
+    ]
+    packed = matrices._PackedPolyRing(3, (0, 2), 4)
+    assert packed == matrices._PackedPolyRing(3, (0, 2), 4) != IntPolyRing(3)
+    assert hash(packed) == hash(matrices._PackedPolyRing(3, (0, 2), 4))
+    assert packed != matrices._PackedPolyRing(3, (0, 2), 5)
     with pytest.raises(RingMismatch, match=r"PrimeField\(7\) vs ModRing\(7\)"):
         f7.element(1) + z7.element(1)
     with pytest.raises(RingMismatch):

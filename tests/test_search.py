@@ -153,6 +153,15 @@ def test_local_counterexample_rejects_units():
         local_counterexample_matrices(4, 2, 3, 2)  # 3 is a unit mod 4
 
 
+def test_local_counterexample_refuses_a_family_past_the_limit_before_building_it(monkeypatch):
+    # n + 1 members must fit MAX_FAMILY = 64.  With no matrix class to
+    # build with, n = 64 still gets its typed refusal, so nothing was built.
+    assert len(local_counterexample_matrices(6, 3, 4, 63)) == 64
+    monkeypatch.setattr(search, "SquareMatrix", None)
+    with pytest.raises(TooManyMatrices, match="family of 65 exceeds the 64-element limit"):
+        local_counterexample_matrices(6, 3, 4, 64)
+
+
 def test_local_counterexample_defeats_search_for_all_n():
     for n in (1, 2, 3):
         fam = local_counterexample_matrices(6, 3, 4, n)
