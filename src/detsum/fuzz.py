@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import UnsupportedRing
 from .identities import (
+    _ring_alternating_sum,
     alternating_subset_det_sum,
     find_perturbing_subset,
     homogeneous_alternating_sum,
@@ -493,6 +494,66 @@ def suite_homogeneous_sum(rng: random.Random, trials: int, rec: _Recorder) -> No
                 value.is_zero(),
                 lambda: f"nonzero homogeneous sum (deg={degree}, m={m}, ring={ring!r})",
             )
+
+
+# The rings of the homogeneous-lift-agreement suite, one per lift.
+_HOMOGENEOUS_LIFT_RINGS: Sequence[Ring] = (
+    INTEGERS,
+    ModRing(6),
+    PrimeField(7),
+    RATIONALS,
+    ModRing(2**512 - 1),
+    _f2x3x5(),
+    ProductRing([ModRing(4), ModRing(6)]),
+    IntPolyRing(2),
+)
+_COPRIME_DENOMINATORS = tuple(p for p in range(11, 400) if is_probable_prime(p))
+_NONZERO_TRIALS = 8
+
+
+def suite_homogeneous_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The int-lifted homogeneous sum agrees with ring arithmetic.
+
+    Trial t draws over ring t % 8 of ``_HOMOGENEOUS_LIFT_RINGS`` a
+    homogeneous f of 1-6 variables and 1-5 terms, and m vectors.  Every
+    other trial of a ring has m <= d (1 <= d <= 3), where the sum need
+    not vanish, so nonzero values are compared too; the rest have
+    m in {d + 1, d + 2} (0 <= d <= 3).  The oracle sums each point with
+    ring methods and evaluates f by ``eval_raw``.  A ring given at least
+    ``_NONZERO_TRIALS`` trials with m <= d must show a nonzero sum in one.
+    """
+    rings = _HOMOGENEOUS_LIFT_RINGS
+    small = [0] * len(rings)
+    nonzero = [False] * len(rings)
+    for t in range(trials):
+        slot = t % len(rings)
+        ring = rings[slot]
+        nvars = rng.randint(1, 6)
+        if t // len(rings) % 2:
+            degree = rng.randint(1, 3)
+            m = rng.randint(1, degree)
+            small[slot] += 1
+        else:
+            degree = rng.randint(0, 3)
+            m = degree + rng.randint(1, 2)
+        f = random_homogeneous_poly(nvars, degree, rng, max_terms=5)
+        if ring == RATIONALS:  # pairwise coprime denominators, so D^d is large
+            coords = [Fraction(rng.randint(-9, 9), p) for p in rng.sample(_COPRIME_DENOMINATORS, m * nvars)]
+        else:
+            coords = [ring.random(rng) for _ in range(m * nvars)]
+        raw = [coords[i:i + nvars] for i in range(0, m * nvars, nvars)]
+        vectors = [[RingElement(ring, x, _normalized=True) for x in vec] for vec in raw]
+        value = homogeneous_alternating_sum(f, vectors).value
+        expected = _ring_alternating_sum(f, ring, raw)
+        nonzero[slot] = nonzero[slot] or not ring.is_zero(expected)
+        rec.check(
+            value == expected,
+            lambda: f"lifted homogeneous sum {value!r} != {expected!r} "
+            f"(deg={degree}, m={m}, vars={nvars}, ring={ring!r})",
+        )
+    for slot, ring in enumerate(rings):
+        if small[slot] >= _NONZERO_TRIALS:
+            rec.check(nonzero[slot], lambda: f"no nonzero sum compared over {ring!r}")
 
 
 def _singular_rational_points(rng: random.Random, n: int, count: int) -> list[SquareMatrix]:
@@ -1117,6 +1178,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "perturbation-residual": (suite_perturbation_residual, 100),
     "perturbation-witness": (suite_perturbation_witness, 50),
     "homogeneous-sum": (suite_homogeneous_sum, 50),
+    "homogeneous-lift-agreement": (suite_homogeneous_lift_agreement, 200),
     "simplex": (suite_simplex, 50),
     "search-field-guarantee": (suite_search_field_guarantee, 50),
     "search-minimality": (suite_search_minimality, 50),

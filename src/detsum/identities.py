@@ -16,7 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -38,7 +40,17 @@ from .matrices import (
     family_ring_shape,
     lift_family,
 )
-from .rings import RATIONALS, IntPolyRing, Ring, RingElement, SparsePoly
+from .rings import (
+    RATIONALS,
+    IntegerRing,
+    IntPolyRing,
+    ModRing,
+    ProductRing,
+    RationalRing,
+    Ring,
+    RingElement,
+    SparsePoly,
+)
 from .subsets import (
     MAX_FAMILY,
     SubsetMask,
@@ -355,7 +367,26 @@ def homogeneous_alternating_sum(
 
     f must be homogeneous; the sum is exactly zero whenever the family is
     larger than deg f, which generalizes the determinant identity (det of
-    an n x n matrix is homogeneous of degree n in its entries).
+    an n x n matrix is homogeneous of degree n in its entries).  The
+    empty subset contributes f(0), nonzero only for a constant f.
+
+    f has integer coefficients, so it may be evaluated on integer lifts
+    of the coordinates and the sum mapped into the ring at the end.  The
+    vectors are lifted once and walked in Gray order as plain int lists,
+    and f is evaluated at each point from a monomial list compiled once
+    (:func:`_int_alternating_sum`):
+
+    * Z          -- the coordinates as they are;
+    * Z/N, F_p   -- the residues, summed as plain ints; the sum is
+      reduced mod N once, at the end;
+    * Q          -- every coordinate scaled by D, the lcm of all the
+      denominators.  f is homogeneous of degree d, so f(D·v) = D^d·f(v),
+      and the sum over Q is the integer sum divided by D^d (D^0 = 1);
+    * products   -- one walk per component, as the alternating sum over
+      R_1 x ... x R_k is the tuple of the components' sums; no CRT, so
+      non-coprime moduli are covered too;
+    * Z[x...]    -- the points are summed and f evaluated by ring
+      arithmetic (:func:`_ring_alternating_sum`).
     """
     degree = poly.homogeneous_degree()
     if degree is None:
@@ -384,12 +415,73 @@ def homogeneous_alternating_sum(
             raw.append(el.value)
         raw_vectors.append(raw)
 
+    value = _homogeneous_sum(ring, poly, degree, raw_vectors)
+    return RingElement(ring, value, _normalized=True)
+
+
+def _homogeneous_sum(ring: Ring, poly: SparsePoly, degree: int, vectors) -> object:
+    # The raw alternating sum over ring, walked on int lifts where it has them.
+    if isinstance(ring, ProductRing):
+        return tuple(
+            _homogeneous_sum(comp, poly, degree, [[x[c] for x in vec] for vec in vectors])
+            for c, comp in enumerate(ring.components)
+        )
+    if isinstance(ring, IntegerRing):
+        return _int_alternating_sum(poly, vectors)
+    if isinstance(ring, ModRing):
+        return _int_alternating_sum(poly, vectors) % ring.n
+    if isinstance(ring, RationalRing):
+        scale = math.lcm(*(x.denominator for vec in vectors for x in vec))
+        lifted = [[x.numerator * (scale // x.denominator) for x in vec] for vec in vectors]
+        return Fraction(_int_alternating_sum(poly, lifted), scale**degree)
+    return _ring_alternating_sum(poly, ring, vectors)
+
+
+def _vector_add(a: list[int], b: list[int]) -> list[int]:
+    return list(map(operator.add, a, b))
+
+
+def _vector_sub(a: list[int], b: list[int]) -> list[int]:
+    return list(map(operator.sub, a, b))
+
+
+def _int_alternating_sum(poly: SparsePoly, vectors: Sequence[list[int]]) -> int:
+    """Sum of (-1)^|S| f(sum of S) over every subset S, on int vectors.
+
+    f is compiled once into monomials (coeff, indices), each index
+    repeated as often as its exponent: x0^2*x2 becomes (c, (0, 0, 2)).
+    The empty subset adds f(0), the coefficient of a constant f.
+    """
+    monomials = [
+        (coeff, tuple(i for i, e in enumerate(exps) for _ in range(e)))
+        for exps, coeff in poly.terms.items()
+    ]
+    acc = sum(coeff for coeff, indices in monomials if not indices)
+    for bits, point in gray_sums(vectors, _vector_add, _vector_sub):
+        value = 0
+        for coeff, indices in monomials:
+            for i in indices:
+                coeff *= point[i]
+            value += coeff
+        if bits.bit_count() & 1:
+            acc -= value
+        else:
+            acc += value
+    return acc
+
+
+def _ring_alternating_sum(poly: SparsePoly, ring: Ring, vectors) -> object:
+    """The same sum by ring arithmetic: each point is summed with
+    ``ring.add`` and ``ring.sub`` and f evaluated by ``eval_raw``.  It
+    serves Z[x...] and checks the int walks in the
+    ``homogeneous-lift-agreement`` fuzz suite.
+    """
     add, sub = ring.add, ring.sub
     acc = poly.eval_raw(ring, [ring.zero] * poly.var_count)  # empty subset: f(0)
-    for bits, (point,) in gray_sums([[vec] for vec in raw_vectors], *array_ops(ring)):
+    for bits, (point,) in gray_sums([[vec] for vec in vectors], *array_ops(ring)):
         value = poly.eval_raw(ring, point)
         acc = sub(acc, value) if bits.bit_count() & 1 else add(acc, value)
-    return RingElement(ring, acc, _normalized=True)
+    return acc
 
 
 def simplex_centroid_check(points: Sequence[SquareMatrix]) -> SimplexReport:

@@ -761,3 +761,74 @@ def test_residue_ring_results_are_pinned(capsys, name):
     assert code == 0 and report["status"] == status, report
     result = json.dumps(report["result"], sort_keys=True).encode()
     assert hashlib.sha256(result).hexdigest() == digest
+
+
+def _poly_terms(rng, var_count, degree):
+    # 1-3 terms of one total degree, coefficients +-1..5.
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * var_count
+        for _ in range(degree):
+            exps[rng.randrange(var_count)] += 1
+        terms[tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 5)
+    return [[list(e), c] for e, c in sorted(terms.items())]
+
+
+_COPRIME_DENOMINATORS = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+_N512 = 2**512 - 1
+
+# (ring, draw(rng, k) of the k-th coordinate, sha256 of the results of
+# _HOMOGENEOUS_CASES).  The Q coordinates have pairwise coprime
+# denominators, so the common denominator D and D^d are both large.
+_HOMOGENEOUS_RESULT_PINS = {
+    "Z, negative entries": (
+        {"kind": "integers"}, lambda rng, k: rng.randint(-9, 9),
+        "631eb7f1c084e599ad6930c77deedfcbd51b4276b3b89890db26464439a076b3"),
+    "Z/6": (
+        {"kind": "mod", "N": 6}, lambda rng, k: rng.randrange(6),
+        "32483729b10ce4b11e99ab6dae28d033d81e7f20e60c477da111ca3d449d2f76"),
+    "F_7": (
+        {"kind": "prime_field", "p": 7}, lambda rng, k: rng.randrange(7),
+        "cb1448655dc536749e43be4545a13eb5959ca029d06d277cb8ee0fa3dabe136b"),
+    "Q, coprime denominators": (
+        {"kind": "rationals"},
+        lambda rng, k: f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{_COPRIME_DENOMINATORS[k]}",
+        "d533a9c4d376a05fb479fb20da313679f5e69ea657624490dd069311cc79f1f3"),
+    "Z/(2^512-1)": (
+        {"kind": "mod", "N": str(_N512)}, lambda rng, k: str(rng.randrange(_N512)),
+        "119d18cf3242ae1f01240fd878fad8f0cbe4bbac253f801dfa8a136ee71047ee"),
+    "F2xF3xF5": (
+        _F2F3F5, lambda rng, k: [rng.randrange(2), rng.randrange(3), rng.randrange(5)],
+        "80520dfd4a6c3303589550b12247daf1e09df6a52649c27d138ccd8829493162"),
+    "Z/4xZ/6, not coprime": (
+        {"kind": "product", "components": [{"kind": "mod", "N": 4}, {"kind": "mod", "N": 6}]},
+        lambda rng, k: [rng.randrange(4), rng.randrange(6)],
+        "aeb9ad58ca65d0cbe3f0eab65ded691bcf15e5a526f18c743b4e4f142c4978d8"),
+    "Z[x, y]": (
+        {"kind": "int_poly", "var_count": 2},
+        lambda rng, k: {"terms": [[[rng.randint(0, 2), rng.randint(0, 2)], rng.randint(-3, 3)]
+                                  for _ in range(rng.randint(1, 2))]},
+        "abc1455d80919b2dbebdb9734eac55cdc4f23bfbf781743a697803cda3a2289b"),
+}
+
+# (degree, m): the value is zero when m > degree.  When m <= degree it may
+# be zero by chance over a small ring; the seed salt 19 is the first that
+# gives a nonzero value in every such case of every ring.
+_HOMOGENEOUS_CASES = ((0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (1, 1), (2, 2), (3, 3), (3, 2))
+
+
+@pytest.mark.parametrize("name", list(_HOMOGENEOUS_RESULT_PINS))
+def test_homogeneous_results_are_pinned(capsys, name):
+    ring, draw, digest = _HOMOGENEOUS_RESULT_PINS[name]
+    rng = random.Random(f"19:{name}")
+    var_count = 3
+    results = []
+    for degree, m in _HOMOGENEOUS_CASES:
+        vectors = [[draw(rng, i * var_count + j) for j in range(var_count)] for i in range(m)]
+        doc = {"ring": ring, "var_count": var_count,
+               "poly": {"terms": _poly_terms(rng, var_count, degree)}, "vectors": vectors}
+        code, report = run_json(capsys, "homogeneous", "--input", json.dumps(doc))
+        assert code == 0 and report["status"] == ("holds" if m > degree else "none"), (degree, m, report)
+        results.append(report["result"])
+    got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert got == digest

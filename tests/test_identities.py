@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +34,7 @@ from detsum import (
     simplex_centroid_check,
     subset_sum,
 )
-from detsum.fuzz import superset_sign_sums
+from detsum.fuzz import run_suite, superset_sign_sums
 from detsum.identities import DET_IDENTITY_CAPS, superset_sign_counts
 
 from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_product_sum, ref_subset_sum
@@ -403,6 +404,47 @@ def test_homogeneous_sum_no_contract_at_degree():
     vectors = [[INTEGERS.element(1)], [INTEGERS.element(2)]]
     # f(0) - f(1) - f(2) + f(3) = 0 - 1 - 4 + 9 = 4
     assert homogeneous_alternating_sum(f, vectors).value == 4
+
+
+def test_homogeneous_sum_over_q_divides_by_d_to_the_degree():
+    # D = 6 and d = 2, so the lifted integer sum is divided by D^2 = 36.
+    f = SparsePoly(1, {(2,): 1})  # x^2
+    half, third = RATIONALS.element(Fraction(1, 2)), RATIONALS.element(Fraction(1, 3))
+    # f(0) - f(1/2) - f(1/3) + f(5/6) = 0 - 1/4 - 1/9 + 25/36 = 1/3
+    assert homogeneous_alternating_sum(f, [[half], [third]]).value == Fraction(1, 3)
+    g = SparsePoly(2, {(1, 1): 1})  # x0*x1
+    # g(0) - g(1/2, 1/3) = -1/6
+    assert homogeneous_alternating_sum(g, [[half, third]]).value == Fraction(-1, 6)
+    assert homogeneous_alternating_sum(g, [[half, third], [third, half], [half, half]]).is_zero()
+
+
+def test_homogeneous_sum_over_a_non_coprime_product():
+    # Z/4 x Z/6 is not Z/24 (4 and 6 share a factor); each component is summed on its own.
+    ring = ProductRing([ModRing(4), Z6])
+    f = SparsePoly(1, {(2,): 1})  # x^2: f(0) - f(a) - f(b) + f(a + b) = 2ab
+    a, b = ring.element((1, 1)), ring.element((3, 2))
+    # 2*1*3 = 6 = 2 mod 4, and 2*1*2 = 4 mod 6
+    assert homogeneous_alternating_sum(f, [[a], [b]]).value == (2, 4)
+    assert homogeneous_alternating_sum(f, [[a], [b], [ring.element((2, 5))]]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "ring", [INTEGERS, RATIONALS, Z6, ProductRing([ModRing(4), Z6])], ids=repr
+)
+def test_homogeneous_sum_of_a_constant(ring):
+    # f = 5 has degree 0.  The empty subset adds f(0) = 5, and every m >= 1
+    # cancels it: 5 * sum_S (-1)^|S| = 0.  Without it the sum would be -5.
+    f = SparsePoly.constant(2, 5)
+    rng = random.Random(263)
+    for m in range(1, 5):
+        vectors = [[ring.element(ring.random(rng)) for _ in range(2)] for _ in range(m)]
+        assert homogeneous_alternating_sum(f, vectors).is_zero(), m
+
+
+def test_homogeneous_lift_agreement_suite():
+    result = run_suite("homogeneous-lift-agreement", seed=0)
+    assert result.failures == 0, result.first_failure
+    assert result.checks == 208  # 200 trials, and a nonzero sum seen over each of 8 rings
 
 
 # -- simplex centroid ----------------------------------------------------------
