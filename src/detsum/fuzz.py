@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,10 @@ from typing import Callable, Optional, Sequence
 
 from .errors import UnsupportedRing
 from .identities import (
+    SPLIT_MIN_M,
     _ring_alternating_sum,
+    _split_alternating_sum,
+    _walk_alternating_sum,
     alternating_subset_det_sum,
     find_perturbing_subset,
     homogeneous_alternating_sum,
@@ -220,6 +224,30 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
     (ModRing(2**64), 16, 2**64),
 )
 LEIBNIZ_ORACLE_MAX_N = 6
+# Over Z/N and F_p, trials t with t % RING_BERKOWITZ_EVERY == 0 also run
+# the ring-method Berkowitz, which _det_generic runs on other rings.
+RING_BERKOWITZ_EVERY = 10
+
+
+def _berkowitz_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    """Berkowitz's determinant over Z/N on plain ints, each dot product
+    reduced mod N: the steps of the ring-method ``_det_berkowitz``."""
+    n = len(rows)
+
+    def dot(xs, ys):
+        return sum(map(operator.mul, xs, ys)) % modulus
+
+    poly = [1, -rows[n - 1][n - 1] % modulus]
+    for k in range(n - 2, -1, -1):
+        head = rows[k][k + 1:]
+        block = [row[k + 1:] for row in rows[k + 1:]]
+        vec = [row[k] for row in rows[k + 1:]]
+        toeplitz = [1, -rows[k][k] % modulus, -dot(head, vec) % modulus]
+        for _ in range(n - k - 2):
+            vec = [dot(row, vec) for row in block]
+            toeplitz.append(-dot(head, vec) % modulus)
+        poly = [dot(toeplitz[i::-1], poly) for i in range(len(poly) + 1)]
+    return poly[n] if n % 2 == 0 else -poly[n] % modulus
 
 
 def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -230,16 +258,21 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
     F_p and Z/N, so there Leibniz and Berkowitz are the independent
     oracles; the 512- and 521-bit moduli check every route on residues
     far wider than a machine word.  Over Z/2^64 a column with no odd
-    entry has no unit, which sends elimination down Euclid's steps."""
+    entry has no unit, which sends elimination down Euclid's steps.
+    Over F_p and Z/N, Berkowitz runs on plain ints (:func:`_berkowitz_mod`),
+    and in ring methods every ``RING_BERKOWITZ_EVERY``-th trial."""
     for ring, max_n, modulus in _CROSS_CHECK_RINGS:
         for t in range(trials):
             n = t % max_n + 1
             rows = random_matrix(ring, n, rng).rows
-            values = {"det": det_rows(ring, rows), "berkowitz": _det_berkowitz(ring, rows)}
+            values = {"det": det_rows(ring, rows)}
+            if modulus is None or t % RING_BERKOWITZ_EVERY == 0:
+                values["berkowitz"] = _det_berkowitz(ring, rows)
+            if modulus is not None:
+                values["int berkowitz"] = _berkowitz_mod(rows, modulus)
+                values["lifted"] = det_rows(INTEGERS, rows) % modulus
             if n <= LEIBNIZ_ORACLE_MAX_N:
                 values["leibniz"] = _det_leibniz(ring, rows)
-            if modulus is not None:
-                values["lifted"] = det_rows(INTEGERS, rows) % modulus
             rec.check(
                 len(set(values.values())) == 1,
                 lambda: f"determinants disagree over {ring!r} (n={n}): "
@@ -311,6 +344,57 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                         value.is_zero(),
                         lambda: f"nonzero alternating sum over {ring!r} (n={n}, m={m}): {value!r}",
                     )
+
+
+_SPLIT_RINGS: Sequence[Ring] = (
+    INTEGERS,
+    RATIONALS,
+    ModRing(6),
+    ModRing(10),
+    ModRing(2**512 - 1),
+    PrimeField(7),
+    _f2x3x5(),
+    ProductRing([ModRing(4), ModRing(9)]),
+)
+_SPLIT_SHAPES = [(n, m) for n in SPLIT_MIN_M for m in range(2, 13)]
+_SPLIT_NONZERO_TRIALS = 3
+
+
+def suite_alt_sum_split(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The split alternating sum agrees with the Gray walk of all 2^m
+    subsets, whatever the crossover.
+
+    Trial t draws a family over ring t % 8 of ``_SPLIT_RINGS``, at the
+    (n, m) of ``_SPLIT_SHAPES`` that t // 8 picks: every n the split
+    serves, and m = 2..12, odd m (unequal halves) and m <= n among them,
+    so the default 352 trials draw each (ring, n, m) once.  Every ring
+    lifts to ints: Q with small denominators, F2xF3xF5 and Z/4xZ/9 by
+    the CRT as Z/30 and Z/36, Z/(2^512-1) as int arrays at n >= 2.  A
+    ring that draws m <= n at least ``_SPLIT_NONZERO_TRIALS`` times must
+    show a nonzero sum in one.
+    """
+    small = dict.fromkeys(_SPLIT_RINGS, 0)
+    nonzero = dict.fromkeys(_SPLIT_RINGS, False)
+    for t in range(trials):
+        ring = _SPLIT_RINGS[t % len(_SPLIT_RINGS)]
+        n, m = _SPLIT_SHAPES[t // len(_SPLIT_RINGS) % len(_SPLIT_SHAPES)]
+        fam = [random_matrix(ring, n, rng) for _ in range(m)]
+        lift = lift_family(ring, [a.rows for a in fam], m)
+        if lift.ring != INTEGERS:
+            rec.check(False, lambda: f"{ring!r} does not lift to ints (n={n})")
+            continue
+        split = lift.det_ring.from_int(_split_alternating_sum(lift, n))
+        walk = _walk_alternating_sum(lift)
+        if m <= n:
+            small[ring] += 1
+            nonzero[ring] = nonzero[ring] or not lift.det_ring.is_zero(walk)
+        rec.check(
+            split == walk,
+            lambda: f"split alternating sum {split!r} != walk {walk!r} over {ring!r} (n={n}, m={m})",
+        )
+    for ring in _SPLIT_RINGS:
+        if small[ring] >= _SPLIT_NONZERO_TRIALS:
+            rec.check(nonzero[ring], lambda: f"no nonzero alternating sum compared over {ring!r}")
 
 
 def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object], tuple]:
@@ -1173,6 +1257,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-homogeneity": (suite_det_homogeneity, 100),
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
+    "alt-sum-split": (suite_alt_sum_split, 352),
     "subset-walks": (suite_subset_walks, 10),
     "superset-sign-sums": (suite_superset_sign_sums, 40),
     "perturbation-residual": (suite_perturbation_residual, 100),

@@ -94,6 +94,14 @@ def test_alt_sum_contract_and_informational(capsys):
     assert report["result"]["residual"] == -3
 
 
+def test_alt_sum_on_thirty_identities_holds(capsys):
+    # 2^30 subsets; the split walks 2 * 2^15 of them.
+    doc = json.dumps({"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 0], [0, 1]]] * 30})
+    code, report = run_json(capsys, "alt-sum", "--input", doc)
+    assert code == 0 and report["status"] == "holds"
+    assert report["result"]["residual"] == 0 and report["result"]["term_count"] == 1 << 30
+
+
 def test_reports_are_byte_identical(capsys):
     _, first = run_cli(capsys, "fuzz", "--trials", "2", "--suites", "det-agreement", "--seed", "5")
     _, second = run_cli(capsys, "fuzz", "--trials", "2", "--suites", "det-agreement", "--seed", "5")
@@ -654,6 +662,46 @@ def test_perturb_and_alt_sum_results_are_pinned(capsys, name):
         assert code == 0, report
         result = json.dumps(report["result"], sort_keys=True).encode()
         assert hashlib.sha256(result).hexdigest() == digest, command
+
+
+# Each kind of int lift that the split alternating sum serves: (ring, entry
+# draw, whether n >= 2 packs, sha256 of the alt-sum results at every
+# (n, m) of _SPLIT_PIN_SHAPES).  n = 1 walks plain ints for every kind.
+_SPLIT_PIN_SHAPES = [(n, m) for n in (1, 2, 3, 4) for m in (6, 10, 12)]
+_SPLIT_RESULT_PINS = {
+    "Z": ({"kind": "integers"}, lambda rng: rng.randint(-9, 9), True,
+          "710094d4d05afa04b00f5ea1f148194b4d74daca59fb6ea8d4259b019a94b8db"),
+    "Q, lifted": ({"kind": "rationals"}, lambda rng: f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}", True,
+                  "710094d4d05afa04b00f5ea1f148194b4d74daca59fb6ea8d4259b019a94b8db"),
+    "Z/10": ({"kind": "mod", "N": 10}, lambda rng: rng.randrange(10), True,
+             "710094d4d05afa04b00f5ea1f148194b4d74daca59fb6ea8d4259b019a94b8db"),
+    "F2xF3xF5, CRT to Z/30": (
+        {"kind": "product", "components": [{"kind": "prime_field", "p": p} for p in (2, 3, 5)]},
+        lambda rng: [rng.randrange(2), rng.randrange(3), rng.randrange(5)], True,
+        "f50a6d4bfd42b256dcf0185b7d4cb4a6ade7776d6bc5d59247318baeba7d0b0f"),
+    "Z/(2^512-1), int arrays": (
+        {"kind": "mod", "N": str(2**512 - 1)}, lambda rng: str(rng.randrange(2**512 - 1)), False,
+        "710094d4d05afa04b00f5ea1f148194b4d74daca59fb6ea8d4259b019a94b8db"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_RESULT_PINS))
+def test_alt_sum_results_above_the_split_crossover_are_pinned(capsys, name):
+    ring, draw, packs, digest = _SPLIT_RESULT_PINS[name]
+    rng = random.Random(f"20:{name}")
+    results = []
+    for n, m in _SPLIT_PIN_SHAPES:
+        doc = {"ring": ring, "n": n, "matrices": [[[draw(rng) for _ in range(n)] for _ in range(n)]
+                                                   for _ in range(m)]}
+        family = jsonio.matrices_from_json(doc)
+        lift = lift_family(family[0].ring, [a.rows for a in family], m)
+        assert lift.ring == INTEGERS and (lift.width != 0) == (n > 1), (n, m)
+        assert (lift.width is not None) == (packs or n == 1), (n, m)
+        code, report = run_json(capsys, "alt-sum", "--input", json.dumps(doc))
+        assert code == 0 and report["status"] == "holds", (n, m, report)
+        results.append(report["result"])
+    got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert got == digest
 
 
 # sha256 of the result of each symbolic subcommand at a few sizes.

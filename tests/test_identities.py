@@ -447,6 +447,12 @@ def test_homogeneous_lift_agreement_suite():
     assert result.checks == 208  # 200 trials, and a nonzero sum seen over each of 8 rings
 
 
+def test_alt_sum_split_suite():
+    result = run_suite("alt-sum-split", seed=0)
+    assert result.failures == 0, result.first_failure
+    assert result.checks == 360  # 352 trials, and a nonzero sum seen over each of 8 rings
+
+
 # -- simplex centroid ----------------------------------------------------------
 
 def test_simplex_zero_row_family():
