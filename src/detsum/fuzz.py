@@ -19,9 +19,11 @@ from typing import Callable, Optional, Sequence
 
 from .errors import UnsupportedRing
 from .identities import (
-    SPLIT_MIN_M,
+    RECURRENCE_MAX_N,
+    _recurrence_alternating_sum,
+    _recurrence_homogeneous_sum,
+    _recurrence_is_cheaper,
     _ring_alternating_sum,
-    _split_alternating_sum,
     _walk_alternating_sum,
     alternating_subset_det_sum,
     find_perturbing_subset,
@@ -346,7 +348,7 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     )
 
 
-_SPLIT_RINGS: Sequence[Ring] = (
+_RECURRENCE_RINGS: Sequence[Ring] = (
     INTEGERS,
     RATIONALS,
     ModRing(6),
@@ -356,44 +358,45 @@ _SPLIT_RINGS: Sequence[Ring] = (
     _f2x3x5(),
     ProductRing([ModRing(4), ModRing(9)]),
 )
-_SPLIT_SHAPES = [(n, m) for n in SPLIT_MIN_M for m in range(2, 13)]
-_SPLIT_NONZERO_TRIALS = 3
+# Every n the recurrence serves, at m = 1..12; n = 5 stops at m = 9, so
+# that the walk oracle takes at most 512 determinants of 5x5 matrices.
+_RECURRENCE_SHAPES = [(n, m) for n in range(1, RECURRENCE_MAX_N + 1) for m in range(1, 10 if n >= 5 else 13)]
+_RECURRENCE_NONZERO_TRIALS = 3
 
 
-def suite_alt_sum_split(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """The split alternating sum agrees with the Gray walk of all 2^m
-    subsets, whatever the crossover.
+def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The member-by-member alternating sum agrees with the Gray walk of
+    all 2^m subsets.
 
-    Trial t draws a family over ring t % 8 of ``_SPLIT_RINGS``, at the
-    (n, m) of ``_SPLIT_SHAPES`` that t // 8 picks: every n the split
-    serves, and m = 2..12, odd m (unequal halves) and m <= n among them,
-    so the default 352 trials draw each (ring, n, m) once.  Every ring
-    lifts to ints: Q with small denominators, F2xF3xF5 and Z/4xZ/9 by
-    the CRT as Z/30 and Z/36, Z/(2^512-1) as int arrays at n >= 2.  A
-    ring that draws m <= n at least ``_SPLIT_NONZERO_TRIALS`` times must
-    show a nonzero sum in one.
+    Trial t draws a family over ring t % 8 of ``_RECURRENCE_RINGS``, at
+    the (n, m) of ``_RECURRENCE_SHAPES`` that t // 8 picks, m <= n among
+    them, so the default 456 trials draw each (ring, n, m) once.  Every
+    ring lifts to ints: Q with small denominators, F2xF3xF5 and Z/4xZ/9
+    by the CRT as Z/30 and Z/36, Z/(2^512-1) as int arrays at n >= 2.  A
+    ring that draws m <= n at least ``_RECURRENCE_NONZERO_TRIALS`` times
+    must show a nonzero sum in one.
     """
-    small = dict.fromkeys(_SPLIT_RINGS, 0)
-    nonzero = dict.fromkeys(_SPLIT_RINGS, False)
+    small = dict.fromkeys(_RECURRENCE_RINGS, 0)
+    nonzero = dict.fromkeys(_RECURRENCE_RINGS, False)
     for t in range(trials):
-        ring = _SPLIT_RINGS[t % len(_SPLIT_RINGS)]
-        n, m = _SPLIT_SHAPES[t // len(_SPLIT_RINGS) % len(_SPLIT_SHAPES)]
+        ring = _RECURRENCE_RINGS[t % len(_RECURRENCE_RINGS)]
+        n, m = _RECURRENCE_SHAPES[t // len(_RECURRENCE_RINGS) % len(_RECURRENCE_SHAPES)]
         fam = [random_matrix(ring, n, rng) for _ in range(m)]
         lift = lift_family(ring, [a.rows for a in fam], m)
         if lift.ring != INTEGERS:
             rec.check(False, lambda: f"{ring!r} does not lift to ints (n={n})")
             continue
-        split = lift.det_ring.from_int(_split_alternating_sum(lift, n))
+        value = lift.det_ring.from_int(_recurrence_alternating_sum(lift, n))
         walk = _walk_alternating_sum(lift)
         if m <= n:
             small[ring] += 1
             nonzero[ring] = nonzero[ring] or not lift.det_ring.is_zero(walk)
         rec.check(
-            split == walk,
-            lambda: f"split alternating sum {split!r} != walk {walk!r} over {ring!r} (n={n}, m={m})",
+            value == walk,
+            lambda: f"recurrence {value!r} != walk {walk!r} over {ring!r} (n={n}, m={m})",
         )
-    for ring in _SPLIT_RINGS:
-        if small[ring] >= _SPLIT_NONZERO_TRIALS:
+    for ring in _RECURRENCE_RINGS:
+        if small[ring] >= _RECURRENCE_NONZERO_TRIALS:
             rec.check(nonzero[ring], lambda: f"no nonzero alternating sum compared over {ring!r}")
 
 
@@ -580,7 +583,7 @@ def suite_homogeneous_sum(rng: random.Random, trials: int, rec: _Recorder) -> No
             )
 
 
-# The rings of the homogeneous-lift-agreement suite, one per lift.
+# The rings of the homogeneous-lift-agreement suite, one per kind of ring.
 _HOMOGENEOUS_LIFT_RINGS: Sequence[Ring] = (
     INTEGERS,
     ModRing(6),
@@ -596,30 +599,32 @@ _NONZERO_TRIALS = 8
 
 
 def suite_homogeneous_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """The int-lifted homogeneous sum agrees with ring arithmetic.
+    """The member-by-member homogeneous sum, and the public sum that its
+    cost guard routes, agree with the Gray walk of ``eval_raw`` values.
 
     Trial t draws over ring t % 8 of ``_HOMOGENEOUS_LIFT_RINGS`` a
-    homogeneous f of 1-6 variables and 1-5 terms, and m vectors.  Every
-    other trial of a ring has m <= d (1 <= d <= 3), where the sum need
-    not vanish, so nonzero values are compared too; the rest have
-    m in {d + 1, d + 2} (0 <= d <= 3).  The oracle sums each point with
-    ring methods and evaluates f by ``eval_raw``.  A ring given at least
-    ``_NONZERO_TRIALS`` trials with m <= d must show a nonzero sum in one.
+    homogeneous f of 1-6 variables and 1-5 terms, and m vectors; by
+    t // 8 % 3, m <= d (1 <= d <= 3), where the sum need not vanish,
+    m in {d + 1, d + 2} or m = 6..9 (0 <= d <= 3).  A ring given at least
+    ``_NONZERO_TRIALS`` trials with m <= d must show a nonzero sum in
+    one, and a run of 24 trials or more must route to each side.
     """
     rings = _HOMOGENEOUS_LIFT_RINGS
     small = [0] * len(rings)
     nonzero = [False] * len(rings)
+    sides = [0, 0]
     for t in range(trials):
         slot = t % len(rings)
         ring = rings[slot]
         nvars = rng.randint(1, 6)
-        if t // len(rings) % 2:
+        kind = t // len(rings) % 3
+        if kind == 0:
             degree = rng.randint(1, 3)
             m = rng.randint(1, degree)
             small[slot] += 1
         else:
             degree = rng.randint(0, 3)
-            m = degree + rng.randint(1, 2)
+            m = degree + rng.randint(1, 2) if kind == 1 else rng.randint(6, 9)
         f = random_homogeneous_poly(nvars, degree, rng, max_terms=5)
         if ring == RATIONALS:  # pairwise coprime denominators, so D^d is large
             coords = [Fraction(rng.randint(-9, 9), p) for p in rng.sample(_COPRIME_DENOMINATORS, m * nvars)]
@@ -627,17 +632,21 @@ def suite_homogeneous_lift_agreement(rng: random.Random, trials: int, rec: _Reco
             coords = [ring.random(rng) for _ in range(m * nvars)]
         raw = [coords[i:i + nvars] for i in range(0, m * nvars, nvars)]
         vectors = [[RingElement(ring, x, _normalized=True) for x in vec] for vec in raw]
-        value = homogeneous_alternating_sum(f, vectors).value
         expected = _ring_alternating_sum(f, ring, raw)
+        value = _recurrence_homogeneous_sum(f, ring, raw)
+        public = homogeneous_alternating_sum(f, vectors).value
+        sides[_recurrence_is_cheaper(f, degree, m)] += 1
         nonzero[slot] = nonzero[slot] or not ring.is_zero(expected)
         rec.check(
-            value == expected,
-            lambda: f"lifted homogeneous sum {value!r} != {expected!r} "
+            value == expected == public,
+            lambda: f"homogeneous sum: recurrence {value!r}, public {public!r}, walk {expected!r} "
             f"(deg={degree}, m={m}, vars={nvars}, ring={ring!r})",
         )
     for slot, ring in enumerate(rings):
         if small[slot] >= _NONZERO_TRIALS:
             rec.check(nonzero[slot], lambda: f"no nonzero sum compared over {ring!r}")
+    if trials >= 3 * len(rings):
+        rec.check(all(sides), lambda: f"the cost guard picked one side only: {sides}")
 
 
 def _singular_rational_points(rng: random.Random, n: int, count: int) -> list[SquareMatrix]:
@@ -1257,7 +1266,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-homogeneity": (suite_det_homogeneity, 100),
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
-    "alt-sum-split": (suite_alt_sum_split, 352),
+    "alt-sum-recurrence": (suite_alt_sum_recurrence, 456),
     "subset-walks": (suite_subset_walks, 10),
     "superset-sign-sums": (suite_superset_sign_sums, 40),
     "perturbation-residual": (suite_perturbation_residual, 100),

@@ -9,6 +9,11 @@ full-family determinant into small-subset determinants, and exposes two
 consequences: a perturbation detector and a singular-simplex centroid
 check.  The perturbation residual of A_1..A_n and B is the alternating
 sum of the n + 1 matrices A_1..A_n, B.
+
+The numeric sums, of determinants and of homogeneous polynomials, are
+taken one member at a time by the multilinear expansion that proves the
+identity, with one state per minor or per divisor of a term of f; a Gray
+walk of the 2^m subsets serves the rest and checks them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -38,6 +42,7 @@ from .matrices import (
     Lift,
     SquareMatrix,
     _laplace_minors,
+    _minor_keys,
     _raw_matrix,
     family_ring_shape,
     lift_family,
@@ -45,11 +50,7 @@ from .matrices import (
 from .rings import (
     INTEGERS,
     RATIONALS,
-    IntegerRing,
     IntPolyRing,
-    ModRing,
-    ProductRing,
-    RationalRing,
     Ring,
     RingElement,
     SparsePoly,
@@ -86,14 +87,11 @@ DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
 # identity counts its coefficients, but keeps refusing m past the cap, since
 # that refusal is part of the verify-lemma3 contract.
 COEFFICIENT_CHECK_FAMILY_CAP = 24
-# For each n served, the least m from which an int-lifted alternating sum
-# is split into two half-walks; below, the walk of all 2^m subsets.  Walk
-# against split, us per call (timeit, one pinned CPU, random entries), at
-# m = 5 and 6: Z n=2 79/65, 122/62; n=3 103/99, 179/117; Z/10 n=2 53/42,
-# 83/47; n=3 66/59, 112/77 (one earlier run had the split behind at m = 5,
-# n = 3: 98/106); at n = 4, m = 7 and 8: Z 303/256, 546/318; Z/10 231/206,
-# 459/268; F2xF3xF5 284/404, 825/492.
-SPLIT_MIN_M = {1: 6, 2: 6, 3: 6, 4: 8}
+# The largest n at which an int-lifted alternating sum runs the recurrence.
+# Walk against recurrence, us per call (timeit, one pinned CPU), over Z:
+# n=3 m=4 16/17, m=10 1088/20; n=4 m=4 24/99, m=8 494/105; n=5 m=5 544/1119,
+# m=6 1435/821, m=8 4399/803; n=6 m=6 1759/7622, m=7 3005/7024.
+RECURRENCE_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -128,20 +126,19 @@ class SimplexReport:
 def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     """Signed sum of det(subset sum) over all 2^m subsets.
 
-    The empty subset contributes det(0) = 0 and is counted but never
-    evaluated.  The result is exactly zero whenever m > n, over any
-    commutative ring.  A family that lifts to ints, at an n of
-    ``SPLIT_MIN_M`` and m at or above its crossover, is summed by one
-    split into two half-walks (:func:`_split_alternating_sum`); any
-    other walks all 2^m subsets (:func:`_walk_alternating_sum`).
+    The empty subset contributes det(0) = 0.  The result is exactly zero
+    whenever m > n, over any commutative ring.  A family that lifts to
+    ints, at n <= ``RECURRENCE_MAX_N``, is summed member by member
+    (:func:`_recurrence_alternating_sum`); any other walks all 2^m
+    subsets (:func:`_walk_alternating_sum`).
     """
     ring, n = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     lift = lift_family(ring, [a.rows for a in matrices], m)
-    if lift.ring == INTEGERS and m >= SPLIT_MIN_M.get(n, MAX_FAMILY + 1):
-        acc = lift.det_ring.from_int(_split_alternating_sum(lift, n))
+    if lift.ring == INTEGERS and n <= RECURRENCE_MAX_N:
+        acc = lift.det_ring.from_int(_recurrence_alternating_sum(lift, n))
     else:
         acc = _walk_alternating_sum(lift)
     return RingElement(ring, lift.finish(acc), _normalized=True)
@@ -149,8 +146,9 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
 
 def _walk_alternating_sum(lift: Lift) -> object:
     """The alternating sum in ``lift.det_ring``, one determinant per
-    subset of a Gray walk.  It serves every family that the split does
-    not, and checks the split in the ``alt-sum-split`` fuzz suite.
+    subset of a Gray walk.  It serves every family that the recurrence
+    does not, and checks the recurrence in the ``alt-sum-recurrence``
+    fuzz suite.
     """
     det, det_ring = lift.det, lift.det_ring
     add, sub = det_ring.add, det_ring.sub
@@ -161,55 +159,66 @@ def _walk_alternating_sum(lift: Lift) -> object:
     return acc
 
 
-def _split_alternating_sum(lift: Lift, n: int) -> int:
-    """The alternating sum of a family of m >= 2 members whose walked
-    values have int cells (``lift.ring`` is Z), as an int that
-    ``lift.det_ring.from_int`` maps to the walk's value.
+def _recurrence_alternating_sum(lift: Lift, n: int) -> int:
+    """The alternating sum of a family whose walked values have int cells
+    (``lift.ring`` is Z), as an int that ``lift.det_ring.from_int`` maps
+    to the walk's value.
 
-    The generalized Laplace expansion (Marcus, "Determinants of sums",
-    College Math. J. 21 (1990)) writes det(P + X) as the sum over pairs
-    of k x k minors (R, C), k = 0..n, of +-det P[R, C] * det X[R', C'],
-    R' and C' the complements.  Split the members into halves H and L;
-    a subset S is S_H + S_L, so the alternating sum is the sum over
-    (R, C) of +-beta(R, C) * alpha(R', C'), where beta(R, C) is the sum
-    of (-1)^|S_H| times the (R, C) minor of the sum of S_H, over every
-    S_H in H, and alpha likewise over L.  Each half is walked once:
-    2 * 2^(m/2) subsets instead of 2^m.  The empty minor is 1, so its
-    beta is the sum of (-1)^|S_H|, which is 0 for nonempty H; the terms
-    with k = 0 or k = n vanish, and at n = 1 so does every term.  All
-    of it is exact in Z, and the determinant is an integer polynomial
-    in the entries, so the one reduction at the end gives the walk's
-    value.
+    Let s(R, C) be the signed sum, over the subsets S of the members so
+    far, of the (R, C) minor of the sum of S; the empty minor is 1.  By
+    the generalized Laplace expansion (Marcus, "Determinants of sums",
+    College Math. J. 21 (1990)), member X takes s(R, C) to -sum e *
+    s(R1, C1) * det X[R - R1, C - C1] over R1 in R and C1 in C of one
+    size, (R1, C1) != (R, C), e being -1 to the sum of the positions of
+    R1 in R and of C1 in C.  From s = 1 at the empty minor and 0
+    elsewhere, the answer is s at the whole matrix.  A k x k state is 0
+    once k + 1 members are in, and zero states stay zero, so the loop
+    stops there.  The minors are integer polynomials in the entries, so
+    the one reduction at the end gives the walk's value.
     """
-    if n == 1:
-        return 0
-    minors, pairs = _laplace_minors(n)
-    half = len(lift.members) // 2
-    beta = _signed_minor_sums(lift, lift.members[:half], minors, len(pairs))
-    alpha = _signed_minor_sums(lift, lift.members[half:], minors, len(pairs))
-    return sum(sign * beta[i] * alpha[j] for i, j, sign in pairs)
+    minors, moves = _laplace_minors(n), _laplace_moves(n)
+    state = [1] + [0] * (len(moves) - 1)
+    for member in lift.members:
+        x = minors(lift.cells(member))
+        new = [0] * len(moves)
+        for s, (plus, minus) in zip(state, moves):
+            if s:
+                for target, i in plus:
+                    new[target] += s * x[i]
+                for target, i in minus:
+                    new[target] -= s * x[i]
+        state = new
+        if not any(state):
+            break
+    return state[-1]
 
 
-# Walked values whose minors are held at once; an even count.
-_SPLIT_CHUNK = 1 << 10
-
-
-def _signed_minor_sums(lift: Lift, members: Sequence, minors, count: int) -> list[int]:
-    # Each minor summed over the nonempty subsets S of members, with sign
-    # (-1)^|S|; the empty subset's minors are 0.  A Gray walk toggles one
-    # member per step, so its subsets alternate odd and even, odd first,
-    # and a chunk of even length starts with an odd one.
-    sums = [0] * count
-    walk = (value for _, value in gray_sums(members, lift.add, lift.sub))
-    cells = lift.cells
-    while chunk := list(itertools.islice(walk, _SPLIT_CHUNK)):
-        odd = zip(*map(minors, map(cells, chunk[0::2])))
-        even = zip(*map(minors, map(cells, chunk[1::2])))
-        sums = [
-            s + sum(e) - sum(o)
-            for s, (e, o) in zip(sums, itertools.zip_longest(even, odd, fillvalue=()))
+@functools.lru_cache(maxsize=None)
+def _laplace_moves(n: int) -> tuple[tuple[tuple, tuple], ...]:
+    # The recurrence's terms by source state: state 0 is the empty minor
+    # and state i + 1 the minor i of _minor_keys(n).  Entry i is (plus,
+    # minus), the (target state, member minor) pairs whose product with
+    # s(i) is added to and subtracted from the target.  Each set of rows
+    # (or columns) is split, by size, into a part, the rest and the
+    # parity of the part's positions.
+    keys = [((), ())] + _minor_keys(n)
+    index = {key: i for i, key in enumerate(keys)}
+    splits = {
+        picked: [
+            [
+                (tuple(picked[p] for p in at), tuple(x for p, x in enumerate(picked) if p not in at), sum(at) & 1)
+                for at in itertools.combinations(range(len(picked)), size)
+            ]
+            for size in range(len(picked))
         ]
-    return sums
+        for picked in {rows for rows, _ in keys}
+    }
+    moves = [([], []) for _ in keys]
+    for target, (rows, cols) in enumerate(keys):
+        for row_parts, col_parts in zip(splits[rows], splits[cols]):
+            for (r1, r2, rp), (c1, c2, cp) in itertools.product(row_parts, col_parts):
+                moves[index[r1, c1]][1 - (rp ^ cp)].append((target, index[r2, c2] - 1))
+    return tuple((tuple(plus), tuple(minus)) for plus, minus in moves)
 
 
 def check_alternating_product_identity(
@@ -447,23 +456,11 @@ def homogeneous_alternating_sum(
     an n x n matrix is homogeneous of degree n in its entries).  The
     empty subset contributes f(0), nonzero only for a constant f.
 
-    f has integer coefficients, so it may be evaluated on integer lifts
-    of the coordinates and the sum mapped into the ring at the end.  The
-    vectors are lifted once and walked in Gray order as plain int lists,
-    and f is evaluated at each point from a monomial list compiled once
-    (:func:`_int_alternating_sum`):
-
-    * Z          -- the coordinates as they are;
-    * Z/N, F_p   -- the residues, summed as plain ints; the sum is
-      reduced mod N once, at the end;
-    * Q          -- every coordinate scaled by D, the lcm of all the
-      denominators.  f is homogeneous of degree d, so f(D·v) = D^d·f(v),
-      and the sum over Q is the integer sum divided by D^d (D^0 = 1);
-    * products   -- one walk per component, as the alternating sum over
-      R_1 x ... x R_k is the tuple of the components' sums; no CRT, so
-      non-coprime moduli are covered too;
-    * Z[x...]    -- the points are summed and f evaluated by ring
-      arithmetic (:func:`_ring_alternating_sum`).
+    The sum is taken by ring arithmetic, over every ring kind, one of two
+    ways, whichever a closed-form count finds cheaper
+    (:func:`_recurrence_is_cheaper`): member by member
+    (:func:`_recurrence_homogeneous_sum`), or by a Gray walk of all 2^m
+    points (:func:`_ring_alternating_sum`).
     """
     degree = poly.homogeneous_degree()
     if degree is None:
@@ -492,65 +489,72 @@ def homogeneous_alternating_sum(
             raw.append(el.value)
         raw_vectors.append(raw)
 
-    value = _homogeneous_sum(ring, poly, degree, raw_vectors)
+    if _recurrence_is_cheaper(poly, degree, m):
+        value = _recurrence_homogeneous_sum(poly, ring, raw_vectors)
+    else:
+        value = _ring_alternating_sum(poly, ring, raw_vectors)
     return RingElement(ring, value, _normalized=True)
 
 
-def _homogeneous_sum(ring: Ring, poly: SparsePoly, degree: int, vectors) -> object:
-    # The raw alternating sum over ring, walked on int lifts where it has them.
-    if isinstance(ring, ProductRing):
-        return tuple(
-            _homogeneous_sum(comp, poly, degree, [[x[c] for x in vec] for vec in vectors])
-            for c, comp in enumerate(ring.components)
-        )
-    if isinstance(ring, IntegerRing):
-        return _int_alternating_sum(poly, vectors)
-    if isinstance(ring, ModRing):
-        return _int_alternating_sum(poly, vectors) % ring.n
-    if isinstance(ring, RationalRing):
-        scale = math.lcm(*(x.denominator for vec in vectors for x in vec))
-        lifted = [[x.numerator * (scale // x.denominator) for x in vec] for vec in vectors]
-        return Fraction(_int_alternating_sum(poly, lifted), scale**degree)
-    return _ring_alternating_sum(poly, ring, vectors)
+def _recurrence_is_cheaper(poly: SparsePoly, degree: int, m: int) -> bool:
+    # Ring products, counted without listing a divisor: the recurrence
+    # reads at most d + 1 vectors, each taking about one product per pair
+    # b <= a <= e for each term e, which is prod_i C(e_i + 2, 2) pairs;
+    # the walk evaluates f at 2^m points, about d + 1 products per term.
+    pairs = sum(math.prod(math.comb(e + 2, 2) for e in exps if e) for exps in poly.terms)
+    return min(m, degree + 1) * pairs <= (1 << m) * len(poly.terms) * (degree + 1)
 
 
-def _vector_add(a: list[int], b: list[int]) -> list[int]:
-    return list(map(operator.add, a, b))
+def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object:
+    """The alternating sum, one vector at a time, on raw values of ring.
 
-
-def _vector_sub(a: list[int], b: list[int]) -> list[int]:
-    return list(map(operator.sub, a, b))
-
-
-def _int_alternating_sum(poly: SparsePoly, vectors: Sequence[list[int]]) -> int:
-    """Sum of (-1)^|S| f(sum of S) over every subset S, on int vectors.
-
-    f is compiled once into monomials (coeff, indices), each index
-    repeated as often as its exponent: x0^2*x2 becomes (c, (0, 0, 2)).
-    The empty subset adds f(0), the coefficient of a constant f.
+    Let t(a) be the signed sum, over the subsets of the vectors so far,
+    of x^a at their sum, for each a that divides a term of f.  Expanding
+    (p + v)^a, vector v takes t(a) to -sum over b < a of C(a, b) * t(b) *
+    v^(a - b), with C(a, b) = prod_i C(a_i, b_i).  From t = 1 at a = 0
+    and 0 elsewhere, the answer is sum c_e * t(e) over the terms c_e x^e
+    of f.  A state of degree k is 0 once k + 1 vectors are in, and zero
+    states stay zero, so the loop stops there.
     """
-    monomials = [
-        (coeff, tuple(i for i, e in enumerate(exps) for _ in range(e)))
-        for exps, coeff in poly.terms.items()
-    ]
-    acc = sum(coeff for coeff, indices in monomials if not indices)
-    for bits, point in gray_sums(vectors, _vector_add, _vector_sub):
-        value = 0
-        for coeff, indices in monomials:
-            for i in indices:
-                coeff *= point[i]
-            value += coeff
-        if bits.bit_count() & 1:
-            acc -= value
-        else:
-            acc += value
-    return acc
+    support = sorted({i for exps in poly.terms for i, e in enumerate(exps) if e})
+    terms = [(tuple(exps[i] for i in support), coeff) for exps, coeff in poly.terms.items()]
+    # In lexicographic order, 0 comes first and a - u before a, u the unit
+    # at the first i with a_i > 0, so that v^a is v^(a - u) * v_i.
+    divisors = sorted({a for e, _ in terms for a in itertools.product(*(range(k + 1) for k in e))})
+    index = {a: k for k, a in enumerate(divisors)}
+    steps = []
+    for a in divisors[1:]:
+        i = next(i for i, k in enumerate(a) if k)
+        steps.append((index[a[:i] + (a[i] - 1,) + a[i + 1:]], support[i]))
+    moves = [[] for _ in divisors]
+    for target, a in enumerate(divisors):
+        for b in itertools.product(*(range(k + 1) for k in a)):
+            if b != a:
+                coeff = math.prod(map(math.comb, a, b))
+                coeff = None if coeff == 1 else ring.from_int(coeff)
+                moves[index[b]].append((target, coeff, index[tuple(map(operator.sub, a, b))]))
+
+    add, sub, mul, is_zero, zero, one = ring.add, ring.sub, ring.mul, ring.is_zero, ring.zero, ring.one
+    state = [one] + [zero] * (len(divisors) - 1)
+    for v in vectors:
+        power = [one]
+        for prev, i in steps:
+            power.append(mul(power[prev], v[i]))
+        new = [zero] * len(divisors)
+        for t, out in zip(state, moves):
+            if not is_zero(t):
+                for target, coeff, d in out:
+                    term = mul(t, power[d])
+                    new[target] = sub(new[target], term if coeff is None else mul(coeff, term))
+        state = new
+        if all(map(is_zero, state)):
+            break
+    return functools.reduce(add, [mul(ring.from_int(c), state[index[e]]) for e, c in terms], zero)
 
 
 def _ring_alternating_sum(poly: SparsePoly, ring: Ring, vectors) -> object:
-    """The same sum by ring arithmetic: each point is summed with
-    ``ring.add`` and ``ring.sub`` and f evaluated by ``eval_raw``.  It
-    serves Z[x...] and checks the int walks in the
+    """The same sum by a Gray walk of the 2^m points, each evaluated by
+    ``eval_raw``; it checks the recurrence in the
     ``homogeneous-lift-agreement`` fuzz suite.
     """
     add, sub = ring.add, ring.sub

@@ -334,30 +334,22 @@ def _det_cofactor(cells: Sequence[int]) -> int:
     )
 
 
+def _minor_keys(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (rows, columns) of every k x k minor of an n x n matrix, 0 < k
+    <= n, by k, rows, then columns; the last is the whole matrix."""
+    return [key for k in range(1, n + 1) for key in itertools.product(itertools.combinations(range(n), k), repeat=2)]
+
+
 @lru_cache(maxsize=None)
-def _laplace_minors(n: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], tuple]:
-    """(minors, pairs) of the generalized Laplace expansion, for n >= 2.
-
-    det(P + X) is the sum, over every k = 0..n and every k x k minor
-    of P on rows R and columns C (the empty one is 1), of
-    (-1)^(sum R + sum C) * det P[R, C] * det X[R', C'], R' and C' the
-    complements.  ``minors(cells)`` lists the minors with 0 < k < n of
-    an n x n int matrix given as its n^2 cells row by row, by k, then R,
-    then C, each in lexicographic order.  ``pairs`` holds, for each,
-    (its index, the index of its complement, that sign).
-
-    ``minors`` is straight-line code, compiled here on first use: each
-    minor is expanded along its first row into cells times minors one
-    size smaller, which it names as locals.  A loop over the same
-    expansion table took 0.39, 5.8 and 30 us a call at n = 2, 3 and 4,
-    against 0.11, 0.38 and 4.3 (timeit, one pinned CPU).
+def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``minors(cells)``, straight-line code compiled on first use, lists
+    every minor of an n x n int matrix given as its n^2 cells row by row,
+    in the order of :func:`_minor_keys`.  Each minor is expanded along its
+    first row into cells times minors one size smaller, named as locals.
+    A loop over the same expansion table took 0.39, 5.8 and 30 us a call
+    at n = 2, 3 and 4, against 0.11, 0.38 and 4.3 (timeit, one pinned CPU).
     """
-    keys = [
-        (rows, cols)
-        for k in range(1, n)
-        for rows in itertools.combinations(range(n), k)
-        for cols in itertools.combinations(range(n), k)
-    ]
+    keys = _minor_keys(n)
     index = {key: i for i, key in enumerate(keys)}
     names, lines = [], []
     for i, (rows, cols) in enumerate(keys):
@@ -378,15 +370,7 @@ def _laplace_minors(n: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]],
     )
     namespace: dict = {}
     exec(compile(source, f"<minors of {n}x{n}>", "exec"), namespace)
-
-    def rest(picked):
-        return tuple(x for x in range(n) if x not in picked)
-
-    pairs = tuple(
-        (i, index[rest(rows), rest(cols)], -1 if (sum(rows) + sum(cols)) & 1 else 1)
-        for i, (rows, cols) in enumerate(keys)
-    )
-    return namespace["minors"], pairs
+    return namespace["minors"]
 
 
 def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:

@@ -95,11 +95,25 @@ def test_alt_sum_contract_and_informational(capsys):
 
 
 def test_alt_sum_on_thirty_identities_holds(capsys):
-    # 2^30 subsets; the split walks 2 * 2^15 of them.
-    doc = json.dumps({"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 0], [0, 1]]] * 30})
-    code, report = run_json(capsys, "alt-sum", "--input", doc)
-    assert code == 0 and report["status"] == "holds"
-    assert report["result"]["residual"] == 0 and report["result"]["term_count"] == 1 << 30
+    # 2^m subsets each; the recurrence reads n + 1 members, then its
+    # states are all zero.  (n, m) = (2, 30), and three runs that a walk
+    # of the subsets did not finish.
+    for n, m in ((2, 30), (5, 22), (3, 44), (2, 50)):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        doc = json.dumps({"ring": {"kind": "integers"}, "n": n, "matrices": [identity] * m})
+        code, report = run_json(capsys, "alt-sum", "--input", doc)
+        assert code == 0 and report["status"] == "holds", (n, m)
+        assert report["result"]["residual"] == 0 and report["result"]["term_count"] == 1 << m
+
+
+def test_homogeneous_on_thirty_vectors_holds(capsys):
+    # f = xy on 30 vectors: 2^30 points, four states of the recurrence.
+    rng = random.Random(30)
+    vectors = [[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(30)]
+    doc = json.dumps({"ring": {"kind": "integers"}, "var_count": 2,
+                      "poly": {"terms": [[[1, 1], 1]]}, "vectors": vectors})
+    code, report = run_json(capsys, "homogeneous", "--input", doc)
+    assert code == 0 and report["status"] == "holds", report
 
 
 def test_reports_are_byte_identical(capsys):
@@ -664,9 +678,9 @@ def test_perturb_and_alt_sum_results_are_pinned(capsys, name):
         assert hashlib.sha256(result).hexdigest() == digest, command
 
 
-# Each kind of int lift that the split alternating sum serves: (ring, entry
-# draw, whether n >= 2 packs, sha256 of the alt-sum results at every
-# (n, m) of _SPLIT_PIN_SHAPES).  n = 1 walks plain ints for every kind.
+# Each kind of int lift that the alternating-sum recurrence serves: (ring,
+# entry draw, whether n >= 2 packs, sha256 of the alt-sum results at every
+# (n, m) of _SPLIT_PIN_SHAPES).  n = 1 lifts to plain ints for every kind.
 _SPLIT_PIN_SHAPES = [(n, m) for n in (1, 2, 3, 4) for m in (6, 10, 12)]
 _SPLIT_RESULT_PINS = {
     "Z": ({"kind": "integers"}, lambda rng: rng.randint(-9, 9), True,
@@ -702,6 +716,37 @@ def test_alt_sum_results_above_the_split_crossover_are_pinned(capsys, name):
         results.append(report["result"])
     got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert got == digest
+
+
+# sha256 of the alt-sum results at every m <= n <= 5, where the contract
+# does not apply, for the rings of _SPLIT_RESULT_PINS.  The seed salt 50 is
+# the first from 21 on that gives a nonzero residual in every case of every
+# ring.
+_SMALL_FAMILY_SHAPES = [(n, m) for n in range(1, 6) for m in range(1, n + 1)]
+_SMALL_FAMILY_PINS = {
+    "Z": "e2dcb4a7e23b0d19d56ff09774f6a333587fb29e68f5b7be079218c445a317f4",
+    "Q, lifted": "28978e2e7ff7d349f36423c8566c97fa95bd43104db11b69e8b71e65c28b2329",
+    "Z/10": "9311448f08e887e87b435828d1de20772a125993a978250d7569f0e4b2ed5ce6",
+    "F2xF3xF5, CRT to Z/30": "01f7778fed73620f0dbb41d31bf63f5c91d36433ee3371e2c094fdd5a26ed60f",
+    "Z/(2^512-1), int arrays": "e09182ceb1ac314216d5f29e5fd1eb8a69ec86e3989f73daa51f15fb01ed2a56",
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_FAMILY_PINS))
+def test_nonzero_alt_sum_results_are_pinned(capsys, name):
+    ring, draw, _, _ = _SPLIT_RESULT_PINS[name]
+    rng = random.Random(f"50:{name}")
+    results = []
+    for n, m in _SMALL_FAMILY_SHAPES:
+        doc = {"ring": ring, "n": n, "matrices": [[[draw(rng) for _ in range(n)] for _ in range(n)]
+                                                   for _ in range(m)]}
+        family = jsonio.matrices_from_json(doc)
+        assert lift_family(family[0].ring, [a.rows for a in family], m).ring == INTEGERS, (n, m)
+        code, report = run_json(capsys, "alt-sum", "--input", json.dumps(doc))
+        assert code == 0 and report["status"] == "none", (n, m, report)
+        results.append(report["result"])
+    got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert got == _SMALL_FAMILY_PINS[name]
 
 
 # sha256 of the result of each symbolic subcommand at a few sizes.

@@ -34,6 +34,7 @@ from detsum import (
     simplex_centroid_check,
     subset_sum,
 )
+from detsum import identities
 from detsum.fuzz import run_suite, superset_sign_sums
 from detsum.identities import DET_IDENTITY_CAPS, superset_sign_counts
 
@@ -444,13 +445,30 @@ def test_homogeneous_sum_of_a_constant(ring):
 def test_homogeneous_lift_agreement_suite():
     result = run_suite("homogeneous-lift-agreement", seed=0)
     assert result.failures == 0, result.first_failure
-    assert result.checks == 208  # 200 trials, and a nonzero sum seen over each of 8 rings
+    # 200 trials, a nonzero sum seen over each of 8 rings, and both sides of
+    # the cost guard taken.
+    assert result.checks == 209
 
 
-def test_alt_sum_split_suite():
-    result = run_suite("alt-sum-split", seed=0)
+def test_homogeneous_cost_guard_takes_the_walk(monkeypatch):
+    # x1...x40 has 2^40 divisors; three vectors are 8 points of the walk.
+    f = SparsePoly(40, {(1,) * 40: 3})
+    rng = random.Random(40)
+    raw = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(3)]
+
+    def unreachable(*args):
+        raise AssertionError("the recurrence ran past its cost guard")
+
+    monkeypatch.setattr(identities, "_recurrence_homogeneous_sum", unreachable)
+    vectors = [[INTEGERS.element(x) for x in vec] for vec in raw]
+    value = homogeneous_alternating_sum(f, vectors).value
+    assert value == identities._ring_alternating_sum(f, INTEGERS, raw)
+
+
+def test_alt_sum_recurrence_suite():
+    result = run_suite("alt-sum-recurrence", seed=0)
     assert result.failures == 0, result.first_failure
-    assert result.checks == 360  # 352 trials, and a nonzero sum seen over each of 8 rings
+    assert result.checks == 464  # 456 trials, and a nonzero sum seen over each of 8 rings
 
 
 # -- simplex centroid ----------------------------------------------------------
