@@ -214,7 +214,7 @@ _BIG_MODULUS = 2**512 - 1  # composite, 512 bits
 _BIG_PRIME = 2**521 - 1
 # (ring, largest n, modulus of the lift to Z or None)
 _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
-    (INTEGERS, 6, None),
+    (INTEGERS, 8, None),
     (RATIONALS, 6, None),
     (PrimeField(7), 16, 7),
     (ModRing(6), 16, 6),
@@ -256,11 +256,12 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
     """det agrees with Berkowitz at every n, with Leibniz for n <= 6, and
     over F_p and Z/N with the determinant over Z of the lifted entries.
 
-    For n <= 4 the lifted value runs the same closed form as det over
-    F_p and Z/N, so there Leibniz and Berkowitz are the independent
-    oracles; the 512- and 521-bit moduli check every route on residues
-    far wider than a machine word.  Over Z/2^64 a column with no odd
-    entry has no unit, which sends elimination down Euclid's steps.
+    For n <= 7 the lifted value runs the same compiled expansion as det
+    over F_p and Z/N, so there Leibniz and Berkowitz are the independent
+    oracles; over Z, n runs to 8, one past that expansion's cutoff; the
+    512- and 521-bit moduli check every route on residues far wider than
+    a machine word.  Over Z/2^64 a column with no odd entry has no unit,
+    which sends elimination down Euclid's steps.
     Over F_p and Z/N, Berkowitz runs on plain ints (:func:`_berkowitz_mod`),
     and in ring methods every ``RING_BERKOWITZ_EVERY``-th trial."""
     for ring, max_n, modulus in _CROSS_CHECK_RINGS:

@@ -89,8 +89,9 @@ DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
 COEFFICIENT_CHECK_FAMILY_CAP = 24
 # The largest n at which an int-lifted alternating sum runs the recurrence.
 # Walk against recurrence, us per call (timeit, one pinned CPU), over Z:
-# n=3 m=4 16/17, m=10 1088/20; n=4 m=4 24/99, m=8 494/105; n=5 m=5 544/1119,
-# m=6 1435/821, m=8 4399/803; n=6 m=6 1759/7622, m=7 3005/7024.
+# n=3 m=4 15/16, m=10 1056/17; n=4 m=4 26/92, m=8 470/106; n=5 m=5 109/706,
+# m=6 219/766, m=7 464/776, m=8 955/771; n=6 m=6 474/7561, m=7 986/7840.
+# So at n = 5 the walk is the faster one up to m = 7.
 RECURRENCE_MAX_N = 5
 
 

@@ -7,18 +7,19 @@ picks its route from the ring and n:
 * products      -- the rows split into one matrix per component in one
   pass, each taking its component's route (the engines walk coprime
   Z/N and F_p products as one Z/M instead; see below)
-* Z             -- the closed-form integer determinant for n <= 4
-  (:func:`_det_cofactor`), fraction-free Bareiss elimination above
+* Z             -- for n <= 7 the Laplace expansion compiled into
+  straight-line int code (:func:`_laplace_det`), fraction-free Bareiss
+  elimination above
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
 * Z/N and F_p   -- one route: F_p is Z/p (a ``ModRing`` whose prime, of
   at most 4096 bits, is certified), on rows of any integer
   representatives (exact: the determinant is an integer polynomial in
-  the entries): the closed form for n <= 4 and integer Bareiss for
-  n <= 7, each reduced mod N at the end; Gaussian elimination mod N
-  above, where a column with no unit to pivot on is cleared by Euclid's
-  steps between rows, so N is never factored
+  the entries): the same compiled expansion for n <= 7, reduced mod N
+  at the end; Gaussian elimination mod N above, where a column with no
+  unit to pivot on is cleared by Euclid's steps between rows, so N is
+  never factored
 * Z[x...]       -- the entries packed once into dicts of int monomial
   keys (:class:`_PackedPolyRing`), so that a monomial product is one int
   addition; on them Leibniz (signed permutation sum) for n <= 6,
@@ -36,9 +37,10 @@ product's determinants therefore run the Z/M route.  Each lifted member
 is packed into one int, the sum of cell_k * 2^(k*w) over its entries
 with one w-bit slot each (Kronecker substitution), so that a subset sum
 is one int addition; the returned :class:`Lift` unpacks a sum and takes
-its determinant, the closed form on the unpacked cells for n <= 4 and
-rows sliced from them above.  A Z[x...] family is packed entry by entry
-as :func:`det_rows` packs its rows, and walks as arrays of those dicts.
+its determinant, the compiled expansion on the unpacked cells for
+n <= 7 and rows sliced from them above.  A Z[x...] family is packed
+entry by entry as :func:`det_rows` packs its rows, and walks as arrays
+of those dicts.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -81,10 +83,13 @@ __all__ = [
 ]
 
 DET_SIZE_CAP = 64
-CLOSED_FORM_MAX_N = 4
-# Z/N and F_p above the closed form: integer Bareiss on the residues up
-# to this n, elimination mod N above it.
-RESIDUE_BAREISS_MAX_N = 7
+# The compiled Laplace expansion (_laplace_det) up to this n over Z, Q,
+# Z/N and F_p.  us/det at n = 7, expansion/Bareiss/elimination mod N:
+# 48/69/- on 64-bit ints, 14/31/32 over Z/10, 668/752/849 over
+# Z/(2^512-1), 495/764/735 over F_(2^521-1); at n = 8, 152/106/- on
+# 64-bit ints and 1,348/1,948/908 over Z/(2^512-1) (timeit, one pinned
+# CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and 7.
+CLOSED_FORM_MAX_N = 7
 # Q families walk on integers while n times the bits that the shared row
 # scales add to the members' own stays at or below this.  Alt-sum with
 # m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
@@ -311,45 +316,20 @@ def _det_berkowitz(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     return poly[n] if n % 2 == 0 else ring.neg(poly[n])
 
 
-def _det_cofactor(cells: Sequence[int]) -> int:
-    # Closed-form determinant of a 2x2, 3x3 or 4x4 matrix of Python ints,
-    # given as its n^2 cells row by row: ad - bc, the cofactor expansion
-    # along the first row, and the Laplace expansion of the top two rows
-    # against the bottom two (six pairs of complementary 2x2 minors).  No
-    # ring calls, no division.
-    if len(cells) == 4:
-        a, b, c, d = cells
-        return a * d - b * c
-    if len(cells) == 9:
-        a, b, c, d, e, f, g, h, i = cells
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = cells
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
-
-
 def _minor_keys(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (rows, columns) of every k x k minor of an n x n matrix, 0 < k
     <= n, by k, rows, then columns; the last is the whole matrix."""
     return [key for k in range(1, n + 1) for key in itertools.product(itertools.combinations(range(n), k), repeat=2)]
 
 
-@lru_cache(maxsize=None)
-def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``minors(cells)``, straight-line code compiled on first use, lists
-    every minor of an n x n int matrix given as its n^2 cells row by row,
-    in the order of :func:`_minor_keys`.  Each minor is expanded along its
-    first row into cells times minors one size smaller, named as locals.
-    A loop over the same expansion table took 0.39, 5.8 and 30 us a call
-    at n = 2, 3 and 4, against 0.11, 0.38 and 4.3 (timeit, one pinned CPU).
+def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Sequence[int]], object]:
+    """``name(cells)``, straight-line code for an n x n int matrix given
+    as its n^2 cells row by row.  Each minor of ``keys``, listed after
+    the minors one size smaller that it needs, is expanded along its
+    first row into cells times those minors, named as locals.  It returns
+    the last minor when ``whole``, else all of them in the order of
+    ``keys``.  No ring calls, no division.
     """
-    keys = _minor_keys(n)
     index = {key: i for i, key in enumerate(keys)}
     names, lines = [], []
     for i, (rows, cols) in enumerate(keys):
@@ -363,14 +343,37 @@ def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
         )
         names.append(f"m{i}")
         lines.append(f"    m{i} = {terms}\n")
+    result = names[-1] if whole else f"({', '.join(names)},)"
     source = (
-        f"def minors(cells):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n"
+        f"def {name}(cells):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n"
         + "".join(lines)
-        + f"    return ({', '.join(names)},)\n"
+        + f"    return {result}\n"
     )
     namespace: dict = {}
-    exec(compile(source, f"<minors of {n}x{n}>", "exec"), namespace)
-    return namespace["minors"]
+    exec(compile(source, f"<{name} of {n}x{n}>", "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``minors(cells)``, compiled on first use, lists every minor of an
+    n x n int matrix, in the order of :func:`_minor_keys`.  A loop over
+    the same expansion table took 0.39, 5.8 and 30 us a call at n = 2, 3
+    and 4, against 0.11, 0.38 and 4.3 (timeit, one pinned CPU).
+    """
+    return _compiled_expansion("minors", n, _minor_keys(n), whole=False)
+
+
+@lru_cache(maxsize=None)
+def _laplace_det(n: int) -> Callable[[Sequence[int]], int]:
+    """``det(cells)``, compiled on first use, is the determinant of an
+    n x n int matrix: the minors on the trailing k rows, k = 1..n, each
+    expanded along its first row, n * 2^(n-1) products in all.
+    """
+    keys = [
+        (tuple(range(n - k, n)), cols) for k in range(1, n + 1) for cols in itertools.combinations(range(n), k)
+    ]
+    return _compiled_expansion("det", n, keys, whole=True)
 
 
 def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -400,10 +403,6 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _reduced(rows: Sequence[Sequence[int]], modulus: int) -> list[list[int]]:
-    return [[e % modulus for e in row] for row in rows]
-
-
 def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
     # Gaussian elimination over Z/N on reduced ints; N is never factored.
     # A column's first unit in row order (over a field, its first nonzero
@@ -411,7 +410,7 @@ def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
     # is cleared by Euclid's steps between the pivot row and each row below,
     # a row subtraction (det 1) and a swap (det -1), till their gcd is on top.
     n = len(rows)
-    m = _reduced(rows, modulus)
+    m = [[e % modulus for e in row] for row in rows]
     det = 1
     for k in range(n - 1):
         for i in range(k, n):
@@ -446,10 +445,8 @@ def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
 
 def _det_integer(ring: Ring, rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
     if n <= CLOSED_FORM_MAX_N:
-        return _det_cofactor([e for row in rows for e in row])
+        return _laplace_det(n)([e for row in rows for e in row])
     return _det_bareiss(rows)
 
 
@@ -469,13 +466,10 @@ def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def _det_residue(ring: ModRing, rows: Sequence[Sequence[int]]) -> int:
     # Z/N, F_p among them, on any integer representatives.
-    modulus = ring.n
     n = len(rows)
     if n <= CLOSED_FORM_MAX_N:
-        return (rows[0][0] if n == 1 else _det_cofactor([e for row in rows for e in row])) % modulus
-    if n <= RESIDUE_BAREISS_MAX_N:
-        return _det_bareiss(_reduced(rows, modulus)) % modulus
-    return _det_elimination_mod(rows, modulus)
+        return _laplace_det(n)([e for row in rows for e in row]) % ring.n
+    return _det_elimination_mod(rows, ring.n)
 
 
 def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
@@ -822,8 +816,8 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
     ``signs``, 2^(w-1) in every slot, leaves each cell plus 2^(w-1), in
     [0, 2^w) by :func:`_slot_width`, so no slot borrows or carries;
     flipping each slot's top bit then leaves the cell's w-bit two's
-    complement, read as a signed cell.  Up to n = 4 the closed form takes
-    the cells as they come; above, rows sliced from them go to
+    complement, read as a signed cell.  Up to n = 7 the compiled expansion
+    takes the cells as they come; above, rows sliced from them go to
     :func:`det_rows`.
     """
     code = _SLOT_CODES[width]
@@ -837,7 +831,7 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
             return unpack(value.to_bytes(nbytes, "little"))
 
         def small_det(value):
-            return _det_cofactor(unpack(value.to_bytes(nbytes, "little"))) % modulus
+            return expand(unpack(value.to_bytes(nbytes, "little"))) % modulus
 
     else:
         half = 1 << (width - 1)
@@ -849,9 +843,10 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
             return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
 
         def small_det(value):
-            return _det_cofactor(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
+            return expand(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
     if n <= CLOSED_FORM_MAX_N:
+        expand = _laplace_det(n)
         return values, cells, small_det
 
     def det(value):

@@ -530,6 +530,17 @@ def test_importing_the_cli_leaves_the_fuzz_suites_unloaded():
     assert probe.stdout.strip() == "False"
 
 
+def test_importing_the_cli_compiles_no_expansion():
+    # The generated Laplace code is compiled on first use, never at import.
+    probe = run_python(
+        "-c",
+        "import detsum.cli; from detsum import matrices as m; "
+        "print(m._laplace_det.cache_info().currsize, m._laplace_minors.cache_info().currsize)",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("via_file", [False, True])
 def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
     digits = "7" * 5000

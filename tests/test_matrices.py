@@ -29,12 +29,14 @@ from detsum import (
 )
 from detsum import matrices
 from detsum.matrices import (
+    CLOSED_FORM_MAX_N,
     LEIBNIZ_MAX_N,
     RATIONAL_LIFT_MAX_EXCESS_BITS,
-    RESIDUE_BAREISS_MAX_N,
+    _det_bareiss,
     _det_berkowitz,
     _det_elimination_mod,
     _det_leibniz,
+    _laplace_det,
     det_rows,
     lift_family,
     mat_mul,
@@ -135,8 +137,9 @@ def test_det_algorithm_agreement():
 
 
 def test_closed_form_with_large_entries():
-    # 64- to 521-bit entries through the n <= 4 closed form, against the
-    # permutation expansion reduced into each (component) ring.
+    # 64- to 521-bit entries through the compiled expansion at n <= 7,
+    # against the permutation expansion reduced into each (component)
+    # ring up to n = 4 and Berkowitz in the ring above.
     rng = random.Random(137)
     big, p521 = 3**323, 2**521 - 1  # a 512-bit prime power and a prime
     cases = [
@@ -152,6 +155,8 @@ def test_closed_form_with_large_entries():
     ]
 
     def reference(ring, rows):
+        if len(rows) > 4:
+            return _det_berkowitz(ring, rows)
         if isinstance(ring, ProductRing):
             return tuple(
                 reference(comp, [[e[c] for e in row] for row in rows])
@@ -160,38 +165,54 @@ def test_closed_form_with_large_entries():
         return ring.normalize(ref_det(rows))
 
     for ring, draw in cases:
-        for n in (2, 3, 4):
-            for _ in range(10):
+        for n in range(2, CLOSED_FORM_MAX_N + 1):
+            for _ in range(10 if n <= 4 else 3):
                 mat = SquareMatrix(ring, [[draw() for _ in range(n)] for _ in range(n)])
                 assert det(mat).value == reference(ring, mat.rows), (ring, n)
 
 
+@pytest.mark.parametrize("bits", [4, 67, 600])
+def test_compiled_expansion_matches_bareiss(bits):
+    # The generated determinant at every n it serves, on signed entries.
+    rng = random.Random(173 + bits)
+    for n in range(1, CLOSED_FORM_MAX_N + 1):
+        for _ in range(8):
+            rows = [[rng.randrange(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+            assert _laplace_det(n)([e for row in rows for e in row]) == _det_bareiss(rows), (n, rows)
+
+
 ROUTE_NAMES = (
-    "_det_cofactor", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination_mod"
+    "_laplace_det", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination_mod"
 )
-BAREISS_SIZES = range(5, RESIDUE_BAREISS_MAX_N + 1)
-ELIMINATION_SIZES = range(RESIDUE_BAREISS_MAX_N + 1, RESIDUE_BAREISS_MAX_N + 3)
-# (ring, sizes, the routes det_rows takes there); n == 1 takes none on every ring.
-# The Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
+EXPANSION_SIZES = range(5, CLOSED_FORM_MAX_N + 1)
+ABOVE_SIZES = range(CLOSED_FORM_MAX_N + 1, CLOSED_FORM_MAX_N + 3)
+# (ring, sizes, the routes det_rows takes there).  At n == 1 Z, Z/N and
+# F_p run the expansion, which returns the entry; other rings run none.
+# Sizes 2..4 and 5..7 of the expansion are pinned apart, the second
+# being the band it took over from Bareiss.  The Z/(2^512-1) rows start
+# one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
-    (INTEGERS, range(2, 5), {"_det_cofactor"}),
-    (INTEGERS, range(5, 7), {"_det_bareiss"}),
-    (RATIONALS, range(2, 5), {"_det_cofactor"}),
-    (RATIONALS, range(5, 7), {"_det_bareiss"}),
-    (Z6, range(2, 5), {"_det_cofactor"}),
-    (Z6, BAREISS_SIZES, {"_det_bareiss"}),
-    (Z6, ELIMINATION_SIZES, {"_det_elimination_mod"}),
-    (Z_BIG, BAREISS_SIZES[1:], {"_det_bareiss"}),
-    (Z_BIG, ELIMINATION_SIZES[1:], {"_det_elimination_mod"}),
-    (F7, range(2, 5), {"_det_cofactor"}),
-    (F7, BAREISS_SIZES, {"_det_bareiss"}),
-    (F7, ELIMINATION_SIZES, {"_det_elimination_mod"}),
-    (ProductRing([Z6, F7]), range(2, 5), {"_det_cofactor"}),
-    (ProductRing([Z6, F7]), BAREISS_SIZES, {"_det_bareiss"}),
-    (ProductRing([Z6, F7]), ELIMINATION_SIZES, {"_det_elimination_mod"}),
+    (INTEGERS, range(2, 5), {"_laplace_det"}),
+    (INTEGERS, EXPANSION_SIZES, {"_laplace_det"}),
+    (INTEGERS, ABOVE_SIZES, {"_det_bareiss"}),
+    (RATIONALS, range(2, 5), {"_laplace_det"}),
+    (RATIONALS, EXPANSION_SIZES, {"_laplace_det"}),
+    (RATIONALS, ABOVE_SIZES, {"_det_bareiss"}),
+    (Z6, range(2, 5), {"_laplace_det"}),
+    (Z6, EXPANSION_SIZES, {"_laplace_det"}),
+    (Z6, ABOVE_SIZES, {"_det_elimination_mod"}),
+    (Z_BIG, EXPANSION_SIZES[1:], {"_laplace_det"}),
+    (Z_BIG, ABOVE_SIZES[1:], {"_det_elimination_mod"}),
+    (F7, range(2, 5), {"_laplace_det"}),
+    (F7, EXPANSION_SIZES, {"_laplace_det"}),
+    (F7, ABOVE_SIZES, {"_det_elimination_mod"}),
+    (ProductRing([Z6, F7]), range(2, 5), {"_laplace_det"}),
+    (ProductRing([Z6, F7]), EXPANSION_SIZES, {"_laplace_det"}),
+    (ProductRing([Z6, F7]), ABOVE_SIZES, {"_det_elimination_mod"}),
     (IntPolyRing(1), range(2, LEIBNIZ_MAX_N + 1), {"_det_leibniz"}),
     (IntPolyRing(1), range(LEIBNIZ_MAX_N + 1, LEIBNIZ_MAX_N + 2), {"_det_berkowitz"}),
 ]
+EXPANSION_KINDS = ("integers", "mod", "prime_field")
 
 
 @pytest.mark.parametrize(
@@ -209,7 +230,8 @@ def test_det_route_pins(monkeypatch, ring, sizes, routes):
         calls.clear()
         rows = random_matrix(ring, n, rng).rows
         matrices.det_rows(ring, rows)
-        assert set(calls) == (routes if n > 1 else set()), (ring, n)
+        one_by_one = {"_laplace_det"} if ring.kind in EXPANSION_KINDS else set()
+        assert set(calls) == (routes if n > 1 else one_by_one), (ring, n)
 
 
 @pytest.mark.parametrize(
@@ -220,10 +242,10 @@ def test_det_route_pins(monkeypatch, ring, sizes, routes):
 def test_det_rows_reduces_any_representatives(ring):
     # Shifting entries by random multiples of the modulus, negative ones
     # included, leaves the determinant's residue unchanged, on both sides
-    # of the closed form and of the Bareiss cutoff.
+    # of the compiled expansion's cutoff.
     modulus = ring.n
     rng = random.Random(151)
-    for n in (1, 2, 4, 5, RESIDUE_BAREISS_MAX_N, RESIDUE_BAREISS_MAX_N + 1, 12):
+    for n in (1, 2, 4, 5, CLOSED_FORM_MAX_N, CLOSED_FORM_MAX_N + 1, 12):
         for _ in range(3):
             rows = random_matrix(ring, n, rng).rows
             shifted = [[e + modulus * rng.randrange(-70, 70) for e in row] for row in rows]
@@ -247,10 +269,10 @@ def test_det_rows_reduces_any_representatives(ring):
 def test_elimination_clears_columns_without_a_unit(modulus, non_unit):
     # With no unit to pivot on, elimination clears the column by Euclid's
     # steps between rows, checked against the permutation expansion and,
-    # past the Bareiss cutoff, against Bareiss over Z and Berkowitz.
+    # past the expansion's cutoff, against Bareiss over Z and Berkowitz.
     rng = random.Random(167)
     ring = ModRing(modulus)
-    for n in (2, 3, 4, 5, 6, RESIDUE_BAREISS_MAX_N + 1, 12):
+    for n in (2, 3, 4, 5, 6, CLOSED_FORM_MAX_N + 1, 12):
         for _ in range(4):
             rows = [[non_unit(rng) for _ in range(n)] for _ in range(n)]
             if modulus == 12 and n >= 3:
