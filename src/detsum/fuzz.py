@@ -34,6 +34,7 @@ from .identities import (
     superset_sign_counts,
 )
 from .matrices import (
+    COMPILED_BAREISS_MAX_N,
     SquareMatrix,
     _det_berkowitz,
     _det_leibniz,
@@ -214,7 +215,7 @@ _BIG_MODULUS = 2**512 - 1  # composite, 512 bits
 _BIG_PRIME = 2**521 - 1
 # (ring, largest n, modulus of the lift to Z or None)
 _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
-    (INTEGERS, 8, None),
+    (INTEGERS, COMPILED_BAREISS_MAX_N, None),
     (RATIONALS, 6, None),
     (PrimeField(7), 16, 7),
     (ModRing(6), 16, 6),
@@ -258,10 +259,11 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
 
     For n <= 7 the lifted value runs the same compiled expansion as det
     over F_p and Z/N, so there Leibniz and Berkowitz are the independent
-    oracles; over Z, n runs to 8, one past that expansion's cutoff; the
-    512- and 521-bit moduli check every route on residues far wider than
-    a machine word.  Over Z/2^64 a column with no odd entry has no unit,
-    which sends elimination down Euclid's steps.
+    oracles.  Over Z, n runs to 12, the cap of the compiled Bareiss that
+    the lifted value also runs at n = 8..12.  The 512- and 521-bit
+    moduli check every route on residues far wider than a machine word.
+    Over Z/2^64 a column with no odd entry has no unit, which sends
+    elimination down Euclid's steps.
     Over F_p and Z/N, Berkowitz runs on plain ints (:func:`_berkowitz_mod`),
     and in ring methods every ``RING_BERKOWITZ_EVERY``-th trial."""
     for ring, max_n, modulus in _CROSS_CHECK_RINGS:

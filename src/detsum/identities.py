@@ -87,11 +87,10 @@ DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
 # identity counts its coefficients, but keeps refusing m past the cap, since
 # that refusal is part of the verify-lemma3 contract.
 COEFFICIENT_CHECK_FAMILY_CAP = 24
-# The largest n at which an int-lifted alternating sum runs the recurrence.
-# Walk against recurrence, us per call (timeit, one pinned CPU), over Z:
-# n=3 m=4 15/16, m=10 1056/17; n=4 m=4 26/92, m=8 470/106; n=5 m=5 109/706,
-# m=6 219/766, m=7 464/776, m=8 955/771; n=6 m=6 474/7561, m=7 986/7840.
-# So at n = 5 the walk is the faster one up to m = 7.
+# The largest n at which an int-lifted alternating sum may run the
+# recurrence; up to it _recurrence_is_faster picks the engine by a count.
+# Walk against recurrence, us per call over Z (timeit, one pinned CPU):
+# n=6 m=6 474/7561, m=7 986/7840.
 RECURRENCE_MAX_N = 5
 
 
@@ -138,11 +137,22 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     lift = lift_family(ring, [a.rows for a in matrices], m)
-    if lift.ring == INTEGERS and n <= RECURRENCE_MAX_N:
+    if lift.ring == INTEGERS and n <= RECURRENCE_MAX_N and _recurrence_is_faster(n, m):
         acc = lift.det_ring.from_int(_recurrence_alternating_sum(lift, n))
     else:
         acc = _walk_alternating_sum(lift)
     return RingElement(ring, lift.finish(acc), _normalized=True)
+
+
+@functools.lru_cache(maxsize=None)  # n <= RECURRENCE_MAX_N, m <= MAX_FAMILY
+def _recurrence_is_faster(n: int, m: int) -> bool:
+    # Products, counted: the recurrence reads at most n + 1 members, each
+    # taking one product per move, sum_k C(n, k)^2 (C(2k, k) - 1) of them
+    # (a pair of k-sets takes a move from each pair of equal-size parts
+    # but itself); the walk takes 2^m determinants of n * 2^(n - 1)
+    # products each.
+    moves = sum(math.comb(n, k) ** 2 * (math.comb(2 * k, k) - 1) for k in range(1, n + 1))
+    return min(m, n + 1) * moves < n << (n - 1 + m)
 
 
 def _walk_alternating_sum(lift: Lift) -> object:
@@ -518,30 +528,15 @@ def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object
     states stay zero, so the loop stops there.
     """
     support = sorted({i for exps in poly.terms for i, e in enumerate(exps) if e})
-    terms = [(tuple(exps[i] for i in support), coeff) for exps, coeff in poly.terms.items()]
-    # In lexicographic order, 0 comes first and a - u before a, u the unit
-    # at the first i with a_i > 0, so that v^a is v^(a - u) * v_i.
-    divisors = sorted({a for e, _ in terms for a in itertools.product(*(range(k + 1) for k in e))})
-    index = {a: k for k, a in enumerate(divisors)}
-    steps = []
-    for a in divisors[1:]:
-        i = next(i for i, k in enumerate(a) if k)
-        steps.append((index[a[:i] + (a[i] - 1,) + a[i + 1:]], support[i]))
-    moves = [[] for _ in divisors]
-    for target, a in enumerate(divisors):
-        for b in itertools.product(*(range(k + 1) for k in a)):
-            if b != a:
-                coeff = math.prod(map(math.comb, a, b))
-                coeff = None if coeff == 1 else ring.from_int(coeff)
-                moves[index[b]].append((target, coeff, index[tuple(map(operator.sub, a, b))]))
-
+    steps, moves, ends = _homogeneous_plan(tuple(tuple(exps[i] for i in support) for exps in poly.terms), ring)
     add, sub, mul, is_zero, zero, one = ring.add, ring.sub, ring.mul, ring.is_zero, ring.zero, ring.one
-    state = [one] + [zero] * (len(divisors) - 1)
+    state = [one] + [zero] * (len(moves) - 1)
     for v in vectors:
+        point = [v[i] for i in support]
         power = [one]
         for prev, i in steps:
-            power.append(mul(power[prev], v[i]))
-        new = [zero] * len(divisors)
+            power.append(mul(power[prev], point[i]))
+        new = [zero] * len(moves)
         for t, out in zip(state, moves):
             if not is_zero(t):
                 for target, coeff, d in out:
@@ -550,7 +545,37 @@ def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object
         state = new
         if all(map(is_zero, state)):
             break
-    return functools.reduce(add, [mul(ring.from_int(c), state[index[e]]) for e, c in terms], zero)
+    return functools.reduce(
+        add, [mul(ring.from_int(c), state[k]) for k, c in zip(ends, poly.terms.values())], zero
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _homogeneous_plan(exponents: tuple[tuple[int, ...], ...], ring: Ring) -> tuple[tuple, tuple, tuple]:
+    """The recurrence's plan for terms with these exponents over the
+    variables that occur, cached so that polynomials of one shape share
+    it: (steps, moves, ends) over the divisors a of the terms.  Divisor
+    k > 0 is the power v^a = power[prev] * v_i for steps[k - 1] = (prev,
+    i); moves[k] lists (target, C(target, a) in ``ring``, None for 1,
+    target - a) for each target above a; ends[j] is the divisor that is
+    term j itself.
+    """
+    # In lexicographic order, 0 comes first and a - u before a, u the unit
+    # at the first i with a_i > 0, so that v^a is v^(a - u) * v_i.
+    divisors = sorted({a for e in exponents for a in itertools.product(*(range(k + 1) for k in e))})
+    index = {a: k for k, a in enumerate(divisors)}
+    steps = []
+    for a in divisors[1:]:
+        i = next(i for i, k in enumerate(a) if k)
+        steps.append((index[a[:i] + (a[i] - 1,) + a[i + 1:]], i))
+    moves = [[] for _ in divisors]
+    for target, a in enumerate(divisors):
+        for b in itertools.product(*(range(k + 1) for k in a)):
+            if b != a:
+                coeff = math.prod(map(math.comb, a, b))
+                coeff = None if coeff == 1 else ring.from_int(coeff)
+                moves[index[b]].append((target, coeff, index[tuple(map(operator.sub, a, b))]))
+    return tuple(steps), tuple(map(tuple, moves)), tuple(index[e] for e in exponents)
 
 
 def _ring_alternating_sum(poly: SparsePoly, ring: Ring, vectors) -> object:

@@ -8,8 +8,9 @@ picks its route from the ring and n:
   pass, each taking its component's route (the engines walk coprime
   Z/N and F_p products as one Z/M instead; see below)
 * Z             -- for n <= 7 the Laplace expansion compiled into
-  straight-line int code (:func:`_laplace_det`), fraction-free Bareiss
-  elimination above
+  straight-line int code (:func:`_laplace_det`); fraction-free Bareiss
+  elimination above, compiled the same way up to n = 12
+  (:func:`_bareiss_det`) and a loop past that
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
@@ -37,8 +38,9 @@ product's determinants therefore run the Z/M route.  Each lifted member
 is packed into one int, the sum of cell_k * 2^(k*w) over its entries
 with one w-bit slot each (Kronecker substitution), so that a subset sum
 is one int addition; the returned :class:`Lift` unpacks a sum and takes
-its determinant, the compiled expansion on the unpacked cells for
-n <= 7 and rows sliced from them above.  A Z[x...] family is packed
+its determinant: the compiled expansion on the unpacked cells for
+n <= 7, over Z and Q the compiled Bareiss on them up to n = 12, and
+rows sliced from them otherwise.  A Z[x...] family is packed
 entry by entry as :func:`det_rows` packs its rows, and walks as arrays
 of those dicts.
 
@@ -90,6 +92,14 @@ DET_SIZE_CAP = 64
 # 64-bit ints and 1,348/1,948/908 over Z/(2^512-1) (timeit, one pinned
 # CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and 7.
 CLOSED_FORM_MAX_N = 7
+# Bareiss compiled into straight-line int code (_bareiss_det) above
+# CLOSED_FORM_MAX_N up to this n over Z and Q.  us/det, loop/compiled, on
+# entries |x| <= 90 and of 67 bits: n = 8 41/12 and 90/58, n = 10 76/29
+# and 203/147, n = 12 136/59 and 406/325, n = 16 313/170 and 1,275/1,101
+# (timeit, one pinned CPU).  Compiling takes 1.9, 3.7, 7.2 and 17.6 ms at
+# n = 8, 10, 12 and 16, once per process and n, and the wide-entry gain
+# shrinks as n grows.
+COMPILED_BAREISS_MAX_N = 12
 # Q families walk on integers while n times the bits that the shared row
 # scales add to the members' own stays at or below this.  Alt-sum with
 # m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
@@ -322,16 +332,29 @@ def _minor_keys(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [key for k in range(1, n + 1) for key in itertools.product(itertools.combinations(range(n), k), repeat=2)]
 
 
+def _compile(name: str, n: int, body: Sequence[str], **names) -> Callable[[Sequence[int]], object]:
+    """``name(cells)`` for an n x n int matrix given as its n^2 cells row
+    by row, unpacked into the locals ``c0``, ``c1``, ...; ``body`` is its
+    straight-line code, one statement a line, and ``names`` the globals
+    that it calls.
+    """
+    source = f"def {name}(cells):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n" + "".join(
+        f"    {line}\n" for line in body
+    )
+    namespace = dict(names)
+    exec(compile(source, f"<{name} of {n}x{n}>", "exec"), namespace)
+    return namespace[name]
+
+
 def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Sequence[int]], object]:
-    """``name(cells)``, straight-line code for an n x n int matrix given
-    as its n^2 cells row by row.  Each minor of ``keys``, listed after
-    the minors one size smaller that it needs, is expanded along its
-    first row into cells times those minors, named as locals.  It returns
-    the last minor when ``whole``, else all of them in the order of
-    ``keys``.  No ring calls, no division.
+    """``name(cells)``, straight-line code for an n x n int matrix.  Each
+    minor of ``keys``, listed after the minors one size smaller that it
+    needs, is expanded along its first row into cells times those minors,
+    named as locals.  It returns the last minor when ``whole``, else all
+    of them in the order of ``keys``.  No ring calls, no division.
     """
     index = {key: i for i, key in enumerate(keys)}
-    names, lines = [], []
+    names, body = [], []
     for i, (rows, cols) in enumerate(keys):
         first, below = rows[0], rows[1:]
         if not below:
@@ -342,16 +365,9 @@ def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Seque
             for j, col in enumerate(cols)
         )
         names.append(f"m{i}")
-        lines.append(f"    m{i} = {terms}\n")
+        body.append(f"m{i} = {terms}")
     result = names[-1] if whole else f"({', '.join(names)},)"
-    source = (
-        f"def {name}(cells):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n"
-        + "".join(lines)
-        + f"    return {result}\n"
-    )
-    namespace: dict = {}
-    exec(compile(source, f"<{name} of {n}x{n}>", "exec"), namespace)
-    return namespace[name]
+    return _compile(name, n, [*body, f"return {result}"])
 
 
 @lru_cache(maxsize=None)
@@ -374,6 +390,33 @@ def _laplace_det(n: int) -> Callable[[Sequence[int]], int]:
         (tuple(range(n - k, n)), cols) for k in range(1, n + 1) for cols in itertools.combinations(range(n), k)
     ]
     return _compiled_expansion("det", n, keys, whole=True)
+
+
+@lru_cache(maxsize=None)
+def _bareiss_det(n: int) -> Callable[[Sequence[int]], int]:
+    """``det(cells)``, compiled on first use, is the determinant of an
+    n x n int matrix by fraction-free Bareiss elimination written out on
+    the cells, without row swaps: step k takes each a_ij with i, j > k
+    to (a_kk * a_ij - a_ik * a_kj) // prev, prev being the pivot of step
+    k - 1 (1 at k = 0).  A zero pivot at step k hands the (n - k) x
+    (n - k) block from a_kk on to :func:`_det_bareiss`, which pivots, and
+    divides by prev^(n - k - 1): by Sylvester's identity that block's
+    determinant is det(A) times the leading k x k minor, prev, to that
+    power, so the division is exact.
+    """
+    cell = [[f"c{i * n + j}" for j in range(n)] for i in range(n)]
+    body = []
+    for k in range(n - 1):
+        pivot, prev, rest = cell[k][k], cell[k - 1][k - 1] if k else "1", range(k, n)
+        block = "".join(f"({', '.join(cell[i][j] for j in rest)},), " for i in rest)
+        body.append(f"if not {pivot}: return _det_bareiss(({block})) // {prev} ** {n - k - 1}")
+        divide = f" // {prev}" if k else ""
+        body.extend(
+            f"{cell[i][j]} = ({pivot} * {cell[i][j]} - {cell[i][k]} * {cell[k][j]}){divide}"
+            for i in range(k + 1, n)
+            for j in range(k + 1, n)
+        )
+    return _compile("det", n, [*body, f"return {cell[n - 1][n - 1]}"], _det_bareiss=_det_bareiss)
 
 
 def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -443,10 +486,15 @@ def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
 # One route per ring type; each takes (ring, rows) at any n >= 1.
 
 
+def _compiled_det(n: int) -> Callable[[Sequence[int]], int]:
+    # The compiled int determinant at n <= COMPILED_BAREISS_MAX_N.
+    return _laplace_det(n) if n <= CLOSED_FORM_MAX_N else _bareiss_det(n)
+
+
 def _det_integer(ring: Ring, rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
-    if n <= CLOSED_FORM_MAX_N:
-        return _laplace_det(n)([e for row in rows for e in row])
+    if n <= COMPILED_BAREISS_MAX_N:
+        return _compiled_det(n)([e for row in rows for e in row])
     return _det_bareiss(rows)
 
 
@@ -754,7 +802,8 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
 
 
 def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
-    add, sub = array_ops(walk_ring)
+    # Int arrays, too wide for a slot, add by int operators, not Z's methods.
+    add, sub = array_ops(operator if isinstance(walk_ring, IntegerRing) else walk_ring)
 
     def det(rows):
         return det_rows(det_ring, rows)
@@ -816,9 +865,9 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
     ``signs``, 2^(w-1) in every slot, leaves each cell plus 2^(w-1), in
     [0, 2^w) by :func:`_slot_width`, so no slot borrows or carries;
     flipping each slot's top bit then leaves the cell's w-bit two's
-    complement, read as a signed cell.  Up to n = 7 the compiled expansion
-    takes the cells as they come; above, rows sliced from them go to
-    :func:`det_rows`.
+    complement, read as a signed cell.  The compiled expansion up to n = 7,
+    and over Z the compiled Bareiss up to n = 12, take the cells as they
+    come; otherwise rows sliced from them go to :func:`det_rows`.
     """
     code = _SLOT_CODES[width]
     layout = struct.Struct(f"<{n * n}{code}")
@@ -830,8 +879,8 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
         def cells(value):
             return unpack(value.to_bytes(nbytes, "little"))
 
-        def small_det(value):
-            return expand(unpack(value.to_bytes(nbytes, "little"))) % modulus
+        def cells_det(value):
+            return compiled(unpack(value.to_bytes(nbytes, "little"))) % modulus
 
     else:
         half = 1 << (width - 1)
@@ -842,12 +891,12 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
         def cells(value):
             return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
 
-        def small_det(value):
-            return expand(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
+        def cells_det(value):
+            return compiled(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
-    if n <= CLOSED_FORM_MAX_N:
-        expand = _laplace_det(n)
-        return values, cells, small_det
+    if n <= CLOSED_FORM_MAX_N or not modulus and n <= COMPILED_BAREISS_MAX_N:
+        compiled = _compiled_det(n)
+        return values, cells, cells_det
 
     def det(value):
         entries = cells(value)

@@ -131,7 +131,9 @@ def masks_in_search_order(
 def array_ops(ring) -> tuple[Callable, Callable]:
     """(add, sub) of two same-shape arrays over ``ring``, entry by entry.
 
-    Each returns a new array, so a walk may yield its sums and keep them.
+    ``ring`` needs only ``add`` and ``sub``: the ``operator`` module sums
+    int arrays.  Each returns a new array, so a walk may yield its sums
+    and keep them.
     """
     add, sub = ring.add, ring.sub
 

@@ -531,14 +531,15 @@ def test_importing_the_cli_leaves_the_fuzz_suites_unloaded():
 
 
 def test_importing_the_cli_compiles_no_expansion():
-    # The generated Laplace code is compiled on first use, never at import.
+    # The generated Laplace and Bareiss code is compiled on first use,
+    # never at import.
     probe = run_python(
         "-c",
         "import detsum.cli; from detsum import matrices as m; "
-        "print(m._laplace_det.cache_info().currsize, m._laplace_minors.cache_info().currsize)",
+        "print(*(f.cache_info().currsize for f in (m._laplace_det, m._laplace_minors, m._bareiss_det)))",
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split() == ["0", "0"]
+    assert probe.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize("via_file", [False, True])

@@ -30,8 +30,10 @@ from detsum import (
 from detsum import matrices
 from detsum.matrices import (
     CLOSED_FORM_MAX_N,
+    COMPILED_BAREISS_MAX_N,
     LEIBNIZ_MAX_N,
     RATIONAL_LIFT_MAX_EXCESS_BITS,
+    _bareiss_det,
     _det_bareiss,
     _det_berkowitz,
     _det_elimination_mod,
@@ -181,23 +183,62 @@ def test_compiled_expansion_matches_bareiss(bits):
             assert _laplace_det(n)([e for row in rows for e in row]) == _det_bareiss(rows), (n, rows)
 
 
+@pytest.mark.parametrize("bits", [4, 67, 600])
+def test_compiled_bareiss_matches_berkowitz(bits):
+    # The generated elimination at every n it serves, on signed entries:
+    # random matrices, singular ones (last row the sum of the first two),
+    # and ones whose pivot k is zero, so that the block from a_kk on goes
+    # to the loop, at k = 0, at a middle step and at k = n - 2.  Pivot k
+    # is the leading (k+1) x (k+1) minor, made 0 by starting row k as
+    # row 0 starts, while the smaller leading minors stay nonzero.
+    rng = random.Random(179 + bits)
+
+    def leading_minor(rows, size):
+        return _det_berkowitz(INTEGERS, [row[:size] for row in rows[:size]])
+
+    for n in range(CLOSED_FORM_MAX_N + 1, COMPILED_BAREISS_MAX_N + 1):
+        for zero_pivot in (None, "singular", 0, n // 2, n - 2):
+            rows = [[rng.randrange(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+            if zero_pivot == "singular":
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+            elif zero_pivot == 0:
+                rows[0][0] = 0
+            elif zero_pivot is not None:
+                rows[zero_pivot][: zero_pivot + 1] = rows[0][: zero_pivot + 1]
+            if isinstance(zero_pivot, int):
+                assert leading_minor(rows, zero_pivot + 1) == 0
+                assert all(leading_minor(rows, size) for size in range(1, zero_pivot + 1))
+            value = _bareiss_det(n)([e for row in rows for e in row])
+            assert value == _det_berkowitz(INTEGERS, rows), (n, zero_pivot, rows)
+            assert (value == 0) == (zero_pivot == "singular"), (n, zero_pivot)
+
+
 ROUTE_NAMES = (
-    "_laplace_det", "_det_leibniz", "_det_berkowitz", "_det_bareiss", "_det_elimination_mod"
+    "_laplace_det",
+    "_bareiss_det",
+    "_det_leibniz",
+    "_det_berkowitz",
+    "_det_bareiss",
+    "_det_elimination_mod",
 )
 EXPANSION_SIZES = range(5, CLOSED_FORM_MAX_N + 1)
 ABOVE_SIZES = range(CLOSED_FORM_MAX_N + 1, CLOSED_FORM_MAX_N + 3)
+LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
 # (ring, sizes, the routes det_rows takes there).  At n == 1 Z, Z/N and
 # F_p run the expansion, which returns the entry; other rings run none.
 # Sizes 2..4 and 5..7 of the expansion are pinned apart, the second
-# being the band it took over from Bareiss.  The Z/(2^512-1) rows start
-# one size off the Z/6 ones to keep the ids apart.
+# being the band it took over from Bareiss.  Over Z and Q, Bareiss runs
+# compiled above the expansion and as a loop past its cap.  The
+# Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_laplace_det"}),
     (INTEGERS, EXPANSION_SIZES, {"_laplace_det"}),
-    (INTEGERS, ABOVE_SIZES, {"_det_bareiss"}),
+    (INTEGERS, ABOVE_SIZES, {"_bareiss_det"}),
+    (INTEGERS, LOOP_SIZES, {"_det_bareiss"}),
     (RATIONALS, range(2, 5), {"_laplace_det"}),
     (RATIONALS, EXPANSION_SIZES, {"_laplace_det"}),
-    (RATIONALS, ABOVE_SIZES, {"_det_bareiss"}),
+    (RATIONALS, ABOVE_SIZES, {"_bareiss_det"}),
+    (RATIONALS, LOOP_SIZES, {"_det_bareiss"}),
     (Z6, range(2, 5), {"_laplace_det"}),
     (Z6, EXPANSION_SIZES, {"_laplace_det"}),
     (Z6, ABOVE_SIZES, {"_det_elimination_mod"}),
@@ -451,6 +492,30 @@ def test_packed_members_are_signed_kronecker_sums():
         assert decodes_to(lift.sub(x, y), [a - b for a, b in zip(fx, fy)])
     for x, fx in zip(lift.members, flat):  # four-fold sums reach the edge of the slot
         assert decodes_to(functools.reduce(lift.add, [x] * size), [size * a for a in fx])
+
+
+def test_lifted_determinants_in_the_compiled_bareiss_band():
+    # At n = 8..12 a lifted Z or Q family's determinants run the compiled
+    # Bareiss, on packed cells (8- to 64-bit slots) or on int arrays too
+    # wide for a slot; Berkowitz on the subset sum is the oracle.
+    rng = random.Random(191)
+    for n in range(CLOSED_FORM_MAX_N + 1, COMPILED_BAREISS_MAX_N + 1):
+        for bits, width in ((3, 8), (12, 16), (60, 64), (70, None)):
+            fam = [
+                SquareMatrix(INTEGERS, [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)])
+                for _ in range(2)
+            ]
+            if bits == 3:  # a zero pivot at step 0 of every subset sum
+                fam = [SquareMatrix(INTEGERS, [[0, *a.rows[0][1:]], *a.rows[1:]]) for a in fam]
+            for ring, members in (
+                (INTEGERS, fam),
+                (RATIONALS, [SquareMatrix(RATIONALS, [[Fraction(e, 3) for e in row] for row in a.rows]) for a in fam]),
+            ):
+                lift = lift_family(ring, [a.rows for a in members], 2)
+                assert lift.width == width, (n, bits)
+                for mask, value in search_order_sums(lift.members, lift.add, 2):
+                    rows = subset_sum(members, SubsetMask(mask, 2)).rows
+                    assert lift.finish(lift.det(value)) == _det_berkowitz(ring, rows), (ring, n, bits)
 
 
 def test_coprime_products_lift_to_one_residue_ring():
