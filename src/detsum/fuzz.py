@@ -259,8 +259,8 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
 
     For n <= 7 the lifted value runs the same compiled expansion as det
     over F_p and Z/N, so there Leibniz and Berkowitz are the independent
-    oracles.  Over Z, n runs to 12, the cap of the compiled Bareiss that
-    the lifted value also runs at n = 8..12.  The 512- and 521-bit
+    oracles.  Over Z, n runs to 8, the cap of the compiled Bareiss, which
+    det and the lifted value run there.  The 512- and 521-bit
     moduli check every route on residues far wider than a machine word.
     Over Z/2^64 a column with no odd entry has no unit, which sends
     elimination down Euclid's steps.
@@ -438,7 +438,7 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             members = [a.rows for a in fam]
             oracle = {bits: subset_sum(fam, SubsetMask(bits, m)).rows for bits in range(1, 1 << m)}
             as_rows = lambda rows: tuple(map(tuple, rows))
-            walks = [("arrays", members, *array_ops(ring), as_rows)]
+            walks = [("arrays", members, *array_ops(ring.add, ring.sub), as_rows)]
             lift = lift_family(ring, members, m)
             if lift.ring == INTEGERS:
                 rows_of = _lifted_rows(ring, members, lift)

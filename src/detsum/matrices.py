@@ -9,8 +9,9 @@ picks its route from the ring and n:
   Z/N and F_p products as one Z/M instead; see below)
 * Z             -- for n <= 7 the Laplace expansion compiled into
   straight-line int code (:func:`_laplace_det`); fraction-free Bareiss
-  elimination above, compiled the same way up to n = 12
-  (:func:`_bareiss_det`) and a loop past that
+  elimination above, compiled the same way at n = 8
+  (:func:`_bareiss_det`, up to ``COMPILED_BAREISS_MAX_N``) and a loop
+  past that
 * Q             -- each row scaled to integers by the lcm of its
   denominators, the same integer determinant, then divided by the row
   multipliers
@@ -39,8 +40,8 @@ is packed into one int, the sum of cell_k * 2^(k*w) over its entries
 with one w-bit slot each (Kronecker substitution), so that a subset sum
 is one int addition; the returned :class:`Lift` unpacks a sum and takes
 its determinant: the compiled expansion on the unpacked cells for
-n <= 7, over Z and Q the compiled Bareiss on them up to n = 12, and
-rows sliced from them otherwise.  A Z[x...] family is packed
+n <= 7, over Z and Q the compiled Bareiss on them at n = 8, and rows
+sliced from them otherwise.  A Z[x...] family is packed
 entry by entry as :func:`det_rows` packs its rows, and walks as arrays
 of those dicts.
 
@@ -93,13 +94,14 @@ DET_SIZE_CAP = 64
 # CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and 7.
 CLOSED_FORM_MAX_N = 7
 # Bareiss compiled into straight-line int code (_bareiss_det) above
-# CLOSED_FORM_MAX_N up to this n over Z and Q.  us/det, loop/compiled, on
-# entries |x| <= 90 and of 67 bits: n = 8 41/12 and 90/58, n = 10 76/29
-# and 203/147, n = 12 136/59 and 406/325, n = 16 313/170 and 1,275/1,101
-# (timeit, one pinned CPU).  Compiling takes 1.9, 3.7, 7.2 and 17.6 ms at
-# n = 8, 10, 12 and 16, once per process and n, and the wide-entry gain
-# shrinks as n grows.
-COMPILED_BAREISS_MAX_N = 12
+# CLOSED_FORM_MAX_N up to this n over Z and Q, the loop past it.  us/det,
+# loop/compiled, on entries |x| <= 90 and of 67 bits: n = 8 41/12 and
+# 90/58, n = 12 136/59 and 406/325 (timeit, one pinned CPU).  Compiling
+# costs 1.9 ms at n = 8 and 7.2 ms at n = 12, once per process and n, so
+# it pays off only after 60-95 determinants of one size.  det_large
+# takes 511 per operation at n = 8 over Z, and no benchmark workload takes
+# a Z or Q determinant above n = 8, so the cap stays there until one does.
+COMPILED_BAREISS_MAX_N = 8
 # Q families walk on integers while n times the bits that the shared row
 # scales add to the members' own stays at or below this.  Alt-sum with
 # m = n + 1, lifted over unlifted time, crosses 1 near 9000 for n = 5..8.
@@ -797,13 +799,13 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
         packed = _PackedPolyRing.covering(ring.var_count, members)
         pack = packed.pack
         lifted = [[[pack(e) for e in row] for row in a] for a in members]
-        return _array_lift(packed, lifted, packed, packed.unpack)
-    return _array_lift(ring, members, ring, _unchanged)
+        return _array_lift(packed, lifted, packed, packed.unpack, packed.add, packed.sub)
+    return _array_lift(ring, members, ring, _unchanged, ring.add, ring.sub)
 
 
-def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
-    # Int arrays, too wide for a slot, add by int operators, not Z's methods.
-    add, sub = array_ops(operator if isinstance(walk_ring, IntegerRing) else walk_ring)
+def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish, add, sub) -> Lift:
+    # add and sub act on one entry of walk_ring.
+    array_add, array_sub = array_ops(add, sub)
 
     def det(rows):
         return det_rows(det_ring, rows)
@@ -811,7 +813,7 @@ def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
     def cells(rows):
         return tuple(e for row in rows for e in row)
 
-    return Lift(walk_ring, members, add, sub, det, cells, det_ring, finish, det_ring.is_unit, None)
+    return Lift(walk_ring, members, array_add, array_sub, det, cells, det_ring, finish, det_ring.is_unit, None)
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -842,8 +844,8 @@ def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
         det = (lambda value: value % modulus) if modulus else _unchanged
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
-        if width is None:
-            return _array_lift(INTEGERS, members, det_ring, finish)
+        if width is None:  # int arrays, summed by int operators, not Z's methods
+            return _array_lift(INTEGERS, members, det_ring, finish, operator.add, operator.sub)
         values, cells, det = _packed(flat, n, width, det_ring, modulus)
     return Lift(
         INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width
@@ -866,8 +868,8 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
     [0, 2^w) by :func:`_slot_width`, so no slot borrows or carries;
     flipping each slot's top bit then leaves the cell's w-bit two's
     complement, read as a signed cell.  The compiled expansion up to n = 7,
-    and over Z the compiled Bareiss up to n = 12, take the cells as they
-    come; otherwise rows sliced from them go to :func:`det_rows`.
+    and over Z the compiled Bareiss at n = 8, take the cells as they come;
+    otherwise rows sliced from them go to :func:`det_rows`.
     """
     code = _SLOT_CODES[width]
     layout = struct.Struct(f"<{n * n}{code}")

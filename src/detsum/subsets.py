@@ -128,14 +128,11 @@ def masks_in_search_order(
         yield from masks_of_cardinality(m, k)
 
 
-def array_ops(ring) -> tuple[Callable, Callable]:
-    """(add, sub) of two same-shape arrays over ``ring``, entry by entry.
+def array_ops(add: Callable, sub: Callable) -> tuple[Callable, Callable]:
+    """(add, sub) of two same-shape arrays, entry by entry by ``add`` and ``sub``.
 
-    ``ring`` needs only ``add`` and ``sub``: the ``operator`` module sums
-    int arrays.  Each returns a new array, so a walk may yield its sums
-    and keep them.
+    Each returns a new array, so a walk may yield its sums and keep them.
     """
-    add, sub = ring.add, ring.sub
 
     def array_add(a, b):
         return [list(map(add, ra, rb)) for ra, rb in zip(a, b)]

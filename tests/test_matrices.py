@@ -223,6 +223,7 @@ ROUTE_NAMES = (
 )
 EXPANSION_SIZES = range(5, CLOSED_FORM_MAX_N + 1)
 ABOVE_SIZES = range(CLOSED_FORM_MAX_N + 1, CLOSED_FORM_MAX_N + 3)
+BAREISS_SIZES = range(CLOSED_FORM_MAX_N + 1, COMPILED_BAREISS_MAX_N + 1)
 LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
 # (ring, sizes, the routes det_rows takes there).  At n == 1 Z, Z/N and
 # F_p run the expansion, which returns the entry; other rings run none.
@@ -233,11 +234,11 @@ LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_laplace_det"}),
     (INTEGERS, EXPANSION_SIZES, {"_laplace_det"}),
-    (INTEGERS, ABOVE_SIZES, {"_bareiss_det"}),
+    (INTEGERS, BAREISS_SIZES, {"_bareiss_det"}),
     (INTEGERS, LOOP_SIZES, {"_det_bareiss"}),
     (RATIONALS, range(2, 5), {"_laplace_det"}),
     (RATIONALS, EXPANSION_SIZES, {"_laplace_det"}),
-    (RATIONALS, ABOVE_SIZES, {"_bareiss_det"}),
+    (RATIONALS, BAREISS_SIZES, {"_bareiss_det"}),
     (RATIONALS, LOOP_SIZES, {"_det_bareiss"}),
     (Z6, range(2, 5), {"_laplace_det"}),
     (Z6, EXPANSION_SIZES, {"_laplace_det"}),
@@ -495,9 +496,10 @@ def test_packed_members_are_signed_kronecker_sums():
 
 
 def test_lifted_determinants_in_the_compiled_bareiss_band():
-    # At n = 8..12 a lifted Z or Q family's determinants run the compiled
-    # Bareiss, on packed cells (8- to 64-bit slots) or on int arrays too
-    # wide for a slot; Berkowitz on the subset sum is the oracle.
+    # Above the expansion, up to the cap, a lifted Z or Q family's
+    # determinants run the compiled Bareiss, on packed cells (8- to 64-bit
+    # slots) or on int arrays too wide for a slot; Berkowitz on the subset
+    # sum is the oracle.
     rng = random.Random(191)
     for n in range(CLOSED_FORM_MAX_N + 1, COMPILED_BAREISS_MAX_N + 1):
         for bits, width in ((3, 8), (12, 16), (60, 64), (70, None)):
