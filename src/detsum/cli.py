@@ -35,6 +35,7 @@ from .identities import (
     simplex_centroid_check,
 )
 from .jsonio import (
+    MAX_VAR_COUNT,
     SchemaError,
     chain_to_json,
     decode_int,
@@ -48,9 +49,10 @@ from .jsonio import (
     ring_from_json,
     simplex_report_to_json,
     value_from_json,
+    vectors_from_json,
 )
 from .matrices import SquareMatrix, det, is_invertible, lift_family, subset_sum
-from .rings import IntPolyRing, PrimeField, RingElement
+from .rings import IntPolyRing, PrimeField
 from .search import (
     embed_product_to_matrices,
     find_invertible_subsum,
@@ -77,6 +79,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    subcommands: dict[str, "_Parser"]  # set on the top-level parser by build_parser
+
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise _UsageError(message)
 
@@ -195,20 +199,10 @@ def _cmd_homogeneous(args, seed, doc):
     var_count = decode_int(doc.get("var_count"), "var_count")
     if var_count < 1:
         raise SchemaError("var_count: expected a positive integer")
+    if var_count > MAX_VAR_COUNT:
+        raise SchemaError(f"var_count: {var_count} exceeds the {MAX_VAR_COUNT}-variable limit")
     poly = value_from_json(IntPolyRing(var_count), doc.get("poly"), "poly")
-    vec_docs = doc.get("vectors")
-    if not isinstance(vec_docs, list) or not vec_docs:
-        raise SchemaError("vectors: expected a nonempty array")
-    vectors = []
-    for vi, vec in enumerate(vec_docs):
-        if not isinstance(vec, list) or len(vec) != var_count:
-            raise SchemaError(f"vectors[{vi}]: expected {var_count} coordinates")
-        vectors.append(
-            [
-                RingElement(ring, value_from_json(ring, e, f"vectors[{vi}][{ci}]"), _normalized=True)
-                for ci, e in enumerate(vec)
-            ]
-        )
+    vectors = vectors_from_json(ring, var_count, doc.get("vectors"))
     degree = poly.homogeneous_degree()
     value = homogeneous_alternating_sum(poly, vectors)
     zero = value.is_zero()
@@ -448,7 +442,25 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, parents=[common], help=help_line)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the parser tree does.
+
+    When argv[0] names a subcommand, the tree would hand the rest of argv
+    to that subcommand's parser, so it is parsed there directly: the top
+    level's own pass over argv is skipped, and usage errors, help and
+    ``args.subcommand`` come out the same.
+    """
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
 
 
 def _resolve_seed(args) -> int:
@@ -487,7 +499,7 @@ def _emit_text(report: dict, stream) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         seed = _resolve_seed(args)
     except _UsageError as exc:
         print(f"detsum: error: {exc}", file=sys.stderr)

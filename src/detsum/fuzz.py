@@ -10,6 +10,7 @@ trial counts.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import random
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from . import jsonio
 from .errors import UnsupportedRing
 from .identities import (
     RECURRENCE_MAX_N,
@@ -1258,6 +1260,236 @@ def suite_ideal_chain_truncation(rng: random.Random, trials: int, rec: _Recorder
         )
 
 
+# -- JSON entry decoding ------------------------------------------------------
+
+_N512 = (1 << 512) - 1
+_F2X3X5_DESC = {"kind": "product", "components": [
+    {"kind": "prime_field", "p": 2},
+    {"kind": "product", "components": [{"kind": "prime_field", "p": 3}, {"kind": "prime_field", "p": 5}]},
+]}
+# (descriptor, ring) pairs, the ring built without jsonio: every kind, a
+# nested product and Z/N with a 512-bit N.
+_DECODE_RINGS = (
+    ({"kind": "integers"}, INTEGERS),
+    ({"kind": "rationals"}, RATIONALS),
+    ({"kind": "prime_field", "p": 7}, PrimeField(7)),
+    ({"kind": "mod", "N": 10}, ModRing(10)),
+    ({"kind": "mod", "N": str(_N512)}, ModRing(_N512)),
+    (_F2X3X5_DESC, _f2x3x5()),
+    ({"kind": "product", "components": [
+        {"kind": "rationals"},
+        {"kind": "product", "components": [{"kind": "mod", "N": str(_N512)}, {"kind": "integers"}]},
+    ]}, ProductRing([RATIONALS, ModRing(_N512), INTEGERS])),
+    ({"kind": "int_poly", "var_count": 2}, IntPolyRing(2)),
+)
+_LAX_STRINGS = ("1_000", " 12 ", "+5", "\u0661\u0662", "1/0", "3/-4", "", "-", "1/2/3", "0x1f", "12\n")
+_BAD_TERMS = (
+    {"terms": [[[1, -1], 2]]},
+    {"terms": [[[1], 2]]},
+    {"terms": [[[1, True], 2]]},
+    {"terms": [[[0, 0], 1.5]]},
+    {"terms": [[[0, 0]]]},
+    {"terms": "x"},
+    {"term": []},
+)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _long_digits(rng: random.Random) -> str:
+    """A decimal string past jsonio's 640-digit plain-int cutoff."""
+    return rng.choice(("", "-")) + str(rng.randint(1, 9)) + "".join(
+        rng.choice("0123456789") for _ in range(rng.randint(640, 900)))
+
+
+def _valid_int_entry(rng: random.Random) -> object:
+    v = rng.choice((rng.randint(-20, 20), rng.getrandbits(rng.randint(54, 600)) * rng.choice((-1, 1))))
+    form = rng.randrange(4)
+    if form == 0:
+        return str(v)
+    if form == 1:
+        return _long_digits(rng)
+    return v
+
+
+def _valid_entry(ring: Ring, rng: random.Random) -> object:
+    if isinstance(ring, ProductRing):
+        return [_valid_entry(c, rng) for c in ring.components]
+    if isinstance(ring, IntPolyRing):
+        return {"terms": [
+            [[rng.randint(0, 3) for _ in range(ring.var_count)], _valid_int_entry(rng)]
+            for _ in range(rng.randint(0, 3))
+        ]}
+    if ring == RATIONALS and rng.random() < 0.5:
+        return f"{_valid_int_entry(rng)}/{rng.choice((1, -1)) * rng.randint(1, 10**rng.randint(1, 30))}"
+    return _valid_int_entry(rng)
+
+
+def _mutated_entry(ring: Ring, rng: random.Random) -> object:
+    if isinstance(ring, ProductRing) and rng.random() < 0.5:
+        entry = _valid_entry(ring, rng)
+        kind = rng.randrange(3)
+        if kind == 0:
+            k = rng.randrange(len(entry))
+            entry[k] = _mutated_entry(ring.components[k], rng)
+        elif kind == 1:
+            entry.pop()
+        else:
+            entry.append(0)
+        return entry
+    if isinstance(ring, IntPolyRing) and rng.random() < 0.5:
+        return rng.choice(_BAD_TERMS)
+    if ring == RATIONALS and rng.random() < 0.5:
+        return rng.choice(("1/0", "3/-4", "-0/5", "x/2", "2/x", "1/+2", "1//2", f"{_long_digits(rng)}/0"))
+    return rng.choice((
+        True, False, 1.5, 2.0, None, {}, [], [1, 2], rng.choice(_LAX_STRINGS),
+        _long_digits(rng) + "x", _long_digits(rng), f"{_long_digits(rng)}/{_long_digits(rng)}",
+    ))
+
+
+def _oracle_int(obj: object) -> int:
+    if type(obj) is int:
+        return obj
+    if type(obj) is str:
+        digits = obj[1:] if obj[:1] == "-" else obj
+        if digits and all("0" <= ch <= "9" for ch in digits):
+            return int(obj)
+    raise _Refused("")
+
+
+def _refused_below(step: str, parse: Callable, *args: object) -> object:
+    try:
+        return parse(*args)
+    except _Refused as exc:
+        raise _Refused(step + exc.args[0]) from None
+
+
+def _oracle_entry(ring: Ring, obj: object) -> object:
+    """The raw value that ``ring.normalize`` takes to the entry's value, by
+    int and Fraction parsing alone; or _Refused, holding the path below
+    the entry of the part that is refused."""
+    if isinstance(ring, ProductRing):
+        if type(obj) is not list or len(obj) != ring.arity:
+            raise _Refused("")
+        return [_refused_below(f"[{i}]", _oracle_entry, c, v) for i, (c, v) in enumerate(zip(ring.components, obj))]
+    if isinstance(ring, IntPolyRing):
+        if type(obj) is not dict:
+            raise _Refused("")
+        if type(obj.get("terms")) is not list:
+            raise _Refused(".terms")
+        terms = []
+        for i, pair in enumerate(obj["terms"]):
+            if type(pair) is not list or len(pair) != 2:
+                raise _Refused(f".terms[{i}]")
+            if type(pair[0]) is not list:
+                raise _Refused(f".terms[{i}][0]")
+            exps = [_refused_below(f".terms[{i}][0][{k}]", _oracle_int, e) for k, e in enumerate(pair[0])]
+            terms.append((exps, _refused_below(f".terms[{i}][1]", _oracle_int, pair[1])))
+        try:
+            return SparsePoly(ring.var_count, terms)
+        except ValueError:
+            raise _Refused("") from None
+    if ring == RATIONALS and type(obj) is str and "/" in obj:
+        num, den = obj.split("/", 1)
+        num = _refused_below(".numerator", _oracle_int, num)
+        den = _refused_below(".denominator", _oracle_int, den)
+        if den == 0:
+            raise _Refused("")
+        return Fraction(num, den)
+    return _oracle_int(obj)
+
+
+def _typed(value: object) -> object:
+    # Values with their types, so that an int where a Fraction belongs shows.
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_typed, value))
+    if isinstance(value, SparsePoly):
+        return ("SparsePoly", value.var_count, sorted(value.terms.items()))
+    if isinstance(value, RingElement):
+        return ("RingElement", value.ring, _typed(value.value))
+    return (type(value).__name__, value)
+
+
+def suite_json_decode_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """Documents decoded by ``jsonio`` agree with an oracle of int and
+    Fraction parsing plus ring normalisation, refusals included.
+
+    Trial t takes descriptor t % 8 of ``_DECODE_RINGS`` and, by t // 8 % 4,
+    a matrix family, a ``homogeneous`` vector family, a semilocal instance
+    (always over F2xF3xF5, given as a nested product) or one value.  Half
+    the trials mutate one or two entries: booleans, floats, lax decimal
+    strings, fractions with a zero or negative denominator, products of
+    the wrong arity, malformed polynomial terms, and digit strings past
+    640 digits, with and without a stray character.  A document the
+    oracle refuses must raise a SchemaError whose message starts with the
+    path of the first refused entry in document order; any other must
+    decode to the oracle's values.
+    """
+    for t in range(trials):
+        desc, ring = _DECODE_RINGS[t % len(_DECODE_RINGS)]
+        container = t // len(_DECODE_RINGS) % 4
+        if container == 2:
+            desc, ring = _F2X3X5_DESC, _f2x3x5()
+        rows_of = rng.randint(1, 3)  # n, or var_count
+        count = rng.randint(1, 3)  # m
+        if container == 0:
+            paths = [f"matrices[{i}][{r}][{c}]" for i in range(count) for r in range(rows_of) for c in range(rows_of)]
+        elif container == 1:
+            paths = [f"vectors[{i}][{c}]" for i in range(count) for c in range(rows_of)]
+        elif container == 2:
+            paths = [f"elements[{i}]" for i in range(count)]
+        else:
+            paths = ["value"]
+        entries = [_valid_entry(ring, rng) for _ in paths]
+        if t % 2:
+            for k in rng.sample(range(len(paths)), min(len(paths), rng.randint(1, 2))):
+                entries[k] = _mutated_entry(ring, rng)
+        entries = json.loads(json.dumps(entries))
+
+        expected, refused_at = [], None
+        for path, entry in zip(paths, entries):
+            try:
+                expected.append(_oracle_entry(ring, entry))
+            except _Refused as exc:
+                refused_at = path + exc.args[0]
+                break
+
+        def nest(values):
+            if container == 0:
+                return [[values[(i * rows_of + r) * rows_of:(i * rows_of + r + 1) * rows_of]
+                         for r in range(rows_of)] for i in range(count)]
+            if container == 1:
+                return [values[i * rows_of:(i + 1) * rows_of] for i in range(count)]
+            return values
+
+        try:
+            if container == 0:
+                got = [a.rows for a in jsonio.matrices_from_json({"ring": desc, "n": rows_of, "matrices": nest(entries)})]
+                want = None if refused_at else [SquareMatrix(ring, rows).rows for rows in nest(expected)]
+            elif container == 1:
+                got = jsonio.vectors_from_json(ring, rows_of, nest(entries))
+                want = None if refused_at else [[RingElement(ring, v) for v in vec] for vec in nest(expected)]
+            elif container == 2:
+                got = list(jsonio.instance_from_json({"ring": desc, "elements": entries}).elements)
+                want = None if refused_at else [RingElement(ring, v) for v in expected]
+            else:
+                got = jsonio.value_from_json(ring, entries[0])
+                want = None if refused_at else ring.normalize(expected[0])
+            outcome = _typed(got)
+        except jsonio.SchemaError as exc:
+            outcome = str(exc)
+        except Exception as exc:  # any other error is a failure to report, not to raise
+            outcome = ("raised", type(exc).__name__, str(exc))
+        if refused_at:
+            ok = isinstance(outcome, str) and outcome.startswith(refused_at + ": ")
+        else:
+            ok = outcome == _typed(want)
+        rec.check(ok, lambda: f"decoded {str(outcome)[:200]}, expected {refused_at or str(_typed(want))[:200]} "
+                              f"(ring={desc}, container={container})")
+
+
 SUITES: dict[str, tuple[Callable, int]] = {
     "ring-axioms": (suite_ring_axioms, 1000),
     "unit-product": (suite_unit_product, 200),
@@ -1288,6 +1520,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "lifted-walks": (suite_lifted_walks, 72),
     "lifted-slots": (suite_lifted_slots, 3),
     "poly-lift-agreement": (suite_poly_lift_agreement, 32),
+    "json-decode-agreement": (suite_json_decode_agreement, 256),
 }
 
 

@@ -149,10 +149,12 @@ def _recurrence_is_faster(n: int, m: int) -> bool:
     # Products, counted: the recurrence reads at most n + 1 members, each
     # taking one product per move, sum_k C(n, k)^2 (C(2k, k) - 1) of them
     # (a pair of k-sets takes a move from each pair of equal-size parts
-    # but itself); the walk takes 2^m determinants of n * 2^(n - 1)
-    # products each.
+    # but itself), plus a fixed cost per call, its minor and move tables,
+    # worth about 4 products of the walk; the walk takes 2^m determinants
+    # of n * 2^(n - 1) products each.  The fixed cost sends n = 1 at
+    # m <= 2 to the walk, where the recurrence took 1.4-1.6x its time.
     moves = sum(math.comb(n, k) ** 2 * (math.comb(2 * k, k) - 1) for k in range(1, n + 1))
-    return min(m, n + 1) * moves < n << (n - 1 + m)
+    return 4 + min(m, n + 1) * moves < n << (n - 1 + m)
 
 
 def _walk_alternating_sum(lift: Lift) -> object:
@@ -510,10 +512,13 @@ def homogeneous_alternating_sum(
 def _recurrence_is_cheaper(poly: SparsePoly, degree: int, m: int) -> bool:
     # Ring products, counted without listing a divisor: the recurrence
     # reads at most d + 1 vectors, each taking about one product per pair
-    # b <= a <= e for each term e, which is prod_i C(e_i + 2, 2) pairs;
-    # the walk evaluates f at 2^m points, about d + 1 products per term.
+    # b <= a <= e for each term e, which is prod_i C(e_i + 2, 2) pairs,
+    # plus a fixed cost per call, its plan and its state lists, worth
+    # about 5 products of the walk; the walk evaluates f at 2^m points,
+    # about d + 1 products per term.  The fixed cost sends m = 1 to the
+    # walk, where the recurrence took 1.1-5.7x its time.
     pairs = sum(math.prod(math.comb(e + 2, 2) for e in exps if e) for exps in poly.terms)
-    return min(m, degree + 1) * pairs <= (1 << m) * len(poly.terms) * (degree + 1)
+    return 5 + min(m, degree + 1) * pairs <= (1 << m) * len(poly.terms) * (degree + 1)
 
 
 def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object:

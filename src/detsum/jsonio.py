@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .identities import IdentityReport, SimplexReport
 from .matrices import DET_SIZE_CAP, SquareMatrix, _raw_matrix
@@ -61,6 +61,7 @@ __all__ = [
     "matrix_to_json",
     "matrices_to_json",
     "matrices_from_json",
+    "vectors_from_json",
     "mask_to_json",
     "chain_to_json",
     "instance_to_json",
@@ -83,6 +84,13 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected schema."""
 
 
+class _EntryError(Exception):
+    """A refused entry.  Its text is the path below the entry and the
+    reason, as in ``.numerator: 'x' is not a decimal integer``; the caller
+    that knows the entry's own path raises it as a SchemaError.
+    """
+
+
 def _int_str(v: int) -> str:
     # str(int) refuses values past the interpreter's digit limit; Decimal does
     # not.  Below 2000 bits a value has at most 603 digits, within _PLAIN_DIGITS.
@@ -102,15 +110,7 @@ def encode_int(v: int) -> int | str:
 
 def decode_int(obj: Any, where: str) -> int:
     """An int from a JSON number or from a decimal string ``-?[0-9]+`` of any length."""
-    if isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected an integer, got a boolean")
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, str):
-        if not _DECIMAL_INT.fullmatch(obj):
-            raise SchemaError(f"{where}: {_excerpt(obj)} is not a decimal integer")
-        return int(obj) if len(obj) <= _PLAIN_DIGITS else int(Decimal(obj))
-    raise SchemaError(f"{where}: expected an integer or decimal string, got {_excerpt(obj)}")
+    return _decoded(where, _int_entry, obj)
 
 
 def _expect_dict(obj: Any, where: str) -> dict:
@@ -188,48 +188,136 @@ def value_to_json(ring: Ring, value: Any) -> Any:
     raise SchemaError(f"no JSON form for values of {ring!r}")
 
 
-def value_from_json(ring: Ring, obj: Any, where: str = "value") -> Any:
-    if isinstance(ring, (IntegerRing, ModRing)):
-        return ring.normalize(decode_int(obj, where))
-    if isinstance(ring, RationalRing):
-        if isinstance(obj, str) and "/" in obj:
-            num_s, _, den_s = obj.partition("/")
-            num = decode_int(num_s, f"{where}.numerator")
-            den = decode_int(den_s, f"{where}.denominator")
-            if den == 0:
-                raise SchemaError(f"{where}: zero denominator")
-            return Fraction(num, den)
-        return Fraction(decode_int(obj, where))
-    if isinstance(ring, ProductRing):
-        if not isinstance(obj, list) or len(obj) != ring.arity:
-            raise SchemaError(f"{where}: expected an array of {ring.arity} components")
-        return tuple(
-            value_from_json(c, v, f"{where}[{i}]")
-            for i, (c, v) in enumerate(zip(ring.components, obj))
-        )
-    if isinstance(ring, IntPolyRing):
-        obj = _expect_dict(obj, where)
+# An entry decoder turns one JSON entry into a canonical raw value of its
+# ring.  It is picked once per document, by the ring's kind, so the entries
+# of a family pay for no dispatch, and a path is formatted only for an
+# entry that is refused.
+
+def _int_entry(obj: Any) -> int:
+    if type(obj) is int:
+        return obj
+    if isinstance(obj, bool):
+        raise _EntryError(": expected an integer, got a boolean")
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, str):
+        if not _DECIMAL_INT.fullmatch(obj):
+            raise _EntryError(f": {_excerpt(obj)} is not a decimal integer")
+        return int(obj) if len(obj) <= _PLAIN_DIGITS else int(Decimal(obj))
+    raise _EntryError(f": expected an integer or decimal string, got {_excerpt(obj)}")
+
+
+def _within(step: str, decode: Callable, *args: Any) -> Any:
+    """``decode(*args)``, a refusal's path prefixed by ``step``."""
+    try:
+        return decode(*args)
+    except _EntryError as exc:
+        raise _EntryError(f"{step}{exc}") from None
+
+
+def _decoded(where: str, decode: Callable, *args: Any) -> Any:
+    """``decode(*args)``, a refusal raised as a SchemaError at ``where``."""
+    try:
+        return decode(*args)
+    except _EntryError as exc:
+        raise SchemaError(f"{where}{exc}") from None
+
+
+def _each(decode: Callable, items: list) -> list:
+    """``decode`` applied to each item; a refusal names the item's index."""
+    out = []
+    try:
+        for i, item in enumerate(items):
+            out.append(decode(item))
+    except _EntryError as exc:
+        raise _EntryError(f"[{i}]{exc}") from None
+    return out
+
+
+def _rational_entry(obj: Any) -> Fraction:
+    if isinstance(obj, str) and "/" in obj:
+        num_s, _, den_s = obj.partition("/")
+        num = _within(".numerator", _int_entry, num_s)
+        den = _within(".denominator", _int_entry, den_s)
+        if den == 0:
+            raise _EntryError(": zero denominator")
+        return Fraction(num, den)
+    return Fraction(_int_entry(obj))
+
+
+def _residue_decoder(ring: ModRing) -> Callable[[Any], int]:
+    modulus = ring.n
+
+    def residue(obj):
+        return (obj if type(obj) is int else _int_entry(obj)) % modulus
+
+    return residue
+
+
+def _product_decoder(ring: ProductRing) -> Callable[[Any], tuple]:
+    decoders = tuple(map(_entry_decoder, ring.components))
+    arity = len(decoders)
+
+    def product(obj):
+        if not isinstance(obj, list) or len(obj) != arity:
+            raise _EntryError(f": expected an array of {arity} components")
+        values = []
+        try:
+            for i, decode in enumerate(decoders):
+                values.append(decode(obj[i]))
+        except _EntryError as exc:
+            raise _EntryError(f"[{i}]{exc}") from None
+        return tuple(values)
+
+    return product
+
+
+def _poly_term(pair: Any) -> tuple[tuple[int, ...], int]:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise _EntryError(": expected [exponents, coeff]")
+    exps, coeff = pair
+    if not isinstance(exps, list):
+        raise _EntryError("[0]: expected an exponent array")
+    return tuple(_within("[0]", _each, _int_entry, exps)), _within("[1]", _int_entry, coeff)
+
+
+def _poly_decoder(ring: IntPolyRing) -> Callable[[Any], SparsePoly]:
+    var_count = ring.var_count
+
+    def poly(obj):
+        if not isinstance(obj, dict):
+            raise _EntryError(f": expected an object, got {type(obj).__name__}")
         raw_terms = obj.get("terms")
         if not isinstance(raw_terms, list):
-            raise SchemaError(f"{where}.terms: expected an array")
-        terms = []
-        for i, pair in enumerate(raw_terms):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{where}.terms[{i}]: expected [exponents, coeff]")
-            exps, coeff = pair
-            if not isinstance(exps, list):
-                raise SchemaError(f"{where}.terms[{i}][0]: expected an exponent array")
-            terms.append(
-                (
-                    tuple(decode_int(e, f"{where}.terms[{i}][0][{k}]") for k, e in enumerate(exps)),
-                    decode_int(coeff, f"{where}.terms[{i}][1]"),
-                )
-            )
+            raise _EntryError(".terms: expected an array")
+        terms = _within(".terms", _each, _poly_term, raw_terms)
         try:
-            return SparsePoly(ring.var_count, terms)
+            return SparsePoly(var_count, terms)
         except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    raise SchemaError(f"cannot decode values of {ring!r}")
+            raise _EntryError(f": {exc}") from None
+
+    return poly
+
+
+_ENTRY_DECODERS: dict[str, Callable[[Any], Callable[[Any], Any]]] = {
+    "integers": lambda ring: _int_entry,
+    "rationals": lambda ring: _rational_entry,
+    "prime_field": _residue_decoder,
+    "mod": _residue_decoder,
+    "product": _product_decoder,
+    "int_poly": _poly_decoder,
+}
+
+
+def _entry_decoder(ring: Ring) -> Callable[[Any], Any]:
+    make = _ENTRY_DECODERS.get(ring.kind)
+    if make is None:
+        raise SchemaError(f"cannot decode values of {ring!r}")
+    return make(ring)
+
+
+def value_from_json(ring: Ring, obj: Any, where: str = "value") -> Any:
+    return _decoded(where, _entry_decoder(ring), obj)
 
 
 def element_to_json(el: RingElement) -> Any:
@@ -266,20 +354,34 @@ def matrices_from_json(obj: Any) -> list[SquareMatrix]:
         raise SchemaError("matrices: expected a nonempty array")
     if len(raw) > MAX_FAMILY:
         raise SchemaError(f"matrices: family of {len(raw)} exceeds the {MAX_FAMILY} limit")
-    out = []
-    for mi, mat in enumerate(raw):
-        if not isinstance(mat, list) or len(mat) != n:
-            raise SchemaError(f"matrices[{mi}]: expected {n} rows")
-        rows = []
-        for ri, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(f"matrices[{mi}][{ri}]: expected {n} entries")
-            rows.append(tuple(
-                value_from_json(ring, e, f"matrices[{mi}][{ri}][{ci}]")
-                for ci, e in enumerate(row)
-            ))
-        out.append(_raw_matrix(ring, n, tuple(rows)))
-    return out
+    entry = _entry_decoder(ring)
+
+    def row(values):
+        if not isinstance(values, list) or len(values) != n:
+            raise _EntryError(f": expected {n} entries")
+        return tuple(_each(entry, values))
+
+    def matrix(rows):
+        if not isinstance(rows, list) or len(rows) != n:
+            raise _EntryError(f": expected {n} rows")
+        return _raw_matrix(ring, n, tuple(_each(row, rows)))
+
+    return _decoded("matrices", _each, matrix, raw)
+
+
+def vectors_from_json(ring: Ring, var_count: int, obj: Any) -> list[list[RingElement]]:
+    """The ``vectors`` of a ``homogeneous`` document: a nonempty array of
+    ``var_count``-long arrays of entries of ``ring``."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("vectors: expected a nonempty array")
+    entry = _entry_decoder(ring)
+
+    def vector(coords):
+        if not isinstance(coords, list) or len(coords) != var_count:
+            raise _EntryError(f": expected {var_count} coordinates")
+        return [RingElement(ring, v, _normalized=True) for v in _each(entry, coords)]
+
+    return _decoded("vectors", _each, vector, obj)
 
 
 # -- masks, chains, instances, reports --------------------------------------
@@ -312,10 +414,8 @@ def instance_from_json(obj: Any) -> SemilocalInstance:
     raw = obj.get("elements")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("elements: expected a nonempty array")
-    elements = tuple(
-        RingElement(ring, value_from_json(ring, e, f"elements[{i}]"), _normalized=True)
-        for i, e in enumerate(raw)
-    )
+    values = _decoded("elements", _each, _entry_decoder(ring), raw)
+    elements = tuple(RingElement(ring, v, _normalized=True) for v in values)
     return SemilocalInstance(ring, elements)
 
 

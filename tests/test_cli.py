@@ -13,7 +13,8 @@ import pytest
 
 import detsum
 from detsum.cli import build_parser, main
-from detsum import jsonio
+from detsum import cli, jsonio
+from detsum.fuzz import run_suite
 from detsum.rings import INTEGERS, ModRing, PrimeField, ProductRing, RATIONALS
 from detsum.matrices import DET_SIZE_CAP, SquareMatrix, lift_family
 from detsum.subsets import MAX_FAMILY
@@ -937,3 +938,182 @@ def test_homogeneous_results_are_pinned(capsys, name):
         results.append(report["result"])
     got = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert got == digest
+
+
+# -- entry decoding -------------------------------------------------------------
+
+_F2X3X5 = {"kind": "product", "components": [
+    {"kind": "prime_field", "p": 2},
+    {"kind": "product", "components": [{"kind": "prime_field", "p": 3}, {"kind": "prime_field", "p": 5}]},
+]}
+_POLY2 = {"kind": "int_poly", "var_count": 2}
+_LINEAR = {"terms": [[[1, 0], 1]]}
+
+# Each refusal's message, as the isinstance-ladder decoders wrote it.
+_ENTRY_REFUSALS = [
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 2], [3, True]]]},
+     "matrices[0][1][1]: expected an integer, got a boolean"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 2], [3, 4]], [[1, "1_000"], [3, 4]]]},
+     "matrices[1][0][1]: '1_000' is not a decimal integer"),
+    ("alt-sum", {"ring": {"kind": "rationals"}, "n": 1, "matrices": [[["1/0"]]]},
+     "matrices[0][0][0]: zero denominator"),
+    ("alt-sum", {"ring": {"kind": "rationals"}, "n": 1, "matrices": [[["x/2"]]]},
+     "matrices[0][0][0].numerator: 'x' is not a decimal integer"),
+    ("alt-sum", {"ring": {"kind": "rationals"}, "n": 1, "matrices": [[["3/+4"]]]},
+     "matrices[0][0][0].denominator: '+4' is not a decimal integer"),
+    ("alt-sum", {"ring": {"kind": "mod", "N": 6}, "n": 1, "matrices": [[[1.5]]]},
+     "matrices[0][0][0]: expected an integer or decimal string, got 1.5"),
+    ("alt-sum", {"ring": _F2X3X5, "n": 1, "matrices": [[[[1, 2]]]]},
+     "matrices[0][0][0]: expected an array of 3 components"),
+    ("alt-sum", {"ring": _F2X3X5, "n": 1, "matrices": [[[[1, 2, " 12 "]]]]},
+     "matrices[0][0][0][2]: ' 12 ' is not a decimal integer"),
+    ("alt-sum", {"ring": _POLY2, "n": 1, "matrices": [[[{"terms": [[[1, -1], 2]]}]]]},
+     "matrices[0][0][0]: exponents must be nonnegative ints, got (1, -1)"),
+    ("alt-sum", {"ring": _POLY2, "n": 1, "matrices": [[[{"terms": [[[1, True], 2]]}]]]},
+     "matrices[0][0][0].terms[0][0][1]: expected an integer, got a boolean"),
+    ("alt-sum", {"ring": _POLY2, "n": 1, "matrices": [[[{"terms": [[[1, 0]]]}]]]},
+     "matrices[0][0][0].terms[0]: expected [exponents, coeff]"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 2], [3]]]},
+     "matrices[0][1]: expected 2 entries"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 2, "matrices": [[[1, 2]]]},
+     "matrices[0]: expected 2 rows"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 1, "matrices": [[["7" * 700 + "x"]]]},
+     "matrices[0][0][0]: '777777777777777777777777777777777777777... (703 characters) is not a decimal integer"),
+    ("semilocal-search", {"ring": _F2X3X5, "elements": [[1, 1, 1], [0, True, 1]]},
+     "elements[1][1]: expected an integer, got a boolean"),
+    ("semilocal-search", {"ring": _F2X3X5, "elements": [[1, 1, 1], [0, 1]]},
+     "elements[1]: expected an array of 3 components"),
+    ("semilocal-search", {"ring": _F2X3X5, "elements": [[1, 1, 1], "+5"]},
+     "elements[1]: expected an array of 3 components"),
+    ("semilocal-search", {"ring": _F2X3X5, "elements": []},
+     "elements: expected a nonempty array"),
+    ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 2, "poly": _LINEAR, "vectors": [[1, 2], [3, "\u0661"]]},
+     "vectors[1][1]: '\u0661' is not a decimal integer"),
+    ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 2, "poly": _LINEAR, "vectors": [[1, 2], [3]]},
+     "vectors[1]: expected 2 coordinates"),
+    ("homogeneous", {"ring": {"kind": "rationals"}, "var_count": 2, "poly": _LINEAR, "vectors": [[1, "2/0"]]},
+     "vectors[0][1]: zero denominator"),
+    ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 2, "poly": {"terms": [[[1, 0], 1.5]]},
+                     "vectors": [[1, 2]]},
+     "poly.terms[0][1]: expected an integer or decimal string, got 1.5"),
+    ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 2, "poly": _LINEAR, "vectors": []},
+     "vectors: expected a nonempty array"),
+]
+
+
+@pytest.mark.parametrize("subcommand, doc, error", _ENTRY_REFUSALS,
+                         ids=[f"{cmd}-{i}" for i, (cmd, _, _) in enumerate(_ENTRY_REFUSALS)])
+def test_entry_refusals_are_pinned(capsys, subcommand, doc, error):
+    bound = ["--bound", "2"] if subcommand == "semilocal-search" else []
+    code, report = run_json(capsys, subcommand, "--input", json.dumps(doc), *bound)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"]["error"] == "SchemaError: " + error
+
+
+def test_homogeneous_var_count_is_bounded(capsys):
+    # The int_poly bound, checked before the polynomial or the vectors are
+    # read: 300,000 variables and two vectors used to run for seconds.
+    errors = []
+    for var_count in (jsonio.MAX_VAR_COUNT, jsonio.MAX_VAR_COUNT + 1, 300_000):
+        doc = {"ring": {"kind": "integers"}, "var_count": var_count, "poly": "x", "vectors": "x"}
+        code, report = run_json(capsys, "homogeneous", "--input", json.dumps(doc))
+        assert code == 1 and report["status"] == "error"
+        errors.append(report["result"]["error"])
+    assert errors == [
+        "SchemaError: poly: expected an object, got str",
+        "SchemaError: var_count: 262145 exceeds the 262144-variable limit",
+        "SchemaError: var_count: 300000 exceeds the 262144-variable limit",
+    ]
+
+
+def test_json_decode_agreement_suite():
+    result = run_suite("json-decode-agreement", seed=0)
+    assert result.failures == 0, result.first_failure
+    assert result.checks == 256
+
+
+def test_entry_decoders_run_only_inside_the_from_json_globals(capsys, monkeypatch):
+    # The benchmark's tracer times decoding (jsonio.decode_s) as the calls
+    # of the cli globals whose names end in _from_json, so every entry
+    # must be decoded inside one of them.
+    depth = [0]
+
+    def span(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in [name for name in vars(cli) if name.endswith("_from_json")]:
+        monkeypatch.setattr(cli, name, span(getattr(cli, name)))
+    decoded, outside = [], []
+
+    def watched(make):
+        def factory(ring):
+            decode = make(ring)
+
+            def entry(obj):
+                (decoded if depth[0] else outside).append(obj)
+                return decode(obj)
+            return entry
+        return factory
+
+    monkeypatch.setattr(jsonio, "_ENTRY_DECODERS",
+                        {kind: watched(make) for kind, make in jsonio._ENTRY_DECODERS.items()})
+    argvs = [argv for argv, _ in _DIGESTS if "input" in cli._COMMANDS[argv[0]][2]]
+    assert len(argvs) == 8
+    for argv in argvs:
+        count = len(decoded)
+        code, report = run_json(capsys, *argv)
+        assert code == 0, report
+        assert len(decoded) > count, argv
+    assert outside == []
+
+
+# -- direct subcommand dispatch ---------------------------------------------------
+
+_ONE_BY_ONE = '{"ring":{"kind":"integers"},"n":1,"matrices":[[[1]],[[2]]]}'
+_DISPATCH_EDGES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["alt-sum", "-h"],
+    ["no-such-command"],
+    ["no-such-command", "--m", "3"],
+    ["verify-lemma3", "--m"],
+    ["verify-lemma3", "--m", "4"],
+    ["verify-lemma3", "--m", "4", "--n", "3", "--threads", "2"],
+    ["verify-lemma3", "--m=4", "--n", "3"],
+    ["verify-lemma3", "--se", "3", "--m", "4", "--n", "3"],
+    ["alt-sum", "--inp", _ONE_BY_ONE],
+    ["--seed", "3", "alt-sum", "--input", _ONE_BY_ONE],
+    ["alt-sum", "--input", "{}", "--input", _ONE_BY_ONE],
+    ["verify-lemma3", "--m", "4", "--n", "3", "extra"],
+    ["verify-lemma3", "--m", "x", "--n", "3"],
+    ["verify-lemma3", "--m", "4", "--n", "3", "--output", "text", "--timing"],
+]
+_DISPATCH_ARGVS = _DISPATCH_EDGES + [argv for argv, _ in _DIGESTS]
+
+
+def _main_outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # help exits, as argparse does
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, _mask_elapsed(captured.out), captured.err
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=[" ".join(argv)[:40] or "empty" for argv in _DISPATCH_ARGVS])
+def test_direct_dispatch_matches_the_parser_tree(capsys, monkeypatch, argv):
+    parser = build_parser()
+    top_level = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda args: top_level.append(args) or type(parser).parse_args(parser, args))
+    direct = _main_outcome(capsys, argv)
+    assert bool(top_level) == (not argv or argv[0] not in cli._COMMANDS)
+    monkeypatch.setattr(parser, "subcommands", {})  # every argv through the top level
+    assert _main_outcome(capsys, argv) == direct

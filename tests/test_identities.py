@@ -1,5 +1,6 @@
 """Identity engines against hand values and independent oracles."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,6 +38,7 @@ from detsum import (
 from detsum import identities
 from detsum.fuzz import run_suite, superset_sign_sums
 from detsum.identities import DET_IDENTITY_CAPS, superset_sign_counts
+from detsum.subsets import MAX_FAMILY
 
 from conftest import int_rows, ref_alternating_det_sum, ref_det, ref_product_sum, ref_subset_sum
 
@@ -463,6 +465,31 @@ def test_homogeneous_cost_guard_takes_the_walk(monkeypatch):
     vectors = [[INTEGERS.element(x) for x in vec] for vec in raw]
     value = homogeneous_alternating_sum(f, vectors).value
     assert value == identities._ring_alternating_sum(f, INTEGERS, raw)
+
+
+def test_alt_sum_engine_pick_per_shape():
+    # For each n, the first m at which the recurrence runs; it runs at every
+    # m past that one.  n = 1 at m <= 2 takes the walk, where the
+    # recurrence's fixed cost per call is most of its time.
+    first = {
+        n: next(m for m in range(1, MAX_FAMILY + 1) if identities._recurrence_is_faster(n, m))
+        for n in range(1, identities.RECURRENCE_MAX_N + 1)
+    }
+    assert first == {1: 3, 2: 3, 3: 5, 4: 7, 5: 9}
+    assert all(identities._recurrence_is_faster(n, m) for n, m0 in first.items() for m in range(m0, MAX_FAMILY + 1))
+
+
+def test_homogeneous_engine_pick_per_shape():
+    # Every f of 1-4 terms of degree 1-3 in 4 variables: one vector takes
+    # the walk, and the gray benchmark's shapes, m = d + 2 and m = 10, the
+    # recurrence.
+    for d in (1, 2, 3):
+        monomials = [e for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d]
+        for t in range(1, 5):
+            for terms in itertools.combinations(monomials, t):
+                f = SparsePoly(4, {e: 1 for e in terms})
+                picks = [identities._recurrence_is_cheaper(f, d, m) for m in (1, d + 2, 10)]
+                assert picks == [False, True, True], (terms, picks)
 
 
 def test_alt_sum_recurrence_suite():
