@@ -351,9 +351,13 @@ def _cmd_mine_mixed_char(args, seed, doc):
 def _cmd_fuzz(args, seed, doc):
     from . import fuzz  # only this subcommand needs the suites
 
+    if args.trials is not None and args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     names = None
-    if args.suites:
+    if args.suites is not None:
         names = [tok.strip() for tok in args.suites.split(",") if tok.strip()]
+        if not names:
+            raise _UsageError(f"--suites {args.suites!r} names no suite")
     try:
         results = fuzz.run_suites(names, seed=seed, trials=args.trials)
     except KeyError as exc:

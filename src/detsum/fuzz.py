@@ -9,6 +9,7 @@ trial counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -19,16 +20,21 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import jsonio
-from .errors import UnsupportedRing
+from .errors import ContractViolation, UnsupportedRing
 from .identities import (
+    DET_IDENTITY_CAPS,
     RECURRENCE_MAX_N,
+    _check_certificate,
     _recurrence_alternating_sum,
     _recurrence_homogeneous_sum,
     _recurrence_is_cheaper,
     _ring_alternating_sum,
     _walk_alternating_sum,
     alternating_subset_det_sum,
+    check_alternating_det_identity,
+    det_expansion_certificate,
     find_perturbing_subset,
+    generic_matrix_family,
     homogeneous_alternating_sum,
     monomial_coefficient_check,
     perturbation_identity_residual,
@@ -539,6 +545,118 @@ def suite_superset_sign_sums(rng: random.Random, trials: int, rec: _Recorder) ->
                 members = list(SubsetMask(t, m))
                 ok = ok and got == monomial_coefficient_check(m, len(members), members)
             rec.check(ok, lambda: f"c({t:#x}) = {got}, direct count {direct} (m={m}, size={size})")
+
+
+def zx_alternating_det_sum(m: int, n: int) -> RingElement:
+    """The alternating subset det sum of m generic n x n matrices,
+    expanded as one polynomial over Z[x]: the oracle for the counts that
+    :func:`detsum.identities.check_alternating_det_identity` decides by.
+    """
+    return alternating_subset_det_sum(generic_matrix_family(m, n))
+
+
+@functools.lru_cache(maxsize=None)  # one entry per shape within DET_IDENTITY_CAPS
+def _generic_subset_dets(m: int, n: int) -> tuple[Ring, dict[int, object]]:
+    # The det ring of the Z[x] lift of m generic n x n matrices, and
+    # det(A_S) in it for every nonempty S, keyed by mask.
+    mats = generic_matrix_family(m, n)
+    lift = lift_family(mats[0].ring, [a.rows for a in mats], m)
+    return lift.det_ring, {
+        bits: lift.det(value) for bits, value in search_order_sums(lift.members, lift.add, m)
+    }
+
+
+def zx_certificate_holds(m: int, n: int, certificate: Sequence[tuple[SubsetMask, int]]) -> bool:
+    """Whether det(A_1 + ... + A_m) = sum c_S * det(A_S) over the listed
+    (S, c_S), expanded over Z[x] on m generic n x n matrices: the oracle
+    for the counts check of
+    :func:`detsum.identities.det_expansion_certificate`.  A mask that
+    names no nonempty subset of the m members fails it.
+    """
+    ring, dets = _generic_subset_dets(m, n)
+    rhs = ring.zero
+    for mask, c in certificate:
+        if mask.m != m or mask.bits not in dets:
+            return False
+        rhs = ring.add(rhs, ring.mul(ring.from_int(c), dets[mask.bits]))
+    return dets[(1 << m) - 1] == rhs
+
+
+def _certificate_passes(m: int, n: int, certificate: Sequence[tuple[SubsetMask, int]]) -> bool:
+    try:
+        _check_certificate(m, n, certificate)
+    except ContractViolation:
+        return False
+    return True
+
+
+def _tampered_certificates(rng: random.Random, certificate: list) -> list[tuple[str, list]]:
+    """The certificate spoiled four ways, each a list that the expansion
+    fails on: one coefficient off by one, one mask dropped, two
+    coefficients of one cardinality moved apart, and every coefficient of
+    one cardinality moved."""
+    sizes = [mask.cardinality() for mask, _ in certificate]
+    k = rng.choice(sizes)
+    same = [x for x, size in enumerate(sizes) if size == k]
+    i, j = rng.sample(same, 2)
+    d = rng.choice((-2, -1, 1, 2))
+    drop = rng.randrange(len(certificate))
+
+    def moved(deltas: dict[int, int]) -> list:
+        return [(mask, c + deltas.get(x, 0)) for x, (mask, c) in enumerate(certificate)]
+
+    return [
+        ("one coefficient off by one", moved({rng.randrange(len(certificate)): rng.choice((-1, 1))})),
+        ("one mask dropped", certificate[:drop] + certificate[drop + 1:]),
+        (f"two {k}-set coefficients apart", moved({i: d, j: -d})),
+        (f"every {k}-set coefficient moved by {d}", moved(dict.fromkeys(same, d))),
+    ]
+
+
+_CERTIFICATE_RINGS: Sequence[Ring] = (INTEGERS, ModRing(10), PrimeField(7), RATIONALS, _f2x3x5())
+
+
+def suite_det_identity_counts(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """``verify-lemma2`` and ``certificate`` decide by the superset counts;
+    at every shape within ``DET_IDENTITY_CAPS`` they agree with the Z[x]
+    expansion on generic matrices.
+
+    Per shape, the counts' report carries the Z[x] residual and the
+    returned certificate passes the Z[x] check.  Each trial spoils the
+    certificate four ways, which the counts check and the Z[x] check
+    must both refuse, and specialises it to a random family over one of
+    Z, Z/10, F_7, Q and F2xF3xF5, where det(total) = sum c_S det(A_S).
+    """
+    max_n, max_m = DET_IDENTITY_CAPS
+    for n in range(1, max_n + 1):
+        for m in range(n + 1, max_m + 1):
+            where = f"(m={m}, n={n})"
+            try:
+                report = check_alternating_det_identity(m, n)
+                certificate = det_expansion_certificate(m, n)
+            except ContractViolation as exc:
+                rec.check(False, str(exc))
+                continue
+            oracle = zx_alternating_det_sum(m, n)
+            rec.check(
+                report.holds == oracle.is_zero() and report.residual == oracle
+                and jsonio.element_to_json(report.residual) == jsonio.element_to_json(oracle),
+                lambda: f"counted residual differs from the Z[x] expansion {where}",
+            )
+            rec.check(zx_certificate_holds(m, n, certificate),
+                      lambda: f"certificate fails the Z[x] expansion {where}")
+            full = SubsetMask.full(m)
+            for _ in range(trials):
+                for label, spoiled in _tampered_certificates(rng, certificate):
+                    counted = _certificate_passes(m, n, spoiled)
+                    rec.check(counted == zx_certificate_holds(m, n, spoiled),
+                              lambda: f"counts {'accept' if counted else 'refuse'} a certificate "
+                              f"with {label} against the Z[x] expansion {where}")
+                ring = rng.choice(_CERTIFICATE_RINGS)
+                fam = [random_matrix(ring, n, rng) for _ in range(m)]
+                lhs = det(subset_sum(fam, full))
+                rhs = sum(c * det(subset_sum(fam, mask)) for mask, c in certificate)
+                rec.check(lhs == rhs, lambda: f"certificate fails on a family over {ring!r} {where}")
 
 
 def suite_perturbation_residual(rng: random.Random, trials: int, rec: _Recorder) -> None:
@@ -1521,6 +1639,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "lifted-slots": (suite_lifted_slots, 3),
     "poly-lift-agreement": (suite_poly_lift_agreement, 32),
     "json-decode-agreement": (suite_json_decode_agreement, 256),
+    "det-identity-counts": (suite_det_identity_counts, 8),
 }
 
 

@@ -13,7 +13,10 @@ sum of the n + 1 matrices A_1..A_n, B.
 The numeric sums, of determinants and of homogeneous polynomials, are
 taken one member at a time by the multilinear expansion that proves the
 identity, with one state per minor or per divisor of a term of f; a Gray
-walk of the 2^m subsets serves the rest and checks them.
+walk of the 2^m subsets serves the rest and checks them.  The symbolic
+identities and the certificate are decided by the same expansion over
+maps from rows to members, which leaves only the integer counts of
+:func:`superset_sign_counts` to check.
 """
 
 from __future__ import annotations
@@ -362,12 +365,23 @@ def _check_det_identity_caps(m: int, n: int) -> None:
 def check_alternating_det_identity(m: int, n: int) -> IdentityReport:
     """Symbolic proof on generic matrices that the alternating det sum is 0.
 
-    Builds m generic n x n matrices with independent integer variables
-    and evaluates the full signed subset sum as one polynomial, which
-    must cancel identically for m > n.
+    The determinant is multilinear in rows, so det(A_S), for A_S the sum
+    of the members in S, is sum_f det(rows f) over the maps f from the n
+    rows to S, where row j of det(rows f) is row j of A_{f(j)}.  On m
+    generic n x n matrices, with independent integer variables, distinct
+    maps give disjoint sets of monomials.  Collecting the maps by their
+    image T, the alternating sum is sum_f c(im f) * det(rows f), c(T)
+    being the sum of (-1)^|S| over the supersets S of T.  So it is the
+    zero polynomial iff c(T) = 0 for every T with 1 <= |T| <= min(m, n).
+    Those are the counts :func:`superset_sign_counts` gives Lemma 3, and
+    no polynomial is built.  The residual reported is the zero of the
+    m*n^2-variable ring; a nonzero count raises ``ContractViolation``.
     """
     _check_det_identity_caps(m, n)
-    residual = alternating_subset_det_sum(generic_matrix_family(m, n))
+    if superset_sign_counts(m, n):
+        raise ContractViolation(f"a superset count c(T) is nonzero at (m={m}, n={n})")
+    ring = IntPolyRing(m * n * n)
+    residual = RingElement(ring, ring.zero, _normalized=True)
     return IdentityReport(
         identity="alternating-determinant",
         parameters={"m": m, "n": n},
@@ -383,8 +397,8 @@ def det_expansion_certificate(m: int, n: int) -> list[tuple[SubsetMask, int]]:
     For m > n the coefficient of det(sum over S) depends only on
     k = |S|: c_S = (-1)^(n-k) * C(m-k-1, n-k), for every S with
     1 <= k <= n.  Returns (mask, integer coefficient) pairs in
-    (cardinality, mask) order, and verifies the expansion symbolically
-    before returning it.
+    (cardinality, mask) order, and verifies the expansion over every
+    commutative ring (:func:`_check_certificate`) before returning it.
     """
     _check_det_identity_caps(m, n)
     certificate = [
@@ -392,22 +406,37 @@ def det_expansion_certificate(m: int, n: int) -> list[tuple[SubsetMask, int]]:
         for k in range(1, n + 1)
         for bits in masks_of_cardinality(m, k)
     ]
-    _verify_certificate(m, n, certificate)
+    _check_certificate(m, n, certificate)
     return certificate
 
 
-def _verify_certificate(m: int, n: int, certificate: list[tuple[SubsetMask, int]]) -> None:
-    # The certificate lists its subsets in the lifted walk's (cardinality,
-    # mask) order, so the two zip term by term; both sides are compared in
-    # det_ring.
-    mats = generic_matrix_family(m, n)
-    lift = lift_family(mats[0].ring, [a.rows for a in mats], m)
-    det, ring = lift.det, lift.det_ring
-    lhs = det(functools.reduce(lift.add, lift.members))
-    rhs = ring.zero
-    for (_, value), (_, c) in zip(search_order_sums(lift.members, lift.add, n), certificate):
-        rhs = ring.add(rhs, ring.mul(ring.from_int(c), det(value)))
-    if lhs != rhs:
+def _check_certificate(m: int, n: int, certificate: Sequence[tuple[SubsetMask, int]]) -> None:
+    """Raise ``ContractViolation`` unless det(A_1 + ... + A_m) equals
+    sum c_S * det(A_S) over the listed (S, c_S), for all matrices over
+    every commutative ring.
+
+    Expand each determinant over the maps f from the n rows to the
+    members, as in :func:`check_alternating_det_identity`: det(rows f)
+    with image T occurs in det(A_S) iff S contains T, and on generic
+    matrices these terms are independent.  So the expansion holds iff
+    the c_S of the listed S that contain T sum to 1, for every T with
+    1 <= |T| <= n.  The list must name every S with 1 <= |S| <= n once,
+    in (cardinality, mask) order, and give all S of one size k the one
+    coefficient c_k; then a t-set T lies in C(m - t, k - t) of the
+    k-sets, and the test is sum_{k=t}^{n} C(m - t, k - t) * c_k = 1 for
+    t = 1..n.  Each c_k is read from the list.
+    """
+    coeffs = {mask.cardinality(): c for mask, c in certificate}
+    ok = (
+        [(mask.m, mask.bits) for mask, _ in certificate]
+        == [(m, bits) for k in range(1, n + 1) for bits in masks_of_cardinality(m, k)]
+        and all(coeffs[mask.cardinality()] == c for mask, c in certificate)
+        and all(
+            sum(math.comb(m - t, k - t) * coeffs[k] for k in range(t, n + 1)) == 1
+            for t in range(1, n + 1)
+        )
+    )
+    if not ok:
         raise ContractViolation(
             f"certificate for (m={m}, n={n}) failed symbolic verification"
         )

@@ -32,7 +32,7 @@ from detsum import (
     subset_sum,
 )
 from detsum import fuzz
-from detsum.fuzz import run_suite
+from detsum.fuzz import run_suite, zx_alternating_det_sum
 from detsum.subsets import masks_in_search_order
 
 from conftest import int_rows, ref_det, ref_subset_sum
@@ -61,6 +61,9 @@ def test_c02_det_identity_cases():
     for n, m in cases:
         report = check_alternating_det_identity(m, n)
         assert report.holds, f"determinant identity failed at (n={n}, m={m})"
+        # The counts decide; the generic matrices expanded over Z[x] agree.
+        expanded = zx_alternating_det_sum(m, n)
+        assert expanded.is_zero() and expanded == report.residual, (n, m)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"symbolic checks took {elapsed:.2f}s, budget is 60s"
     _report(2, f"determinant identity holds on {cases} in {elapsed:.2f}s")

@@ -382,6 +382,20 @@ def test_fuzz_exit_zero_on_pass(capsys):
     assert report["result"]["total_failures"] == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--trials", "-3", "--suites", "superset-sign-sums"], "--trials must be at least 1, got -3"),
+    (["--trials", "0"], "--trials must be at least 1, got 0"),
+    (["--suites", ","], "--suites ',' names no suite"),
+    (["--suites", ""], "--suites '' names no suite"),
+], ids=["negative trials", "zero trials", "separators only", "empty suites"])
+def test_fuzz_refuses_a_run_that_checks_nothing(capsys, flags, message):
+    # A run of no trials or no suites would report holds after no check.
+    assert main(["fuzz", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"detsum: error: {message}\n"
+
+
 def test_contract_violation_exits_two(capsys, monkeypatch):
     from detsum import ContractViolation
     from detsum import cli as cli_mod
@@ -762,18 +776,48 @@ def test_nonzero_alt_sum_results_are_pinned(capsys, name):
     assert got == _SMALL_FAMILY_PINS[name]
 
 
-# sha256 of the result of each symbolic subcommand at a few sizes.
+# sha256 of the result of each symbolic subcommand: verify-lemma3 at two
+# sizes, verify-lemma2 and certificate at every (m, n) within
+# DET_IDENTITY_CAPS, taken while both still expanded generic matrices over Z[x].
 _SYMBOLIC_RESULT_PINS = [
     (["verify-lemma3", "--m", "3", "--n", "2"],
      "b739b6de52a1b8e2534033e29ba79e1f37ad9767de9f49c33d6a059aafab8c85"),
     (["verify-lemma3", "--m", "20", "--n", "1"],
      "93bea7a51e78b224429a0edc282e9456b609ea70ac63d7cfdd3d227d0d8ace96"),
+    (["verify-lemma2", "--m", "2", "--n", "1"],
+     "91dfd9ac598caf7a8864fdd63255e271e8f07fdf8f08a87e1333aa0030e4ff78"),
+    (["verify-lemma2", "--m", "3", "--n", "1"],
+     "ccb94e62fb7baf7390169452b6a8970404b51817979ec7fe3b4fd65bebaf4f60"),
     (["verify-lemma2", "--m", "3", "--n", "2"],
      "1fbc313ebdd3a9ddf6d2aef94afacaa3c044eb1165196833905370c981cece49"),
-    (["certificate", "--m", "4", "--n", "2"],
-     "51969583d8f9e96b02e001bf3ccfb7817c0d2ebb989a0f8d968d121cd923ccc0"),
+    (["verify-lemma2", "--m", "4", "--n", "1"],
+     "4c85ce7a6b17e297d5e51422bef6ba0964af50107dd6f0535822133c7de4a232"),
+    (["verify-lemma2", "--m", "4", "--n", "2"],
+     "d2319b2695bea9c4f7c849ada08b3b41c821e69aef1cef2139a9d3f2cb20bda5"),
+    (["verify-lemma2", "--m", "4", "--n", "3"],
+     "d21647cc8ac5f1d2c49009299d0b4bb5d0bdf4119ef5242475a6041c5b27e5c4"),
+    (["verify-lemma2", "--m", "5", "--n", "1"],
+     "5f67e68310d60759cb93beb768f2be15aed30e17dcdd7e7e640c55ef841cc3b6"),
+    (["verify-lemma2", "--m", "5", "--n", "2"],
+     "aec9ee546c566a4564ee38b090b05ea43292135a15dd4bafb7cee278bab24172"),
     (["verify-lemma2", "--m", "5", "--n", "3"],
      "fb5f436f8f2a26fc224979067ee833968152efd2d69b1f05e7fc37d08cad1c4f"),
+    (["certificate", "--m", "2", "--n", "1"],
+     "34341777b0938fbc367f84685f552c59e793403b79292bf2d5d8c3ac0dae6807"),
+    (["certificate", "--m", "3", "--n", "1"],
+     "fc44858085ac535dcc252de4cdc19f8881f94ebe273e493c7629de9e16e06a63"),
+    (["certificate", "--m", "3", "--n", "2"],
+     "17043be2c81c1f452227f9b42c4a5a35843f98b46c6570b05e206d995cfcccba"),
+    (["certificate", "--m", "4", "--n", "1"],
+     "2ed5ffcb73806ee72971d0b0ec6a2ce5d0f101731709d2689010cc044563cfbb"),
+    (["certificate", "--m", "4", "--n", "2"],
+     "51969583d8f9e96b02e001bf3ccfb7817c0d2ebb989a0f8d968d121cd923ccc0"),
+    (["certificate", "--m", "4", "--n", "3"],
+     "33d44c11ce07c03fa31dfee239f41a65427e328ecf759308520b82939e52d225"),
+    (["certificate", "--m", "5", "--n", "1"],
+     "b850a6c5db3f0b5af8996f3d29f719744a0e8702f0ca690208ccc1d2f679081a"),
+    (["certificate", "--m", "5", "--n", "2"],
+     "20157b13c0c5917b0cb7ea8eade2d748fced8922c2b73daa12d92f238f29282e"),
     (["certificate", "--m", "5", "--n", "3"],
      "0cc066ad6ec61f7b25d74751abc6ac9e9bb764946ac17e776e0f7d64dbe678f2"),
 ]

@@ -11,6 +11,7 @@ from detsum import (
     INTEGERS,
     RATIONALS,
     ArityMismatch,
+    ContractViolation,
     HypothesisViolation,
     ModRing,
     NotHomogeneous,
@@ -260,6 +261,34 @@ def test_certificate_support_sums_at_every_allowed_shape(m, n):
     for t in range(1, 1 << m):
         if t.bit_count() <= n:
             assert sum(c for s, c in coeffs.items() if s & t == t) == 1, bin(t)
+
+
+def _spoiled(cert, deltas):
+    return [(mask, c + deltas.get(i, 0)) for i, (mask, c) in enumerate(cert)]
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (4, 2), (5, 3)])
+def test_certificate_check_refuses_a_tampered_list(m, n):
+    cert = det_expansion_certificate(m, n)
+    identities._check_certificate(m, n, cert)
+    pair = [i for i, (mask, _) in enumerate(cert) if mask.cardinality() == n][:2]
+    tampered = [
+        _spoiled(cert, {len(cert) // 2: 1}),  # one coefficient off by one
+        cert[:1] + cert[2:],  # one mask dropped
+        _spoiled(cert, {pair[0]: 1, pair[1]: -1}),  # two n-set coefficients apart
+    ]
+    for spoiled in tampered:
+        with pytest.raises(ContractViolation, match="failed symbolic verification"):
+            identities._check_certificate(m, n, spoiled)
+
+
+def test_det_identity_counts_suite():
+    # The counts route of verify-lemma2 and certificate against the Z[x]
+    # expansion at every shape within DET_IDENTITY_CAPS.
+    result = run_suite("det-identity-counts", seed=0)
+    shapes = len(_CERTIFICATE_SHAPES)
+    assert result.checks == shapes * (2 + 8 * 5)
+    assert result.failures == 0, result.first_failure
 
 
 # -- perturbation -------------------------------------------------------------
