@@ -45,7 +45,6 @@ from .matrices import (
     COMPILED_BAREISS_MAX_N,
     SquareMatrix,
     _det_berkowitz,
-    _det_leibniz,
     det,
     det_rows,
     is_invertible,
@@ -236,8 +235,38 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
 )
 LEIBNIZ_ORACLE_MAX_N = 6
 # Over Z/N and F_p, trials t with t % RING_BERKOWITZ_EVERY == 0 also run
-# the ring-method Berkowitz, which _det_generic runs on other rings.
+# the ring-method Berkowitz, which det runs on packed Z[x...] above n = 7.
 RING_BERKOWITZ_EVERY = 10
+
+
+# The permutation expansion in ring methods: det-agreement's Leibniz oracle.
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        out.append((perm, -1 if inversions & 1 else 1))
+    return tuple(out)
+
+
+def _det_leibniz(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
+    n = len(rows)
+    acc = ring.zero
+    is_zero, mul = ring.is_zero, ring.mul
+    for perm, sign in _signed_permutations(n):
+        term = None
+        for i in range(n):
+            e = rows[i][perm[i]]
+            if is_zero(e):
+                term = None
+                break
+            term = e if term is None else mul(term, e)
+        if term is None:
+            continue
+        acc = ring.add(acc, term) if sign > 0 else ring.sub(acc, term)
+    return acc
 
 
 def _berkowitz_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
@@ -268,7 +297,9 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
     For n <= 7 the lifted value runs the same compiled expansion as det
     over F_p and Z/N, so there Leibniz and Berkowitz are the independent
     oracles.  Over Z, n runs to 8, the cap of the compiled Bareiss, which
-    det and the lifted value run there.  The 512- and 521-bit
+    det and the lifted value run there.  Over Z[x0, x1, x2], det runs
+    the compiled expansion on packed values, the oracles ``SparsePoly``
+    ring methods.  The 512- and 521-bit
     moduli check every route on residues far wider than a machine word.
     Over Z/2^64 a column with no odd entry has no unit, which sends
     elimination down Euclid's steps.
@@ -359,19 +390,25 @@ def suite_alt_sum_zero(rng: random.Random, trials: int, rec: _Recorder) -> None:
                     )
 
 
-_RECURRENCE_RINGS: Sequence[Ring] = (
-    INTEGERS,
-    RATIONALS,
-    ModRing(6),
-    ModRing(10),
-    ModRing(2**512 - 1),
-    PrimeField(7),
-    _f2x3x5(),
-    ProductRing([ModRing(4), ModRing(9)]),
-)
+def _coprime_rational_matrix(n: int, rng: random.Random) -> SquareMatrix:
+    return SquareMatrix(RATIONALS, [_coprime_rational_row(rng, n) for _ in range(n)])
+
+
 # Every n the recurrence serves, at m = 1..12; n = 5 stops at m = 9, so
 # that the walk oracle takes at most 512 determinants of 5x5 matrices.
 _RECURRENCE_SHAPES = [(n, m) for n in range(1, RECURRENCE_MAX_N + 1) for m in range(1, 10 if n >= 5 else 13)]
+# (ring, draw of one n x n member, most members at n = 1..5).  A Z[x] or
+# fraction family takes fewer: its walk at n = 4, m = 12 took 5.4 s over
+# Z[x], and its recurrence at n = 5 0.1 s a call.
+_RECURRENCE_FAMILIES: Sequence[tuple[Ring, Callable[[int, random.Random], SquareMatrix], Sequence[int]]] = (
+    *(
+        (ring, functools.partial(random_matrix, ring), (12, 12, 12, 12, 9))
+        for ring in (INTEGERS, RATIONALS, ModRing(6), ModRing(10), ModRing(2**512 - 1), PrimeField(7),
+                     _f2x3x5(), ProductRing([ModRing(4), ModRing(9)]))
+    ),
+    (IntPolyRing(2), functools.partial(random_matrix, IntPolyRing(2)), (12, 10, 8, 6, 6)),
+    (RATIONALS, _coprime_rational_matrix, (12, 10, 8, 6, 6)),
+)
 _RECURRENCE_NONZERO_TRIALS = 3
 
 
@@ -379,36 +416,47 @@ def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) ->
     """The member-by-member alternating sum agrees with the Gray walk of
     all 2^m subsets.
 
-    Trial t draws a family over ring t % 8 of ``_RECURRENCE_RINGS``, at
-    the (n, m) of ``_RECURRENCE_SHAPES`` that t // 8 picks, m <= n among
-    them, so the default 456 trials draw each (ring, n, m) once.  Every
-    ring lifts to ints: Q with small denominators, F2xF3xF5 and Z/4xZ/9
-    by the CRT as Z/30 and Z/36, Z/(2^512-1) as int arrays at n >= 2.  A
-    ring that draws m <= n at least ``_RECURRENCE_NONZERO_TRIALS`` times
-    must show a nonzero sum in one.
+    Trial t draws a family of kind t % 10 of ``_RECURRENCE_FAMILIES``, at
+    the (n, m) of ``_RECURRENCE_SHAPES`` that t // 10 picks, m <= n among
+    them, unless m passes the kind's cap at n, so the default 570 trials
+    draw each (kind, n, m) within its cap once.  No
+    family walks tuple arrays of a product: Q with small denominators
+    lifts to ints, F2xF3xF5 and Z/4xZ/9 by the CRT as Z/30 and Z/36,
+    Z/(2^512-1) as int arrays at n >= 2, Z[x0, x1] as packed values, and
+    Q with one 64-bit prime denominator per row goes past its lift gate
+    at n * n * (m - 1) > 64, where it walks as fractions, and must do so
+    in some trial.  A kind that draws m <= n at least
+    ``_RECURRENCE_NONZERO_TRIALS`` times must show a nonzero sum in one.
     """
-    small = dict.fromkeys(_RECURRENCE_RINGS, 0)
-    nonzero = dict.fromkeys(_RECURRENCE_RINGS, False)
+    kinds = range(len(_RECURRENCE_FAMILIES))
+    small, nonzero, unlifted = [0] * len(kinds), [False] * len(kinds), False
     for t in range(trials):
-        ring = _RECURRENCE_RINGS[t % len(_RECURRENCE_RINGS)]
-        n, m = _RECURRENCE_SHAPES[t // len(_RECURRENCE_RINGS) % len(_RECURRENCE_SHAPES)]
-        fam = [random_matrix(ring, n, rng) for _ in range(m)]
-        lift = lift_family(ring, [a.rows for a in fam], m)
-        if lift.ring != INTEGERS:
-            rec.check(False, lambda: f"{ring!r} does not lift to ints (n={n})")
+        kind = t % len(kinds)
+        ring, draw, max_m = _RECURRENCE_FAMILIES[kind]
+        n, m = _RECURRENCE_SHAPES[t // len(kinds) % len(_RECURRENCE_SHAPES)]
+        if m > max_m[n - 1]:
             continue
-        value = lift.det_ring.from_int(_recurrence_alternating_sum(lift, n))
+        fam = [draw(n, rng) for _ in range(m)]
+        lift = lift_family(ring, [a.rows for a in fam], m)
+        if isinstance(lift.ring, ProductRing):
+            rec.check(False, lambda: f"{ring!r} walks tuple arrays (n={n})")
+            continue
+        unlifted = unlifted or draw is _coprime_rational_matrix and lift.ring == RATIONALS
+        value = _recurrence_alternating_sum(lift, n)
         walk = _walk_alternating_sum(lift)
         if m <= n:
-            small[ring] += 1
-            nonzero[ring] = nonzero[ring] or not lift.det_ring.is_zero(walk)
+            small[kind] += 1
+            nonzero[kind] = nonzero[kind] or not lift.det_ring.is_zero(walk)
         rec.check(
             value == walk,
             lambda: f"recurrence {value!r} != walk {walk!r} over {ring!r} (n={n}, m={m})",
         )
-    for ring in _RECURRENCE_RINGS:
-        if small[ring] >= _RECURRENCE_NONZERO_TRIALS:
-            rec.check(nonzero[ring], lambda: f"no nonzero alternating sum compared over {ring!r}")
+    for kind in kinds:
+        if small[kind] >= _RECURRENCE_NONZERO_TRIALS:
+            ring = _RECURRENCE_FAMILIES[kind][0]
+            rec.check(nonzero[kind], lambda: f"no nonzero alternating sum compared over {ring!r}")
+    if trials >= len(kinds) * len(_RECURRENCE_SHAPES):
+        rec.check(unlifted, "no Q family past its lift gate compared")
 
 
 def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object], tuple]:
@@ -1253,7 +1301,8 @@ def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -
     """The packed Z[x...] lift agrees with ``SparsePoly`` arithmetic.
 
     Trial t takes kind t % 4 of :func:`_poly_lift_family` and n = t // 4
-    % 7 + 1, so both sides of ``LEIBNIZ_MAX_N`` are drawn.  The wide kind,
+    % 7 + 1, so n runs to ``CLOSED_FORM_MAX_N``, the last size of the
+    compiled expansion on packed values.  The wide kind,
     whose oracle hashes exponent tuples of 2000 entries, keeps n <= 3 and
     m <= 3; the edge kind takes its (n, E) from ``_POLY_SLOT_EDGES``, each
     once in the default 32 trials.  Checked against ``subset_sum`` and
@@ -1619,7 +1668,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-homogeneity": (suite_det_homogeneity, 100),
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
-    "alt-sum-recurrence": (suite_alt_sum_recurrence, 456),
+    "alt-sum-recurrence": (suite_alt_sum_recurrence, 570),
     "subset-walks": (suite_subset_walks, 10),
     "superset-sign-sums": (suite_superset_sign_sums, 40),
     "perturbation-residual": (suite_perturbation_residual, 100),

@@ -12,8 +12,10 @@ sum of the n + 1 matrices A_1..A_n, B.
 
 The numeric sums, of determinants and of homogeneous polynomials, are
 taken one member at a time by the multilinear expansion that proves the
-identity, with one state per minor or per divisor of a term of f; a Gray
-walk of the 2^m subsets serves the rest and checks them.  The symbolic
+identity, with one state per minor or per divisor of a term of f, over
+every ring kind, Z[x...] and unlifted Q among them; a Gray walk of the
+2^m subsets serves products walked as tuple arrays, n past the
+recurrence's cutoff and small m, and checks the rest.  The symbolic
 identities and the certificate are decided by the same expansion over
 maps from rows to members, which leaves only the integer counts of
 :func:`superset_sign_counts` to check.
@@ -51,9 +53,9 @@ from .matrices import (
     lift_family,
 )
 from .rings import (
-    INTEGERS,
     RATIONALS,
     IntPolyRing,
+    ProductRing,
     Ring,
     RingElement,
     SparsePoly,
@@ -90,8 +92,8 @@ DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
 # identity counts its coefficients, but keeps refusing m past the cap, since
 # that refusal is part of the verify-lemma3 contract.
 COEFFICIENT_CHECK_FAMILY_CAP = 24
-# The largest n at which an int-lifted alternating sum may run the
-# recurrence; up to it _recurrence_is_faster picks the engine by a count.
+# The largest n at which an alternating sum may run the recurrence; up
+# to it _recurrence_is_faster picks the engine by a count.
 # Walk against recurrence, us per call over Z (timeit, one pinned CPU):
 # n=6 m=6 474/7561, m=7 986/7840.
 RECURRENCE_MAX_N = 5
@@ -130,18 +132,19 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     """Signed sum of det(subset sum) over all 2^m subsets.
 
     The empty subset contributes det(0) = 0.  The result is exactly zero
-    whenever m > n, over any commutative ring.  A family that lifts to
-    ints, at n <= ``RECURRENCE_MAX_N``, is summed member by member
-    (:func:`_recurrence_alternating_sum`); any other walks all 2^m
-    subsets (:func:`_walk_alternating_sum`).
+    whenever m > n, over any commutative ring.  At n <=
+    ``RECURRENCE_MAX_N`` a family is summed member by member
+    (:func:`_recurrence_alternating_sum`) when a closed-form count finds
+    that cheaper, unless its lift walks tuple arrays of a product; any
+    other walks all 2^m subsets (:func:`_walk_alternating_sum`).
     """
     ring, n = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     lift = lift_family(ring, [a.rows for a in matrices], m)
-    if lift.ring == INTEGERS and n <= RECURRENCE_MAX_N and _recurrence_is_faster(n, m):
-        acc = lift.det_ring.from_int(_recurrence_alternating_sum(lift, n))
+    if not isinstance(lift.ring, ProductRing) and n <= RECURRENCE_MAX_N and _recurrence_is_faster(n, m):
+        acc = _recurrence_alternating_sum(lift, n)
     else:
         acc = _walk_alternating_sum(lift)
     return RingElement(ring, lift.finish(acc), _normalized=True)
@@ -175,10 +178,11 @@ def _walk_alternating_sum(lift: Lift) -> object:
     return acc
 
 
-def _recurrence_alternating_sum(lift: Lift, n: int) -> int:
-    """The alternating sum of a family whose walked values have int cells
-    (``lift.ring`` is Z), as an int that ``lift.det_ring.from_int`` maps
-    to the walk's value.
+def _recurrence_alternating_sum(lift: Lift, n: int) -> object:
+    """The alternating sum in ``lift.det_ring``, as the walk gives it, of
+    a family whose walked values have cells with ``+ - *``: ints, Q's
+    fractions or packed Z[x...] values, every lift but a product's tuple
+    arrays.
 
     Let s(R, C) be the signed sum, over the subsets S of the members so
     far, of the (R, C) minor of the sum of S; the empty minor is 1.  By
@@ -190,13 +194,15 @@ def _recurrence_alternating_sum(lift: Lift, n: int) -> int:
     elsewhere, the answer is s at the whole matrix.  A k x k state is 0
     once k + 1 members are in, and zero states stay zero, so the loop
     stops there.  The minors are integer polynomials in the entries, so
-    the one reduction at the end gives the walk's value.
+    the one ``det_ring.normalize`` at the end, a reduction mod N on
+    residues, gives the walk's value.
     """
-    minors, moves = _laplace_minors(n), _laplace_moves(n)
-    state = [1] + [0] * (len(moves) - 1)
+    det_ring = lift.det_ring
+    minors, moves, zero = _laplace_minors(n), _laplace_moves(n), det_ring.zero
+    state = [det_ring.one] + [zero] * (len(moves) - 1)
     for member in lift.members:
         x = minors(lift.cells(member))
-        new = [0] * len(moves)
+        new = [zero] * len(moves)
         for s, (plus, minus) in zip(state, moves):
             if s:
                 for target, i in plus:
@@ -206,7 +212,7 @@ def _recurrence_alternating_sum(lift: Lift, n: int) -> int:
         state = new
         if not any(state):
             break
-    return state[-1]
+    return det_ring.normalize(state[-1])
 
 
 @functools.lru_cache(maxsize=None)

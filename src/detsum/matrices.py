@@ -23,12 +23,13 @@ picks its route from the ring and n:
   unit to pivot on is cleared by Euclid's steps between rows, so N is
   never factored
 * Z[x...]       -- the entries packed once into dicts of int monomial
-  keys (:class:`_PackedPolyRing`), so that a monomial product is one int
-  addition; on them Leibniz (signed permutation sum) for n <= 6,
-  Berkowitz above; neither ever divides, so both hold over any
-  commutative ring.  The result is unpacked once.  A JSON descriptor
-  names at most MAX_FAMILY * DET_SIZE_CAP**2 variables, and only those
-  that occur in the entries get a slot of the key
+  keys (:class:`_PackedPoly`), so that a monomial product is one int
+  addition; packed values have ``+ - *``, so the same compiled expansion
+  runs on them for n <= 7, and Berkowitz above; neither ever divides,
+  so both hold over any commutative ring.  The result is unpacked once.
+  A JSON descriptor names at most MAX_FAMILY * DET_SIZE_CAP**2
+  variables, and only those that occur in the entries get a slot of the
+  key
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
 Z/N and F_p members, Q members scaled by shared row multipliers, and
@@ -43,7 +44,7 @@ its determinant: the compiled expansion on the unpacked cells for
 n <= 7, over Z and Q the compiled Bareiss on them at n = 8, and rows
 sliced from them otherwise.  A Z[x...] family is packed
 entry by entry as :func:`det_rows` packs its rows, and walks as arrays
-of those dicts.
+of packed values.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -87,11 +88,15 @@ __all__ = [
 
 DET_SIZE_CAP = 64
 # The compiled Laplace expansion (_laplace_det) up to this n over Z, Q,
-# Z/N and F_p.  us/det at n = 7, expansion/Bareiss/elimination mod N:
-# 48/69/- on 64-bit ints, 14/31/32 over Z/10, 668/752/849 over
-# Z/(2^512-1), 495/764/735 over F_(2^521-1); at n = 8, 152/106/- on
-# 64-bit ints and 1,348/1,948/908 over Z/(2^512-1) (timeit, one pinned
-# CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and 7.
+# Z/N, F_p and packed Z[x...].  us/det at n = 7, expansion/Bareiss/
+# elimination mod N: 48/69/- on 64-bit ints, 14/31/32 over Z/10,
+# 668/752/849 over Z/(2^512-1), 495/764/735 over F_(2^521-1); at n = 8,
+# 152/106/- on 64-bit ints and 1,348/1,948/908 over Z/(2^512-1) (timeit,
+# one pinned CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and
+# 7.  ms/det over Z[x...] with random entries, packing included, against
+# the Leibniz expansion that the route replaced (Berkowitz at n = 7):
+# IntPolyRing(2) 0.37/0.76 at n = 5, 1.2/4.4 at 6, 4.0/12.9 at 7;
+# IntPolyRing(3) 0.65/0.97, 2.5/6.5, 10.4/94.6 (median, one pinned CPU).
 CLOSED_FORM_MAX_N = 7
 # Bareiss compiled into straight-line int code (_bareiss_det) above
 # CLOSED_FORM_MAX_N up to this n over Z and Q, the loop past it.  us/det,
@@ -112,10 +117,6 @@ RATIONAL_LIFT_MAX_EXCESS_BITS = 4096
 # 0.51-1.01x for 2x128 bits, 0.78-0.98x for 64x521 bits, 1.27-1.45x for
 # 2x512 bits (timeit, one pinned CPU).
 PRODUCT_LIFT_MAX_BITS = 256
-# Leibniz or Berkowitz over Z[x...] only, on packed keys.  ms/det with
-# random IntPolyRing(2) entries, Leibniz vs Berkowitz (median of 6 to 20
-# matrices, unpinned): 1.4-3.7 vs 1.8-3.5 at n=6, a tie; 19 vs 7.7 at n=7.
-LEIBNIZ_MAX_N = 6
 
 
 class SquareMatrix:
@@ -270,35 +271,6 @@ def subset_sum(matrices: Sequence[SquareMatrix], mask: SubsetMask) -> SquareMatr
     return _raw_matrix(ring, n, tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inversions & 1 else 1))
-    return tuple(out)
-
-
-def _det_leibniz(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    n = len(rows)
-    acc = ring.zero
-    is_zero, mul = ring.is_zero, ring.mul
-    for perm, sign in _signed_permutations(n):
-        term = None
-        for i in range(n):
-            e = rows[i][perm[i]]
-            if is_zero(e):
-                term = None
-                break
-            term = e if term is None else mul(term, e)
-        if term is None:
-            continue
-        acc = ring.add(acc, term) if sign > 0 else ring.sub(acc, term)
-    return acc
-
-
 def _det_berkowitz(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     # Berkowitz (1984): the characteristic polynomial of each trailing
     # principal submatrix follows from the next smaller one by a Toeplitz
@@ -349,11 +321,13 @@ def _compile(name: str, n: int, body: Sequence[str], **names) -> Callable[[Seque
 
 
 def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Sequence[int]], object]:
-    """``name(cells)``, straight-line code for an n x n int matrix.  Each
-    minor of ``keys``, listed after the minors one size smaller that it
-    needs, is expanded along its first row into cells times those minors,
-    named as locals.  It returns the last minor when ``whole``, else all
-    of them in the order of ``keys``.  No ring calls, no division.
+    """``name(cells)``, straight-line code for an n x n matrix whose cells
+    have ``+ - *`` and unary ``+``: ints, fractions or packed Z[x...]
+    values.  Each minor of ``keys``, listed after the minors one size
+    smaller that it needs, is expanded along its first row into cells
+    times those minors, named as locals.  It returns the last minor when
+    ``whole``, else all of them in the order of ``keys``.  No ring calls,
+    no division.
     """
     index = {key: i for i, key in enumerate(keys)}
     names, body = [], []
@@ -527,44 +501,101 @@ def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
     if len(rows) == 1:
         return rows[0][0]
     parts = zip(*[zip(*row) for row in rows])  # component c's rows, for each c
-    return tuple(
-        _ROUTES.get(type(comp), _det_generic)(comp, part)
-        for comp, part in zip(ring.components, parts)
-    )
+    return tuple(_ROUTES[type(comp)](comp, part) for comp, part in zip(ring.components, parts))
 
 
 def _det_int_poly(ring: IntPolyRing, rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    # The rows packed once, the determinant taken on the packed dicts.
+    # The rows packed once, the determinant taken on the packed values.
     if len(rows) == 1:
         return rows[0][0]
     packed = _PackedPolyRing.covering(ring.var_count, [rows])
     pack = packed.pack
-    return packed.unpack(_det_generic(packed, [[pack(e) for e in row] for row in rows]))
+    return packed.unpack(_det_packed(packed, [[pack(e) for e in row] for row in rows]))
 
 
-def _det_generic(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
-    # Packed Z[x...] and any other commutative ring: neither route divides.
+def _det_packed(ring: _PackedPolyRing, rows: Sequence[Sequence[_PackedPoly]]) -> _PackedPoly:
+    # The compiled expansion on the values' operators, Berkowitz above;
+    # neither divides.
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n <= LEIBNIZ_MAX_N:
-        return _det_leibniz(ring, rows)
+    if n <= CLOSED_FORM_MAX_N:
+        return _laplace_det(n)([e for row in rows for e in row])
     return _det_berkowitz(ring, rows)
+
+
+class _PackedPoly(dict):
+    """A value of :class:`_PackedPolyRing`, ``{key: coeff}`` of nonzero
+    coefficients, with ``+ - *`` and unary ``- +`` as the ring's
+    arithmetic, so that the compiled expansion and the alternating-sum
+    recurrence run on it as on ints.  Values are never mutated, so an
+    operation may return an operand as it is.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        acc = _PackedPoly(a)
+        for k, c in b.items():
+            if k not in acc:
+                acc[k] = c
+            elif c := acc[k] + c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return acc
+
+    def __sub__(a, b):
+        if not b:
+            return a
+        acc = _PackedPoly(a)
+        for k, c in b.items():
+            if k not in acc:
+                acc[k] = -c
+            elif c := acc[k] - c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return acc
+
+    def __mul__(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # distinct keys stay distinct under one shift
+            ((k2, c2),) = b.items()
+            return _PackedPoly({k + k2: c * c2 for k, c in a.items()})
+        acc: dict[int, int] = {}
+        terms = b.items()
+        for k1, c1 in a.items():
+            for k2, c2 in terms:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += c1 * c2
+                else:
+                    acc[k] = c1 * c2
+        return _PackedPoly({k: c for k, c in acc.items() if c})
+
+    def __neg__(a):
+        return _PackedPoly({k: -c for k, c in a.items()})
+
+    def __pos__(a):
+        return a
 
 
 class _PackedPolyRing(Ring):
     """Z[x...] on packed monomial keys, for determinants and subset walks.
 
-    A value is a dict ``{key: coeff}`` of nonzero coefficients.  The key
-    of a monomial is the sum of e_v * 2^(width * s) over the slots s of
-    ``variables``, the variables that occur in the packed entries, so a
-    product of monomials is one int addition of keys.  That is exact
+    A value is a :class:`_PackedPoly`.  The key of a monomial is the sum
+    of e_v * 2^(width * s) over the slots s of ``variables``, the
+    variables that occur in the packed entries, so a product of monomials
+    is one int addition of keys.  That is exact
     while every exponent stays below 2^width: :meth:`covering` takes
     width = bit_length(n * E), E the largest exponent of an entry.  Every
     value that a walk, a determinant of an n x n array of walked sums or
     a sum of such determinants forms is a sum of products of at most n
-    entries, so its exponents are at most n * E.  Values are never
-    mutated, so an operation may return an operand as it is.
+    entries, so its exponents are at most n * E.
     """
 
     kind = "int_poly"
@@ -589,14 +620,14 @@ class _PackedPolyRing(Ring):
         n = len(arrays[0])
         return cls(var_count, tuple(sorted(used)), max(1, (n * top).bit_length()))
 
-    def pack(self, poly: SparsePoly) -> dict[int, int]:
+    def pack(self, poly: SparsePoly) -> _PackedPoly:
         offsets = self._offsets
-        return {
+        return _PackedPoly({
             sum(exps[v] << offsets[v] for v in itertools.compress(range(len(exps)), exps)): c
             for exps, c in poly.terms.items()
-        }
+        })
 
-    def unpack(self, value: dict[int, int]) -> SparsePoly:
+    def unpack(self, value: _PackedPoly) -> SparsePoly:
         width, mask = self.width, (1 << self.width) - 1
         terms = {}
         for key, c in value.items():
@@ -609,61 +640,15 @@ class _PackedPolyRing(Ring):
             terms[tuple(exps)] = c
         return _raw_poly(self.var_count, terms)
 
-    @property
-    def zero(self):
-        return {}
+    def normalize(self, value):
+        return value
 
-    @property
-    def one(self):
-        return {0: 1}
-
-    def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return a
-        acc = dict(a)
-        for k, c in b.items():
-            if k not in acc:
-                acc[k] = c
-            elif c := acc[k] + c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return acc
-
-    def sub(self, a, b):
-        if not b:
-            return a
-        acc = dict(a)
-        for k, c in b.items():
-            if k not in acc:
-                acc[k] = -c
-            elif c := acc[k] - c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return acc
-
-    def mul(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:  # distinct keys stay distinct under one shift
-            ((k2, c2),) = b.items()
-            return {k + k2: c * c2 for k, c in a.items()}
-        acc: dict[int, int] = {}
-        terms = b.items()
-        for k1, c1 in a.items():
-            for k2, c2 in terms:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += c1 * c2
-                else:
-                    acc[k] = c1 * c2
-        return {k: c for k, c in acc.items() if c}
-
-    def neg(self, a):
-        return {k: -c for k, c in a.items()}
+    zero = property(lambda self: _PackedPoly())
+    one = property(lambda self: _PackedPoly({0: 1}))
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def is_zero(self, a):
         return not a
@@ -672,7 +657,7 @@ class _PackedPolyRing(Ring):
         return len(a) == 1 and a.get(0) in (1, -1)
 
     def from_int(self, k):
-        return {0: k} if k else {}
+        return _PackedPoly({0: k} if k else ())
 
     def _key(self):
         return (self.var_count, self.variables, self.width)
@@ -685,6 +670,7 @@ _ROUTES = {
     PrimeField: _det_residue,
     ProductRing: _det_product,
     IntPolyRing: _det_int_poly,
+    _PackedPolyRing: _det_packed,
 }
 
 
@@ -696,7 +682,7 @@ def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     """
     if len(rows) > DET_SIZE_CAP:
         raise SizeLimit(f"determinants are capped at n <= {DET_SIZE_CAP}, got {len(rows)}")
-    return _ROUTES.get(type(ring), _det_generic)(ring, rows)
+    return _ROUTES[type(ring)](ring, rows)
 
 
 class Lift(NamedTuple):
@@ -758,7 +744,7 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
     * Z[x...]    -- each entry packed once into a dict of int monomial
       keys, with a slot for each variable that occurs in the family
       (:class:`_PackedPolyRing`, also the ``det_ring``); the walk adds
-      arrays of those dicts, and each result is unpacked once;
+      arrays of those packed values, and each result is unpacked once;
     * other products -- walked as arrays in the ring itself.
 
     A lifted 1x1 member is its plain int.  Larger lifted members are

@@ -13,8 +13,8 @@ import pytest
 
 import detsum
 from detsum.cli import build_parser, main
-from detsum import cli, jsonio
-from detsum.fuzz import run_suite
+from detsum import cli, identities, jsonio
+from detsum.fuzz import _coprime_rational_row, run_suite
 from detsum.rings import INTEGERS, ModRing, PrimeField, ProductRing, RATIONALS
 from detsum.matrices import DET_SIZE_CAP, SquareMatrix, lift_family
 from detsum.subsets import MAX_FAMILY
@@ -105,6 +105,45 @@ def test_alt_sum_on_thirty_identities_holds(capsys):
         code, report = run_json(capsys, "alt-sum", "--input", doc)
         assert code == 0 and report["status"] == "holds", (n, m)
         assert report["result"]["residual"] == 0 and report["result"]["term_count"] == 1 << m
+
+
+def _poly_entry(rng):
+    return {"terms": [[[rng.randint(0, 2), rng.randint(0, 2)], rng.randint(-4, 4)] for _ in range(rng.randint(0, 3))]}
+
+
+def _coprime_fraction_row(rng, n):
+    return [f"{e.numerator}/{e.denominator}" for e in _coprime_rational_row(rng, n)]
+
+
+# Families whose walk of 2^m subsets did not finish: (ring, n, m, draw of
+# one row, the lift's ring, sha256 of the alt-sum result).
+_UNWALKED_ALT_SUMS = {
+    "Z[x, y], 30 2x2": ({"kind": "int_poly", "var_count": 2}, 2, 30,
+                        lambda rng, n: [_poly_entry(rng) for _ in range(n)], "int_poly",
+                        "06ac7bbe4164ca282e8110ec1ad460c120fe2c8a6a6a1bc43e2356f764942d78"),
+    "Q past its lift gate, 20 3x3": ({"kind": "rationals"}, 3, 20, _coprime_fraction_row, "rationals",
+                                     "d509666112dca9a70863f5976fb49f72e0e9a2d527e4fcd5f126880cbc747483"),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNWALKED_ALT_SUMS))
+def test_alt_sum_on_array_lifts_takes_no_walk(capsys, monkeypatch, name):
+    ring, n, m, draw, lifted_kind, digest = _UNWALKED_ALT_SUMS[name]
+    rng = random.Random(name)
+    doc = {"ring": ring, "n": n, "matrices": [[draw(rng, n) for _ in range(n)] for _ in range(m)]}
+    family = jsonio.matrices_from_json(doc)
+    assert lift_family(family[0].ring, [a.rows for a in family], m).ring.kind == lifted_kind
+
+    def walk(lift):
+        raise AssertionError("the alternating sum walked its subsets")
+
+    monkeypatch.setattr(identities, "_walk_alternating_sum", walk)
+    code, report = run_json(capsys, "alt-sum", "--input", json.dumps(doc))
+    assert code == 0 and report["status"] == "holds", report
+    zero = jsonio.value_to_json(family[0].ring, family[0].ring.zero)
+    assert report["result"]["residual"] == zero and report["result"]["term_count"] == 1 << m
+    result = json.dumps(report["result"], sort_keys=True).encode()
+    assert hashlib.sha256(result).hexdigest() == digest
 
 
 def test_homogeneous_on_thirty_vectors_holds(capsys):

@@ -524,7 +524,9 @@ def test_homogeneous_engine_pick_per_shape():
 def test_alt_sum_recurrence_suite():
     result = run_suite("alt-sum-recurrence", seed=0)
     assert result.failures == 0, result.first_failure
-    assert result.checks == 464  # 456 trials, and a nonzero sum seen over each of 8 rings
+    # 540 families within their caps, a nonzero sum seen over each of 10
+    # kinds, and a Q family compared past its lift gate
+    assert result.checks == 551
 
 
 # -- simplex centroid ----------------------------------------------------------

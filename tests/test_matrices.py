@@ -27,23 +27,21 @@ from detsum import (
     random_matrix,
     subset_sum,
 )
-from detsum import matrices
+from detsum import matrices, rings
 from detsum.matrices import (
     CLOSED_FORM_MAX_N,
     COMPILED_BAREISS_MAX_N,
-    LEIBNIZ_MAX_N,
     RATIONAL_LIFT_MAX_EXCESS_BITS,
     _bareiss_det,
     _det_bareiss,
     _det_berkowitz,
     _det_elimination_mod,
-    _det_leibniz,
     _laplace_det,
     det_rows,
     lift_family,
     mat_mul,
 )
-from detsum.fuzz import _coprime_rational_row, _oracle_det, run_suite
+from detsum.fuzz import _coprime_rational_row, _det_leibniz, _oracle_det, run_suite
 from detsum.subsets import search_order_sums
 
 from conftest import int_rows, ref_det
@@ -216,7 +214,6 @@ def test_compiled_bareiss_matches_berkowitz(bits):
 ROUTE_NAMES = (
     "_laplace_det",
     "_bareiss_det",
-    "_det_leibniz",
     "_det_berkowitz",
     "_det_bareiss",
     "_det_elimination_mod",
@@ -229,7 +226,8 @@ LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
 # F_p run the expansion, which returns the entry; other rings run none.
 # Sizes 2..4 and 5..7 of the expansion are pinned apart, the second
 # being the band it took over from Bareiss.  Over Z and Q, Bareiss runs
-# compiled above the expansion and as a loop past its cap.  The
+# compiled above the expansion and as a loop past its cap.  Z[x] runs
+# the expansion on packed values up to its cutoff, Berkowitz above.  The
 # Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_laplace_det"}),
@@ -251,10 +249,17 @@ ROUTE_PINS = [
     (ProductRing([Z6, F7]), range(2, 5), {"_laplace_det"}),
     (ProductRing([Z6, F7]), EXPANSION_SIZES, {"_laplace_det"}),
     (ProductRing([Z6, F7]), ABOVE_SIZES, {"_det_elimination_mod"}),
-    (IntPolyRing(1), range(2, LEIBNIZ_MAX_N + 1), {"_det_leibniz"}),
-    (IntPolyRing(1), range(LEIBNIZ_MAX_N + 1, LEIBNIZ_MAX_N + 2), {"_det_berkowitz"}),
+    (IntPolyRing(1), range(2, CLOSED_FORM_MAX_N + 1), {"_laplace_det"}),
+    (IntPolyRing(1), ABOVE_SIZES[:1], {"_det_berkowitz"}),
 ]
 EXPANSION_KINDS = ("integers", "mod", "prime_field")
+
+
+def test_every_ring_class_has_a_route():
+    # det_rows and _det_product look a route up by the ring's type, with
+    # no fallback, so a ring class without one would raise KeyError.
+    classes = {c for c in vars(rings).values() if isinstance(c, type) and issubclass(c, rings.Ring)}
+    assert classes - {rings.Ring} | {matrices._PackedPolyRing} <= set(matrices._ROUTES)
 
 
 @pytest.mark.parametrize(
@@ -327,12 +332,14 @@ def test_elimination_clears_columns_without_a_unit(modulus, non_unit):
                 assert value == det_rows(INTEGERS, rows) % modulus == _det_berkowitz(ring, rows)
 
 
-def test_leibniz_cutoff_over_int_poly():
-    # At the cutoff Leibniz runs; Berkowitz is its oracle.
+def test_expansion_cutoff_over_int_poly():
+    # The compiled expansion on packed values at its cutoff, Berkowitz on
+    # them one size above; Berkowitz on SparsePoly entries is the oracle.
     rng = random.Random(149)
     for ring in (IntPolyRing(2), IntPolyRing(3)):
-        mat = random_matrix(ring, LEIBNIZ_MAX_N, rng)
-        assert det(mat).value == _det_berkowitz(ring, mat.rows)
+        for n in (CLOSED_FORM_MAX_N, CLOSED_FORM_MAX_N + 1):
+            mat = random_matrix(ring, n, rng)
+            assert det(mat).value == _det_berkowitz(ring, mat.rows), (ring, n)
 
 
 def test_det_product_ring_componentwise():
