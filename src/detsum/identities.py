@@ -88,9 +88,7 @@ __all__ = [
 
 PRODUCT_IDENTITY_SIZE_CAP = 36        # m*n cap for the symbolic product identity
 DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
-# m cap for monomial_coefficient_check's 2^free superset loop.  The product
-# identity counts its coefficients, but keeps refusing m past the cap, since
-# that refusal is part of the verify-lemma3 contract.
+# m cap for monomial_coefficient_check's 2^free superset loop.
 COEFFICIENT_CHECK_FAMILY_CAP = 24
 # The largest n at which an alternating sum may run the recurrence; up
 # to it _recurrence_is_faster picks the engine by a count.
@@ -253,17 +251,15 @@ def check_alternating_product_identity(
     m > n.  With ``enforce_hypothesis=False`` the sum is built for any
     sizes so the failure of small families can be inspected.
 
-    The coefficient of a monomial is c(T) of its support T, counted by
+    The coefficient of a monomial is c(T) of its support T, given by
     :func:`superset_sign_counts` without visiting the 2^m subsets; only
-    m <= n leaves a nonzero c(T), whose monomials are expanded.  Besides
-    m*n <= 36, m is capped at ``COEFFICIENT_CHECK_FAMILY_CAP``.
+    m <= n leaves a nonzero c(T), whose monomials are expanded, and
+    m*n <= 36 bounds that expansion.
     """
     if m < 1 or n < 1:
         raise InvalidParameters(f"need m, n >= 1, got m={m}, n={n}")
     if m * n > PRODUCT_IDENTITY_SIZE_CAP:
         raise SizeLimit(f"m*n = {m * n} exceeds the cap {PRODUCT_IDENTITY_SIZE_CAP}")
-    if m > COEFFICIENT_CHECK_FAMILY_CAP:
-        raise SizeLimit(f"m = {m} exceeds the cap {COEFFICIENT_CHECK_FAMILY_CAP}")
     if enforce_hypothesis and m <= n:
         raise HypothesisViolation(f"the identity needs m > n, got m={m} <= n={n}")
 
@@ -292,15 +288,11 @@ def superset_sign_counts(m: int, size: int) -> dict[int, int]:
     """Map each mask T with 1 <= |T| <= size to its nonzero c(T).
 
     c(T) is the sum of (-1)^|S| over the supersets S of T in ``{0..m-1}``.
-    A t-set has C(m - t, k) supersets with t + k members, so c(T) depends
-    on t alone and is a sum of m - t + 1 signed binomials.
+    A t-set has C(m - t, k) supersets with t + k members, so c(T) is
+    (-1)^t * (1 - 1)^(m - t): (-1)^m for T = ``{0..m-1}`` and 0 for every
+    smaller T.
     """
-    counts: dict[int, int] = {}
-    for t in range(1, min(size, m) + 1):
-        c = sum((-1) ** (t + k) * math.comb(m - t, k) for k in range(m - t + 1))
-        if c:
-            counts.update(dict.fromkeys(masks_of_cardinality(m, t), c))
-    return counts
+    return {(1 << m) - 1: (-1) ** m} if 0 < m <= size else {}
 
 
 def monomial_coefficient_check(m: int, n: int, indices: Sequence[int]) -> int:

@@ -645,13 +645,6 @@ class _PackedPolyRing(Ring):
 
     zero = property(lambda self: _PackedPoly())
     one = property(lambda self: _PackedPoly({0: 1}))
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    def is_zero(self, a):
-        return not a
 
     def is_unit(self, a):
         return len(a) == 1 and a.get(0) in (1, -1)
@@ -785,13 +778,13 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
         packed = _PackedPolyRing.covering(ring.var_count, members)
         pack = packed.pack
         lifted = [[[pack(e) for e in row] for row in a] for a in members]
-        return _array_lift(packed, lifted, packed, packed.unpack, packed.add, packed.sub)
-    return _array_lift(ring, members, ring, _unchanged, ring.add, ring.sub)
+        return _array_lift(packed, lifted, packed, packed.unpack)
+    return _array_lift(ring, members, ring, _unchanged)
 
 
-def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish, add, sub) -> Lift:
-    # add and sub act on one entry of walk_ring.
-    array_add, array_sub = array_ops(add, sub)
+def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
+    # The walk adds arrays entry by entry in walk_ring.
+    array_add, array_sub = array_ops(walk_ring.add, walk_ring.sub)
 
     def det(rows):
         return det_rows(det_ring, rows)
@@ -830,8 +823,8 @@ def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
         det = (lambda value: value % modulus) if modulus else _unchanged
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
-        if width is None:  # int arrays, summed by int operators, not Z's methods
-            return _array_lift(INTEGERS, members, det_ring, finish, operator.add, operator.sub)
+        if width is None:  # entries too wide for a 64-bit slot walk as int arrays
+            return _array_lift(INTEGERS, members, det_ring, finish)
         values, cells, det = _packed(flat, n, width, det_ring, modulus)
     return Lift(
         INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width

@@ -4,7 +4,10 @@ Supported rings: the integers, the rationals, modular rings Z/N, prime
 fields F_p, finite products of rings, and multivariate polynomials with
 integer coefficients.  A :class:`Ring` instance is a descriptor that
 knows how to operate on raw values; :class:`RingElement` pairs a raw
-value with its descriptor and overloads the arithmetic operators.
+value with its descriptor and overloads the arithmetic operators.  The
+raw values of Z, Q and Z[x...] add, subtract and multiply themselves, so
+their descriptors inherit ``Ring``'s arithmetic, which calls the values'
+operators; Z/N reduces and a product works componentwise.
 
 F_p is Z/p: :class:`PrimeField` is the :class:`ModRing` of a prime of at
 most ``PRIME_FIELD_MAX_BITS`` = 4096 bits, certified at construction; it
@@ -207,6 +210,9 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if degrees are mixed.
 
@@ -379,10 +385,15 @@ def _raw_poly(var_count: int, canon: dict[tuple[int, ...], int]) -> SparsePoly:
 class Ring:
     """A commutative ring descriptor operating on raw values.
 
-    Subclasses implement exact arithmetic, canonical normalization, unit
-    tests and inverses.  Descriptors are immutable value objects: two
-    descriptors compare equal iff they present the same ring, that is,
-    share a class and a :meth:`_key`, which also gives the hash and repr.
+    Subclasses implement canonical normalization, unit tests and
+    inverses.  Arithmetic defaults to the raw values' own operators:
+    ``add``, ``sub``, ``mul`` and ``neg`` are ``+ - *`` and unary ``-``,
+    ``is_zero`` is ``not``, and ``from_int`` normalizes the int, which is
+    all that Z, Q and Z[x...] need.  Z/N (and so F_p) overrides the
+    operators to reduce, and a product works componentwise.  Descriptors
+    are immutable value objects: two descriptors compare equal iff they
+    present the same ring, that is, share a class and a :meth:`_key`,
+    which also gives the hash and repr.
     """
 
     kind: str = "ring"
@@ -399,20 +410,11 @@ class Ring:
     def one(self) -> object:
         raise NotImplementedError
 
-    def add(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
-    def sub(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
-    def mul(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
-    def neg(self, a: object) -> object:
-        raise NotImplementedError
-
-    def is_zero(self, a: object) -> bool:
-        return a == self.zero
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(operator.not_)
 
     def is_unit(self, a: object) -> bool:
         raise NotImplementedError
@@ -422,7 +424,7 @@ class Ring:
 
     def from_int(self, k: int) -> object:
         """Image of the integer k under the canonical map into this ring."""
-        raise NotImplementedError
+        return self.normalize(k)
 
     def random(self, rng: random.Random) -> object:
         """A small random raw value; drives the seeded property suites."""
@@ -468,29 +470,11 @@ class IntegerRing(Ring):
     zero = property(lambda self: 0)
     one = property(lambda self: 1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a == 1 or a == -1
 
     def try_inverse(self, a):
         return a if a in (1, -1) else None
-
-    def from_int(self, k):
-        return k
 
     def random(self, rng):
         return rng.randrange(-9, 10)
@@ -511,29 +495,11 @@ class RationalRing(Ring):
     zero = property(lambda self: Fraction(0))
     one = property(lambda self: Fraction(1))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a != 0
 
     def try_inverse(self, a):
         return 1 / a if a else None
-
-    def from_int(self, k):
-        return Fraction(k)
 
     def random(self, rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
@@ -571,17 +537,11 @@ class ModRing(Ring):
     def neg(self, a):
         return self.n - a if a else 0
 
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return math.gcd(a, self.n) == 1
 
     def try_inverse(self, a):
         return pow(a, -1, self.n) if math.gcd(a, self.n) == 1 else None
-
-    def from_int(self, k):
-        return k % self.n
 
     def random(self, rng):
         return rng.randrange(self.n)
@@ -732,21 +692,6 @@ class IntPolyRing(Ring):
     def one(self):
         return SparsePoly.constant(self.var_count, 1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     def is_unit(self, a):
         if len(a.terms) != 1:
             return False
@@ -755,9 +700,6 @@ class IntPolyRing(Ring):
 
     def try_inverse(self, a):
         return a if self.is_unit(a) else None  # +-1 are self-inverse
-
-    def from_int(self, k):
-        return SparsePoly.constant(self.var_count, k)
 
     def variable(self, index: int) -> SparsePoly:
         return SparsePoly.variable(self.var_count, index)

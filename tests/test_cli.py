@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -192,18 +193,19 @@ def test_missing_input_file_gives_one_error_report(capsys, tmp_path):
     assert report["result"]["error"].startswith("FileNotFoundError: ")
 
 
-def test_verify_lemma3_refuses_a_family_past_the_walk_cap(capsys):
-    code, report = run_json(capsys, "verify-lemma3", "--m", "25", "--n", "1")
+def test_verify_lemma3_refuses_a_family_past_the_size_cap(capsys):
+    code, report = run_json(capsys, "verify-lemma3", "--m", "37", "--n", "1")
     assert code == 1
     assert report["status"] == "error"
-    assert report["result"]["error"] == "SizeLimit: m = 25 exceeds the cap 24"
+    assert report["result"]["error"] == "SizeLimit: m*n = 37 exceeds the cap 36"
 
 
-def test_verify_lemma3_holds_at_the_family_cap(capsys):
-    code, report = run_json(capsys, "verify-lemma3", "--m", "24", "--n", "1")
+def test_verify_lemma3_holds_at_the_size_cap(capsys):
+    # The counts are closed-form, so m is bounded by m*n <= 36 alone.
+    code, report = run_json(capsys, "verify-lemma3", "--m", "36", "--n", "1")
     assert code == 0
     assert report["result"]["holds"] is True
-    assert report["result"]["term_count"] == 1 << 24
+    assert report["result"]["term_count"] == 1 << 36
 
 
 def test_usage_errors_exit_one(capsys):
@@ -945,7 +947,62 @@ _RESIDUE_RESULT_PINS = {
 
 @pytest.mark.parametrize("name", list(_RESIDUE_RESULT_PINS))
 def test_residue_ring_results_are_pinned(capsys, name):
-    argv, status, digest = _RESIDUE_RESULT_PINS[name]
+    _check_result_pin(capsys, *_RESIDUE_RESULT_PINS[name])
+
+
+def _simplex_points(n, draw, premise):
+    # n + 1 points, each row draw(rng, n); a point whose last row is twice
+    # its first keeps every subset sum singular, so the premise holds.
+    def argv():
+        rng = random.Random(f"simplex {n} {premise}")
+        points = []
+        for _ in range(n + 1):
+            rows = [draw(rng, n) for _ in range(n)]
+            if premise:
+                rows[-1] = [str(2 * Fraction(e)) for e in rows[0]]
+            points.append(rows)
+        return ["simplex", "--input", json.dumps({"ring": {"kind": "rationals"}, "n": n, "matrices": points})]
+
+    return argv
+
+
+def _small_fraction_row(rng, n):
+    return [f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}" for _ in range(n)]
+
+
+# (argv builder, status, sha256 of the result) for the Q and F_p
+# subcommands without other pins: simplex on lifted (small denominators)
+# and unlifted (a fresh 64-bit prime denominator per row) Q families, and
+# the mixed-characteristic miner with and without instances.  A family
+# whose premise holds reports no failing subset, whatever its n.
+_SIMPLEX_AND_MINER_RESULT_PINS = {
+    "simplex n=2, premise holds": (
+        _simplex_points(2, _small_fraction_row, True), "holds",
+        "7e8720d1012a569d8bf39ab3611b449dba84b550a1e9d451715b9f33cf78fb27"),
+    "simplex n=2, premise fails": (
+        _simplex_points(2, _small_fraction_row, False), "holds",
+        "a9873486ece789e7699cd5038ead23ccbe6ccff51c07eeff0abbf7b20eeaf146"),
+    "simplex n=5, premise holds": (
+        _simplex_points(5, _coprime_fraction_row, True), "holds",
+        "7e8720d1012a569d8bf39ab3611b449dba84b550a1e9d451715b9f33cf78fb27"),
+    "simplex n=5, premise fails": (
+        _simplex_points(5, _coprime_fraction_row, False), "holds",
+        "f9376a6710fef0512a5ef5130594ea5893e21736434acbba80c69cb19a5ca5cf"),
+    "mine-mixed-char F2 F3 F5, 16 families": (
+        lambda: ["mine-mixed-char", "--fields", "2,3,5", "--m", "4", "--bound", "3"], "found",
+        "bab355f048c8f598d194726c1290427c13cefddb11f8bcfb5be33b6be8d22909"),
+    "mine-mixed-char F2 F3, none": (
+        lambda: ["mine-mixed-char", "--fields", "2,3", "--m", "3", "--bound", "2"], "none",
+        "408073fca0bda70892d929c566fb5cf6ced7a3d5611f7c11ca1954410fa079b9"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIMPLEX_AND_MINER_RESULT_PINS))
+def test_simplex_and_miner_results_are_pinned(capsys, name):
+    _check_result_pin(capsys, *_SIMPLEX_AND_MINER_RESULT_PINS[name])
+
+
+def _check_result_pin(capsys, argv, status, digest):
     code, report = run_json(capsys, *argv())
     assert code == 0 and report["status"] == status, report
     result = json.dumps(report["result"], sort_keys=True).encode()

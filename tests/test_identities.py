@@ -138,8 +138,9 @@ def test_product_identity_validation():
         check_alternating_product_identity(2, 5)
     with pytest.raises(SizeLimit):
         check_alternating_product_identity(37, 1)
-    with pytest.raises(SizeLimit):
-        check_alternating_product_identity(25, 1)  # m*n within its cap, 2^m walk is not
+    # m*n is the only cap: the counts are closed-form, so no 2^m walk bounds m.
+    report = check_alternating_product_identity(36, 1)
+    assert report.holds and report.term_count == 1 << 36
 
 
 # -- coefficient cancellation -----------------------------------------------

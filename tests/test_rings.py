@@ -277,6 +277,46 @@ def test_poly_canonical_form():
         SparsePoly(2, {(1,): 1})  # wrong exponent arity
 
 
+def test_sparse_poly_is_false_exactly_when_zero():
+    x, y = IntPolyRing(2).variable(0), IntPolyRing(2).variable(1)
+    p = x * x - 3 * x * y
+    assert not SparsePoly.zero(2) and not (p - p) and not SparsePoly(2, {(1, 0): 0})
+    assert p and SparsePoly.constant(2, 5) and SparsePoly.constant(0, -1)
+    rng = random.Random(277)
+    for _ in range(200):
+        q = random_poly(2, rng)
+        assert bool(q) is (q != SparsePoly.zero(2)) is (not IntPolyRing(2).is_zero(q))
+
+
+_FROM_INT_CASES = [
+    (INTEGERS, lambda k: k),
+    (RATIONALS, Fraction),
+    (Z6, lambda k: k % 6),
+    (F7, lambda k: k % 7),
+    (F235, lambda k: (k % 2, k % 3, k % 5)),
+    (IntPolyRing(2), lambda k: SparsePoly.constant(2, k)),
+    (ProductRing([INTEGERS, RATIONALS, IntPolyRing(1)]),
+     lambda k: (k, Fraction(k), SparsePoly.constant(1, k))),
+    (matrices._PackedPolyRing(2, (0, 1), 2), lambda k: matrices._PackedPoly({0: k} if k else {})),
+]
+
+
+@pytest.mark.parametrize("ring, image", _FROM_INT_CASES, ids=[repr(r) for r, _ in _FROM_INT_CASES])
+def test_from_int_is_the_canonical_image(ring, image):
+    # The image of k is k copies of one, negated for k < 0, and is zero
+    # exactly where it equals the ring's zero.
+    for k in (-7, 0, 1, 12):
+        got, want = ring.from_int(k), image(k)
+        ones = ring.zero
+        for _ in range(abs(k)):
+            ones = ring.add(ones, ring.one)
+        assert got == want == (ring.neg(ones) if k < 0 else ones), (ring, k)
+        assert type(got) is type(want), (ring, k)  # a Fraction over Q, not an int
+        if isinstance(got, tuple):
+            assert list(map(type, got)) == list(map(type, want)), (ring, k)
+        assert ring.is_zero(got) is (got == ring.zero), (ring, k)
+
+
 def test_is_homogeneous():
     f = SparsePoly(2, {(2, 0): 1, (1, 1): 2})  # x0^2 + 2 x0 x1
     assert f.homogeneous_degree() == 2
