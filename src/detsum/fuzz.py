@@ -235,7 +235,7 @@ _CROSS_CHECK_RINGS: Sequence[tuple[Ring, int, Optional[int]]] = (
 )
 LEIBNIZ_ORACLE_MAX_N = 6
 # Over Z/N and F_p, trials t with t % RING_BERKOWITZ_EVERY == 0 also run
-# the ring-method Berkowitz, which det runs on packed Z[x...] above n = 7.
+# the ring-method Berkowitz, which det runs over Z[x...] above n = 7.
 RING_BERKOWITZ_EVERY = 10
 
 
@@ -298,8 +298,8 @@ def suite_det_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None
     over F_p and Z/N, so there Leibniz and Berkowitz are the independent
     oracles.  Over Z, n runs to 8, the cap of the compiled Bareiss, which
     det and the lifted value run there.  Over Z[x0, x1, x2], det runs
-    the compiled expansion on packed values, the oracles ``SparsePoly``
-    ring methods.  The 512- and 521-bit
+    the compiled expansion on the ``SparsePoly`` entries' operators, and
+    the oracles their ring methods.  The 512- and 521-bit
     moduli check every route on residues far wider than a machine word.
     Over Z/2^64 a column with no odd entry has no unit, which sends
     elimination down Euclid's steps.
@@ -398,8 +398,8 @@ def _coprime_rational_matrix(n: int, rng: random.Random) -> SquareMatrix:
 # that the walk oracle takes at most 512 determinants of 5x5 matrices.
 _RECURRENCE_SHAPES = [(n, m) for n in range(1, RECURRENCE_MAX_N + 1) for m in range(1, 10 if n >= 5 else 13)]
 # (ring, draw of one n x n member, most members at n = 1..5).  A Z[x] or
-# fraction family takes fewer: its walk at n = 4, m = 12 took 5.4 s over
-# Z[x], and its recurrence at n = 5 0.1 s a call.
+# fraction family takes fewer: its walk at n = 4, m = 12 took 7.7 s over
+# Z[x0, x1], and its recurrence at n = 5 0.08 s a call.
 _RECURRENCE_FAMILIES: Sequence[tuple[Ring, Callable[[int, random.Random], SquareMatrix], Sequence[int]]] = (
     *(
         (ring, functools.partial(random_matrix, ring), (12, 12, 12, 12, 9))
@@ -419,10 +419,10 @@ def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) ->
     Trial t draws a family of kind t % 10 of ``_RECURRENCE_FAMILIES``, at
     the (n, m) of ``_RECURRENCE_SHAPES`` that t // 10 picks, m <= n among
     them, unless m passes the kind's cap at n, so the default 570 trials
-    draw each (kind, n, m) within its cap once.  No
-    family walks tuple arrays of a product: Q with small denominators
-    lifts to ints, F2xF3xF5 and Z/4xZ/9 by the CRT as Z/30 and Z/36,
-    Z/(2^512-1) as int arrays at n >= 2, Z[x0, x1] as packed values, and
+    draw each (kind, n, m) within its cap once.  No family walks tuple
+    arrays of a product: Q with small denominators lifts to ints,
+    F2xF3xF5 and Z/4xZ/9 by the CRT as Z/30 and Z/36, Z/(2^512-1) as int
+    arrays at n >= 2, Z[x0, x1] as arrays of ``SparsePoly`` entries, and
     Q with one 64-bit prime denominator per row goes past its lift gate
     at n * n * (m - 1) > 64, where it walks as fractions, and must do so
     in some trial.  A kind that draws m <= n at least
@@ -1251,7 +1251,8 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
 # Most members per n of a poly-lift-agreement family: the oracle takes a
 # ring-method Berkowitz on each of the 2^m - 1 subset sums.
 _POLY_LIFT_MAX_M = (6, 5, 4, 4, 3, 2, 2)
-# (n, E) at the slot edges: n * E = 2^w - 1 (7, 15, 15, 7) or 2^w (8, 8, 16, 16).
+# (n, E) of the edge kind, whose one-member determinants reach x_0^(n*E),
+# n * E from 7 to 16.
 _POLY_SLOT_EDGES = ((1, 7), (3, 5), (5, 3), (7, 1), (1, 8), (2, 4), (4, 4), (2, 8))
 
 
@@ -1298,19 +1299,18 @@ def _poly_lift_family(rng: random.Random, kind: str, n: int, top: int):
 
 
 def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """The packed Z[x...] lift agrees with ``SparsePoly`` arithmetic.
+    """The Z[x...] lift agrees with ``SparsePoly`` ring arithmetic.
 
     Trial t takes kind t % 4 of :func:`_poly_lift_family` and n = t // 4
     % 7 + 1, so n runs to ``CLOSED_FORM_MAX_N``, the last size of the
-    compiled expansion on packed values.  The wide kind,
-    whose oracle hashes exponent tuples of 2000 entries, keeps n <= 3 and
+    compiled expansion on ``SparsePoly`` operators.  The wide kind, whose
+    oracle hashes exponent tuples of 2000 entries, keeps n <= 3 and
     m <= 3; the edge kind takes its (n, E) from ``_POLY_SLOT_EDGES``, each
     once in the default 32 trials.  Checked against ``subset_sum`` and
-    the ring-method Berkowitz on ``SparsePoly`` entries: each entry,
-    determinant and unit test of every sum of the search-order walk, the
-    determinant of the full sum by ``det_rows``, the alternating sum and
-    the first invertible subset sum at a random bound; on an edge family,
-    the slot width bit_length(n * E).
+    the ring-method Berkowitz: each entry, determinant and unit test of
+    every sum of the search-order walk, the determinant of the full sum
+    by ``det_rows``, the alternating sum and the first invertible subset
+    sum at a random bound.
     """
     kinds = ("small", "wide", "units", "edge")
     for t in range(trials):
@@ -1326,8 +1326,6 @@ def suite_poly_lift_agreement(rng: random.Random, trials: int, rec: _Recorder) -
             return lambda: f"{what} differs from SparsePoly arithmetic ({kind}, n={n}, m={m})"
 
         lift = lift_family(ring, [a.rows for a in fam], m)
-        if kind == "edge":
-            rec.check(lift.ring.width == (n * top).bit_length(), where("slot width"))
         dets = {}
         ok = True
         for bits, value in search_order_sums(lift.members, lift.add, m):

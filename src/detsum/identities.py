@@ -179,7 +179,7 @@ def _walk_alternating_sum(lift: Lift) -> object:
 def _recurrence_alternating_sum(lift: Lift, n: int) -> object:
     """The alternating sum in ``lift.det_ring``, as the walk gives it, of
     a family whose walked values have cells with ``+ - *``: ints, Q's
-    fractions or packed Z[x...] values, every lift but a product's tuple
+    fractions or ``SparsePoly`` values, every lift but a product's tuple
     arrays.
 
     Let s(R, C) be the signed sum, over the subsets S of the members so

@@ -22,14 +22,9 @@ picks its route from the ring and n:
   at the end; Gaussian elimination mod N above, where a column with no
   unit to pivot on is cleared by Euclid's steps between rows, so N is
   never factored
-* Z[x...]       -- the entries packed once into dicts of int monomial
-  keys (:class:`_PackedPoly`), so that a monomial product is one int
-  addition; packed values have ``+ - *``, so the same compiled expansion
-  runs on them for n <= 7, and Berkowitz above; neither ever divides,
-  so both hold over any commutative ring.  The result is unpacked once.
-  A JSON descriptor names at most MAX_FAMILY * DET_SIZE_CAP**2
-  variables, and only those that occur in the entries get a slot of the
-  key
+* Z[x...]       -- the same compiled expansion on the ``SparsePoly``
+  entries, which have ``+ - *``, for n <= 7, and Berkowitz above;
+  neither ever divides, so both hold over any commutative ring
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
 Z/N and F_p members, Q members scaled by shared row multipliers, and
@@ -42,9 +37,8 @@ with one w-bit slot each (Kronecker substitution), so that a subset sum
 is one int addition; the returned :class:`Lift` unpacks a sum and takes
 its determinant: the compiled expansion on the unpacked cells for
 n <= 7, over Z and Q the compiled Bareiss on them at n = 8, and rows
-sliced from them otherwise.  A Z[x...] family is packed
-entry by entry as :func:`det_rows` packs its rows, and walks as arrays
-of packed values.
+sliced from them otherwise.  A Z[x...] family walks as arrays of its
+own ``SparsePoly`` entries.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -73,7 +67,6 @@ from .rings import (
     Ring,
     RingElement,
     SparsePoly,
-    _raw_poly,
 )
 from .subsets import SubsetMask, array_ops
 
@@ -88,15 +81,15 @@ __all__ = [
 
 DET_SIZE_CAP = 64
 # The compiled Laplace expansion (_laplace_det) up to this n over Z, Q,
-# Z/N, F_p and packed Z[x...].  us/det at n = 7, expansion/Bareiss/
+# Z/N, F_p and Z[x...].  us/det at n = 7, expansion/Bareiss/
 # elimination mod N: 48/69/- on 64-bit ints, 14/31/32 over Z/10,
 # 668/752/849 over Z/(2^512-1), 495/764/735 over F_(2^521-1); at n = 8,
 # 152/106/- on 64-bit ints and 1,348/1,948/908 over Z/(2^512-1) (timeit,
 # one pinned CPU).  Compiling takes 0.6, 1.2 and 3.7 ms at n = 5, 6 and
-# 7.  ms/det over Z[x...] with random entries, packing included, against
-# the Leibniz expansion that the route replaced (Berkowitz at n = 7):
-# IntPolyRing(2) 0.37/0.76 at n = 5, 1.2/4.4 at 6, 4.0/12.9 at 7;
-# IntPolyRing(3) 0.65/0.97, 2.5/6.5, 10.4/94.6 (median, one pinned CPU).
+# 7.  ms/det over Z[x...] with random entries, expansion/Berkowitz:
+# IntPolyRing(2) 0.34/1.37 at n = 5, 1.60/6.20 at 6, 6.0/19.2 at 7;
+# IntPolyRing(3) 0.59/2.96, 2.85/16.8, 17.9/152 (median of 15 matrices,
+# best of 3 runs, one pinned CPU).
 CLOSED_FORM_MAX_N = 7
 # Bareiss compiled into straight-line int code (_bareiss_det) above
 # CLOSED_FORM_MAX_N up to this n over Z and Q, the loop past it.  us/det,
@@ -322,12 +315,11 @@ def _compile(name: str, n: int, body: Sequence[str], **names) -> Callable[[Seque
 
 def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Sequence[int]], object]:
     """``name(cells)``, straight-line code for an n x n matrix whose cells
-    have ``+ - *`` and unary ``+``: ints, fractions or packed Z[x...]
-    values.  Each minor of ``keys``, listed after the minors one size
-    smaller that it needs, is expanded along its first row into cells
-    times those minors, named as locals.  It returns the last minor when
-    ``whole``, else all of them in the order of ``keys``.  No ring calls,
-    no division.
+    have ``+ - *``: ints, fractions or ``SparsePoly`` values.  Each minor
+    of ``keys``, listed after the minors one size smaller that it needs,
+    is expanded along its first row into cells times those minors, named
+    as locals.  It returns the last minor when ``whole``, else all of
+    them in the order of ``keys``.  No ring calls, no division.
     """
     index = {key: i for i, key in enumerate(keys)}
     names, body = [], []
@@ -341,7 +333,7 @@ def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Seque
             for j, col in enumerate(cols)
         )
         names.append(f"m{i}")
-        body.append(f"m{i} = {terms}")
+        body.append(f"m{i} = {terms.removeprefix('+ ')}")
     result = names[-1] if whole else f"({', '.join(names)},)"
     return _compile(name, n, [*body, f"return {result}"])
 
@@ -505,155 +497,14 @@ def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
 
 
 def _det_int_poly(ring: IntPolyRing, rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    # The rows packed once, the determinant taken on the packed values.
-    if len(rows) == 1:
-        return rows[0][0]
-    packed = _PackedPolyRing.covering(ring.var_count, [rows])
-    pack = packed.pack
-    return packed.unpack(_det_packed(packed, [[pack(e) for e in row] for row in rows]))
-
-
-def _det_packed(ring: _PackedPolyRing, rows: Sequence[Sequence[_PackedPoly]]) -> _PackedPoly:
-    # The compiled expansion on the values' operators, Berkowitz above;
-    # neither divides.
+    # The compiled expansion on the entries' own operators, Berkowitz
+    # above; neither divides.
     n = len(rows)
+    if n == 1:
+        return rows[0][0]
     if n <= CLOSED_FORM_MAX_N:
         return _laplace_det(n)([e for row in rows for e in row])
     return _det_berkowitz(ring, rows)
-
-
-class _PackedPoly(dict):
-    """A value of :class:`_PackedPolyRing`, ``{key: coeff}`` of nonzero
-    coefficients, with ``+ - *`` and unary ``- +`` as the ring's
-    arithmetic, so that the compiled expansion and the alternating-sum
-    recurrence run on it as on ints.  Values are never mutated, so an
-    operation may return an operand as it is.
-    """
-
-    __slots__ = ()
-
-    def __add__(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return a
-        acc = _PackedPoly(a)
-        for k, c in b.items():
-            if k not in acc:
-                acc[k] = c
-            elif c := acc[k] + c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return acc
-
-    def __sub__(a, b):
-        if not b:
-            return a
-        acc = _PackedPoly(a)
-        for k, c in b.items():
-            if k not in acc:
-                acc[k] = -c
-            elif c := acc[k] - c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return acc
-
-    def __mul__(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:  # distinct keys stay distinct under one shift
-            ((k2, c2),) = b.items()
-            return _PackedPoly({k + k2: c * c2 for k, c in a.items()})
-        acc: dict[int, int] = {}
-        terms = b.items()
-        for k1, c1 in a.items():
-            for k2, c2 in terms:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += c1 * c2
-                else:
-                    acc[k] = c1 * c2
-        return _PackedPoly({k: c for k, c in acc.items() if c})
-
-    def __neg__(a):
-        return _PackedPoly({k: -c for k, c in a.items()})
-
-    def __pos__(a):
-        return a
-
-
-class _PackedPolyRing(Ring):
-    """Z[x...] on packed monomial keys, for determinants and subset walks.
-
-    A value is a :class:`_PackedPoly`.  The key of a monomial is the sum
-    of e_v * 2^(width * s) over the slots s of ``variables``, the
-    variables that occur in the packed entries, so a product of monomials
-    is one int addition of keys.  That is exact
-    while every exponent stays below 2^width: :meth:`covering` takes
-    width = bit_length(n * E), E the largest exponent of an entry.  Every
-    value that a walk, a determinant of an n x n array of walked sums or
-    a sum of such determinants forms is a sum of products of at most n
-    entries, so its exponents are at most n * E.
-    """
-
-    kind = "int_poly"
-
-    __slots__ = ("var_count", "variables", "width", "_offsets")
-
-    def __init__(self, var_count: int, variables: tuple[int, ...], width: int):
-        self.var_count = var_count
-        self.variables = variables
-        self.width = width
-        self._offsets = {v: s * width for s, v in enumerate(variables)}
-
-    @classmethod
-    def covering(cls, var_count: int, arrays) -> "_PackedPolyRing":
-        """The packing for determinants of sums of the n x n ``arrays``."""
-        used: set[int] = set()
-        top = 0
-        for poly in (e for a in arrays for row in a for e in row):
-            for exps in poly.terms:
-                used.update(itertools.compress(range(var_count), exps))
-                top = max(top, max(exps, default=0))
-        n = len(arrays[0])
-        return cls(var_count, tuple(sorted(used)), max(1, (n * top).bit_length()))
-
-    def pack(self, poly: SparsePoly) -> _PackedPoly:
-        offsets = self._offsets
-        return _PackedPoly({
-            sum(exps[v] << offsets[v] for v in itertools.compress(range(len(exps)), exps)): c
-            for exps, c in poly.terms.items()
-        })
-
-    def unpack(self, value: _PackedPoly) -> SparsePoly:
-        width, mask = self.width, (1 << self.width) - 1
-        terms = {}
-        for key, c in value.items():
-            exps = [0] * self.var_count
-            for v in self.variables:
-                if not key:
-                    break
-                exps[v] = key & mask
-                key >>= width
-            terms[tuple(exps)] = c
-        return _raw_poly(self.var_count, terms)
-
-    def normalize(self, value):
-        return value
-
-    zero = property(lambda self: _PackedPoly())
-    one = property(lambda self: _PackedPoly({0: 1}))
-
-    def is_unit(self, a):
-        return len(a) == 1 and a.get(0) in (1, -1)
-
-    def from_int(self, k):
-        return _PackedPoly({0: k} if k else ())
-
-    def _key(self):
-        return (self.var_count, self.variables, self.width)
 
 
 _ROUTES = {
@@ -663,7 +514,6 @@ _ROUTES = {
     PrimeField: _det_residue,
     ProductRing: _det_product,
     IntPolyRing: _det_int_poly,
-    _PackedPolyRing: _det_packed,
 }
 
 
@@ -734,11 +584,7 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
       and 0 mod the other moduli, while M = prod n_c has at most
       ``PRODUCT_LIFT_MAX_BITS`` bits; the determinant is taken over Z/M
       and split into its residues mod each n_c, a ring isomorphism;
-    * Z[x...]    -- each entry packed once into a dict of int monomial
-      keys, with a slot for each variable that occurs in the family
-      (:class:`_PackedPolyRing`, also the ``det_ring``); the walk adds
-      arrays of those packed values, and each result is unpacked once;
-    * other products -- walked as arrays in the ring itself.
+    * Z[x...] and other products -- walked as arrays in the ring itself.
 
     A lifted 1x1 member is its plain int.  Larger lifted members are
     packed into one int each (Kronecker substitution) when every entry
@@ -774,11 +620,6 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
             scale = math.prod(scales)
             lift = _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
             return lift._replace(is_unit=bool)
-    if isinstance(ring, IntPolyRing):
-        packed = _PackedPolyRing.covering(ring.var_count, members)
-        pack = packed.pack
-        lifted = [[[pack(e) for e in row] for row in a] for a in members]
-        return _array_lift(packed, lifted, packed, packed.unpack)
     return _array_lift(ring, members, ring, _unchanged)
 
 

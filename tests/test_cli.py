@@ -1002,6 +1002,89 @@ def test_simplex_and_miner_results_are_pinned(capsys, name):
     _check_result_pin(capsys, *_SIMPLEX_AND_MINER_RESULT_PINS[name])
 
 
+def _poly(rng, var_count, constant=0.0, factor=0):
+    # A constant -1, 0 or 1 with probability `constant`, else 0-2 terms
+    # with exponents 0..2 and coefficients in [-5, 5]; each exponent of
+    # x0 is raised by `factor`, so every entry is a multiple of x0^factor.
+    if rng.random() < constant:
+        return {"terms": [[[factor] + [0] * (var_count - 1), rng.choice((-1, 0, 1))]]}
+    return {"terms": [[[rng.randint(0, 2) + (factor if v == 0 else 0) for v in range(var_count)],
+                       rng.randint(-5, 5)] for _ in range(rng.randint(0, 2))]}
+
+
+def _poly_family(command, var_count, n, m, *flags, mod=None, **draw):
+    # m n x n matrices over Z[x0..x(var_count-1)], or over its product
+    # with Z/mod, each entry a _poly(rng, var_count, **draw).
+    def argv():
+        rng = random.Random(f"{command} {var_count} {n} {m} {mod}")
+        ring = {"kind": "int_poly", "var_count": var_count}
+        entry = lambda: _poly(rng, var_count, **draw)
+        if mod is not None:
+            ring = {"kind": "product", "components": [ring, {"kind": "mod", "N": mod}]}
+            entry = lambda: [_poly(rng, var_count, **draw), rng.randrange(mod)]
+        matrices = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(m)]
+        return [command, "--input", json.dumps({"ring": ring, "n": n, "matrices": matrices}), *flags]
+
+    return argv
+
+
+# (argv builder, status, sha256 of the result) over Z[x...] at n = 1..8,
+# on both sides of CLOSED_FORM_MAX_N (the compiled expansion at n <= 7,
+# Berkowitz at n = 8), in one, two and three variables.  Alt-sum at n = 2,
+# m = 3 runs the member-by-member recurrence, every other alt-sum the
+# walk of its subsets.  A "none" search keeps every entry a multiple of
+# x0, so no subset sum has a unit determinant.
+_INT_POLY_RESULT_PINS = {
+    "alt-sum Z[x] n=1 m=2, walk": (
+        _poly_family("alt-sum", 1, 1, 2), "holds",
+        "dc6e213427597dc649a6576cfcc66eed67b69d93d3728d847b46c108484879d5"),
+    "alt-sum Z[x,y] n=2 m=3, recurrence": (
+        _poly_family("alt-sum", 2, 2, 3), "holds",
+        "0f844bcac4921abf62cf132e870ea63856d80ca7a3791a111c8d8768755835e7"),
+    "alt-sum Z[x,y,z] n=3 m=3, walk": (
+        _poly_family("alt-sum", 3, 3, 3), "none",
+        "65452055aa2b6a1b9d2230b4674e9b5636c08769b01b1850a9dcb1e8898c939f"),
+    "alt-sum Z[x] n=4 m=5, walk": (
+        _poly_family("alt-sum", 1, 4, 5), "holds",
+        "b19d6eee6f1ebbb5bed49d9350bfb900aa9a1e4ff00c888cbab5eef380c1d0ca"),
+    "alt-sum Z[x,y] n=5 m=3, walk": (
+        _poly_family("alt-sum", 2, 5, 3), "none",
+        "5a4908c63789d3bf030ae5c5bda8676458a633ab8340422c0f00f2d2711b3647"),
+    "alt-sum Z[x,y,z] n=6 m=2, walk": (
+        _poly_family("alt-sum", 3, 6, 2, constant=0.5), "none",
+        "67da44658056347882fb7adace8bf4132d23541bb71f2a6765fa4ac41dfb3a63"),
+    "alt-sum Z[x] n=7 m=2, walk": (
+        _poly_family("alt-sum", 1, 7, 2), "none",
+        "f2a7a2fcb306919f7e15c2dabb3dbe19a179fb6664195ea701bb75a1b7fd0a0c"),
+    "alt-sum Z[x,y] n=8 m=2, Berkowitz": (
+        _poly_family("alt-sum", 2, 8, 2, constant=0.6), "none",
+        "754f698914f67132dcdeae10cee451af14735a47d9c361e3f7ef594d269dfa6d"),
+    "search-subsum Z[x,y] n=3, found": (
+        _poly_family("search-subsum", 2, 3, 5, "--bound", "3", constant=0.8), "found",
+        "6db1f891fe3ea29b0d3cca55d3674da15369fbde6719340e05aac43a9f812904"),
+    "search-subsum Z[x] n=4, none": (
+        _poly_family("search-subsum", 1, 4, 4, "--bound", "4", factor=1), "none",
+        "08d0265d66f4cb0c7058f3772cc6a9a89dcf657d22aef724de5540ca4f10fe51"),
+    "search-subsum Z[x,y,z] n=8, none": (
+        _poly_family("search-subsum", 3, 8, 2, "--bound", "2", constant=0.8, factor=1), "none",
+        "421e12a04f6d47eedd9831b80de2d391578f86d264d1e358330a7db0ba647891"),
+    "perturb Z[x,y,z] n=2": (
+        _poly_family("perturb", 3, 2, 3), "found",
+        "3af61416be6a95fbff64540eac1b855ae53e9d17f9f626b4d712fec467fed43c"),
+    "perturb Z[x,y] n=4": (
+        _poly_family("perturb", 2, 4, 5, constant=0.5), "found",
+        "30b72d367b80b0566475d81eb692bd3b7dc1ab47586d1b1d99cd3f75b024bf0c"),
+    "alt-sum Z[x] x Z/6 n=2 m=3": (
+        _poly_family("alt-sum", 1, 2, 3, mod=6), "holds",
+        "2c9da89dafc42aa5a7ce65840e9c37c9a8b558bfed2ac2d8ff65638948c8a680"),
+}
+
+
+@pytest.mark.parametrize("name", list(_INT_POLY_RESULT_PINS))
+def test_int_poly_results_are_pinned(capsys, name):
+    _check_result_pin(capsys, *_INT_POLY_RESULT_PINS[name])
+
+
 def _check_result_pin(capsys, argv, status, digest):
     code, report = run_json(capsys, *argv())
     assert code == 0 and report["status"] == status, report

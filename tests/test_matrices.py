@@ -227,7 +227,7 @@ LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
 # Sizes 2..4 and 5..7 of the expansion are pinned apart, the second
 # being the band it took over from Bareiss.  Over Z and Q, Bareiss runs
 # compiled above the expansion and as a loop past its cap.  Z[x] runs
-# the expansion on packed values up to its cutoff, Berkowitz above.  The
+# the expansion on its own entries up to its cutoff, Berkowitz above.  The
 # Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_laplace_det"}),
@@ -259,7 +259,7 @@ def test_every_ring_class_has_a_route():
     # det_rows and _det_product look a route up by the ring's type, with
     # no fallback, so a ring class without one would raise KeyError.
     classes = {c for c in vars(rings).values() if isinstance(c, type) and issubclass(c, rings.Ring)}
-    assert classes - {rings.Ring} | {matrices._PackedPolyRing} <= set(matrices._ROUTES)
+    assert classes - {rings.Ring} <= set(matrices._ROUTES)
 
 
 @pytest.mark.parametrize(
@@ -333,13 +333,20 @@ def test_elimination_clears_columns_without_a_unit(modulus, non_unit):
 
 
 def test_expansion_cutoff_over_int_poly():
-    # The compiled expansion on packed values at its cutoff, Berkowitz on
-    # them one size above; Berkowitz on SparsePoly entries is the oracle.
-    rng = random.Random(149)
+    # The compiled expansion at its cutoff, with Berkowitz as the oracle;
+    # Berkowitz one size above, where at 3 integer points in [-5, 5]^k the
+    # determinant must evaluate to the Bareiss determinant of the entries
+    # evaluated there.
+    rng, points = random.Random(149), random.Random(150)
     for ring in (IntPolyRing(2), IntPolyRing(3)):
-        for n in (CLOSED_FORM_MAX_N, CLOSED_FORM_MAX_N + 1):
-            mat = random_matrix(ring, n, rng)
-            assert det(mat).value == _det_berkowitz(ring, mat.rows), (ring, n)
+        mat = random_matrix(ring, CLOSED_FORM_MAX_N, rng)
+        assert det(mat).value == _det_berkowitz(ring, mat.rows), ring
+        mat = random_matrix(ring, CLOSED_FORM_MAX_N + 1, rng)
+        value = det(mat).value
+        for _ in range(3):
+            point = [points.randint(-5, 5) for _ in range(ring.var_count)]
+            rows = [[e.eval_raw(INTEGERS, point) for e in row] for row in mat.rows]
+            assert value.eval_raw(INTEGERS, point) == det_rows(INTEGERS, rows), (ring, point)
 
 
 def test_det_product_ring_componentwise():
@@ -432,16 +439,15 @@ def test_lift_family_walk_rings():
         lift = lift_family(ring, fam + [SquareMatrix.identity(ring, 3).rows], 4)
         assert lift.ring == (walk or ring) and lift.det_ring == (det_ring or ring)
         assert _units_agree(ring, lift, 4), ring
-    # Z[x...] walks and takes determinants on packed monomial keys, with a
-    # slot for each variable that occurs (x_7 and x_400 of 1000 here), each
-    # bit_length(n * E) bits wide: E = 3 and n = 3 give 4 bits.
+    # Z[x...] walks arrays of its own entries and takes determinants in
+    # the ring itself, whichever variables occur (x_7 and x_400 of 1000).
     ring = IntPolyRing(1000)
     x, y = ring.variable(7), ring.variable(400)
     entries = [x, y * y, x ** 3 - 2 * y, ring.from_int(5), ring.zero, -x * y]
     fam = [[[rng.choice(entries) for _ in range(3)] for _ in range(3)] for _ in range(4)]
     fam[0][0][0] = x ** 3
     lift = lift_family(ring, fam + [SquareMatrix.identity(ring, 3).rows], 4)
-    assert lift.ring == lift.det_ring == matrices._PackedPolyRing(1000, (7, 400), 4)
+    assert lift.ring == lift.det_ring == ring and lift.width is None
     assert _units_agree(ring, lift, 4)
     # One 64-bit prime denominator per member row: over m members a row's
     # shared lcm has 63(m-1) to 64(m-1) bits more than a member's own, so
@@ -573,24 +579,10 @@ def test_lifted_slots_suite():
 
 
 def test_poly_lift_agreement_suite():
-    # Packed Z[x...] walks and determinants at n = 1..7, in 2000 variables,
-    # and at both slot edges, against SparsePoly sums and Berkowitz.
+    # Z[x...] walks and determinants at n = 1..7, in 2000 variables, and
+    # with high-degree diagonals, against SparsePoly sums and Berkowitz.
     result = run_suite("poly-lift-agreement", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
-
-
-def test_packed_polys_round_trip_and_multiply_as_sparse_polys():
-    # Only the variables that occur get a slot; a monomial product is one
-    # key addition, exact while every exponent stays below 2^width.
-    ring = IntPolyRing(5000)
-    x, y = ring.variable(3), ring.variable(4321)
-    f, g = 3 * x * x - y, x * y * y + ring.from_int(2)
-    packed = matrices._PackedPolyRing.covering(5000, [[[f, g], [g, f]]])
-    assert (packed.variables, packed.width) == ((3, 4321), 3)  # 2 * E = 4 < 2^3
-    assert packed.pack(x) == {1: 1} and packed.pack(y) == {1 << 3: 1}
-    assert packed.unpack(packed.mul(packed.pack(f), packed.pack(g))) == f * g
-    assert packed.unpack(packed.sub(packed.pack(f), packed.pack(f))) == ring.zero
-    assert packed.is_unit(packed.pack(ring.from_int(-1))) and not packed.is_unit(packed.pack(x))
 
 
 def test_rational_oracle_matches_berkowitz_over_q():

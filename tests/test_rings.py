@@ -20,7 +20,7 @@ from detsum import (
     poly_eval,
     random_poly,
 )
-from detsum import jsonio, matrices
+from detsum import jsonio
 from detsum.fuzz import run_suite
 from detsum.rings import PRIME_FIELD_MAX_BITS, is_probable_prime
 
@@ -81,10 +81,6 @@ def test_prime_field_is_z_mod_p_but_its_own_kind():
     assert [repr(r) for r in (INTEGERS, RATIONALS, IntPolyRing(3))] == [
         "IntegerRing()", "RationalRing()", "IntPolyRing(3)"
     ]
-    packed = matrices._PackedPolyRing(3, (0, 2), 4)
-    assert packed == matrices._PackedPolyRing(3, (0, 2), 4) != IntPolyRing(3)
-    assert hash(packed) == hash(matrices._PackedPolyRing(3, (0, 2), 4))
-    assert packed != matrices._PackedPolyRing(3, (0, 2), 5)
     with pytest.raises(RingMismatch, match=r"PrimeField\(7\) vs ModRing\(7\)"):
         f7.element(1) + z7.element(1)
     with pytest.raises(RingMismatch):
@@ -297,7 +293,6 @@ _FROM_INT_CASES = [
     (IntPolyRing(2), lambda k: SparsePoly.constant(2, k)),
     (ProductRing([INTEGERS, RATIONALS, IntPolyRing(1)]),
      lambda k: (k, Fraction(k), SparsePoly.constant(1, k))),
-    (matrices._PackedPolyRing(2, (0, 1), 2), lambda k: matrices._PackedPoly({0: k} if k else {})),
 ]
 
 
