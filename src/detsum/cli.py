@@ -9,7 +9,10 @@ status is one of holds/found/none (exit 0), error (exit 1, bad usage or
 input), violated (exit 2, a guaranteed contract failed -- never expected
 on correct builds).  Reports are byte-identical for identical argv and
 seed; elapsed_ms stays null unless --timing is given, so timing noise
-never breaks reproducibility.
+never breaks reproducibility.  A report is the exact text of
+``json.dumps(report, indent=2)`` plus a newline; ``jsonio.dumps_indented``
+writes it, and the ``report-writer-agreement`` fuzz suite holds that
+writer to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .jsonio import (
     SchemaError,
     chain_to_json,
     decode_int,
+    dumps_indented,
     element_to_json,
     identity_report_to_json,
     instance_from_json,
@@ -498,7 +502,7 @@ def _emit_text(report: dict, stream) -> None:
     if report["elapsed_ms"] is not None:
         print(f"elapsed_ms: {report['elapsed_ms']}", file=stream)
     print("result:", file=stream)
-    print(json.dumps(report["result"], indent=2), file=stream)
+    print(dumps_indented(report["result"]), file=stream)
 
 
 def main(argv=None) -> int:
@@ -535,7 +539,7 @@ def main(argv=None) -> int:
         "elapsed_ms": elapsed_ms if args.timing else None,
     }
     if args.output == "json":
-        print(json.dumps(report, indent=2))
+        print(dumps_indented(report))
     else:
         _emit_text(report, sys.stdout)
     return _EXIT_BY_STATUS[status]

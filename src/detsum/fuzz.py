@@ -9,6 +9,7 @@ trial counts.
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import json
@@ -1655,6 +1656,82 @@ def suite_json_decode_agreement(rng: random.Random, trials: int, rec: _Recorder)
                               f"(ring={desc}, container={container})")
 
 
+# Characters a report string may hold: quotes, backslashes, control
+# characters, non-ASCII ones inside and past the BMP, and lone surrogates.
+_TEXT_CHARS = ("a", "Z", "0", " ", "/", '"', "\\", "\x00", "\x08", "\n", "\t", "\x1f", "\x7f",
+               "\xe9", "\u4e2d", "\u2028", "\ufeff", "\U0001f600", "\ud800", "\udfff")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Text(str):
+    pass
+
+
+def _report_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _report_leaf(rng: random.Random) -> object:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _report_text(rng)
+    if kind == 1:
+        return rng.choice((1, -1)) * ((1 << 53) + rng.randint(-3, 3))
+    if kind == 2:
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(65, 300))
+    if kind == 3:
+        return rng.choice((True, False, 0, 1, None))
+    if kind == 4:
+        return rng.choice(([], {}))
+    return rng.randint(-9, 9)
+
+
+def _report_value(rng: random.Random, depth: int, planted: object = None) -> object:
+    """A value nested exactly ``depth`` containers deep; with ``planted``,
+    that value sits at the bottom of the deepest chain instead of a leaf."""
+    if depth == 0:
+        return _report_leaf(rng) if planted is None else planted
+    items = [_report_value(rng, rng.randrange(depth)) for _ in range(rng.randint(0, 3))]
+    items.insert(rng.randint(0, len(items)), _report_value(rng, depth - 1, planted))
+    if rng.random() < 0.5:
+        return items
+    return {f"{_report_text(rng)}{i}": item for i, item in enumerate(items)}
+
+
+def suite_report_writer_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """``jsonio.dumps_indented`` writes the text of ``json.dumps(v,
+    indent=2)``.
+
+    Trial t draws a value nested t % 9 containers deep from strings with
+    escapes, non-ASCII characters and lone surrogates, ints near +-2^53
+    and past 2^64, True and False beside 0 and 1, None, and empty lists
+    and dicts.  It then plants one value outside the writer's types (a
+    float, an IntEnum, a str subclass, a tuple, or a dict with a key that
+    is not a str) at the bottom of a value of the same depth, and checks
+    that the writer refuses it and that ``dumps_indented`` still gives
+    the text of ``json.dumps``.
+    """
+    for t in range(trials):
+        value = _report_value(rng, t % 9)
+        got, want = jsonio.dumps_indented(value), json.dumps(value, indent=2)
+        rec.check(got == want, lambda: f"wrote {got[:200]!r}, json.dumps wrote {want[:200]!r}")
+
+        odd = rng.choice((1.5, -0.0, float("inf"), _Level.LOW, _Text("x"), (1, "a"),
+                          {7: "x"}, {None: 0}, {"a": 1, 2.5: 2}))
+        value = _report_value(rng, t % 9, odd)
+        try:
+            jsonio._write_indented(value, "\n", [].append)
+            refused = False
+        except TypeError:
+            refused = True
+        got, want = jsonio.dumps_indented(value), json.dumps(value, indent=2)
+        rec.check(refused and got == want,
+                  lambda: f"planted {odd!r}: refused={refused}, wrote {got[:200]!r}, json.dumps wrote {want[:200]!r}")
+
+
 SUITES: dict[str, tuple[Callable, int]] = {
     "ring-axioms": (suite_ring_axioms, 1000),
     "unit-product": (suite_unit_product, 200),
@@ -1687,6 +1764,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "poly-lift-agreement": (suite_poly_lift_agreement, 32),
     "json-decode-agreement": (suite_json_decode_agreement, 256),
     "det-identity-counts": (suite_det_identity_counts, 8),
+    "report-writer-agreement": (suite_report_writer_agreement, 216),
 }
 
 

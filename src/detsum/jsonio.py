@@ -26,9 +26,11 @@ exponent vector.  A matrix document is
 
 from __future__ import annotations
 
+import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 from .identities import IdentityReport, SimplexReport
@@ -54,6 +56,7 @@ __all__ = [
     "MAX_VAR_COUNT",
     "encode_int",
     "decode_int",
+    "dumps_indented",
     "ring_to_json",
     "ring_from_json",
     "value_to_json",
@@ -111,6 +114,62 @@ def encode_int(v: int) -> int | str:
 def decode_int(obj: Any, where: str) -> int:
     """An int from a JSON number or from a decimal string ``-?[0-9]+`` of any length."""
     return _decoded(where, _int_entry, obj)
+
+
+def dumps_indented(value: Any) -> str:
+    """The text of ``json.dumps(value, indent=2)``, without the pure-Python
+    encoder that ``indent`` selects.
+
+    Values made of str, int, True, False, None, lists and dicts with str
+    keys are written here; any other value (a float, a subclass of int or
+    str, a tuple, a non-str key) and any value nested too deep for the
+    writer's recursion is handed whole to ``json.dumps``.  The
+    ``report-writer-agreement`` fuzz suite holds the two to the same text.
+    """
+    parts: list[str] = []
+    try:
+        _write_indented(value, "\n", parts.append)
+    except (TypeError, RecursionError):
+        return json.dumps(value, indent=2)
+    return "".join(parts)
+
+
+def _write_indented(value: Any, newline: str, append: Callable[[str], None]) -> None:
+    # True and False are ints, so they are matched before the int check.
+    # Only an exact str or int is written here; any other type, and a key
+    # that is not a str (the escaper raises TypeError), goes to json.dumps.
+    if value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif type(value) is str:
+        append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        append(int.__repr__(value))
+    elif type(value) is list:
+        if not value:
+            return append("[]")
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            append(head)
+            head = "," + inner
+            _write_indented(item, inner, append)
+        append(newline + "]")
+    elif type(value) is dict:
+        if not value:
+            return append("{}")
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            append(head + encode_basestring_ascii(key) + ": ")
+            head = "," + inner
+            _write_indented(item, inner, append)
+        append(newline + "}")
+    else:
+        raise TypeError(f"no indented form for {type(value).__name__}")
 
 
 def _expect_dict(obj: Any, where: str) -> dict:

@@ -414,6 +414,28 @@ def test_text_output_mode(capsys):
     assert "status: holds" in out
 
 
+def test_text_output_is_pinned(capsys):
+    # The whole stdout of a long report and of an error report, taken
+    # before the result block moved from json.dumps(indent=2) to
+    # jsonio.dumps_indented.
+    code, out = run_cli(capsys, "example8", "--output", "text")
+    assert code == 0
+    assert len(out) == 1381
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d651bb48397980efd1371fdb231bdf85e935ae93bb61b0a9fd7c0d8cbcb444d")
+    code, out = run_cli(capsys, "alt-sum", "--input", "{}", "--output", "text")
+    assert code == 1
+    assert out == (
+        "subcommand: alt-sum\n"
+        "status: error\n"
+        "inputs: sha256:4f4d13961cbc8a97873e75c16d48641fb39b9fc73a072a6d65b2d8b545560abb\n"
+        "result:\n"
+        "{\n"
+        '  "error": "SchemaError: ring: expected an object, got NoneType"\n'
+        "}\n"
+    )
+
+
 def test_fuzz_exit_zero_on_pass(capsys):
     code, report = run_json(
         capsys, "fuzz", "--trials", "2",
@@ -671,6 +693,51 @@ def test_input_digests_are_stable(capsys, argv, digest):
     code, report = run_json(capsys, *argv)
     assert code == 0, report
     assert report["inputs"] == "sha256:" + digest
+
+
+def _no_float(token):
+    raise AssertionError(f"a report holds the float {token}")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _DIGESTS], ids=[argv[0] for argv, _ in _DIGESTS])
+def test_reports_are_the_text_of_indented_json_dumps(capsys, argv):
+    # A report carries no float, so loading it and writing it again with
+    # json.dumps(indent=2) gives back its exact text.
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
+class _Small(int):
+    pass
+
+
+class _Word(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    None, True, False, 0, -1, "", [], {}, [[]], {"": {}}, [{}, [], ""],
+    [[1, [2, []]], {"a": [3, {}]}],
+    [True, 1, False, 0, None],
+    {"true": True, "one": 1, "false": False, "zero": 0},
+    "quote \" backslash \\ slash / nul \x00 bell \x07 del \x7f",
+    "\xe9\u4e2d \ufeff\U0001f600 \ud800 \udfff",
+    [(1 << 53) - 1, -(1 << 53) - 1, 1 << 64, -(1 << 200) - 7],
+    {"a": {"b": {"c": {"d": {"e": {"f": {"g": {"h": [1, {"i": []}]}}}}}}}},
+    # outside the writer's types: each goes whole to json.dumps
+    1.5, [1, 2.0], (1, "a"), {"k": (None,)}, {1: "one"}, {"a": {None: 0}},
+    _Small(3), [_Small(-2)], _Word("x"), {"a": [_Word("\U0001f600")]}, {"a": [float("nan")]},
+], ids=repr)
+def test_writer_matches_indented_json_dumps(value):
+    assert jsonio.dumps_indented(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_agreement_suite():
+    result = run_suite("report-writer-agreement", seed=0)
+    assert result.failures == 0, result.first_failure
+    assert result.checks == 2 * 216
 
 
 # -- result pins --------------------------------------------------------------

@@ -4,10 +4,12 @@
 
 Runs every operation of cycles 0 and 1 of the four workloads of
 ``bench/workloads.py`` through an in-process ``detsum.cli.main``, then
-each argv of ``--argv-file`` (one JSON array of strings per line), and
-prints the number of calls and one sha256 over every call's exit code and
-stdout, in order.  Two trees that print the same digest at a seed wrote
-byte-identical reports for all of those calls.  ``detsum`` is imported
+each argv of ``--argv-file`` (one JSON array of strings per line), each
+call twice: as given, and with ``--output text`` appended.  It prints the
+number of calls (1,112 per seed without an argv file) and one sha256 over
+every call's exit code and stdout, in order.  Two trees that print the
+same digest at a seed wrote byte-identical reports, in JSON and in text,
+for all of those calls.  ``detsum`` is imported
 from the ``src`` directory beside this script, so a copy of the script in
 another checkout digests that checkout.  ``bench/`` is only read.
 """
@@ -60,10 +62,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     calls = 0
-    for call in argvs(args.seed, args.argv_file):
-        code, out = run(call)
-        digest.update(f"{code}\n{len(out)}\n{out}".encode())
-        calls += 1
+    for argv in argvs(args.seed, args.argv_file):
+        for call in (argv, argv + ["--output", "text"]):
+            code, out = run(call)
+            digest.update(f"{code}\n{len(out)}\n{out}".encode())
+            calls += 1
     print(f"calls: {calls}")
     print(f"sha256: {digest.hexdigest()}")
     return 0
