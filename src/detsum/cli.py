@@ -529,6 +529,8 @@ def main(argv=None) -> int:
         result = {"error": f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"}
     except (SchemaError, DetsumError, OSError, ValueError, RecursionError) as exc:
         status, result = "error", {"error": f"{type(exc).__name__}: {exc}"}
+    except MemoryError:
+        status, result = "error", {"error": "MemoryError: the computation ran out of memory"}
     elapsed_ms = round((time.perf_counter() - started) * 1e3)
 
     report = {

@@ -482,8 +482,8 @@ def _lifted_rows(ring: Ring, members: Sequence, lift) -> Callable[[object], tupl
 
 
 def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """Both subset walks agree with ``subset_sum``, walking arrays over the
-    ring and, where the family lifts to ints, the lifted values (packed
+    """Both subset walks agree with ``subset_sum``, walking flat arrays over
+    the ring and, where the family lifts to ints, the lifted values (packed
     ints, or plain ints at n = 1) decoded back to the ring; trial t uses
     m = t % 10 + 1 members and checks the search-order walk at every
     bound, each a prefix of the walk at bound m."""
@@ -494,8 +494,9 @@ def suite_subset_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             fam = [random_matrix(ring, n, rng) for _ in range(m)]
             members = [a.rows for a in fam]
             oracle = {bits: subset_sum(fam, SubsetMask(bits, m)).rows for bits in range(1, 1 << m)}
-            as_rows = lambda rows: tuple(map(tuple, rows))
-            walks = [("arrays", members, *array_ops(ring.add, ring.sub), as_rows)]
+            flat = [[e for row in a for e in row] for a in members]
+            as_rows = lambda cells: tuple(tuple(cells[k:k + n]) for k in range(0, n * n, n))
+            walks = [("arrays", flat, *array_ops(ring.add, ring.sub), as_rows)]
             lift = lift_family(ring, members, m)
             if lift.ring == INTEGERS:
                 rows_of = _lifted_rows(ring, members, lift)

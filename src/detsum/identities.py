@@ -617,7 +617,7 @@ def _ring_alternating_sum(poly: SparsePoly, ring: Ring, vectors) -> object:
     """
     add, sub = ring.add, ring.sub
     acc = poly.eval_raw(ring, [ring.zero] * poly.var_count)  # empty subset: f(0)
-    for bits, (point,) in gray_sums([[vec] for vec in vectors], *array_ops(ring.add, ring.sub)):
+    for bits, point in gray_sums(vectors, *array_ops(ring.add, ring.sub)):
         value = poly.eval_raw(ring, point)
         acc = sub(acc, value) if bits.bit_count() & 1 else add(acc, value)
     return acc

@@ -1,30 +1,32 @@
 """Square matrices over any supported ring, with exact determinants.
 
-:func:`det_rows` is the one determinant entry.  It refuses n > 64 and
-picks its route from the ring and n:
+:func:`det_route` is the one choice of determinant algorithm.  Given the
+ring and n it returns a function of the matrix's n^2 cells, row by row;
+it refuses n > 64.  The routes:
 
-* n == 1        -- the entry itself, reduced over Z/N and F_p
-* products      -- the rows split into one matrix per component in one
-  pass, each taking its component's route (the engines walk coprime
-  Z/N and F_p products as one Z/M instead; see below)
 * Z             -- for n <= 7 the Laplace expansion compiled into
   straight-line int code (:func:`_laplace_det`); fraction-free Bareiss
   elimination above, compiled the same way at n = 8
   (:func:`_bareiss_det`, up to ``COMPILED_BAREISS_MAX_N``) and a loop
   past that
 * Q             -- each row scaled to integers by the lcm of its
-  denominators, the same integer determinant, then divided by the row
-  multipliers
+  denominators, the integer route, then divided by the row multipliers
 * Z/N and F_p   -- one route: F_p is Z/p (a ``ModRing`` whose prime, of
-  at most 4096 bits, is certified), on rows of any integer
+  at most 4096 bits, is certified), on cells of any integer
   representatives (exact: the determinant is an integer polynomial in
   the entries): the same compiled expansion for n <= 7, reduced mod N
-  at the end; Gaussian elimination mod N above, where a column with no
-  unit to pivot on is cleared by Euclid's steps between rows, so N is
-  never factored
+  by the compiled code itself; Gaussian elimination mod N above, where a
+  column with no unit to pivot on is cleared by Euclid's steps between
+  rows, so N is never factored
+* products      -- the cells split into one matrix per component, each
+  taking its component's route (the engines walk coprime Z/N and F_p
+  products as one Z/M instead; see below)
 * Z[x...]       -- the same compiled expansion on the ``SparsePoly``
   entries, which have ``+ - *``, for n <= 7, and Berkowitz above;
   neither ever divides, so both hold over any commutative ring
+
+:func:`det_rows` takes the route per call; a :class:`Lift` takes it once
+per family.
 
 :func:`lift_family` readies a family for the engines' subset walks: Z,
 Z/N and F_p members, Q members scaled by shared row multipliers, and
@@ -34,11 +36,10 @@ summed as ints, and only each determinant is mapped back.  Such a
 product's determinants therefore run the Z/M route.  Each lifted member
 is packed into one int, the sum of cell_k * 2^(k*w) over its entries
 with one w-bit slot each (Kronecker substitution), so that a subset sum
-is one int addition; the returned :class:`Lift` unpacks a sum and takes
-its determinant: the compiled expansion on the unpacked cells for
-n <= 7, over Z and Q the compiled Bareiss on them at n = 8, and rows
-sliced from them otherwise.  A Z[x...] family walks as arrays of its
-own ``SparsePoly`` entries.
+is one int addition; the returned :class:`Lift` unpacks a sum and runs
+its route on the cells.  Other families, and lifted entries too wide for
+a 64-bit slot, walk as flat arrays of their n^2 cells, whose
+determinant is the route itself.
 
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
@@ -52,7 +53,8 @@ import operator
 import random
 import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import FunctionType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
@@ -61,12 +63,10 @@ from .rings import (
     IntegerRing,
     IntPolyRing,
     ModRing,
-    PrimeField,
     ProductRing,
     RationalRing,
     Ring,
     RingElement,
-    SparsePoly,
 )
 from .subsets import SubsetMask, array_ops
 
@@ -75,6 +75,7 @@ __all__ = [
     "subset_sum",
     "det",
     "det_rows",
+    "det_route",
     "is_invertible",
     "random_matrix",
 ]
@@ -299,13 +300,13 @@ def _minor_keys(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [key for k in range(1, n + 1) for key in itertools.product(itertools.combinations(range(n), k), repeat=2)]
 
 
-def _compile(name: str, n: int, body: Sequence[str], **names) -> Callable[[Sequence[int]], object]:
+def _compile(name: str, n: int, body: Sequence[str], head: str = "cells", **names) -> Callable:
     """``name(cells)`` for an n x n int matrix given as its n^2 cells row
-    by row, unpacked into the locals ``c0``, ``c1``, ...; ``body`` is its
-    straight-line code, one statement a line, and ``names`` the globals
-    that it calls.
+    by row, unpacked into the locals ``c0``, ``c1``, ...; ``head`` is its
+    parameter list, ``body`` its straight-line code, one statement a
+    line, and ``names`` the globals that it calls.
     """
-    source = f"def {name}(cells):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n" + "".join(
+    source = f"def {name}({head}):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n" + "".join(
         f"    {line}\n" for line in body
     )
     namespace = dict(names)
@@ -313,13 +314,14 @@ def _compile(name: str, n: int, body: Sequence[str], **names) -> Callable[[Seque
     return namespace[name]
 
 
-def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Sequence[int]], object]:
+def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable:
     """``name(cells)``, straight-line code for an n x n matrix whose cells
     have ``+ - *``: ints, fractions or ``SparsePoly`` values.  Each minor
     of ``keys``, listed after the minors one size smaller that it needs,
     is expanded along its first row into cells times those minors, named
-    as locals.  It returns the last minor when ``whole``, else all of
-    them in the order of ``keys``.  No ring calls, no division.
+    as locals.  It returns all of them in the order of ``keys``, or when
+    ``whole`` the last, reduced mod its second argument ``modulus`` when
+    that is not None.  No ring calls, no division.
     """
     index = {key: i for i, key in enumerate(keys)}
     names, body = [], []
@@ -334,8 +336,11 @@ def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable[[Seque
         )
         names.append(f"m{i}")
         body.append(f"m{i} = {terms.removeprefix('+ ')}")
-    result = names[-1] if whole else f"({', '.join(names)},)"
-    return _compile(name, n, [*body, f"return {result}"])
+    if not whole:
+        return _compile(name, n, [*body, f"return ({', '.join(names)},)"])
+    last = names[-1]
+    body.append(f"return {last} if modulus is None else {last} % modulus")
+    return _compile(name, n, body, "cells, modulus=None")
 
 
 @lru_cache(maxsize=None)
@@ -349,20 +354,21 @@ def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _laplace_det(n: int) -> Callable[[Sequence[int]], int]:
-    """``det(cells)``, compiled on first use, is the determinant of an
-    n x n int matrix: the minors on the trailing k rows, k = 1..n, each
-    expanded along its first row, n * 2^(n-1) products in all.
+def _laplace_det(n: int) -> Callable[..., int]:
+    """``laplace(cells, modulus=None)``, compiled on first use, is the
+    determinant of an n x n int matrix, reduced mod ``modulus`` if given:
+    the minors on the trailing k rows, k = 1..n, each expanded along its
+    first row, n * 2^(n-1) products in all.
     """
     keys = [
         (tuple(range(n - k, n)), cols) for k in range(1, n + 1) for cols in itertools.combinations(range(n), k)
     ]
-    return _compiled_expansion("det", n, keys, whole=True)
+    return _compiled_expansion("laplace", n, keys, whole=True)
 
 
 @lru_cache(maxsize=None)
 def _bareiss_det(n: int) -> Callable[[Sequence[int]], int]:
-    """``det(cells)``, compiled on first use, is the determinant of an
+    """``bareiss(cells)``, compiled on first use, is the determinant of an
     n x n int matrix by fraction-free Bareiss elimination written out on
     the cells, without row swaps: step k takes each a_ij with i, j > k
     to (a_kk * a_ij - a_ik * a_kj) // prev, prev being the pivot of step
@@ -376,22 +382,27 @@ def _bareiss_det(n: int) -> Callable[[Sequence[int]], int]:
     body = []
     for k in range(n - 1):
         pivot, prev, rest = cell[k][k], cell[k - 1][k - 1] if k else "1", range(k, n)
-        block = "".join(f"({', '.join(cell[i][j] for j in rest)},), " for i in rest)
-        body.append(f"if not {pivot}: return _det_bareiss(({block})) // {prev} ** {n - k - 1}")
+        block = ", ".join(cell[i][j] for i in rest for j in rest)
+        body.append(f"if not {pivot}: return _det_bareiss(({block},)) // {prev} ** {n - k - 1}")
         divide = f" // {prev}" if k else ""
         body.extend(
             f"{cell[i][j]} = ({pivot} * {cell[i][j]} - {cell[i][k]} * {cell[k][j]}){divide}"
             for i in range(k + 1, n)
             for j in range(k + 1, n)
         )
-    return _compile("det", n, [*body, f"return {cell[n - 1][n - 1]}"], _det_bareiss=_det_bareiss)
+    return _compile("bareiss", n, [*body, f"return {cell[n - 1][n - 1]}"], _det_bareiss=_det_bareiss)
 
 
-def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
+def _rows(cells: Sequence, n: int) -> list[list]:
+    # An n x n matrix's n^2 cells, row by row, as n rows of their own.
+    return [list(cells[k:k + n]) for k in range(0, n * n, n)]
+
+
+def _det_bareiss(cells: Sequence[int]) -> int:
     # Fraction-free elimination over Python ints (Bareiss 1968): every
     # division by the previous pivot is exact.
-    n = len(rows)
-    m = [list(r) for r in rows]
+    n = math.isqrt(len(cells))
+    m = _rows(cells, n)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
@@ -414,14 +425,14 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+def _det_elimination_mod(cells: Sequence[int], modulus: int) -> int:
     # Gaussian elimination over Z/N on reduced ints; N is never factored.
     # A column's first unit in row order (over a field, its first nonzero
     # entry) clears it, one row operation per row.  A column with no unit
     # is cleared by Euclid's steps between the pivot row and each row below,
     # a row subtraction (det 1) and a swap (det -1), till their gcd is on top.
-    n = len(rows)
-    m = [[e % modulus for e in row] for row in rows]
+    n = math.isqrt(len(cells))
+    m = _rows([e % modulus for e in cells], n)
     det = 1
     for k in range(n - 1):
         for i in range(k, n):
@@ -451,70 +462,54 @@ def _det_elimination_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
     return det * m[n - 1][n - 1] % modulus
 
 
-# One route per ring type; each takes (ring, rows) at any n >= 1.
+def det_route(ring: Ring, n: int) -> Callable[[Sequence], object]:
+    """The determinant over ``ring`` of an n x n matrix, as a function of
+    its n^2 cells, row by row: the one choice of algorithm for (ring, n),
+    which :func:`det_rows` makes per call and a :class:`Lift` once per
+    family.  Refuses n > ``DET_SIZE_CAP``.  Over Z/N and F_p the cells
+    may be any integer representatives; the result is the reduced
+    residue.
+    """
+    if n > DET_SIZE_CAP:
+        raise SizeLimit(f"determinants are capped at n <= {DET_SIZE_CAP}, got {n}")
+    if isinstance(ring, ModRing):
+        if n <= CLOSED_FORM_MAX_N:
+            # The expansion's own code with N as the default of its modulus,
+            # so a packed determinant makes no Python call but the
+            # expansion's: a closure around it cost ~3.5% of scan's ops/s.
+            laplace = _laplace_det(n)
+            return FunctionType(laplace.__code__, laplace.__globals__, laplace.__name__, (ring.n,))
+        return partial(_det_elimination_mod, modulus=ring.n)
+    if isinstance(ring, ProductRing):
+        routes = [det_route(comp, n) for comp in ring.components]
 
+        def product(cells):
+            return tuple(route(part) for route, part in zip(routes, zip(*cells)))
 
-def _compiled_det(n: int) -> Callable[[Sequence[int]], int]:
-    # The compiled int determinant at n <= COMPILED_BAREISS_MAX_N.
-    return _laplace_det(n) if n <= CLOSED_FORM_MAX_N else _bareiss_det(n)
+        return product
+    if isinstance(ring, RationalRing):
+        integer = det_route(INTEGERS, n)
 
+        def rational(cells):
+            # Each row scaled to integers by the lcm of its denominators:
+            # det(A) = det(D*A) / det(D) with D diagonal.
+            scale, scaled = 1, []
+            for row in _rows(cells, n):
+                d = math.lcm(*(e.denominator for e in row))
+                scale *= d
+                scaled += [e.numerator * (d // e.denominator) for e in row]
+            return Fraction(integer(scaled), scale)
 
-def _det_integer(ring: Ring, rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n <= COMPILED_BAREISS_MAX_N:
-        return _compiled_det(n)([e for row in rows for e in row])
-    return _det_bareiss(rows)
+        return rational
+    if n <= CLOSED_FORM_MAX_N:  # Z, and Z[x...] on its entries' own operators
+        return _laplace_det(n)
+    if isinstance(ring, IntPolyRing):
 
+        def berkowitz(cells):
+            return _det_berkowitz(ring, _rows(cells, n))
 
-def _det_rational(ring: Ring, rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    # Scale each row to integers by the lcm of its denominators, so that
-    # det(A) = det(D*A) / det(D) with D diagonal.
-    if len(rows) == 1:
-        return rows[0][0]
-    scale = 1
-    scaled = []
-    for row in rows:
-        d = math.lcm(*(e.denominator for e in row))
-        scale *= d
-        scaled.append([e.numerator * (d // e.denominator) for e in row])
-    return Fraction(_det_integer(INTEGERS, scaled), scale)
-
-
-def _det_residue(ring: ModRing, rows: Sequence[Sequence[int]]) -> int:
-    # Z/N, F_p among them, on any integer representatives.
-    n = len(rows)
-    if n <= CLOSED_FORM_MAX_N:
-        return _laplace_det(n)([e for row in rows for e in row]) % ring.n
-    return _det_elimination_mod(rows, ring.n)
-
-
-def _det_product(ring: ProductRing, rows: Sequence[Sequence[tuple]]) -> tuple:
-    # One pass over the rows splits them into one matrix per component.
-    if len(rows) == 1:
-        return rows[0][0]
-    parts = zip(*[zip(*row) for row in rows])  # component c's rows, for each c
-    return tuple(_ROUTES[type(comp)](comp, part) for comp, part in zip(ring.components, parts))
-
-
-def _det_int_poly(ring: IntPolyRing, rows: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
-    # The compiled expansion on the entries' own operators, Berkowitz
-    # above; neither divides.
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n <= CLOSED_FORM_MAX_N:
-        return _laplace_det(n)([e for row in rows for e in row])
-    return _det_berkowitz(ring, rows)
-
-
-_ROUTES = {
-    IntegerRing: _det_integer,
-    RationalRing: _det_rational,
-    ModRing: _det_residue,
-    PrimeField: _det_residue,
-    ProductRing: _det_product,
-    IntPolyRing: _det_int_poly,
-}
+        return berkowitz
+    return _bareiss_det(n) if n <= COMPILED_BAREISS_MAX_N else _det_bareiss
 
 
 def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
@@ -523,9 +518,7 @@ def det_rows(ring: Ring, rows: Sequence[Sequence[object]]) -> object:
     Over Z/N and F_p the rows may hold any integer representatives; the
     result is the reduced residue.
     """
-    if len(rows) > DET_SIZE_CAP:
-        raise SizeLimit(f"determinants are capped at n <= {DET_SIZE_CAP}, got {len(rows)}")
-    return _ROUTES[type(ring)](ring, rows)
+    return det_route(ring, len(rows))([e for row in rows for e in row])
 
 
 class Lift(NamedTuple):
@@ -544,7 +537,9 @@ class Lift(NamedTuple):
 
     ``width`` says what a walked value is: a packed int of n^2 slots of
     ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
-    and an array over ``ring`` when it is None.  Engines need not know.
+    and a flat array of its n^2 cells over ``ring``, row by row, when it
+    is None; then ``det`` is the :func:`det_route` of ``det_ring`` and
+    ``cells`` the identity.  Engines need not know.
     """
 
     ring: Ring
@@ -566,10 +561,12 @@ def _unchanged(value):
 def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
     """Lift a family's raw arrays once, so that its subset sums add as ints.
 
-    ``size`` is the most arrays that one walked sum adds up: the bound
-    of a search, m for a Gray walk or a chain.  The determinant is an
-    integer polynomial in the entries, so over any commutative ring it
-    may be taken on integer lifts and mapped into the ring at the end:
+    ``members`` are the arrays as rows; ``size`` is the most arrays that
+    one walked sum adds up: the bound of a search, m for a Gray walk or a
+    chain.  Each array is flattened to its n^2 cells first.  The
+    determinant is an integer polynomial in the entries, so over any
+    commutative ring it may be taken on integer lifts and mapped into
+    the ring at the end:
 
     * Z          -- the members as they are;
     * Z/N, F_p   -- the residues as they are, summed as plain ints; each
@@ -584,56 +581,49 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
       and 0 mod the other moduli, while M = prod n_c has at most
       ``PRODUCT_LIFT_MAX_BITS`` bits; the determinant is taken over Z/M
       and split into its residues mod each n_c, a ring isomorphism;
-    * Z[x...] and other products -- walked as arrays in the ring itself.
+    * Z[x...] and other products -- walked as flat arrays in the ring
+      itself.
 
     A lifted 1x1 member is its plain int.  Larger lifted members are
     packed into one int each (Kronecker substitution) when every entry
     of every walked sum fits a slot of 8, 16, 32 or 64 bits
     (:func:`_slot_width`), so that a subset sum is one int addition;
-    wider entries walk as int arrays.  Over Z, and Q after scaling, the
-    slots are signed, so a packed value may be a negative int.
+    wider entries walk as flat int arrays.  Over Z, and Q after scaling,
+    the slots are signed, so a packed value may be a negative int.  The
+    determinant route is picked once, here.
     """
+    n = len(members[0])
+    flat = [[e for row in a for e in row] for a in members]
     if isinstance(ring, (IntegerRing, ModRing)):
-        return _int_lift(members, size, ring, _unchanged)
+        return _int_lift(flat, n, size, ring, _unchanged)
     if isinstance(ring, ProductRing):
         moduli = _coprime_moduli(ring)
         if moduli is not None:
             modulus = math.prod(moduli)
-            basis = [(modulus // n) * pow(modulus // n, -1, n) for n in moduli]
-
-            def crt(a):
-                return [[sum(map(operator.mul, e, basis)) % modulus for e in row] for row in a]
-
+            basis = [(modulus // q) * pow(modulus // q, -1, q) for q in moduli]
             return _int_lift(
-                [crt(a) for a in members],
+                [[sum(map(operator.mul, e, basis)) % modulus for e in a] for a in flat],
+                n,
                 size,
                 ModRing(modulus),
-                lambda d: tuple(d % n for n in moduli),
+                lambda d: tuple(d % q for q in moduli),
             )
     if isinstance(ring, RationalRing):
-        scales = _shared_row_scales(members)
+        scales = _shared_row_scales(flat, n)
         if scales is not None:
-            lifted = [
-                [[e.numerator * (d // e.denominator) for e in row] for row, d in zip(a, scales)]
-                for a in members
-            ]
+            cell_scales = [d for d in scales for _ in range(n)]
+            lifted = [[e.numerator * (d // e.denominator) for e, d in zip(a, cell_scales)] for a in flat]
             scale = math.prod(scales)
-            lift = _int_lift(lifted, size, INTEGERS, lambda d: Fraction(d, scale))
+            lift = _int_lift(lifted, n, size, INTEGERS, lambda d: Fraction(d, scale))
             return lift._replace(is_unit=bool)
-    return _array_lift(ring, members, ring, _unchanged)
+    return _array_lift(ring, flat, n, ring, _unchanged)
 
 
-def _array_lift(walk_ring: Ring, members, det_ring: Ring, finish) -> Lift:
-    # The walk adds arrays entry by entry in walk_ring.
+def _array_lift(walk_ring: Ring, flat, n: int, det_ring: Ring, finish) -> Lift:
+    # The walk adds flat arrays cell by cell in walk_ring.
     array_add, array_sub = array_ops(walk_ring.add, walk_ring.sub)
-
-    def det(rows):
-        return det_rows(det_ring, rows)
-
-    def cells(rows):
-        return tuple(e for row in rows for e in row)
-
-    return Lift(walk_ring, members, array_add, array_sub, det, cells, det_ring, finish, det_ring.is_unit, None)
+    route = det_route(det_ring, n)
+    return Lift(walk_ring, flat, array_add, array_sub, route, _unchanged, det_ring, finish, det_ring.is_unit, None)
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -653,10 +643,8 @@ def _slot_width(size: int, low: int, high: int, signed: bool) -> Optional[int]:
     return next((w for w in _SLOT_CODES if top < 1 << w), None)
 
 
-def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
-    # members are arrays of ints; det_ring is Z, Z/N or F_p.
-    n = len(members[0])
-    flat = [[e for row in a for e in row] for a in members]
+def _int_lift(flat, n: int, size: int, det_ring: Ring, finish) -> Lift:
+    # flat holds each member's n^2 int cells; det_ring is Z, Z/N or F_p.
     modulus = 0 if det_ring == INTEGERS else det_ring.n
     if n == 1:
         width, values = 0, [c[0] for c in flat]
@@ -665,8 +653,8 @@ def _int_lift(members, size: int, det_ring: Ring, finish) -> Lift:
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
         if width is None:  # entries too wide for a 64-bit slot walk as int arrays
-            return _array_lift(INTEGERS, members, det_ring, finish)
-        values, cells, det = _packed(flat, n, width, det_ring, modulus)
+            return _array_lift(INTEGERS, flat, n, det_ring, finish)
+        values, cells, det = _packed(flat, n, width, det_route(det_ring, n), modulus)
     return Lift(
         INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width
     )
@@ -676,20 +664,18 @@ def _one_cell(value):
     return (value,)
 
 
-def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
+def _packed(flat, n: int, width: int, route, modulus: int):
     """Each array's n^2 cells packed into one int; the unpack and det of a sum.
 
     An array packs to the sum of cell_k * 2^(k*width), so packed values
     add and subtract as the arrays do, and a walked value alone fixes
     its cells.  The unpack is one ``to_bytes`` and one ``struct`` read of
-    all cells.  Residues (``modulus`` > 0) are never negative and are read
-    as unsigned cells, each determinant reduced mod N.  Over Z, adding
-    ``signs``, 2^(w-1) in every slot, leaves each cell plus 2^(w-1), in
-    [0, 2^w) by :func:`_slot_width`, so no slot borrows or carries;
-    flipping each slot's top bit then leaves the cell's w-bit two's
-    complement, read as a signed cell.  The compiled expansion up to n = 7,
-    and over Z the compiled Bareiss at n = 8, take the cells as they come;
-    otherwise rows sliced from them go to :func:`det_rows`.
+    all cells, and the det is ``route`` on them.  Residues (``modulus``
+    > 0) are never negative and are read as unsigned cells.  Over Z,
+    adding ``signs``, 2^(w-1) in every slot, leaves each cell plus
+    2^(w-1), in [0, 2^w) by :func:`_slot_width`, so no slot borrows or
+    carries; flipping each slot's top bit then leaves the cell's w-bit
+    two's complement, read as a signed cell.
     """
     code = _SLOT_CODES[width]
     layout = struct.Struct(f"<{n * n}{code}")
@@ -701,28 +687,20 @@ def _packed(flat, n: int, width: int, det_ring: Ring, modulus: int):
         def cells(value):
             return unpack(value.to_bytes(nbytes, "little"))
 
-        def cells_det(value):
-            return compiled(unpack(value.to_bytes(nbytes, "little"))) % modulus
+        def det(value):
+            return route(unpack(value.to_bytes(nbytes, "little")))
 
-    else:
-        half = 1 << (width - 1)
-        signs = int.from_bytes(layout.pack(*[half] * (n * n)), "little")
-        values = [int.from_bytes(layout.pack(*[e + half for e in c]), "little") - signs for c in flat]
-        unpack = struct.Struct(f"<{n * n}{code.lower()}").unpack
+        return values, cells, det
+    half = 1 << (width - 1)
+    signs = int.from_bytes(layout.pack(*[half] * (n * n)), "little")
+    values = [int.from_bytes(layout.pack(*[e + half for e in c]), "little") - signs for c in flat]
+    unpack = struct.Struct(f"<{n * n}{code.lower()}").unpack
 
-        def cells(value):
-            return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
-
-        def cells_det(value):
-            return compiled(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
-
-    if n <= CLOSED_FORM_MAX_N or not modulus and n <= COMPILED_BAREISS_MAX_N:
-        compiled = _compiled_det(n)
-        return values, cells, cells_det
+    def cells(value):
+        return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
 
     def det(value):
-        entries = cells(value)
-        return det_rows(det_ring, [entries[i:i + n] for i in range(0, n * n, n)])
+        return route(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
     return values, cells, det
 
@@ -744,8 +722,8 @@ def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:
     return moduli
 
 
-def _shared_row_scales(arrays: Sequence[Sequence[Sequence[Fraction]]]) -> Optional[list[int]]:
-    """The lcm D_i of the row-i denominators over all arrays, or None.
+def _shared_row_scales(flat: Sequence[Sequence[Fraction]], n: int) -> Optional[list[int]]:
+    """The lcm D_i of the row-i denominators over all flat arrays, or None.
 
     The excess of row i is the bit length of D_i less that of the
     largest single array's row-i lcm.  None when n times the summed
@@ -753,11 +731,10 @@ def _shared_row_scales(arrays: Sequence[Sequence[Sequence[Fraction]]]) -> Option
     sum carries the denominators of the whole family (pairwise coprime
     ones, say), and adding fractions is the cheaper walk.
     """
-    n = len(arrays[0])
     scales = []
     excess = 0
-    for i in range(n):
-        own = [math.lcm(*(e.denominator for e in a[i])) for a in arrays]
+    for k in range(0, n * n, n):
+        own = [math.lcm(*(e.denominator for e in a[k:k + n])) for a in flat]
         shared = math.lcm(*own)
         excess += shared.bit_length() - max(own).bit_length()
         scales.append(shared)

@@ -9,11 +9,11 @@ This module is the one place that walks subsets and builds their sums.
 A walk takes the members and the operation that sums two of them, so it
 does not know what a member is: a lifted family's packed int (one
 ``int`` addition per sum, see :func:`detsum.matrices.lift_family`), a
-plain int, or an array (a sequence of rows of ring values) summed entry
-by entry with :func:`array_ops`.  :func:`gray_sums` visits every
-nonempty subset with one addition or subtraction per step, and
-:func:`search_order_sums` visits subsets in search order with one
-addition per sum.
+plain int, or a flat array of ring values (a matrix's cells row by row,
+or a vector) summed cell by cell with :func:`array_ops`.
+:func:`gray_sums` visits every nonempty subset with one addition or
+subtraction per step, and :func:`search_order_sums` visits subsets in
+search order with one addition per sum.
 """
 
 from __future__ import annotations
@@ -129,16 +129,18 @@ def masks_in_search_order(
 
 
 def array_ops(add: Callable, sub: Callable) -> tuple[Callable, Callable]:
-    """(add, sub) of two same-shape arrays, entry by entry by ``add`` and ``sub``.
+    """(add, sub) of two flat arrays of one length, cell by cell by ``add`` and ``sub``.
 
-    Each returns a new array, so a walk may yield its sums and keep them.
+    A matrix walks as its n^2 cells, row by row, and a vector as its
+    entries.  Each returns a new list, so a walk may yield its sums and
+    keep them.
     """
 
     def array_add(a, b):
-        return [list(map(add, ra, rb)) for ra, rb in zip(a, b)]
+        return list(map(add, a, b))
 
     def array_sub(a, b):
-        return [list(map(sub, ra, rb)) for ra, rb in zip(a, b)]
+        return list(map(sub, a, b))
 
     return array_add, array_sub
 

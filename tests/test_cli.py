@@ -355,6 +355,19 @@ def test_deep_nesting_gives_one_error_report(capsys, doc):
     assert report["result"]["error"].startswith("RecursionError")
 
 
+def test_memory_error_gives_one_error_report(capsys, monkeypatch):
+    # An engine that runs out of memory (a Z[x] Berkowitz determinant at
+    # n = 8 in 7 variables did) ends in one error report with exit 1.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "alternating_subset_det_sum", exhausted)
+    code, out = run_cli(capsys, "alt-sum", "--input", '{"ring":{"kind":"integers"},"n":1,"matrices":[[[1]]]}')
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"] == {"error": "MemoryError: the computation ran out of memory"}
+
+
 def test_simplex_subcommand(capsys):
     doc = (
         '{"ring":{"kind":"rationals"},"n":2,'

@@ -178,7 +178,8 @@ def test_compiled_expansion_matches_bareiss(bits):
     for n in range(1, CLOSED_FORM_MAX_N + 1):
         for _ in range(8):
             rows = [[rng.randrange(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
-            assert _laplace_det(n)([e for row in rows for e in row]) == _det_bareiss(rows), (n, rows)
+            cells = [e for row in rows for e in row]
+            assert _laplace_det(n)(cells) == _det_bareiss(cells), (n, rows)
 
 
 @pytest.mark.parametrize("bits", [4, 67, 600])
@@ -222,12 +223,12 @@ EXPANSION_SIZES = range(5, CLOSED_FORM_MAX_N + 1)
 ABOVE_SIZES = range(CLOSED_FORM_MAX_N + 1, CLOSED_FORM_MAX_N + 3)
 BAREISS_SIZES = range(CLOSED_FORM_MAX_N + 1, COMPILED_BAREISS_MAX_N + 1)
 LOOP_SIZES = range(COMPILED_BAREISS_MAX_N + 1, COMPILED_BAREISS_MAX_N + 2)
-# (ring, sizes, the routes det_rows takes there).  At n == 1 Z, Z/N and
-# F_p run the expansion, which returns the entry; other rings run none.
-# Sizes 2..4 and 5..7 of the expansion are pinned apart, the second
-# being the band it took over from Bareiss.  Over Z and Q, Bareiss runs
-# compiled above the expansion and as a loop past its cap.  Z[x] runs
-# the expansion on its own entries up to its cutoff, Berkowitz above.  The
+# (ring, sizes, the routes det_rows and a lift of the ring take there).
+# At n == 1 det_rows runs the expansion, which returns the entry.  Sizes
+# 2..4 and 5..7 of the expansion are pinned apart, the second being the
+# band it took over from Bareiss.  Over Z and Q, Bareiss runs compiled
+# above the expansion and as a loop past its cap.  Z[x] runs the
+# expansion on its own entries up to its cutoff, Berkowitz above.  The
 # Z/(2^512-1) rows start one size off the Z/6 ones to keep the ids apart.
 ROUTE_PINS = [
     (INTEGERS, range(2, 5), {"_laplace_det"}),
@@ -252,33 +253,57 @@ ROUTE_PINS = [
     (IntPolyRing(1), range(2, CLOSED_FORM_MAX_N + 1), {"_laplace_det"}),
     (IntPolyRing(1), ABOVE_SIZES[:1], {"_det_berkowitz"}),
 ]
-EXPANSION_KINDS = ("integers", "mod", "prime_field")
+
+
+# One ring of each Ring class in rings; a class missing here fails the test below.
+ROUTE_RINGS = {
+    rings.IntegerRing: INTEGERS,
+    rings.RationalRing: RATIONALS,
+    rings.ModRing: Z6,
+    rings.PrimeField: F7,
+    rings.ProductRing: ProductRing([Z6, RATIONALS, F7]),
+    rings.IntPolyRing: IntPolyRing(2),
+}
 
 
 def test_every_ring_class_has_a_route():
-    # det_rows and _det_product look a route up by the ring's type, with
-    # no fallback, so a ring class without one would raise KeyError.
+    # det_route serves every Ring subclass on both sides of each cutoff:
+    # 1 on the identity, and the independent oracle on a random matrix.
     classes = {c for c in vars(rings).values() if isinstance(c, type) and issubclass(c, rings.Ring)}
-    assert classes - {rings.Ring} <= set(matrices._ROUTES)
+    assert classes - {rings.Ring} == set(ROUTE_RINGS)
+    rng = random.Random(197)
+    for ring, n in itertools.product(ROUTE_RINGS.values(), (1, 7, 8, 9)):
+        route = matrices.det_route(ring, n)
+        identity = SquareMatrix.identity(ring, n).rows
+        assert route([e for row in identity for e in row]) == ring.one, (ring, n)
+        rows = random_matrix(ring, n, rng).rows
+        assert route([e for row in rows for e in row]) == _oracle_det(ring, rows), (ring, n)
 
 
 @pytest.mark.parametrize(
     "ring, sizes, routes", ROUTE_PINS, ids=[f"{r.kind}-n{s[0]}" for r, s, _ in ROUTE_PINS]
 )
 def test_det_route_pins(monkeypatch, ring, sizes, routes):
+    # The same route through det_rows and through a lift's det, whatever
+    # the lift walks: Q on ints, the product by the CRT on Z/42, Z/(2^512-1)
+    # on int arrays, Z[x] on arrays of its own entries.
     calls = []
     for name in ROUTE_NAMES:
-        def spy(*args, _real=getattr(matrices, name), _name=name):
+        def spy(*args, _real=getattr(matrices, name), _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(matrices, name, spy)
     rng = random.Random(139)
     for n in (1, *sizes):
         calls.clear()
         rows = random_matrix(ring, n, rng).rows
         matrices.det_rows(ring, rows)
-        one_by_one = {"_laplace_det"} if ring.kind in EXPANSION_KINDS else set()
-        assert set(calls) == (routes if n > 1 else one_by_one), (ring, n)
+        assert set(calls) == (routes if n > 1 else {"_laplace_det"}), (ring, n)
+        if n > 1:
+            calls.clear()
+            lift = lift_family(ring, [rows], 1)
+            assert lift.finish(lift.det(lift.members[0])) == _oracle_det(ring, rows), (ring, n)
+            assert set(calls) == routes, ("lift", ring, n)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +351,7 @@ def test_elimination_clears_columns_without_a_unit(modulus, non_unit):
                 for row, e in zip(rows, (4, 6, 9)):
                     row[0] = e
             if n <= 6:
-                assert _det_elimination_mod(rows, modulus) == ref_det(rows) % modulus, rows
+                assert _det_elimination_mod([e for row in rows for e in row], modulus) == ref_det(rows) % modulus
             else:
                 value = det_rows(ring, rows)
                 assert value == det_rows(INTEGERS, rows) % modulus == _det_berkowitz(ring, rows)

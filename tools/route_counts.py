@@ -9,10 +9,14 @@ Runs every operation of cycles 0 and 1 of each workload of
 * ``lift``: the outcomes of ``lift_family`` by (family ring kind, walk
   ring kind, ``int`` for a packed or plain int walk, ``array`` for an
   array walk), with the determinants taken per lift.  These are counted
-  on each returned ``Lift``'s ``det``, since packed int lifts run their
-  compiled code on the unpacked cells without calling ``det_rows``;
-* ``route``: the ``det_rows`` routes by ring kind.  A product's route
-  runs its components' routes, and those count too;
+  on each returned ``Lift``'s ``det``, since a lift runs the route that
+  it picked once without calling ``det_rows``;
+* ``route``: the picks of ``matrices.det_route`` by (ring kind,
+  algorithm), the algorithm being the name of the picked function:
+  ``laplace`` and ``bareiss`` compiled, the loops ``det_bareiss``,
+  ``det_elimination_mod`` and ``berkowitz``, and ``rational`` and
+  ``product``, which pick their integer or components' routes too.
+  ``det_rows`` picks once per call, a lift once per family;
 * ``engine``: the calls to the alternating-sum engines, by determinant
   ring kind, and to the homogeneous engines, by ring kind.
 
@@ -55,15 +59,14 @@ def instrument(counts: Counter) -> None:
         if getattr(module, "__name__", "").startswith("detsum") and getattr(module, "lift_family", None) is lift_family:
             module.lift_family = counted_lift
 
-    def counted_route(route):
-        def call(ring, rows):
-            counts["route", ring.kind] += 1
-            return route(ring, rows)
+    det_route = matrices.det_route
 
-        return call
+    def counted_route(ring, n):
+        route = det_route(ring, n)
+        counts["route", ring.kind, getattr(route, "func", route).__name__.lstrip("_")] += 1
+        return route
 
-    for cls, route in matrices._ROUTES.items():
-        matrices._ROUTES[cls] = counted_route(route)
+    matrices.det_route = counted_route
 
     def counted_engine(name, engine, ring_of):
         def call(*args):
@@ -86,7 +89,7 @@ def report(workload: str, ops: int, counts: Counter) -> None:
             print(f"  lift    {key[0]:<12} walks {key[1]:<12} as {key[2]:<6} lifts {count:>7}  dets {dets:>9}"
                   f"  ({dets / count:.1f} per lift)")
         elif what == "route":
-            print(f"  route   {key[0]:<12} calls {count:>9}")
+            print(f"  route   {key[0]:<12} {key[1]:<20} picks {count:>7}")
         elif what == "engine":
             print(f"  engine  {key[0]:<28} {key[1]:<12} calls {count:>7}")
 
