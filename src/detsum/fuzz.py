@@ -24,7 +24,6 @@ from . import jsonio
 from .errors import ContractViolation, UnsupportedRing
 from .identities import (
     DET_IDENTITY_CAPS,
-    RECURRENCE_MAX_N,
     _check_certificate,
     _recurrence_alternating_sum,
     _recurrence_homogeneous_sum,
@@ -395,33 +394,43 @@ def _coprime_rational_matrix(n: int, rng: random.Random) -> SquareMatrix:
     return SquareMatrix(RATIONALS, [_coprime_rational_row(rng, n) for _ in range(n)])
 
 
-# Every n the recurrence serves, at m = 1..12; n = 5 stops at m = 9, so
-# that the walk oracle takes at most 512 determinants of 5x5 matrices.
-_RECURRENCE_SHAPES = [(n, m) for n in range(1, RECURRENCE_MAX_N + 1) for m in range(1, 10 if n >= 5 else 13)]
-# (ring, draw of one n x n member, most members at n = 1..5).  A Z[x] or
+# n = 1..5 at m = 1..12; n = 5 stops at m = 9, so that the walk oracle
+# takes at most 512 determinants of 5x5 matrices.
+_RECURRENCE_SHAPES = [(n, m) for n in range(1, 6) for m in range(1, 10 if n >= 5 else 13)]
+# (ring, draw of one n x n member, most members at each n).  A Z[x] or
 # fraction family takes fewer: its walk at n = 4, m = 12 took 7.7 s over
 # Z[x0, x1], and its recurrence at n = 5 0.08 s a call.
 _RECURRENCE_FAMILIES: Sequence[tuple[Ring, Callable[[int, random.Random], SquareMatrix], Sequence[int]]] = (
     *(
-        (ring, functools.partial(random_matrix, ring), (12, 12, 12, 12, 9))
+        (ring, functools.partial(random_matrix, ring), (12, 12, 12, 12, 9, 9, 9, 9))
         for ring in (INTEGERS, RATIONALS, ModRing(6), ModRing(10), ModRing(2**512 - 1), PrimeField(7),
                      _f2x3x5(), ProductRing([ModRing(4), ModRing(9)]))
     ),
     (IntPolyRing(2), functools.partial(random_matrix, IntPolyRing(2)), (12, 10, 8, 6, 6)),
     (RATIONALS, _coprime_rational_matrix, (12, 10, 8, 6, 6)),
+    *((ring, functools.partial(random_matrix, ring), (9, 9, 9))
+      for ring in (ProductRing([ModRing(4), ModRing(2)]), ProductRing([INTEGERS, ModRing(6)]))),
 )
 _RECURRENCE_NONZERO_TRIALS = 3
+# (kind, n, m) of trial t: kind t % 10 at shape t // 10 for t < 570, then
+# Z and Z/10 at n = 6, 7 and m = n - 1..n + 1, Z at n = m = 8, whose sum
+# is nonzero, and the two products that walk tuple arrays.
+_RECURRENCE_TRIALS = [
+    *((kind, n, m) for (n, m), kind in itertools.product(_RECURRENCE_SHAPES, range(10))),
+    *((kind, n, m) for kind in (0, 3) for n in (6, 7) for m in (n - 1, n, n + 1)), (0, 8, 8),
+    *((kind, n, m) for kind in (10, 11) for n, m in ((1, 1), (2, 2), (3, 3), (1, 2), (3, 6), (2, 9))),
+]
 
 
 def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """The member-by-member alternating sum agrees with the Gray walk of
     all 2^m subsets.
 
-    Trial t draws a family of kind t % 10 of ``_RECURRENCE_FAMILIES``, at
-    the (n, m) of ``_RECURRENCE_SHAPES`` that t // 10 picks, m <= n among
-    them, unless m passes the kind's cap at n, so the default 570 trials
-    draw each (kind, n, m) within its cap once.  No family walks tuple
-    arrays of a product: Q with small denominators lifts to ints,
+    Trial t draws the kind of ``_RECURRENCE_FAMILIES`` and the (n, m) of
+    ``_RECURRENCE_TRIALS`` at t mod 595, unless m passes the kind's cap
+    at n, so the default 595 trials draw each (kind, n, m) within its cap
+    once.  Only kinds 10 and 11, products, walk tuple arrays, and are
+    summed per component: Q with small denominators lifts to ints,
     F2xF3xF5 and Z/4xZ/9 by the CRT as Z/30 and Z/36, Z/(2^512-1) as int
     arrays at n >= 2, Z[x0, x1] as arrays of ``SparsePoly`` entries, and
     Q with one 64-bit prime denominator per row goes past its lift gate
@@ -429,21 +438,20 @@ def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) ->
     in some trial.  A kind that draws m <= n at least
     ``_RECURRENCE_NONZERO_TRIALS`` times must show a nonzero sum in one.
     """
-    kinds = range(len(_RECURRENCE_FAMILIES))
-    small, nonzero, unlifted = [0] * len(kinds), [False] * len(kinds), False
+    small, nonzero, unlifted = [0] * len(_RECURRENCE_FAMILIES), [False] * len(_RECURRENCE_FAMILIES), False
     for t in range(trials):
-        kind = t % len(kinds)
+        kind, n, m = _RECURRENCE_TRIALS[t % len(_RECURRENCE_TRIALS)]
         ring, draw, max_m = _RECURRENCE_FAMILIES[kind]
-        n, m = _RECURRENCE_SHAPES[t // len(kinds) % len(_RECURRENCE_SHAPES)]
         if m > max_m[n - 1]:
             continue
         fam = [draw(n, rng) for _ in range(m)]
         lift = lift_family(ring, [a.rows for a in fam], m)
-        if isinstance(lift.ring, ProductRing):
-            rec.check(False, lambda: f"{ring!r} walks tuple arrays (n={n})")
+        split = isinstance(lift.ring, ProductRing)
+        if split != (kind >= 10):
+            rec.check(False, lambda: f"{ring!r} walks {lift.ring!r} (n={n})")
             continue
         unlifted = unlifted or draw is _coprime_rational_matrix and lift.ring == RATIONALS
-        value = _recurrence_alternating_sum(lift, n)
+        value = alternating_subset_det_sum(fam).value if split else _recurrence_alternating_sum(lift, n)
         walk = _walk_alternating_sum(lift)
         if m <= n:
             small[kind] += 1
@@ -452,11 +460,10 @@ def suite_alt_sum_recurrence(rng: random.Random, trials: int, rec: _Recorder) ->
             value == walk,
             lambda: f"recurrence {value!r} != walk {walk!r} over {ring!r} (n={n}, m={m})",
         )
-    for kind in kinds:
-        if small[kind] >= _RECURRENCE_NONZERO_TRIALS:
-            ring = _RECURRENCE_FAMILIES[kind][0]
-            rec.check(nonzero[kind], lambda: f"no nonzero alternating sum compared over {ring!r}")
-    if trials >= len(kinds) * len(_RECURRENCE_SHAPES):
+    for (ring, *_), count, seen in zip(_RECURRENCE_FAMILIES, small, nonzero):
+        if count >= _RECURRENCE_NONZERO_TRIALS:
+            rec.check(seen, lambda: f"no nonzero alternating sum compared over {ring!r}")
+    if trials >= 10 * len(_RECURRENCE_SHAPES):
         rec.check(unlifted, "no Q family past its lift gate compared")
 
 
@@ -1744,7 +1751,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "det-homogeneity": (suite_det_homogeneity, 100),
     "det-product-split": (suite_det_product_split, 50),
     "alt-sum-zero": (suite_alt_sum_zero, 10),
-    "alt-sum-recurrence": (suite_alt_sum_recurrence, 570),
+    "alt-sum-recurrence": (suite_alt_sum_recurrence, 595),
     "subset-walks": (suite_subset_walks, 10),
     "superset-sign-sums": (suite_superset_sign_sums, 40),
     "perturbation-residual": (suite_perturbation_residual, 100),

@@ -13,9 +13,9 @@ sum of the n + 1 matrices A_1..A_n, B.
 The numeric sums, of determinants and of homogeneous polynomials, are
 taken one member at a time by the multilinear expansion that proves the
 identity, with one state per minor or per divisor of a term of f, over
-every ring kind, Z[x...] and unlifted Q among them; a Gray walk of the
-2^m subsets serves products walked as tuple arrays, n past the
-recurrence's cutoff and small m, and checks the rest.  The symbolic
+every ring kind, Z[x...], unlifted Q and, per component, products among
+them; a Gray walk of the 2^m subsets serves small m and n past the
+recurrence's memory bound, and checks the rest.  The symbolic
 identities and the certificate are decided by the same expansion over
 maps from rows to members, which leaves only the integer counts of
 :func:`superset_sign_counts` to check.
@@ -44,6 +44,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .matrices import (
+    CLOSED_FORM_MAX_N,
     Lift,
     SquareMatrix,
     _laplace_minors,
@@ -90,11 +91,10 @@ PRODUCT_IDENTITY_SIZE_CAP = 36        # m*n cap for the symbolic product identit
 DET_IDENTITY_CAPS = (3, 5)            # (max n, max m) for generic-matrix checks
 # m cap for monomial_coefficient_check's 2^free superset loop.
 COEFFICIENT_CHECK_FAMILY_CAP = 24
-# The largest n at which an alternating sum may run the recurrence; up
-# to it _recurrence_is_faster picks the engine by a count.
-# Walk against recurrence, us per call over Z (timeit, one pinned CPU):
-# n=6 m=6 474/7561, m=7 986/7840.
-RECURRENCE_MAX_N = 5
+# The largest n at which an alternating sum may run the recurrence, set by
+# the memory of its tables, which the count does not weigh: 2.14M moves
+# and 250-290 MB of RSS at n = 8, 17.3M moves and ~2.3 GB at n = 9.
+RECURRENCE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -130,42 +130,46 @@ def alternating_subset_det_sum(matrices: Sequence[SquareMatrix]) -> RingElement:
     """Signed sum of det(subset sum) over all 2^m subsets.
 
     The empty subset contributes det(0) = 0.  The result is exactly zero
-    whenever m > n, over any commutative ring.  At n <=
-    ``RECURRENCE_MAX_N`` a family is summed member by member
-    (:func:`_recurrence_alternating_sum`) when a closed-form count finds
-    that cheaper, unless its lift walks tuple arrays of a product; any
-    other walks all 2^m subsets (:func:`_walk_alternating_sum`).
+    whenever m > n, over any commutative ring.  A family is summed member
+    by member (:func:`_recurrence_alternating_sum`) when a closed-form
+    count finds that cheaper, and otherwise walks all 2^m subsets
+    (:func:`_walk_alternating_sum`).  A product whose lift walks tuple
+    arrays is split into one family per component, each summed so.
     """
     ring, n = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     lift = lift_family(ring, [a.rows for a in matrices], m)
-    if not isinstance(lift.ring, ProductRing) and n <= RECURRENCE_MAX_N and _recurrence_is_faster(n, m):
-        acc = _recurrence_alternating_sum(lift, n)
+    if isinstance(lift.ring, ProductRing):  # one family per component
+        parts = zip(ring.components, zip(*(zip(*[zip(*row) for row in a.rows]) for a in matrices)))
+        value = tuple(alternating_subset_det_sum([_raw_matrix(c, n, rows) for rows in fam]).value for c, fam in parts)
+    elif _recurrence_is_faster(n, m):
+        value = lift.finish(_recurrence_alternating_sum(lift, n))
     else:
-        acc = _walk_alternating_sum(lift)
-    return RingElement(ring, lift.finish(acc), _normalized=True)
+        value = lift.finish(_walk_alternating_sum(lift))
+    return RingElement(ring, value, _normalized=True)
 
 
-@functools.lru_cache(maxsize=None)  # n <= RECURRENCE_MAX_N, m <= MAX_FAMILY
+@functools.lru_cache(maxsize=None)  # n <= DET_SIZE_CAP, m <= MAX_FAMILY
 def _recurrence_is_faster(n: int, m: int) -> bool:
     # Products, counted: the recurrence reads at most n + 1 members, each
     # taking one product per move, sum_k C(n, k)^2 (C(2k, k) - 1) of them
     # (a pair of k-sets takes a move from each pair of equal-size parts
-    # but itself), plus a fixed cost per call, its minor and move tables,
-    # worth about 4 products of the walk; the walk takes 2^m determinants
-    # of n * 2^(n - 1) products each.  The fixed cost sends n = 1 at
-    # m <= 2 to the walk, where the recurrence took 1.4-1.6x its time.
+    # but itself), plus 4 a call and 10 a move past 2^18 of the ~25 a move
+    # that its tables take to build once per process.  The walk takes 2^m
+    # determinants of n * 2^(n - 1) products, ~n^3 past CLOSED_FORM_MAX_N.
+    # The fixed cost sends n = 1 at m <= 2 to the walk, 1.4-1.6x faster.
     moves = sum(math.comb(n, k) ** 2 * (math.comb(2 * k, k) - 1) for k in range(1, n + 1))
-    return 4 + min(m, n + 1) * moves < n << (n - 1 + m)
+    det = n << (n - 1) if n <= CLOSED_FORM_MAX_N else n**3
+    return n <= RECURRENCE_MAX_N and 4 + max(0, 10 * moves - (1 << 18)) + min(m, n + 1) * moves < det << m
 
 
 def _walk_alternating_sum(lift: Lift) -> object:
     """The alternating sum in ``lift.det_ring``, one determinant per
-    subset of a Gray walk.  It serves every family that the recurrence
-    does not, and checks the recurrence in the ``alt-sum-recurrence``
-    fuzz suite.
+    subset of a Gray walk.  It serves the families that the count sends
+    it, and checks the recurrence and the split of a product's tuple
+    arrays in the ``alt-sum-recurrence`` fuzz suite.
     """
     det, det_ring = lift.det, lift.det_ring
     add, sub = det_ring.add, det_ring.sub
@@ -179,8 +183,7 @@ def _walk_alternating_sum(lift: Lift) -> object:
 def _recurrence_alternating_sum(lift: Lift, n: int) -> object:
     """The alternating sum in ``lift.det_ring``, as the walk gives it, of
     a family whose walked values have cells with ``+ - *``: ints, Q's
-    fractions or ``SparsePoly`` values, every lift but a product's tuple
-    arrays.
+    fractions or ``SparsePoly`` values, never a product's tuples.
 
     Let s(R, C) be the signed sum, over the subsets S of the members so
     far, of the (R, C) minor of the sum of S; the empty minor is 1.  By

@@ -116,14 +116,26 @@ def _coprime_fraction_row(rng, n):
     return [f"{e.numerator}/{e.denominator}" for e in _coprime_rational_row(rng, n)]
 
 
+def _int_row(rng, n):
+    return [rng.randrange(-9, 10) for _ in range(n)]
+
+
 # Families whose walk of 2^m subsets did not finish: (ring, n, m, draw of
-# one row, the lift's ring, sha256 of the alt-sum result).
+# one row, the lift's ring, sha256 of the alt-sum result).  Z/4 x Z/2 is
+# summed per component.
 _UNWALKED_ALT_SUMS = {
     "Z[x, y], 30 2x2": ({"kind": "int_poly", "var_count": 2}, 2, 30,
                         lambda rng, n: [_poly_entry(rng) for _ in range(n)], "int_poly",
                         "06ac7bbe4164ca282e8110ec1ad460c120fe2c8a6a6a1bc43e2356f764942d78"),
     "Q past its lift gate, 20 3x3": ({"kind": "rationals"}, 3, 20, _coprime_fraction_row, "rationals",
                                      "d509666112dca9a70863f5976fb49f72e0e9a2d527e4fcd5f126880cbc747483"),
+    "Z, 40 6x6": ({"kind": "integers"}, 6, 40, _int_row, "integers",
+                  "812b5701500cfd279bb61316bda045821e7efd15f35ae23457db83f2da2fc1b6"),
+    "Z, 30 7x7": ({"kind": "integers"}, 7, 30, _int_row, "integers",
+                  "2637c3dc30c2a13104bb21b2ae1f9c42ed00949ff97302ecc26e7f1773fa1bee"),
+    "Z/4 x Z/2, 30 2x2": ({"kind": "product", "components": [{"kind": "mod", "N": 4}, {"kind": "mod", "N": 2}]},
+                          2, 30, lambda rng, n: [[rng.randrange(4), rng.randrange(2)] for _ in range(n)], "product",
+                          "61d7d4e48a984331ad48ff4a0e909ec71a06a30f344611af416cc3fad7d039e4"),
 }
 
 

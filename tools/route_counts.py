@@ -18,7 +18,8 @@ Runs every operation of cycles 0 and 1 of each workload of
   ``product``, which pick their integer or components' routes too.
   ``det_rows`` picks once per call, a lift once per family;
 * ``engine``: the calls to the alternating-sum engines, by determinant
-  ring kind, and to the homogeneous engines, by ring kind.
+  ring kind and n, so that a product summed per component counts its
+  components' calls, and to the homogeneous engines, by ring kind.
 
 ``detsum`` is imported from the ``src`` directory beside this script, so a
 copy of the script in another checkout counts that checkout.  ``bench/``
@@ -28,6 +29,7 @@ is only read.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -68,17 +70,21 @@ def instrument(counts: Counter) -> None:
 
     matrices.det_route = counted_route
 
-    def counted_engine(name, engine, ring_of):
+    def counted_engine(name, engine, key_of):
         def call(*args):
-            counts["engine", name.lstrip("_"), ring_of(*args).kind] += 1
+            counts["engine", name.lstrip("_"), key_of(*args)] += 1
             return engine(*args)
 
         return call
 
+    def alt_sum_key(lift, *_):
+        n = math.isqrt(len(lift.cells(lift.members[0])))
+        return f"{lift.det_ring.kind} n={n}"
+
     for name in ALT_SUM_ENGINES:
-        setattr(identities, name, counted_engine(name, getattr(identities, name), lambda lift, *_: lift.det_ring))
+        setattr(identities, name, counted_engine(name, getattr(identities, name), alt_sum_key))
     for name in HOMOGENEOUS_ENGINES:
-        setattr(identities, name, counted_engine(name, getattr(identities, name), lambda poly, ring, vectors: ring))
+        setattr(identities, name, counted_engine(name, getattr(identities, name), lambda poly, ring, vectors: ring.kind))
 
 
 def report(workload: str, ops: int, counts: Counter) -> None:
@@ -91,7 +97,7 @@ def report(workload: str, ops: int, counts: Counter) -> None:
         elif what == "route":
             print(f"  route   {key[0]:<12} {key[1]:<20} picks {count:>7}")
         elif what == "engine":
-            print(f"  engine  {key[0]:<28} {key[1]:<12} calls {count:>7}")
+            print(f"  engine  {key[0]:<28} {key[1]:<16} calls {count:>7}")
 
 
 def main(argv=None) -> int:
