@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from . import jsonio
+from . import cli, jsonio
 from .errors import ContractViolation, UnsupportedRing
 from .identities import (
     DET_IDENTITY_CAPS,
@@ -1740,6 +1740,108 @@ def suite_report_writer_agreement(rng: random.Random, trials: int, rec: _Recorde
                   lambda: f"planted {odd!r}: refused={refused}, wrote {got[:200]!r}, json.dumps wrote {want[:200]!r}")
 
 
+# Values for the argv suite: ints argparse's int() reads and ones it
+# refuses, the two --output choices and a third word, and tokens that
+# start with "-".
+_ARGV_INTS = ("4", "+5", " 7 ", "\u0664", "1_000")
+_ARGV_VALUES = _ARGV_INTS + ("-3", "0x10", "", "-", "--", "json", "text", "xml",
+                             '{"ring":{"kind":"integers"},"n":1,"matrices":[[[1]],[[2]]]}', "-x")
+_ARGV_MUTATIONS = ("repeat", "inline", "abbreviation", "missing value", "positional", "help", "unknown")
+
+
+def _argv_value(rng: random.Random, spec: dict, fitting: bool) -> str:
+    """A value from ``_ARGV_VALUES``; with ``fitting``, one that passes the
+    flag's ``type`` and ``choices`` and does not start with ``-``."""
+    if not fitting:
+        return rng.choice(_ARGV_VALUES)
+    if "choices" in spec:
+        return rng.choice(spec["choices"])
+    if spec.get("type") is int:
+        return rng.choice(_ARGV_INTS)
+    return rng.choice([v for v in _ARGV_VALUES if not v.startswith("-")])
+
+
+def _argv_pairs(rng: random.Random, flags: Sequence[str], fitting: bool) -> list[list[str]]:
+    """A random subset of ``flags`` in random order, each as its token and,
+    when it takes one, a value.  With ``fitting``, the subset holds every
+    required flag and the values fit their flags."""
+    required = [flag for flag in flags if fitting and cli._FLAGS[flag].get("required")]
+    chosen = required + rng.sample([f for f in flags if f not in required], rng.randint(0, len(flags) - len(required)))
+    pairs = []
+    for flag in rng.sample(chosen, len(chosen)):
+        spec = cli._FLAGS[flag]
+        pairs.append([f"--{flag}"] + [_argv_value(rng, spec, fitting)] * ("action" not in spec))
+    return pairs
+
+
+def _mutate_argv(rng: random.Random, kind: str, flags: Sequence[str], pairs: list[list[str]]) -> None:
+    """Make the argv of ``pairs`` one that is not exact, in the way ``kind`` names."""
+    valued = [flag for flag in flags if "action" not in cli._FLAGS[flag]]
+    spot = rng.randint(0, len(pairs))
+    if kind == "repeat":
+        flag = rng.choice(flags)
+        pairs += [[f"--{flag}"] + [rng.choice(_ARGV_VALUES)] * (flag in valued)] * 2
+    elif kind == "inline":
+        pairs.insert(spot, [f"--{rng.choice(valued)}={rng.choice(_ARGV_VALUES)}"])
+    elif kind == "abbreviation":
+        flag = rng.choice([f for f in flags if len(f) > 1])
+        short = [flag[:k] for k in range(1, len(flag)) if flag[:k] not in flags]
+        pairs.insert(spot, [f"--{rng.choice(short)}"] + [rng.choice(_ARGV_VALUES)] * (flag in valued))
+    elif kind == "missing value":
+        pairs.append([f"--{rng.choice(valued)}"])
+    elif kind == "positional":
+        pairs.insert(rng.choice((0, len(pairs))), [rng.choice(("extra", "4", "json"))])
+    elif kind == "help":
+        pairs.insert(spot, [rng.choice(("-h", "--help"))])
+    else:
+        unknown = [f for f in cli._FLAGS if f not in flags] + ["threads"]
+        pairs.insert(spot, [f"--{rng.choice(unknown)}", rng.choice(("2", "json"))])
+
+
+def suite_argv_parse_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """``cli._exact_args`` gives the namespace of the subcommand's argparse
+    parser for every exact argv, and declines every other.
+
+    Each trial picks a subcommand and a random subset and order of its
+    flags and the common ones, with values from ``_ARGV_VALUES``.  Every
+    fourth trial, from the first, holds the required flags with values
+    that fit them, so that even a short run has argvs to take.  Odd
+    trials then apply one of ``_ARGV_MUTATIONS`` in turn: a repeated flag,
+    ``--flag=value``, an abbreviation, a missing value, a stray
+    positional, ``-h`` or an unknown flag; the fast path must decline
+    those.  On an unmutated argv whose values do not start with ``-``,
+    the fast path must take it exactly when argparse accepts it, with
+    equal ``vars``; a taken argv is always held to argparse.  The last
+    check fails when the fast path took no argv at all.
+    """
+    parser = cli.build_parser()
+    names = list(cli._COMMANDS)
+    taken = 0
+    for t in range(trials):
+        name = rng.choice(names)
+        flags = cli._COMMON_FLAGS + cli._COMMANDS[name][2]
+        pairs = _argv_pairs(rng, flags, fitting=t % 4 == 0)
+        kind = _ARGV_MUTATIONS[t // 2 % len(_ARGV_MUTATIONS)] if t % 2 else None
+        if kind is not None:
+            _mutate_argv(rng, kind, flags, pairs)
+        argv = [token for pair in pairs for token in pair]
+        fast = cli._exact_args(name, argv)
+        taken += fast is not None
+        if kind is not None:
+            rec.check(fast is None, lambda: f"{name} {argv!r} ({kind}): fast path took it")
+            continue
+        exact = not any(token.startswith("-") for pair in pairs for token in pair[1:])
+        if fast is None and not exact:
+            continue
+        try:
+            want = vars(parser.subcommands[name].parse_args(argv))
+        except cli._UsageError:
+            want = None
+        got = None if fast is None else vars(fast)
+        rec.check(got == want, lambda: f"{name} {argv!r}: fast path gave {got}, argparse {want}")
+    rec.check(taken > 0, f"the fast path took none of {trials} argvs")
+
+
 SUITES: dict[str, tuple[Callable, int]] = {
     "ring-axioms": (suite_ring_axioms, 1000),
     "unit-product": (suite_unit_product, 200),
@@ -1773,6 +1875,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "json-decode-agreement": (suite_json_decode_agreement, 256),
     "det-identity-counts": (suite_det_identity_counts, 8),
     "report-writer-agreement": (suite_report_writer_agreement, 216),
+    "argv-parse-agreement": (suite_argv_parse_agreement, 2000),
 }
 
 

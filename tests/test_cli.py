@@ -1432,3 +1432,42 @@ def test_direct_dispatch_matches_the_parser_tree(capsys, monkeypatch, argv):
     assert bool(top_level) == (not argv or argv[0] not in cli._COMMANDS)
     monkeypatch.setattr(parser, "subcommands", {})  # every argv through the top level
     assert _main_outcome(capsys, argv) == direct
+
+
+_COMMON_TAIL = (("--seed", "3"), ("--output", "text"), ("--timing",))
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["as pinned", "with the common flags"])
+def test_exact_argvs_are_read_without_argparse(monkeypatch, tail):
+    # Each _DIGESTS argv is exact, so no subcommand parser reads it; with
+    # the common flags appended (those it does not already give) it still is.
+    parser = build_parser()
+    calls = []
+    for command in parser.subcommands.values():
+        monkeypatch.setattr(command, "parse_args", lambda args, command=command:
+                            calls.append(args) or type(command).parse_args(command, args))
+    for argv, _ in _DIGESTS:
+        if tail:
+            argv = argv + [token for pair in _COMMON_TAIL if pair[0] not in argv for token in pair]
+        args = cli._parse_args(argv)
+        assert calls == [], argv
+        command = parser.subcommands[argv[0]]
+        assert vars(args) == {**vars(type(command).parse_args(command, argv[1:])), "subcommand": argv[0]}
+
+
+def test_flags_with_other_keywords_are_left_to_argparse(monkeypatch):
+    # The fast path reads only the keywords it knows; a subcommand with a
+    # flag declared otherwise goes whole to argparse, given or not.
+    argv = ["--m", "3", "--n", "2"]
+    assert cli._exact_args("verify-lemma3", argv) is not None
+    monkeypatch.setitem(cli._FLAGS, "n", {**cli._FLAGS["n"], "metavar": "N"})
+    assert cli._exact_args("verify-lemma3", argv) is None
+    monkeypatch.undo()
+    monkeypatch.setitem(cli._FLAGS, "timing", {"action": "count", "default": 0})
+    assert cli._exact_args("verify-lemma3", argv) is None
+
+
+def test_argv_parse_agreement_suite():
+    result = run_suite("argv-parse-agreement", seed=0)
+    assert result.failures == 0, result.first_failure
+    assert result.checks == 1804

@@ -7,11 +7,12 @@ Runs every operation of cycles 0 and 1 of the four workloads of
 each argv of ``--argv-file`` (one JSON array of strings per line), each
 call twice: as given, and with ``--output text`` appended.  It prints the
 number of calls (1,112 per seed without an argv file) and one sha256 over
-every call's exit code and stdout, in order.  Two trees that print the
-same digest at a seed wrote byte-identical reports, in JSON and in text,
-for all of those calls.  ``detsum`` is imported
-from the ``src`` directory beside this script, so a copy of the script in
-another checkout digests that checkout.  ``bench/`` is only read.
+every call's exit code, stdout and stderr, in order.  Two trees that print
+the same digest at a seed wrote byte-identical reports, in JSON and in
+text, and the same help texts and usage errors, for all of those calls.
+``detsum`` is imported from the ``src`` directory beside this script, so a
+copy of the script in another checkout digests that checkout.  ``bench/``
+is only read.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from detsum.cli import main as detsum_main  # noqa: E402
 CYCLES = (0, 1)
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one in-process call; stderr is dropped."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = detsum_main(list(argv))
         except SystemExit as exc:  # argparse's -h and usage errors
             code = exc.code if isinstance(exc.code, int) else 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def argvs(seed: int, argv_file: Path | None):
@@ -64,8 +65,8 @@ def main(argv=None) -> int:
     calls = 0
     for argv in argvs(args.seed, args.argv_file):
         for call in (argv, argv + ["--output", "text"]):
-            code, out = run(call)
-            digest.update(f"{code}\n{len(out)}\n{out}".encode())
+            code, out, err = run(call)
+            digest.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
             calls += 1
     print(f"calls: {calls}")
     print(f"sha256: {digest.hexdigest()}")
