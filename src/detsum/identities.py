@@ -12,9 +12,9 @@ sum of the n + 1 matrices A_1..A_n, B.
 
 The numeric sums, of determinants and of homogeneous polynomials, are
 taken one member at a time by the multilinear expansion that proves the
-identity, with one state per minor or per divisor of a term of f, over
-every ring kind, Z[x...], unlifted Q and, per component, products among
-them; a Gray walk of the 2^m subsets serves small m and n past the
+identity, with one state per minor or per divisor of a term of f, on the
+values' own ``+ - *`` with one reduction at the end, a product per
+component; a Gray walk of the 2^m subsets serves small m and n past the
 recurrence's memory bound, and checks the rest.  The symbolic
 identities and the certificate are decided by the same expansion over
 maps from rows to members, which leaves only the integer counts of
@@ -499,11 +499,11 @@ def homogeneous_alternating_sum(
     an n x n matrix is homogeneous of degree n in its entries).  The
     empty subset contributes f(0), nonzero only for a constant f.
 
-    The sum is taken by ring arithmetic, over every ring kind, one of two
-    ways, whichever a closed-form count finds cheaper
-    (:func:`_recurrence_is_cheaper`): member by member
+    The sum is taken one of two ways, whichever a closed-form count finds
+    cheaper (:func:`_recurrence_is_cheaper`): member by member
     (:func:`_recurrence_homogeneous_sum`), or by a Gray walk of all 2^m
-    points (:func:`_ring_alternating_sum`).
+    points (:func:`_ring_alternating_sum`).  A product's vectors are
+    split into one family per component, each summed so.
     """
     degree = poly.homogeneous_degree()
     if degree is None:
@@ -532,10 +532,11 @@ def homogeneous_alternating_sum(
             raw.append(el.value)
         raw_vectors.append(raw)
 
-    if _recurrence_is_cheaper(poly, degree, m):
-        value = _recurrence_homogeneous_sum(poly, ring, raw_vectors)
+    engine = _recurrence_homogeneous_sum if _recurrence_is_cheaper(poly, degree, m) else _ring_alternating_sum
+    if isinstance(ring, ProductRing):  # one family per component
+        value = tuple(engine(poly, c, fam) for c, fam in zip(ring.components, zip(*(zip(*v) for v in raw_vectors))))
     else:
-        value = _ring_alternating_sum(poly, ring, raw_vectors)
+        value = engine(poly, ring, raw_vectors)
     return RingElement(ring, value, _normalized=True)
 
 
@@ -552,7 +553,7 @@ def _recurrence_is_cheaper(poly: SparsePoly, degree: int, m: int) -> bool:
 
 
 def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object:
-    """The alternating sum, one vector at a time, on raw values of ring.
+    """The alternating sum, one vector at a time, on the values' ``+ - *``.
 
     Let t(a) be the signed sum, over the subsets of the vectors so far,
     of x^a at their sum, for each a that divides a term of f.  Expanding
@@ -560,38 +561,37 @@ def _recurrence_homogeneous_sum(poly: SparsePoly, ring: Ring, vectors) -> object
     v^(a - b), with C(a, b) = prod_i C(a_i, b_i).  From t = 1 at a = 0
     and 0 elsewhere, the answer is sum c_e * t(e) over the terms c_e x^e
     of f.  A state of degree k is 0 once k + 1 vectors are in, and zero
-    states stay zero, so the loop stops there.
+    states stay zero, so the loop stops there.  The states are integer
+    polynomials in the coordinates, so one final ``ring.normalize`` (mod N
+    on residues) gives the walk's value.
     """
     support = sorted({i for exps in poly.terms for i, e in enumerate(exps) if e})
-    steps, moves, ends = _homogeneous_plan(tuple(tuple(exps[i] for i in support) for exps in poly.terms), ring)
-    add, sub, mul, is_zero, zero, one = ring.add, ring.sub, ring.mul, ring.is_zero, ring.zero, ring.one
+    steps, moves, ends = _homogeneous_plan(tuple(tuple(exps[i] for i in support) for exps in poly.terms))
+    zero, one = ring.zero, ring.one
     state = [one] + [zero] * (len(moves) - 1)
     for v in vectors:
         point = [v[i] for i in support]
         power = [one]
         for prev, i in steps:
-            power.append(mul(power[prev], point[i]))
+            power.append(power[prev] * point[i])
         new = [zero] * len(moves)
         for t, out in zip(state, moves):
-            if not is_zero(t):
+            if t:
                 for target, coeff, d in out:
-                    term = mul(t, power[d])
-                    new[target] = sub(new[target], term if coeff is None else mul(coeff, term))
+                    new[target] -= coeff * t * power[d]
         state = new
-        if all(map(is_zero, state)):
+        if not any(state):
             break
-    return functools.reduce(
-        add, [mul(ring.from_int(c), state[k]) for k, c in zip(ends, poly.terms.values())], zero
-    )
+    return ring.normalize(sum((c * state[k] for k, c in zip(ends, poly.terms.values())), zero))
 
 
 @functools.lru_cache(maxsize=64)
-def _homogeneous_plan(exponents: tuple[tuple[int, ...], ...], ring: Ring) -> tuple[tuple, tuple, tuple]:
+def _homogeneous_plan(exponents: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple, tuple]:
     """The recurrence's plan for terms with these exponents over the
     variables that occur, cached so that polynomials of one shape share
-    it: (steps, moves, ends) over the divisors a of the terms.  Divisor
-    k > 0 is the power v^a = power[prev] * v_i for steps[k - 1] = (prev,
-    i); moves[k] lists (target, C(target, a) in ``ring``, None for 1,
+    it over every ring: (steps, moves, ends) over the divisors a of the
+    terms.  Divisor k > 0 is the power v^a = power[prev] * v_i for
+    steps[k - 1] = (prev, i); moves[k] lists (target, C(target, a),
     target - a) for each target above a; ends[j] is the divisor that is
     term j itself.
     """
@@ -607,9 +607,7 @@ def _homogeneous_plan(exponents: tuple[tuple[int, ...], ...], ring: Ring) -> tup
     for target, a in enumerate(divisors):
         for b in itertools.product(*(range(k + 1) for k in a)):
             if b != a:
-                coeff = math.prod(map(math.comb, a, b))
-                coeff = None if coeff == 1 else ring.from_int(coeff)
-                moves[index[b]].append((target, coeff, index[tuple(map(operator.sub, a, b))]))
+                moves[index[b]].append((target, math.prod(map(math.comb, a, b)), index[tuple(map(operator.sub, a, b))]))
     return tuple(steps), tuple(map(tuple, moves)), tuple(index[e] for e in exponents)
 
 

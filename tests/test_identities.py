@@ -440,7 +440,8 @@ def test_homogeneous_sum_no_contract_at_degree():
 
 
 def test_homogeneous_sum_over_q_divides_by_d_to_the_degree():
-    # D = 6 and d = 2, so the lifted integer sum is divided by D^2 = 36.
+    # No lift runs over Q: the sum is taken on the Fractions themselves, so
+    # with every denominator dividing D = 6 and d = 2 it is a multiple of 1/36.
     f = SparsePoly(1, {(2,): 1})  # x^2
     half, third = RATIONALS.element(Fraction(1, 2)), RATIONALS.element(Fraction(1, 3))
     # f(0) - f(1/2) - f(1/3) + f(5/6) = 0 - 1/4 - 1/9 + 25/36 = 1/3
@@ -526,6 +527,37 @@ def test_homogeneous_engine_pick_per_shape():
                 f = SparsePoly(4, {e: 1 for e in terms})
                 picks = [identities._recurrence_is_cheaper(f, d, m) for m in (1, d + 2, 10)]
                 assert picks == [False, True, True], (terms, picks)
+
+
+def test_homogeneous_recurrence_runs_on_the_values_own_arithmetic(monkeypatch):
+    # Degree 2 at m = 6 takes the recurrence.  Its residues add and multiply
+    # as ints, reduced once at the end, and a product is summed per
+    # component, so no Z/N or product ring method runs.
+    f = SparsePoly(3, {(2, 0, 0): 1, (1, 1, 0): -3, (0, 1, 1): 2})
+    assert identities._recurrence_is_cheaper(f, 2, 6)
+    rng = random.Random(33)
+    families = {
+        ring: [[ring.element(ring.random(rng)) for _ in range(3)] for _ in range(6)]
+        for ring in (Z6, ProductRing([ModRing(4), Z6]))
+    }
+
+    def forbidden(name):
+        def spy(*args):
+            raise AssertionError(f"{name} called")
+
+        return spy
+
+    for cls in (ModRing, ProductRing):
+        for name in ("add", "sub", "mul", "neg", "is_zero", "from_int"):
+            monkeypatch.setattr(cls, name, forbidden(f"{cls.__name__}.{name}"))
+    for ring, vectors in families.items():
+        assert homogeneous_alternating_sum(f, vectors).value == ring.zero
+    monkeypatch.undo()
+    # One plan serves an exponent shape over every ring.
+    identities._homogeneous_plan.cache_clear()
+    for ring in (INTEGERS, Z6):
+        homogeneous_alternating_sum(f, [[ring.element(k + i) for i in range(3)] for k in range(6)])
+    assert identities._homogeneous_plan.cache_info().misses == 1
 
 
 def test_alt_sum_recurrence_suite():

@@ -18,8 +18,9 @@ Runs every operation of cycles 0 and 1 of each workload of
   ``product``, which pick their integer or components' routes too.
   ``det_rows`` picks once per call, a lift once per family;
 * ``engine``: the calls to the alternating-sum engines, by determinant
-  ring kind and n, so that a product summed per component counts its
-  components' calls, and to the homogeneous engines, by ring kind.
+  ring kind and n, and to the homogeneous engines, by ring kind.  Both
+  sums split a product into one family per component, so a product
+  counts its components' calls, by their ring kinds.
 
 ``detsum`` is imported from the ``src`` directory beside this script, so a
 copy of the script in another checkout counts that checkout.  ``bench/``
