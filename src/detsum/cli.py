@@ -83,8 +83,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    subcommands: dict[str, "_Parser"]  # set on the top-level parser by build_parser
-
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise _UsageError(message)
 
@@ -439,8 +437,8 @@ _EXACT_KEYWORDS = frozenset(("type", "choices", "default", "required", "help", "
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built from ``_COMMANDS`` and ``_FLAGS`` on the
-    first call and shared after it.
+    """The argument parser for the argvs ``_exact_args`` declines, built
+    from ``_COMMANDS`` and ``_FLAGS`` on the first one and then shared.
 
     Parsing leaves the tree untouched and returns a fresh namespace each
     time, so repeated ``main`` calls in one process see no state carried
@@ -457,7 +455,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, parents=[common], help=help_line)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-    parser.subcommands = sub.choices
     return parser
 
 
@@ -509,20 +506,14 @@ def _exact_args(name: str, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as the parser tree does.
-
-    When argv[0] names a subcommand, the tree would hand the rest of argv
-    to that subcommand's parser, so it is read there directly: the top
-    level's own pass over argv is skipped.  An exact rest (see
-    ``_exact_args``) is read straight from ``_FLAGS``; any other rest goes,
-    unchanged, to the subcommand's argparse parser.  Usage errors, help and
-    ``args.subcommand`` come out the same either way.
+    """Parse argv as the parser tree does: when argv[0] names a subcommand
+    and ``_exact_args`` takes the rest, from ``_FLAGS``; else whole by
+    ``build_parser()``, which exact argvs never build.  Namespaces, help
+    and usage errors come out the same either way.
     """
-    parser = build_parser()
-    command = parser.subcommands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _exact_args(argv[0], argv[1:]) or command.parse_args(argv[1:])
+    args = _exact_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if args is None:
+        return build_parser().parse_args(argv)
     args.subcommand = argv[0]
     return args
 

@@ -227,6 +227,53 @@ def test_usage_errors_exit_one(capsys):
     assert main(["fuzz", "--suites", "no-such-suite"]) == 1
 
 
+# (argv, stderr) of usage errors that argparse does not raise: they come
+# from the flags' values, so they are written with no report.
+_USAGE_ERRORS = [
+    (["mine-mixed-char", "--fields", "2,x", "--m", "3", "--bound", "2"],
+     "detsum: error: --fields must be comma-separated primes, got '2,x'\n"),
+    (["mine-mixed-char", "--fields", ",", "--m", "3", "--bound", "2"],
+     "detsum: error: --fields must name at least one prime\n"),
+    (["example8", "--seed", "18446744073709551616"],
+     "detsum: error: seed must be an unsigned 64-bit integer, got 18446744073709551616\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", _USAGE_ERRORS, ids=[" ".join(argv)[:40] for argv, _ in _USAGE_ERRORS])
+def test_usage_errors_are_pinned(capsys, argv, stderr):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
+def test_a_seed_variable_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    assert main(["example8"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "detsum: error: DETSUM_SEED='abc' is not an integer\n")
+
+
+# (argv, error) of refused parameters, each one error report.
+_PARAMETER_REFUSALS = [
+    (["local-counterexample", "--modulus", "1", "--m1", "3", "--m2", "4", "--n", "2"],
+     "InvalidParameters: modulus must be at least 2, got 1"),
+    (["local-counterexample", "--modulus", "6", "--m1", "3", "--m2", "4", "--n", "0"],
+     "InvalidParameters: matrix size must be positive, got 0"),
+    (["local-counterexample", "--modulus", "6", "--m1", "1", "--m2", "0", "--n", "2"],
+     "InvalidParameters: 1 is a unit modulo 6"),
+    # README quotes this refusal: the miner counts its multisets first.
+    (["mine-mixed-char", "--fields", "2,3,5,7", "--m", "5", "--bound", "4"],
+     "SearchSpaceTooLarge: 988455798 candidate multisets exceed the budget 5000000"),
+]
+
+
+@pytest.mark.parametrize("argv, error", _PARAMETER_REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in _PARAMETER_REFUSALS])
+def test_parameter_refusals_are_pinned(capsys, argv, error):
+    code, report = run_json(capsys, *argv)
+    assert code == 1 and report["status"] == "error"
+    assert report["result"] == {"error": error}
+
+
 def test_example8_and_semilocal_search(capsys):
     code, report = run_json(capsys, "example8")
     assert code == 0 and report["status"] == "holds"
@@ -1255,6 +1302,24 @@ def test_homogeneous_results_are_pinned(capsys, name):
     assert got == digest
 
 
+def test_homogeneous_recurrence_result_is_pinned(capsys, monkeypatch):
+    # Every recurrence case above has m > d, whose sum is exactly 0 as an
+    # integer.  Degree 4 at m = 4 over F_7 goes to the recurrence too, and
+    # its sum, 4! times a polarization of f, is not 0 mod 7, so a
+    # recurrence that skipped its final reduction would show here.
+    calls = []
+    recurrence = identities._recurrence_homogeneous_sum
+    monkeypatch.setattr(identities, "_recurrence_homogeneous_sum",
+                        lambda *args: calls.append(args[1]) or recurrence(*args))
+    doc = {"ring": {"kind": "prime_field", "p": 7}, "var_count": 3,
+           "poly": {"terms": [[[4, 0, 0], 1], [[0, 4, 0], -2], [[0, 0, 4], 3]]},
+           "vectors": [[1, 2, 3], [4, 5, 6], [6, 1, 1], [2, 0, 5]]}
+    code, report = run_json(capsys, "homogeneous", "--input", json.dumps(doc))
+    assert calls == [PrimeField(7)]
+    assert code == 0 and report["status"] == "none"
+    assert report["result"]["value"] == 2  # 7,632 over Z
+
+
 # -- entry decoding -------------------------------------------------------------
 
 _F2X3X5 = {"kind": "product", "components": [
@@ -1313,6 +1378,21 @@ _ENTRY_REFUSALS = [
      "poly.terms[0][1]: expected an integer or decimal string, got 1.5"),
     ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 2, "poly": _LINEAR, "vectors": []},
      "vectors: expected a nonempty array"),
+    ("homogeneous", [1], "expected an object with ring/var_count/poly/vectors"),
+    ("homogeneous", {"ring": {"kind": "integers"}, "var_count": 0, "poly": _LINEAR, "vectors": [[1, 2]]},
+     "var_count: expected a positive integer"),
+    ("perturb", {"ring": {"kind": "integers"}, "n": 1, "matrices": [[[1]]]},
+     "perturb needs n family matrices plus the perturbation"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 0, "matrices": [[[1]]]},
+     "n: must be in [1, 64], got 0"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 65, "matrices": [[[1]]]},
+     "n: must be in [1, 64], got 65"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 1, "matrices": []},
+     "matrices: expected a nonempty array"),
+    ("alt-sum", {"ring": {"kind": "integers"}, "n": 1, "matrices": [[[1]]] * 65},
+     "matrices: family of 65 exceeds the 64 limit"),
+    ("semilocal-search", {"ring": {"kind": "integers"}, "elements": [1]},
+     "ring: a semilocal instance needs a product ring"),
 ]
 
 
@@ -1388,7 +1468,7 @@ def test_entry_decoders_run_only_inside_the_from_json_globals(capsys, monkeypatc
     assert outside == []
 
 
-# -- direct subcommand dispatch ---------------------------------------------------
+# -- reading argv ----------------------------------------------------------------
 
 _ONE_BY_ONE = '{"ring":{"kind":"integers"},"n":1,"matrices":[[[1]],[[2]]]}'
 _DISPATCH_EDGES = [
@@ -1424,35 +1504,27 @@ def _main_outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=[" ".join(argv)[:40] or "empty" for argv in _DISPATCH_ARGVS])
 def test_direct_dispatch_matches_the_parser_tree(capsys, monkeypatch, argv):
-    parser = build_parser()
-    top_level = []
-    monkeypatch.setattr(parser, "parse_args",
-                        lambda args: top_level.append(args) or type(parser).parse_args(parser, args))
-    direct = _main_outcome(capsys, argv)
-    assert bool(top_level) == (not argv or argv[0] not in cli._COMMANDS)
-    monkeypatch.setattr(parser, "subcommands", {})  # every argv through the top level
-    assert _main_outcome(capsys, argv) == direct
+    exact = _main_outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_exact_args", lambda name, tokens: None)  # every argv through the tree
+    assert _main_outcome(capsys, argv) == exact
 
 
 _COMMON_TAIL = (("--seed", "3"), ("--output", "text"), ("--timing",))
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["as pinned", "with the common flags"])
-def test_exact_argvs_are_read_without_argparse(monkeypatch, tail):
-    # Each _DIGESTS argv is exact, so no subcommand parser reads it; with
-    # the common flags appended (those it does not already give) it still is.
-    parser = build_parser()
-    calls = []
-    for command in parser.subcommands.values():
-        monkeypatch.setattr(command, "parse_args", lambda args, command=command:
-                            calls.append(args) or type(command).parse_args(command, args))
-    for argv, _ in _DIGESTS:
-        if tail:
-            argv = argv + [token for pair in _COMMON_TAIL if pair[0] not in argv for token in pair]
-        args = cli._parse_args(argv)
-        assert calls == [], argv
-        command = parser.subcommands[argv[0]]
-        assert vars(args) == {**vars(type(command).parse_args(command, argv[1:])), "subcommand": argv[0]}
+def test_exact_argvs_are_read_without_argparse(tail):
+    # Each _DIGESTS argv is exact, so the parser is never built; with the
+    # common flags appended (those it does not already give) it still is.
+    argvs = [argv for argv, _ in _DIGESTS]
+    if tail:
+        argvs = [argv + [token for pair in _COMMON_TAIL if pair[0] not in argv for token in pair]
+                 for argv in argvs]
+    build_parser.cache_clear()
+    parsed = [cli._parse_args(argv) for argv in argvs]
+    assert build_parser.cache_info().currsize == 0
+    for argv, args in zip(argvs, parsed):
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
 
 
 def test_flags_with_other_keywords_are_left_to_argparse(monkeypatch):

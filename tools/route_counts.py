@@ -20,7 +20,9 @@ Runs every operation of cycles 0 and 1 of each workload of
 * ``engine``: the calls to the alternating-sum engines, by determinant
   ring kind and n, and to the homogeneous engines, by ring kind.  Both
   sums split a product into one family per component, so a product
-  counts its components' calls, by their ring kinds.
+  counts its components' calls, by their ring kinds;
+* ``argv``: the argvs that ``cli._exact_args`` took, and those that
+  argparse parsed, each through one ``build_parser()`` call.
 
 ``detsum`` is imported from the ``src`` directory beside this script, so a
 copy of the script in another checkout counts that checkout.  ``bench/``
@@ -36,14 +38,15 @@ from collections import Counter
 
 from report_digest import CYCLES, run, workloads
 
-from detsum import identities, matrices
+from detsum import cli, identities, matrices
 
 ALT_SUM_ENGINES = ("_walk_alternating_sum", "_recurrence_alternating_sum")
 HOMOGENEOUS_ENGINES = ("_recurrence_homogeneous_sum", "_ring_alternating_sum")
 
 
 def instrument(counts: Counter) -> None:
-    """Count into ``counts`` every lift, determinant, route and engine call."""
+    """Count into ``counts`` every lift, determinant, route, engine call
+    and argv read."""
     lift_family = matrices.lift_family
 
     def counted_lift(ring, members, size):
@@ -87,9 +90,23 @@ def instrument(counts: Counter) -> None:
     for name in HOMOGENEOUS_ENGINES:
         setattr(identities, name, counted_engine(name, getattr(identities, name), lambda poly, ring, vectors: ring.kind))
 
+    exact_args, build_parser = cli._exact_args, cli.build_parser
+
+    def counted_exact_args(name, tokens):
+        args = exact_args(name, tokens)
+        counts["argv", "exact"] += args is not None
+        return args
+
+    def counted_build_parser():
+        counts["argv", "argparse"] += 1
+        return build_parser()
+
+    cli._exact_args, cli.build_parser = counted_exact_args, counted_build_parser
+
 
 def report(workload: str, ops: int, counts: Counter) -> None:
     print(f"{workload}: {ops} operations")
+    print(f"  argv    exact {counts['argv', 'exact']:>7}  argparse {counts['argv', 'argparse']:>7}")
     for (what, *key), count in sorted(counts.items()):
         if what == "lift":
             dets = counts["det", *key]
