@@ -42,6 +42,7 @@ from .identities import (
     superset_sign_counts,
 )
 from .matrices import (
+    CLOSED_FORM_MAX_N,
     COMPILED_BAREISS_MAX_N,
     SquareMatrix,
     _det_berkowitz,
@@ -81,6 +82,7 @@ from .subsets import (
     gray_sums,
     masks_in_search_order,
     masks_of_cardinality,
+    search_order_batches,
     search_order_sums,
 )
 
@@ -1258,6 +1260,82 @@ def suite_lifted_walks(rng: random.Random, trials: int, rec: _Recorder) -> None:
             )
 
 
+def _sparse_entry(rng: random.Random) -> int:
+    # Mostly 0 and +-1, so that some sums over Z have a unit determinant.
+    return rng.choice((-1, 0, 0, 0, 1, 2))
+
+
+# (ring, draw of one row of n entries) of every lift kind, each walk
+# width of a residue lift among them: Z/6 in 8-bit slots, Z/1000 in 16,
+# Z/10^6 in 32, Z/10^12 in 64, Z/(2^512-1) and F_(2^521-1) as arrays.
+_FIRST_UNIT_RINGS: Sequence[tuple[Ring, Callable[[random.Random, int], list]]] = (
+    (INTEGERS, lambda rng, n: [_sparse_entry(rng) for _ in range(n)]),
+    (RATIONALS, lambda rng, n: [Fraction(_sparse_entry(rng), rng.choice((1, 2, 3))) for _ in range(n)]),
+    (RATIONALS, _coprime_rational_row),
+    *(
+        (ring, lambda rng, n, ring=ring: [ring.random(rng) for _ in range(n)])
+        for ring in (ModRing(6), ModRing(1000), ModRing(10**6), ModRing(10**12), ModRing(_BIG_MODULUS),
+                     PrimeField(7), PrimeField(101), PrimeField(_BIG_PRIME),
+                     _F2_F3_F5, ProductRing([ModRing(4), ModRing(9)]), ProductRing([ModRing(6), PrimeField(3)]))
+    ),
+    (IntPolyRing(2), lambda rng, n: [IntPolyRing(2).from_int(_sparse_entry(rng)) if rng.random() < 0.8
+                                     else random_poly(2, rng, max_terms=2, max_exponent=1) for _ in range(n)]),
+)
+FIRST_UNIT_MAX_N = 8
+FIRST_UNIT_MAX_M = 10
+
+
+def suite_first_unit_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """``Lift.first_unit`` agrees with the first t for which
+    ``is_unit(det(add(partial, values[t])))``, and the batches of
+    ``search_order_batches``, flattened, with brute-force masks and sums.
+
+    Trial t takes lift kind t % 15 and n = t // 15 % 8 + 1, so the
+    default 120 trials draw every (kind, n) cell; the kinds are Z, Q lifted
+    and unlifted, Z/N at each slot width and as arrays, F_7, F_101 and
+    F_(2^521-1), the CRT products F2xF3xF5 and Z/4xZ/9, the array
+    product Z/6xF3, and Z[x, y].  Each trial lifts m <= 10 members and
+    tests them, shuffled, onto partials of None, one member and the sum
+    of two.  Checked too: the compiled loop runs exactly for the residue
+    lifts of packed or 1x1 values at n <= 7, and over the suite both
+    loops return a hit past index 0 and a miss.
+    """
+    outcomes = set()
+    for t in range(trials):
+        ring, draw = _FIRST_UNIT_RINGS[t % len(_FIRST_UNIT_RINGS)]
+        n = t // len(_FIRST_UNIT_RINGS) % FIRST_UNIT_MAX_N + 1
+        # Z[x] determinants at n >= 6 are slow (Berkowitz past n = 7): three members keep them short.
+        m = rng.randint(2, FIRST_UNIT_MAX_M if n < 6 or ring.kind != "int_poly" else 3)
+        lift = lift_family(ring, [[draw(rng, n) for _ in range(n)] for _ in range(m)], m)
+        members, add, det, is_unit = lift.members, lift.add, lift.det, lift.is_unit
+        compiled = lift.first_unit.__name__ == "laplace_first_unit"
+        residue = isinstance(lift.det_ring, ModRing) and lift.width is not None and n <= CLOSED_FORM_MAX_N
+        rec.check(
+            compiled == residue,
+            lambda: f"{'compiled' if compiled else 'generic'} first_unit over {ring!r} (n={n}, width {lift.width})",
+        )
+        for partial in (None, members[0], add(members[0], members[1])):
+            values = rng.sample(members, len(members))
+            want = next((j for j, v in enumerate(values) if is_unit(det(v if partial is None else add(partial, v)))), -1)
+            got = lift.first_unit(partial, values)
+            outcomes.add((compiled, 1 if want > 0 else want))
+            rec.check(got == want, lambda: f"first_unit {got} != {want} over {ring!r} (n={n}, m={m})")
+        bound = rng.randint(1, m)
+        flat = [
+            (high | bits[j], values[j] if partial is None else add(partial, values[j]))
+            for high, partial, bits, values, count in search_order_batches(members, add, bound)
+            for j in range(count)
+        ]
+        brute = [
+            (bits, functools.reduce(add, (members[i] for i in SubsetMask(bits, m))))
+            for bits in masks_in_search_order(m, bound)
+        ]
+        rec.check(flat == brute, lambda: f"search-order batches over {ring!r} (n={n}, m={m}, bound={bound})")
+    if trials >= len(_FIRST_UNIT_RINGS) * FIRST_UNIT_MAX_N:
+        for outcome in itertools.product((True, False), (-1, 1)):
+            rec.check(outcome in outcomes, lambda: f"no first_unit outcome {outcome} (compiled, hit) seen")
+
+
 # Most members per n of a poly-lift-agreement family: the oracle takes a
 # ring-method Berkowitz on each of the 2^m - 1 subset sums.
 _POLY_LIFT_MAX_M = (6, 5, 4, 4, 3, 2, 2)
@@ -1873,6 +1951,7 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "two-component-bound": (suite_two_component_bound, 1),
     "lifted-walks": (suite_lifted_walks, 72),
     "lifted-slots": (suite_lifted_slots, 3),
+    "first-unit-agreement": (suite_first_unit_agreement, 120),
     "poly-lift-agreement": (suite_poly_lift_agreement, 32),
     "json-decode-agreement": (suite_json_decode_agreement, 256),
     "det-identity-counts": (suite_det_identity_counts, 8),

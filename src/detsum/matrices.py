@@ -301,27 +301,30 @@ def _minor_keys(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _compile(name: str, n: int, body: Sequence[str], head: str = "cells", **names) -> Callable:
-    """``name(cells)`` for an n x n int matrix given as its n^2 cells row
-    by row, unpacked into the locals ``c0``, ``c1``, ...; ``head`` is its
-    parameter list, ``body`` its straight-line code, one statement a
-    line, and ``names`` the globals that it calls.
+    """``name(head)`` with ``body``, its code one statement a line; when
+    ``cells``, an n x n int matrix's n^2 cells row by row, is its first
+    parameter, they are first unpacked into the locals ``c0``, ``c1``,
+    ....  ``names`` are the globals that it calls.
     """
-    source = f"def {name}({head}):\n    {', '.join(f'c{k}' for k in range(n * n))}, = cells\n" + "".join(
-        f"    {line}\n" for line in body
-    )
+    lines = [f"{_cells(n)} = cells", *body] if head.startswith("cells") else body
+    source = f"def {name}({head}):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = dict(names)
     exec(compile(source, f"<{name} of {n}x{n}>", "exec"), namespace)
     return namespace[name]
 
 
-def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable:
-    """``name(cells)``, straight-line code for an n x n matrix whose cells
-    have ``+ - *``: ints, fractions or ``SparsePoly`` values.  Each minor
-    of ``keys``, listed after the minors one size smaller that it needs,
-    is expanded along its first row into cells times those minors, named
-    as locals.  It returns all of them in the order of ``keys``, or when
-    ``whole`` the last, reduced mod its second argument ``modulus`` when
-    that is not None.  No ring calls, no division.
+def _cells(n: int) -> str:
+    # The locals c0, c1, ... that an n x n matrix's cells are unpacked into.
+    return f"{', '.join(f'c{k}' for k in range(n * n))},"
+
+
+def _expansion(n: int, keys) -> tuple[list[str], list[str]]:
+    """(body, names): straight-line code on the cells ``c0``, ``c1``, ...
+    of an n x n matrix whose cells have ``+ - *``: ints, fractions or
+    ``SparsePoly`` values.  Each minor of ``keys``, listed after the
+    minors one size smaller that it needs, is expanded along its first
+    row into cells times those minors; ``names`` are the locals that hold
+    them, in the order of ``keys``.  No ring calls, no division.
     """
     index = {key: i for i, key in enumerate(keys)}
     names, body = [], []
@@ -336,11 +339,7 @@ def _compiled_expansion(name: str, n: int, keys, whole: bool) -> Callable:
         )
         names.append(f"m{i}")
         body.append(f"m{i} = {terms.removeprefix('+ ')}")
-    if not whole:
-        return _compile(name, n, [*body, f"return ({', '.join(names)},)"])
-    last = names[-1]
-    body.append(f"return {last} if modulus is None else {last} % modulus")
-    return _compile(name, n, body, "cells, modulus=None")
+    return body, names
 
 
 @lru_cache(maxsize=None)
@@ -350,20 +349,67 @@ def _laplace_minors(n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
     the same expansion table took 0.39, 5.8 and 30 us a call at n = 2, 3
     and 4, against 0.11, 0.38 and 4.3 (timeit, one pinned CPU).
     """
-    return _compiled_expansion("minors", n, _minor_keys(n), whole=False)
+    body, names = _expansion(n, _minor_keys(n))
+    return _compile("minors", n, [*body, f"return ({', '.join(names)},)"])
+
+
+def _laplace(n: int) -> tuple[list[str], str]:
+    """(body, name): the determinant of an n x n matrix as straight-line
+    code on its cells, and the local that ends up holding it: the minors
+    on the trailing k rows, k = 1..n, each expanded along its first row,
+    n * 2^(n-1) products in all.  Both :func:`_laplace_det` and
+    :func:`_laplace_first_unit` are compiled from it.
+    """
+    keys = [
+        (tuple(range(n - k, n)), cols) for k in range(1, n + 1) for cols in itertools.combinations(range(n), k)
+    ]
+    body, names = _expansion(n, keys)
+    return body, names[-1]
 
 
 @lru_cache(maxsize=None)
 def _laplace_det(n: int) -> Callable[..., int]:
     """``laplace(cells, modulus=None)``, compiled on first use, is the
-    determinant of an n x n int matrix, reduced mod ``modulus`` if given:
-    the minors on the trailing k rows, k = 1..n, each expanded along its
-    first row, n * 2^(n-1) products in all.
+    determinant of an n x n int matrix (:func:`_laplace`), reduced mod
+    ``modulus`` if given.
     """
-    keys = [
-        (tuple(range(n - k, n)), cols) for k in range(1, n + 1) for cols in itertools.combinations(range(n), k)
-    ]
-    return _compiled_expansion("laplace", n, keys, whole=True)
+    body, last = _laplace(n)
+    body.append(f"return {last} if modulus is None else {last} % modulus")
+    return _compile("laplace", n, body, "cells, modulus=None")
+
+
+@lru_cache(maxsize=None)
+def _laplace_first_unit(n: int) -> Callable[..., int]:
+    """``laplace_first_unit(partial, values, modulus, ...)``, compiled on
+    first use: the index of the first residue lift value v, of an n x n
+    matrix over Z/``modulus``, for which ``partial + v`` (v itself when
+    ``partial`` is None) has a unit determinant, or -1.  One loop runs
+    the unpack of :func:`_packed` (``unpack`` and ``nbytes`` follow
+    ``modulus``) or, at n = 1, takes the plain int; then the expansion
+    of :func:`_laplace`, and tests gcd(det, modulus) = 1 on the
+    unreduced determinant, which has the same gcd.
+    """
+    body, last = _laplace(n)
+    if n == 1:
+        head, read = "partial, values, modulus", "c0 = partial + value"
+    else:
+        head = "partial, values, modulus, unpack, nbytes"
+        read = f"{_cells(n)} = unpack((partial + value).to_bytes(nbytes, 'little'))"
+    return _compile(
+        "laplace_first_unit",
+        n,
+        [
+            "if partial is None:",
+            "    partial = 0",
+            "for j, value in enumerate(values):",
+            *(f"    {line}" for line in (read, *body)),
+            f"    if gcd({last}, modulus) == 1:",
+            "        return j",
+            "return -1",
+        ],
+        head,
+        gcd=math.gcd,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -535,6 +581,15 @@ class Lift(NamedTuple):
     nonzero d is one.  ``cells(value)`` is the value's n^2 entries
     over ``ring``, row by row.
 
+    ``first_unit(partial, values)`` tests a batch of walked sums: the
+    index of the first value v in ``values`` for which
+    ``is_unit(det(add(partial, v)))``, with v itself for a ``partial`` of
+    None, or -1.  Residue lifts (Z/N, F_p and coprime products) of
+    packed or 1x1 values at n <= ``CLOSED_FORM_MAX_N`` run it as one
+    compiled loop (:func:`_laplace_first_unit`); every other lift as
+    ``map`` and ``compress`` over its own ``det`` and ``is_unit``, so a
+    lift that replaces either must replace it too.
+
     ``width`` says what a walked value is: a packed int of n^2 slots of
     ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
     and a flat array of its n^2 cells over ``ring``, row by row, when it
@@ -552,10 +607,23 @@ class Lift(NamedTuple):
     finish: Callable[[object], object]
     is_unit: Callable[[object], bool]
     width: Optional[int]
+    first_unit: Callable[[object, Sequence], int]
 
 
 def _unchanged(value):
     return value
+
+
+def _first_unit(add, det, is_unit) -> Callable[[object, Sequence], int]:
+    """``first_unit(partial, values)`` of a :class:`Lift` on its own
+    ``add``, ``det`` and ``is_unit``: map and compress, so the loop runs
+    in C and only the calls are Python."""
+
+    def first_unit(partial, values):
+        sums = values if partial is None else map(add, itertools.repeat(partial), values)
+        return next(itertools.compress(itertools.count(), map(is_unit, map(det, sums))), -1)
+
+    return first_unit
 
 
 def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
@@ -615,7 +683,7 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
             lifted = [[e.numerator * (d // e.denominator) for e, d in zip(a, cell_scales)] for a in flat]
             scale = math.prod(scales)
             lift = _int_lift(lifted, n, size, INTEGERS, lambda d: Fraction(d, scale))
-            return lift._replace(is_unit=bool)
+            return lift._replace(is_unit=bool, first_unit=_first_unit(lift.add, lift.det, bool))
     return _array_lift(ring, flat, n, ring, _unchanged)
 
 
@@ -623,7 +691,10 @@ def _array_lift(walk_ring: Ring, flat, n: int, det_ring: Ring, finish) -> Lift:
     # The walk adds flat arrays cell by cell in walk_ring.
     array_add, array_sub = array_ops(walk_ring.add, walk_ring.sub)
     route = det_route(det_ring, n)
-    return Lift(walk_ring, flat, array_add, array_sub, route, _unchanged, det_ring, finish, det_ring.is_unit, None)
+    first_unit = _first_unit(array_add, route, det_ring.is_unit)
+    return Lift(
+        walk_ring, flat, array_add, array_sub, route, _unchanged, det_ring, finish, det_ring.is_unit, None, first_unit
+    )
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -648,15 +719,20 @@ def _int_lift(flat, n: int, size: int, det_ring: Ring, finish) -> Lift:
     modulus = 0 if det_ring == INTEGERS else det_ring.n
     if n == 1:
         width, values = 0, [c[0] for c in flat]
-        cells = _one_cell
+        cells, read = _one_cell, ()
         det = (lambda value: value % modulus) if modulus else _unchanged
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
         if width is None:  # entries too wide for a 64-bit slot walk as int arrays
             return _array_lift(INTEGERS, flat, n, det_ring, finish)
-        values, cells, det = _packed(flat, n, width, det_route(det_ring, n), modulus)
+        values, cells, det, read = _packed(flat, n, width, det_route(det_ring, n), modulus)
+    if modulus and n <= CLOSED_FORM_MAX_N:
+        scan = _laplace_first_unit(n)
+        first_unit = FunctionType(scan.__code__, scan.__globals__, scan.__name__, (modulus, *read))
+    else:
+        first_unit = _first_unit(operator.add, det, det_ring.is_unit)
     return Lift(
-        INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width
+        INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width, first_unit
     )
 
 
@@ -665,13 +741,16 @@ def _one_cell(value):
 
 
 def _packed(flat, n: int, width: int, route, modulus: int):
-    """Each array's n^2 cells packed into one int; the unpack and det of a sum.
+    """Each array's n^2 cells packed into one int; the unpack and det of a
+    sum, and ``read``.
 
     An array packs to the sum of cell_k * 2^(k*width), so packed values
     add and subtract as the arrays do, and a walked value alone fixes
     its cells.  The unpack is one ``to_bytes`` and one ``struct`` read of
     all cells, and the det is ``route`` on them.  Residues (``modulus``
-    > 0) are never negative and are read as unsigned cells.  Over Z,
+    > 0) are never negative and are read as unsigned cells; ``read`` is
+    then the ``(unpack, nbytes)`` that :func:`_laplace_first_unit`
+    inlines, and empty over Z.  Over Z,
     adding ``signs``, 2^(w-1) in every slot, leaves each cell plus
     2^(w-1), in [0, 2^w) by :func:`_slot_width`, so no slot borrows or
     carries; flipping each slot's top bit then leaves the cell's w-bit
@@ -690,7 +769,7 @@ def _packed(flat, n: int, width: int, route, modulus: int):
         def det(value):
             return route(unpack(value.to_bytes(nbytes, "little")))
 
-        return values, cells, det
+        return values, cells, det, (unpack, nbytes)
     half = 1 << (width - 1)
     signs = int.from_bytes(layout.pack(*[half] * (n * n)), "little")
     values = [int.from_bytes(layout.pack(*[e + half for e in c]), "little") - signs for c in flat]
@@ -702,7 +781,7 @@ def _packed(flat, n: int, width: int, route, modulus: int):
     def det(value):
         return route(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
-    return values, cells, det
+    return values, cells, det, ()
 
 
 def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, family_ring_shape, lift_family
 from .rings import ModRing, PrimeField, ProductRing, RingElement
-from .subsets import MAX_FAMILY, SubsetMask, search_order_sums
+from .subsets import MAX_FAMILY, SubsetMask, search_order_batches, search_order_sums
 
 __all__ = [
     "IdealChain",
@@ -58,7 +58,9 @@ def find_invertible_subsum(
     "First" in (cardinality, mask value) order, so the result is a
     minimal witness.  Over a field or local ring this succeeds whenever
     the total sum is invertible and bound >= n; over other rings it may
-    legitimately find nothing.
+    legitimately find nothing.  Every subset is tested, a batch of
+    :func:`~detsum.subsets.search_order_batches` per ``Lift.first_unit``
+    call.
     """
     ring, _ = family_ring_shape(matrices)
     m = len(matrices)
@@ -67,10 +69,11 @@ def find_invertible_subsum(
     if not 1 <= bound <= m:
         raise InvalidParameters(f"bound must be in [1, {m}], got {bound}")
     lift = lift_family(ring, [a.rows for a in matrices], bound)
-    det, is_unit = lift.det, lift.is_unit
-    for bits, value in search_order_sums(lift.members, lift.add, bound):
-        if is_unit(det(value)):
-            return SubsetMask(bits, m)
+    first_unit = lift.first_unit
+    for high, partial, bits, values, count in search_order_batches(lift.members, lift.add, bound):
+        j = first_unit(partial, values[:count])
+        if j >= 0:
+            return SubsetMask(high | bits[j], m)
     return None
 
 
@@ -318,7 +321,7 @@ def mixed_char_counterexample_search(
 
     bound = min(subset_bound, m)
     lift = lift_family(ring, [((t,),) for t in pool], m)
-    members, add, det, is_unit = lift.members, lift.add, lift.det, lift.is_unit
+    members, add, first_unit = lift.members, lift.add, lift.first_unit
     found = []
     chosen = [0] * m
 
@@ -326,25 +329,23 @@ def mixed_char_counterexample_search(
         # The pool indices chosen[:depth] sum to total, and levels[k] holds
         # the sums of their subsets of k + 1 members, for k + 1 < bound.  No
         # subset of at most bound of them sums to a unit; pool members are
-        # never units, so a new member alone needs no test.
-        if depth == m - 1:
-            kept = [s for level in levels for s in level]
-            for i in range(start, len(members)):
-                x = members[i]
-                if is_unit(det(add(total, x))) and not any(is_unit(det(add(s, x))) for s in kept):
+        # never units, so a new member alone needs no test, and with it only
+        # the sums that contain it: one batch onto every sum in levels.
+        kept = [s for level in levels for s in level]
+        if depth == m - 1:  # the members that make a unit total, then those tests
+            i = start
+            while (hit := first_unit(total, members[i:])) >= 0:
+                i += hit
+                if first_unit(members[i], kept) < 0:
                     chosen[depth] = i
                     found.append(SemilocalInstance.from_raw(ring, [pool[j] for j in chosen]))
+                i += 1
             return
         for i in range(start, len(members)):
             x = members[i]
-            grown = [[x]]  # the sums that contain x, by size
-            for level in levels:
-                sums = [add(s, x) for s in level]
-                if any(is_unit(det(s)) for s in sums):
-                    break
-                grown.append(sums)
-            else:
+            if first_unit(x, kept) < 0:
                 chosen[depth] = i
+                grown = [[x], *([add(s, x) for s in level] for level in levels[:-1])]  # by size
                 extend(depth + 1, i, add(total, x), [a + b for a, b in zip(levels, grown)])
 
     # A member minus itself is the lifted zero, whatever the lift.

@@ -12,13 +12,16 @@ does not know what a member is: a lifted family's packed int (one
 plain int, or a flat array of ring values (a matrix's cells row by row,
 or a vector) summed cell by cell with :func:`array_ops`.
 :func:`gray_sums` visits every nonempty subset with one addition or
-subtraction per step, and :func:`search_order_sums` visits subsets in
-search order with one addition per sum.
+subtraction per step.  :func:`search_order_batches` hands out the
+subsets in search order as batches, each one partial sum plus a list of
+values, the members or the sums of their pairs, that it is added to;
+:func:`search_order_sums` flattens them into one addition per sum.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 MAX_FAMILY = 64
 
@@ -168,28 +171,69 @@ def gray_sums(
         yield gray, total
 
 
+def search_order_batches(
+    members: Sequence[T], add: Callable[[T, T], T], bound: int
+) -> Iterator[tuple[int, Optional[T], list[int], Sequence[T], int]]:
+    """Yield (high, partial, bits, values, count) for the nonempty subsets
+    of size <= bound, in the order of :func:`masks_in_search_order`.
+
+    A batch stands for the subsets ``high | bits[j]``, j < count, whose
+    sums are ``add(partial, values[j])``, or ``values[j]`` itself when
+    ``partial`` is None.  ``values`` holds the members at cardinalities 1
+    and 2; at cardinality k >= 3 it is the table of the pair sums
+    {a, b}, a < b, in ascending mask order, and ``high`` holds k - 2
+    members above the pair, whose sum is ``partial``.  The pairs below
+    member c are the first C(c, 2), so a batch reads a prefix of the
+    table, and the table is extended lazily, to the pairs below the
+    highest member that the walk has reached: a walk that stops at a
+    pair or single has built no pair, and one that stops at three
+    members none above them.  Within one cardinality the highs are
+    walked depth-first, highest member first, which is ascending mask
+    order, so at most ``bound - 2`` partial sums of them are alive at a
+    time.  No batch, sum or table entry may be modified.
+    """
+    m = len(members)
+    top = min(bound, m)
+    if top < 1:
+        return
+    member_bits = [1 << t for t in range(m)]
+    yield 0, None, member_bits, members, m
+    for b in range(1, m if top >= 2 else 0):
+        yield member_bits[b], members[b], member_bits, members, b
+    pair_bits: list[int] = []
+    pair_values: list = []
+    reached = 1  # the table holds the pairs {a, b} with b < reached
+
+    def above(k: int, limit: int, high: int, partial):
+        # k more high members from {2..limit-1} on top of those in high, whose
+        # sum is partial (None when high is empty), then the pairs below them.
+        nonlocal reached
+        for t in range(k + 1, limit):
+            total = members[t] if partial is None else add(partial, members[t])
+            if k > 1:
+                yield from above(k - 1, t, high | 1 << t, total)
+                continue
+            for b in range(reached, t):
+                pair_bits.extend(member_bits[b] | member_bits[a] for a in range(b))
+                pair_values.extend(add(members[b], members[a]) for a in range(b))
+            reached = max(reached, t)
+            yield high | 1 << t, total, pair_bits, pair_values, t * (t - 1) // 2
+
+    for k in range(3, top + 1):
+        yield from above(k - 2, m, 0, None)
+
+
 def search_order_sums(
     members: Sequence[T], add: Callable[[T, T], T], bound: int
 ) -> Iterator[tuple[int, T]]:
     """Yield (mask, sum) for the nonempty subsets of size <= bound.
 
-    The order is that of :func:`masks_in_search_order`.  Within one
-    cardinality the walk is depth-first, highest member first, which is
-    ascending mask order; each sum is one ``add`` onto the partial sum
-    of the subset's higher members, and at most ``bound`` partial sums
-    are alive at a time.  A sum must not be modified; a one-member sum is
-    the member itself.
+    The order is that of :func:`masks_in_search_order`: the batches of
+    :func:`search_order_batches`, one ``add`` per sum onto the batch's
+    partial sum.  A sum must not be modified; a one-member sum is the
+    member itself.
     """
-
-    def below(k: int, limit: int, high: int, partial):
-        # k more members from {0..limit-1} on top of those in high, whose sum
-        # is partial (None when high is empty).
-        for t in range(k - 1, limit):
-            total = members[t] if partial is None else add(partial, members[t])
-            if k == 1:
-                yield high | 1 << t, total
-            else:
-                yield from below(k - 1, t, high | 1 << t, total)
-
-    for k in range(1, min(bound, len(members)) + 1):
-        yield from below(k, len(members), 0, None)
+    for high, partial, bits, values, count in search_order_batches(members, add, bound):
+        sums = values if partial is None else map(add, repeat(partial), values)
+        for mask, value in zip(bits[:count], sums):
+            yield high | mask, value

@@ -634,3 +634,40 @@ def test_lifted_walks_suite():
     # Z, Q on both sides of its gate, Z/N and F_p with moduli of up to 521 bits, n <= 6.
     result = run_suite("lifted-walks", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+# (ring, n, compiled): which first_unit a lift of two members of
+# random_matrix(ring, n) takes.  Residue lifts of packed or 1x1 values
+# (Z/N, F_p and coprime products) run the compiled loop up to
+# CLOSED_FORM_MAX_N; Z, Q, n >= 8 and array lifts (entries past 64-bit
+# slots, non-coprime products, Z[x]) the generic one.
+F2xF3 = ProductRing([PrimeField(2), PrimeField(3)])
+FIRST_UNIT_PINS = [
+    *((ring, n, True) for ring in (Z6, F7, PrimeField(101), F2xF3) for n in (1, 2, 3, CLOSED_FORM_MAX_N)),
+    *((ring, CLOSED_FORM_MAX_N + 1, False) for ring in (Z6, F7, F2xF3)),
+    *((ring, n, False) for ring in (INTEGERS, RATIONALS) for n in (1, 3, CLOSED_FORM_MAX_N, 8)),
+    (Z_BIG, 1, True),  # a 1x1 lift is a plain int at any modulus
+    *((ring, 3, False) for ring in (Z_BIG, ProductRing([Z6, PrimeField(3)]), IntPolyRing(2))),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, n, compiled", FIRST_UNIT_PINS, ids=[f"{r.kind}{i}-n{n}" for i, (r, n, _) in enumerate(FIRST_UNIT_PINS)]
+)
+def test_first_unit_pins(ring, n, compiled):
+    rng = random.Random(211)
+    members = [random_matrix(ring, n, rng).rows, SquareMatrix.identity(ring, n).rows]
+    lift = lift_family(ring, members, 2)
+    assert (lift.first_unit.__name__ == "laplace_first_unit") == compiled
+    # Whatever the loop, it answers as the lift's own det and is_unit do.
+    values = [*lift.members, lift.add(*lift.members)]
+    for partial in (None, lift.members[0]):
+        sums = values if partial is None else [lift.add(partial, v) for v in values]
+        want = next((j for j, v in enumerate(sums) if lift.is_unit(lift.det(v))), -1)
+        assert lift.first_unit(partial, values) == want
+
+
+def test_first_unit_agreement_suite():
+    # Every lift kind at n = 1..8, both loops, and the flattened batches.
+    result = run_suite("first-unit-agreement", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure

@@ -87,6 +87,55 @@ def test_search_returns_minimal_witness():
         assert got == brute
 
 
+def _count_tested(monkeypatch):
+    # The values that each Lift.first_unit call of the search tests: up to
+    # its hit, or all of them.
+    tested = []
+    lift_family = search.lift_family
+
+    def counted_lift(*args):
+        lift = lift_family(*args)
+        first_unit = lift.first_unit
+
+        def counted(partial, values):
+            j = first_unit(partial, values)
+            tested.append(len(values) if j < 0 else j + 1)
+            return j
+
+        return lift._replace(first_unit=counted)
+
+    monkeypatch.setattr(search, "lift_family", counted_lift)
+    return tested
+
+
+def _singular(ring, n, rng):
+    # The last row is the sum of the first two, in every subset sum too.
+    rows = [list(row) for row in random_matrix(ring, n, rng).rows]
+    rows[-1] = [ring.add(a, b) for a, b in zip(rows[0], rows[1])]
+    return SquareMatrix(ring, rows)
+
+
+def test_search_tests_every_subset_once(monkeypatch):
+    # On a singular family each of the sum_{k<=bound} C(m, k) sums is
+    # tested once; on an invertible one the search stops at the witness,
+    # having tested exactly the sums before it in search order.  Z/9 and
+    # F_101 take the compiled loop, Z and n = 8 the generic one.
+    tested = _count_tested(monkeypatch)
+    rng = random.Random(331)
+    for ring, n, m, bound in ((PrimeField(101), 3, 12, 3), (ModRing(9), 4, 9, 4), (INTEGERS, 3, 10, 3),
+                              (Z6, 8, 6, 2)):
+        tested.clear()
+        assert find_invertible_subsum([_singular(ring, n, rng) for _ in range(m)], bound) is None
+        assert sum(tested) == sum(math.comb(m, k) for k in range(1, bound + 1)), (ring, n)
+    for ring, n, m in ((RATIONALS, 3, 9), (PrimeField(101), 3, 12), (ModRing(9), 2, 6), (PrimeField(5), 8, 9)):
+        # Member i puts 1 at diagonal slot i % n alone: the first witness is
+        # the first n members, after every sum of fewer members.
+        fam = [SquareMatrix.diagonal(ring, [1 if j == i % n else 0 for j in range(n)]) for i in range(m)]
+        tested.clear()
+        assert find_invertible_subsum(fam, n) == SubsetMask((1 << n) - 1, m)
+        assert sum(tested) == sum(math.comb(m, k) for k in range(1, n)) + 1, (ring, n)
+
+
 def test_search_bound_validation():
     fam = eii_family(RATIONALS, 2)
     with pytest.raises(InvalidParameters):

@@ -11,6 +11,11 @@ Runs every operation of cycles 0 and 1 of each workload of
   array walk), with the determinants taken per lift.  These are counted
   on each returned ``Lift``'s ``det``, since a lift runs the route that
   it picked once without calling ``det_rows``;
+* ``unit``: the values that the lifts' ``first_unit`` calls tested (up
+  to the hit, or all), by the same key, the matrix size n, and the loop:
+  ``compiled`` for the residue loop of ``_laplace_first_unit``,
+  ``generic`` for ``det`` and ``is_unit`` mapped over the batch.  Neither
+  calls the ``det`` counted above, so a search's determinants show here;
 * ``route``: the picks of ``matrices.det_route`` by (ring kind,
   algorithm), the algorithm being the name of the picked function:
   ``laplace`` and ``bareiss`` compiled, the loops ``det_bareiss``,
@@ -45,21 +50,28 @@ HOMOGENEOUS_ENGINES = ("_recurrence_homogeneous_sum", "_ring_alternating_sum")
 
 
 def instrument(counts: Counter) -> None:
-    """Count into ``counts`` every lift, determinant, route, engine call
-    and argv read."""
+    """Count into ``counts`` every lift, determinant, first-unit test,
+    route, engine call and argv read."""
     lift_family = matrices.lift_family
 
     def counted_lift(ring, members, size):
         lift = lift_family(ring, members, size)
         key = (ring.kind, lift.ring.kind, "array" if lift.width is None else "int")
         counts["lift", *key] += 1
-        det = lift.det
+        det, first_unit = lift.det, lift.first_unit
+        n = math.isqrt(len(lift.cells(lift.members[0])))
+        path = "compiled" if first_unit.__name__ == "laplace_first_unit" else "generic"
 
         def counted_det(value):
             counts["det", *key] += 1
             return det(value)
 
-        return lift._replace(det=counted_det)
+        def counted_first_unit(partial, values):
+            j = first_unit(partial, values)
+            counts["unit", *key, f"n={n}", path] += len(values) if j < 0 else j + 1
+            return j
+
+        return lift._replace(det=counted_det, first_unit=counted_first_unit)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("detsum") and getattr(module, "lift_family", None) is lift_family:
@@ -112,6 +124,8 @@ def report(workload: str, ops: int, counts: Counter) -> None:
             dets = counts["det", *key]
             print(f"  lift    {key[0]:<12} walks {key[1]:<12} as {key[2]:<6} lifts {count:>7}  dets {dets:>9}"
                   f"  ({dets / count:.1f} per lift)")
+        elif what == "unit":
+            print(f"  unit    {key[0]:<12} walks {key[1]:<12} as {key[2]:<6} {key[3]:<5} {key[4]:<8} tested {count:>9}")
         elif what == "route":
             print(f"  route   {key[0]:<12} {key[1]:<20} picks {count:>7}")
         elif what == "engine":
