@@ -532,8 +532,10 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-# json.dumps with keywords would build a new encoder on every call.
-_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+# json.dumps with keywords would build a new encoder on every call.  The
+# params are flag values and documents from json.loads, never circular,
+# so the encoder keeps no table of the containers it is inside.
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str, check_circular=False)
 
 
 def _digest(subcommand: str, seed: int, params: dict) -> str:

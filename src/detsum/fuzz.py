@@ -46,6 +46,7 @@ from .matrices import (
     COMPILED_BAREISS_MAX_N,
     SquareMatrix,
     _det_berkowitz,
+    batch_unit_test,
     det,
     det_rows,
     is_invertible,
@@ -70,15 +71,19 @@ from .rings import (
 )
 from .search import (
     SemilocalInstance,
+    _batch_search,
+    _unit_residues,
     embed_product_to_matrices,
     find_invertible_subsum,
     ideal_chain,
     local_counterexample_matrices,
+    mixed_char_counterexample_search,
     semilocal_find_unit_subsum,
 )
 from .subsets import (
     SubsetMask,
     array_ops,
+    first_residue_subsum,
     gray_sums,
     masks_in_search_order,
     masks_of_cardinality,
@@ -1029,6 +1034,164 @@ def suite_two_component_bound(rng: random.Random, trials: int, rec: _Recorder) -
                 )
 
 
+_TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
+# The most subsets that one trial's batch walk may test, and the largest m
+# under it per bound: 40 at bounds 1-3, then 23, 17 and 15.
+_TABLE_WALK_CAP = 12_000
+_TABLE_MAX_M = {b: max(m for m in range(b, 41) if sum(math.comb(m, k) for k in range(1, b + 1)) <= _TABLE_WALK_CAP)
+                for b in range(1, 7)}
+
+
+def _planted_family(rng: random.Random, moduli: Sequence[int], m: int, kind: str, k: int) -> list[list[int]]:
+    """The coordinates of m members over Z/q_1 x ... x Z/q_r, each q_c a
+    prime power, with a witness of k <= min(r, m) members planted.
+
+    A coordinate is *covered* when it is a unit mod q_c.  ``random``
+    members are random; ``non-units`` members each leave a random
+    coordinate uncovered, so that the least witness, if any, often has
+    three or more members; ``shared-zero`` members leave one coordinate
+    uncovered, so no sum is a unit.  ``planted`` and ``late`` members
+    cover coordinates of one block each of a partition of the
+    coordinates into k blocks, and are multiples of the prime elsewhere,
+    so that no sum of fewer than k members is a unit, while k of them
+    cover one block each in full; with ``late`` only member m - 1 covers
+    the last block, so every witness holds it.
+    """
+
+    def draw(c, covered):
+        q, p = moduli[c], next(p for p in _TABLE_PRIMES if moduli[c] % p == 0)
+        return rng.choice([x for x in range(1, q) if x % p]) if covered else p * rng.randrange(q // p)
+
+    r = len(moduli)
+    if kind == "random":
+        return [[rng.randrange(q) for q in moduli] for _ in range(m)]
+    if kind in ("non-units", "shared-zero"):
+        shared = rng.randrange(r)
+        dead = [rng.randrange(r) if kind == "non-units" else shared for _ in range(m)]
+        return [[draw(c, c != dead[i] and rng.random() < 0.8) for c in range(r)] for i in range(m)]
+    order = rng.sample(range(r), r)
+    cuts = sorted(rng.sample(range(1, r), k - 1))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, r])]
+    last = k - 1 if kind == "late" else k  # the blocks that any member may cover
+    family = []
+    for _ in range(m):
+        block = blocks[rng.randrange(last)] if last else ()
+        family.append([draw(c, c in block and rng.random() < 0.8) for c in range(r)])
+    spots = rng.sample(range(m - 1) if kind == "late" else range(m), k - 1 if kind == "late" else k)
+    if kind == "late":
+        spots.append(m - 1)
+    for spot, block in zip(spots, blocks):
+        family[spot] = [draw(c, c in block) for c in range(r)]
+    return family
+
+
+def suite_unit_subsum_table(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """The table of distinct sums, :func:`~detsum.subsets.first_residue_subsum`,
+    agrees with the batch walk forced on the same 1x1 lift, and so does
+    ``find_invertible_subsum``, whichever its count picks.
+
+    Trial t draws bound 1..6 and m <= 40 (fewer at bounds past 3, so
+    that the walk tests at most 12,000 sums), a family of kind t // 2 %
+    5 (:func:`_planted_family`), with k in 1..bound + 1 planted, and r
+    <= 6 coordinates, k or more, each a distinct prime of 2..13, over
+    Z/N (2 and 3 squared on odd trials, up to N = 180,180) or as a
+    product of prime fields.  The table also finds the first sum of
+    the first 8 members in a random set of up to 8 residues, as a brute
+    force over the masks does.  Checked besides: a
+    planted witness has exactly k members, or there is none when k >
+    bound, a late one holds member m - 1, and a shared zero gives None;
+    and over the suite a witness of every size 1..6, a late witness and
+    a None.
+    """
+    seen = set()
+    for t in range(trials):
+        kind = ("random", "planted", "late", "shared-zero", "non-units")[t // 2 % 5]
+        bound = rng.randint(1, 6)
+        m = rng.randint(bound, _TABLE_MAX_M[bound])
+        k = rng.randint(1, min(bound + 1, m, 6)) if kind in ("planted", "late") else 0
+        primes = rng.sample(_TABLE_PRIMES, rng.randint(max(k, 1), 6))
+        moduli = [p * p if t & 1 and p < 5 else p for p in primes]
+        family = _planted_family(rng, moduli, m, kind, k)
+        if t & 1:
+            modulus = math.prod(moduli)
+            ring = ModRing(modulus)
+            basis = [(modulus // q) * pow(modulus // q, -1, q) for q in moduli]
+            matrices = [SquareMatrix(ring, [[sum(map(operator.mul, x, basis)) % modulus]]) for x in family]
+        else:
+            ring = ProductRing([PrimeField(p) for p in moduli])
+            matrices = [SquareMatrix(ring, [[tuple(x)]]) for x in family]
+        lift = lift_family(ring, [a.rows for a in matrices], bound)
+        residues = lift.det_ring
+        table = first_residue_subsum(lift.members, residues.n, _unit_residues(residues), bound)
+        walk = _batch_search(lift, 1, bound)
+        picked = find_invertible_subsum(matrices, bound)
+        where = f"{kind} family over {ring!r} (m={m}, bound={bound}, k={k})"
+        rec.check(table == walk, lambda: f"table {table} != walk {walk} on a {where}")
+        rec.check((picked.bits if picked else None) == walk, lambda: f"search {picked} != walk {walk} on a {where}")
+        if kind == "shared-zero":
+            ok = walk is None
+        elif kind in ("planted", "late"):
+            ok = walk is None if k > bound else walk.bit_count() == k and (kind != "late" or walk >> (m - 1))
+        else:
+            ok = True
+        rec.check(ok, lambda: f"witness {walk} on a {where}")
+        seen.add(0 if walk is None else walk.bit_count())
+        if kind == "late" and walk is not None:
+            seen.add("late")
+        # Any target set, not only the units, against every sum of the first few members.
+        head, modulus = lift.members[:8], residues.n
+        targets = sum(1 << r for r in rng.sample(range(modulus), min(modulus, rng.randint(1, 8))))
+        brute = next((bits for bits in masks_in_search_order(len(head), bound)
+                      if targets >> sum(head[i] for i in SubsetMask(bits, len(head))) % modulus & 1), None)
+        got = first_residue_subsum(head, modulus, targets, bound)
+        rec.check(got == brute, lambda: f"table {got} != brute force {brute} for targets {targets:#x} on a {where}")
+    if trials >= 400:
+        for size in (*range(7), "late"):
+            rec.check(size in seen, lambda: f"no witness of size {size} (0: None) in {trials} trials")
+
+
+_MINER_PRIMES = (2, 3, 5, 7)
+
+
+def _brute_force_families(primes: Sequence[int], m: int, bound: int) -> list[tuple[tuple[int, ...], ...]]:
+    # Every m-multiset of the non-units, in combinations_with_replacement
+    # order, whose total is a unit and no sum of at most bound of its
+    # members is; a sum is a unit when no coordinate is 0 mod its prime.
+    def unit(members):
+        return all(sum(x[c] for x in members) % p for c, p in enumerate(primes))
+
+    pool = [x for x in itertools.product(*map(range, primes)) if not unit([x])]
+    return [
+        family
+        for family in itertools.combinations_with_replacement(pool, m)
+        if unit(family)
+        and not any(unit([family[i] for i in SubsetMask(bits, m)]) for bits in masks_in_search_order(m, bound))
+    ]
+
+
+def suite_miner_brute_force(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """``mixed_char_counterexample_search`` lists the families of a
+    brute force over every multiset and every subset sum, in order.
+
+    Trial t draws 1..3 fields of 2, 3, 5 and 7, mostly 3, with a prime
+    repeated on odd trials (2,2,3 say), and m <= 4 with at most 3,000
+    multisets, the most such m when t // 3 is even; the bound is 1 when
+    t % 3 == 0, m + 1 (past m) when t % 3 == 1, and random in 1..m
+    otherwise.
+    """
+    for t in range(trials):
+        primes = sorted(rng.choices(_MINER_PRIMES, k=rng.choice((1, 2, 3, 3, 3))))
+        if t & 1 and len(primes) > 1:
+            primes[1] = primes[0]
+        pool = math.prod(primes) - math.prod(p - 1 for p in primes)
+        sizes = [m for m in range(1, 5) if math.comb(pool + m - 1, m) <= 3_000]
+        m = sizes[-1] if t // 3 % 2 == 0 else rng.choice(sizes)
+        bound = (1, m + 1, rng.randint(1, m))[t % 3]
+        got = [inst.raw_elements() for inst in mixed_char_counterexample_search([PrimeField(p) for p in primes], m, bound)]
+        want = _brute_force_families(primes, m, bound)
+        rec.check(got == want, lambda: f"miner over {primes} (m={m}, bound={bound}): {len(got)} families, brute force {len(want)}")
+
+
 def _coprime_rational_row(rng: random.Random, n: int) -> list[Fraction]:
     # One fresh random 64-bit prime denominator per row: the rows of a
     # family have pairwise coprime denominators but for a ~2^-57 chance.
@@ -1286,7 +1449,8 @@ FIRST_UNIT_MAX_M = 10
 
 
 def suite_first_unit_agreement(rng: random.Random, trials: int, rec: _Recorder) -> None:
-    """``Lift.first_unit`` agrees with the first t for which
+    """The search's batch test, :func:`~detsum.matrices.batch_unit_test`,
+    agrees with the first t for which
     ``is_unit(det(add(partial, values[t])))``, and the batches of
     ``search_order_batches``, flattened, with brute-force masks and sums.
 
@@ -1308,7 +1472,8 @@ def suite_first_unit_agreement(rng: random.Random, trials: int, rec: _Recorder) 
         m = rng.randint(2, FIRST_UNIT_MAX_M if n < 6 or ring.kind != "int_poly" else 3)
         lift = lift_family(ring, [[draw(rng, n) for _ in range(n)] for _ in range(m)], m)
         members, add, det, is_unit = lift.members, lift.add, lift.det, lift.is_unit
-        compiled = lift.first_unit.__name__ == "laplace_first_unit"
+        first_unit = batch_unit_test(lift, n)
+        compiled = first_unit.__name__ == "laplace_first_unit"
         residue = isinstance(lift.det_ring, ModRing) and lift.width is not None and n <= CLOSED_FORM_MAX_N
         rec.check(
             compiled == residue,
@@ -1317,7 +1482,7 @@ def suite_first_unit_agreement(rng: random.Random, trials: int, rec: _Recorder) 
         for partial in (None, members[0], add(members[0], members[1])):
             values = rng.sample(members, len(members))
             want = next((j for j, v in enumerate(values) if is_unit(det(v if partial is None else add(partial, v)))), -1)
-            got = lift.first_unit(partial, values)
+            got = first_unit(partial, values)
             outcomes.add((compiled, 1 if want > 0 else want))
             rec.check(got == want, lambda: f"first_unit {got} != {want} over {ring!r} (n={n}, m={m})")
         bound = rng.randint(1, m)
@@ -1949,6 +2114,8 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "semilocal-guarantee": (suite_semilocal_guarantee, 50),
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),
+    "unit-subsum-table": (suite_unit_subsum_table, 400),
+    "miner-brute-force": (suite_miner_brute_force, 120),
     "lifted-walks": (suite_lifted_walks, 72),
     "lifted-slots": (suite_lifted_slots, 3),
     "first-unit-agreement": (suite_first_unit_agreement, 120),

@@ -384,7 +384,8 @@ def _laplace_first_unit(n: int) -> Callable[..., int]:
     first use: the index of the first residue lift value v, of an n x n
     matrix over Z/``modulus``, for which ``partial + v`` (v itself when
     ``partial`` is None) has a unit determinant, or -1.  One loop runs
-    the unpack of :func:`_packed` (``unpack`` and ``nbytes`` follow
+    the unpack of a packed value (``unpack`` and ``nbytes`` of
+    :func:`_layout`, which :func:`batch_unit_test` binds with
     ``modulus``) or, at n = 1, takes the plain int; then the expansion
     of :func:`_laplace`, and tests gcd(det, modulus) = 1 on the
     unreduced determinant, which has the same gcd.
@@ -581,15 +582,6 @@ class Lift(NamedTuple):
     nonzero d is one.  ``cells(value)`` is the value's n^2 entries
     over ``ring``, row by row.
 
-    ``first_unit(partial, values)`` tests a batch of walked sums: the
-    index of the first value v in ``values`` for which
-    ``is_unit(det(add(partial, v)))``, with v itself for a ``partial`` of
-    None, or -1.  Residue lifts (Z/N, F_p and coprime products) of
-    packed or 1x1 values at n <= ``CLOSED_FORM_MAX_N`` run it as one
-    compiled loop (:func:`_laplace_first_unit`); every other lift as
-    ``map`` and ``compress`` over its own ``det`` and ``is_unit``, so a
-    lift that replaces either must replace it too.
-
     ``width`` says what a walked value is: a packed int of n^2 slots of
     ``width`` bits, a plain int (the entry of a 1x1 array) when it is 0,
     and a flat array of its n^2 cells over ``ring``, row by row, when it
@@ -607,17 +599,31 @@ class Lift(NamedTuple):
     finish: Callable[[object], object]
     is_unit: Callable[[object], bool]
     width: Optional[int]
-    first_unit: Callable[[object, Sequence], int]
 
 
 def _unchanged(value):
     return value
 
 
-def _first_unit(add, det, is_unit) -> Callable[[object, Sequence], int]:
-    """``first_unit(partial, values)`` of a :class:`Lift` on its own
-    ``add``, ``det`` and ``is_unit``: map and compress, so the loop runs
-    in C and only the calls are Python."""
+def batch_unit_test(lift: Lift, n: int) -> Callable[[object, Sequence], int]:
+    """``first_unit(partial, values)`` on the n x n walked values of
+    ``lift``: the index of the first value v in ``values`` for which
+    ``lift.is_unit(lift.det(lift.add(partial, v)))``, with v itself for a
+    ``partial`` of None, or -1.
+
+    Residue lifts (Z/N, F_p and coprime products) of packed or 1x1
+    values at n <= ``CLOSED_FORM_MAX_N`` run it as one compiled loop
+    (:func:`_laplace_first_unit`), compiled on the first such search per
+    n; every other lift as ``map`` and ``compress`` over its own ``add``,
+    ``det`` and ``is_unit``, so the loop runs in C and only the calls are
+    Python.
+    """
+    if isinstance(lift.det_ring, ModRing) and lift.width is not None and n <= CLOSED_FORM_MAX_N:
+        scan = _laplace_first_unit(n)
+        layout = _layout(n, lift.width) if n > 1 else None
+        read = (layout.unpack, layout.size) if layout else ()
+        return FunctionType(scan.__code__, scan.__globals__, scan.__name__, (lift.det_ring.n, *read))
+    add, det, is_unit = lift.add, lift.det, lift.is_unit
 
     def first_unit(partial, values):
         sums = values if partial is None else map(add, itertools.repeat(partial), values)
@@ -683,7 +689,7 @@ def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:
             lifted = [[e.numerator * (d // e.denominator) for e, d in zip(a, cell_scales)] for a in flat]
             scale = math.prod(scales)
             lift = _int_lift(lifted, n, size, INTEGERS, lambda d: Fraction(d, scale))
-            return lift._replace(is_unit=bool, first_unit=_first_unit(lift.add, lift.det, bool))
+            return lift._replace(is_unit=bool)
     return _array_lift(ring, flat, n, ring, _unchanged)
 
 
@@ -691,10 +697,7 @@ def _array_lift(walk_ring: Ring, flat, n: int, det_ring: Ring, finish) -> Lift:
     # The walk adds flat arrays cell by cell in walk_ring.
     array_add, array_sub = array_ops(walk_ring.add, walk_ring.sub)
     route = det_route(det_ring, n)
-    first_unit = _first_unit(array_add, route, det_ring.is_unit)
-    return Lift(
-        walk_ring, flat, array_add, array_sub, route, _unchanged, det_ring, finish, det_ring.is_unit, None, first_unit
-    )
+    return Lift(walk_ring, flat, array_add, array_sub, route, _unchanged, det_ring, finish, det_ring.is_unit, None)
 
 
 # Slot widths of a packed member, each the size of a struct cell.
@@ -719,45 +722,41 @@ def _int_lift(flat, n: int, size: int, det_ring: Ring, finish) -> Lift:
     modulus = 0 if det_ring == INTEGERS else det_ring.n
     if n == 1:
         width, values = 0, [c[0] for c in flat]
-        cells, read = _one_cell, ()
+        cells = _one_cell
         det = (lambda value: value % modulus) if modulus else _unchanged
     else:
         width = _slot_width(size, min(map(min, flat)), max(map(max, flat)), signed=not modulus)
         if width is None:  # entries too wide for a 64-bit slot walk as int arrays
             return _array_lift(INTEGERS, flat, n, det_ring, finish)
-        values, cells, det, read = _packed(flat, n, width, det_route(det_ring, n), modulus)
-    if modulus and n <= CLOSED_FORM_MAX_N:
-        scan = _laplace_first_unit(n)
-        first_unit = FunctionType(scan.__code__, scan.__globals__, scan.__name__, (modulus, *read))
-    else:
-        first_unit = _first_unit(operator.add, det, det_ring.is_unit)
-    return Lift(
-        INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width, first_unit
-    )
+        values, cells, det = _packed(flat, n, width, det_route(det_ring, n), modulus)
+    return Lift(INTEGERS, values, operator.add, operator.sub, det, cells, det_ring, finish, det_ring.is_unit, width)
 
 
 def _one_cell(value):
     return (value,)
 
 
+def _layout(n: int, width: int) -> struct.Struct:
+    # The n^2 unsigned cells of a packed value of width-bit slots.
+    return struct.Struct(f"<{n * n}{_SLOT_CODES[width]}")
+
+
 def _packed(flat, n: int, width: int, route, modulus: int):
     """Each array's n^2 cells packed into one int; the unpack and det of a
-    sum, and ``read``.
+    sum.
 
     An array packs to the sum of cell_k * 2^(k*width), so packed values
     add and subtract as the arrays do, and a walked value alone fixes
     its cells.  The unpack is one ``to_bytes`` and one ``struct`` read of
-    all cells, and the det is ``route`` on them.  Residues (``modulus``
-    > 0) are never negative and are read as unsigned cells; ``read`` is
-    then the ``(unpack, nbytes)`` that :func:`_laplace_first_unit`
-    inlines, and empty over Z.  Over Z,
+    all cells (:func:`_layout`, which :func:`_laplace_first_unit`
+    inlines), and the det is ``route`` on them.  Residues (``modulus``
+    > 0) are never negative and are read as unsigned cells.  Over Z,
     adding ``signs``, 2^(w-1) in every slot, leaves each cell plus
     2^(w-1), in [0, 2^w) by :func:`_slot_width`, so no slot borrows or
     carries; flipping each slot's top bit then leaves the cell's w-bit
     two's complement, read as a signed cell.
     """
-    code = _SLOT_CODES[width]
-    layout = struct.Struct(f"<{n * n}{code}")
+    layout = _layout(n, width)
     nbytes = layout.size
     if modulus:
         values = [int.from_bytes(layout.pack(*c), "little") for c in flat]
@@ -769,11 +768,11 @@ def _packed(flat, n: int, width: int, route, modulus: int):
         def det(value):
             return route(unpack(value.to_bytes(nbytes, "little")))
 
-        return values, cells, det, (unpack, nbytes)
+        return values, cells, det
     half = 1 << (width - 1)
     signs = int.from_bytes(layout.pack(*[half] * (n * n)), "little")
     values = [int.from_bytes(layout.pack(*[e + half for e in c]), "little") - signs for c in flat]
-    unpack = struct.Struct(f"<{n * n}{code.lower()}").unpack
+    unpack = struct.Struct(layout.format.lower()).unpack
 
     def cells(value):
         return unpack(((value + signs) ^ signs).to_bytes(nbytes, "little"))
@@ -781,7 +780,7 @@ def _packed(flat, n: int, width: int, route, modulus: int):
     def det(value):
         return route(unpack(((value + signs) ^ signs).to_bytes(nbytes, "little")))
 
-    return values, cells, det, ()
+    return values, cells, det
 
 
 def _coprime_moduli(ring: ProductRing) -> Optional[list[int]]:

@@ -12,6 +12,7 @@ miner for mixed-characteristic counterexamples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,9 +28,9 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import SquareMatrix, family_ring_shape, lift_family
+from .matrices import Lift, SquareMatrix, _raw_matrix, batch_unit_test, family_ring_shape, lift_family
 from .rings import ModRing, PrimeField, ProductRing, RingElement
-from .subsets import MAX_FAMILY, SubsetMask, search_order_batches, search_order_sums
+from .subsets import MAX_FAMILY, SubsetMask, first_residue_subsum, search_order_batches, search_order_sums
 
 __all__ = [
     "IdealChain",
@@ -48,6 +49,9 @@ __all__ = [
 IDEAL_CHAIN_FAMILY_CAP = 20
 MINER_CAPS = {"max_fields": 4, "max_field_size": 7, "max_family": 5}
 MINER_MULTISET_BUDGET = 5_000_000
+# The most residues of a table search: its snapshots hold m * (bound + 1)
+# ints of M bits, 8.5 MB at m = 64, bound = 64.
+UNIT_TABLE_MAX_MODULUS = 1 << 14
 
 
 def find_invertible_subsum(
@@ -58,23 +62,54 @@ def find_invertible_subsum(
     "First" in (cardinality, mask value) order, so the result is a
     minimal witness.  Over a field or local ring this succeeds whenever
     the total sum is invertible and bound >= n; over other rings it may
-    legitimately find nothing.  Every subset is tested, a batch of
-    :func:`~detsum.subsets.search_order_batches` per ``Lift.first_unit``
-    call.
+    legitimately find nothing.  1x1 residue families (Z/N, F_p and
+    coprime products, lifted to Z/M) take the table of distinct sums of
+    :func:`~detsum.subsets.first_residue_subsum` when
+    :func:`_unit_table_is_cheaper` says so; every other family is walked,
+    each subset tested (:func:`_batch_search`).
     """
-    ring, _ = family_ring_shape(matrices)
+    ring, n = family_ring_shape(matrices)
     m = len(matrices)
     if m > MAX_FAMILY:
         raise TooManyMatrices(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
     if not 1 <= bound <= m:
         raise InvalidParameters(f"bound must be in [1, {m}], got {bound}")
     lift = lift_family(ring, [a.rows for a in matrices], bound)
-    first_unit = lift.first_unit
+    residues = lift.det_ring
+    if lift.width == 0 and isinstance(residues, ModRing) and _unit_table_is_cheaper(residues.n, m, bound):
+        bits = first_residue_subsum(lift.members, residues.n, _unit_residues(residues), bound)
+    else:
+        bits = _batch_search(lift, n, bound)
+    return None if bits is None else SubsetMask(bits, m)
+
+
+def _batch_search(lift: Lift, n: int, bound: int) -> Optional[int]:
+    # The first mask of at most bound members with a unit determinant: a
+    # batch of search_order_batches per call of the lift's batch test.
+    first_unit = batch_unit_test(lift, n)
     for high, partial, bits, values, count in search_order_batches(lift.members, lift.add, bound):
         j = first_unit(partial, values[:count])
         if j >= 0:
-            return SubsetMask(high | bits[j], m)
+            return high | bits[j]
     return None
+
+
+def _unit_table_is_cheaper(modulus: int, m: int, bound: int) -> bool:
+    # In walked tests of one 1x1 sum each (~0.2 us): the table tests each
+    # residue once (~2 tests) and rotates an M-bit int m * bound times
+    # (~1 test, and one more per 2,048 bits), against the walk's
+    # sum_{k<=bound} C(m, k) sums, of which an early witness may test
+    # only a few.  A 512-bit N walks.
+    if modulus > UNIT_TABLE_MAX_MODULUS:
+        return False
+    return 2 * modulus + m * bound * (1 + modulus // 2048) < sum(math.comb(m, k) for k in range(1, bound + 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_residues(ring: ModRing) -> int:
+    """The units of ``ring``, Z/M, as bits r of one int: ``ring.is_unit``,
+    a residue lift's own, on each residue once per ring and process."""
+    return int("".join(map("01".__getitem__, map(ring.is_unit, reversed(range(ring.n))))), 2)
 
 
 def local_counterexample_matrices(
@@ -208,9 +243,7 @@ def semilocal_find_unit_subsum(
     m = len(instance.elements)
     if m > MAX_FAMILY:
         raise TooManyElements(f"family of {m} exceeds the {MAX_FAMILY}-element limit")
-    return find_invertible_subsum(
-        [SquareMatrix(instance.ring, [[el.value]]) for el in instance.elements], bound
-    )
+    return find_invertible_subsum([_raw_matrix(instance.ring, 1, ((el.value,),)) for el in instance.elements], bound)
 
 
 def embed_product_to_matrices(instance: SemilocalInstance) -> list[SquareMatrix]:
@@ -280,13 +313,19 @@ def mixed_char_counterexample_search(
     subset_bound covers the component count; over two components it is
     empty regardless of characteristics once subset_bound >= 2.
 
-    The pool is lifted once (to Z/M, M the product of the primes, when
-    they are distinct).  The multisets are walked depth-first, in
-    ``itertools.combinations_with_replacement`` order, and each depth
-    keeps the sums of its prefix's subsets of fewer than subset_bound
-    members.  A new member is tested only in the sums that contain it,
-    and a prefix with a unit among them is dropped with every multiset
-    that extends it.  The last member is tested in the total first.
+    The multisets are walked depth-first, in
+    ``itertools.combinations_with_replacement`` order over the pool, and
+    each prefix keeps ``bad``, a bitmask over the pool of the members
+    that would complete a unit sum of at most subset_bound members: the
+    union of ``hits[s]``, the members x with s + x a unit, over the sums
+    s of its subsets of fewer than subset_bound members.  The next
+    member is then any pool index from the last one on outside ``bad``,
+    with no test, and the last is one of ``hits[total] & ~bad``.  A
+    member's coordinates sit in slots of (m - 1)(p_c - 1) + 1 values,
+    so a sum of up to m - 1 of them is one int addition that never
+    carries, and ``hits`` is a table over those sums: x + s is a unit
+    when x_c != -s_c in every coordinate c, so ``hits[s]`` is the pool
+    less the members with x_c = -s_c for some c.
     """
     caps = MINER_CAPS
     if not 1 <= len(component_fields) <= caps["max_fields"]:
@@ -320,34 +359,46 @@ def mixed_char_counterexample_search(
         )
 
     bound = min(subset_bound, m)
-    lift = lift_family(ring, [((t,),) for t in pool], m)
-    members, add, first_unit = lift.members, lift.add, lift.first_unit
+    full = (1 << len(pool)) - 1
+    hits, codes, weight = [full], [0] * len(pool), 1
+    for c, f in enumerate(ring.components):
+        at = [0] * f.p  # at[v]: the members whose coordinate c is v
+        for i, t in enumerate(pool):
+            at[t[c]] |= 1 << i
+            codes[i] += t[c] * weight
+        span = (m - 1) * (f.p - 1) + 1
+        hits = [h & ~at[-d % f.p] for d in range(span) for h in hits]
+        weight *= span
     found = []
     chosen = [0] * m
 
-    def extend(depth: int, start: int, total, levels: list) -> None:
-        # The pool indices chosen[:depth] sum to total, and levels[k] holds
-        # the sums of their subsets of k + 1 members, for k + 1 < bound.  No
-        # subset of at most bound of them sums to a unit; pool members are
-        # never units, so a new member alone needs no test, and with it only
-        # the sums that contain it: one batch onto every sum in levels.
-        kept = [s for level in levels for s in level]
-        if depth == m - 1:  # the members that make a unit total, then those tests
-            i = start
-            while (hit := first_unit(total, members[i:])) >= 0:
-                i += hit
-                if first_unit(members[i], kept) < 0:
-                    chosen[depth] = i
-                    found.append(SemilocalInstance.from_raw(ring, [pool[j] for j in chosen]))
-                i += 1
-            return
-        for i in range(start, len(members)):
-            x = members[i]
-            if first_unit(x, kept) < 0:
-                chosen[depth] = i
-                grown = [[x], *([add(s, x) for s in level] for level in levels[:-1])]  # by size
-                extend(depth + 1, i, add(total, x), [a + b for a, b in zip(levels, grown)])
+    def extend(depth: int, start: int, total: int, levels: list, bad: int) -> None:
+        # The pool indices chosen[:depth] sum to total, levels[k] holds the
+        # sums of k of them for k < bound - 1, the empty sum 0 at k = 0,
+        # and bad the members that one of their sums of 1..bound - 1
+        # members makes a unit.  Member depth is any from start on outside
+        # bad; the last member is not taken here but read off hits.
+        free = ~bad & full >> start << start
+        while free:
+            low = free & -free
+            free ^= low
+            chosen[depth] = i = low.bit_length() - 1
+            x = codes[i]
+            grown = [[s + x for s in level] for level in levels]  # by size, one more member
+            more = bad
+            for level in grown:
+                for s in level:
+                    more |= hits[s]
+            if depth + 2 < m:
+                extend(depth + 1, i, total + x, levels[:1] + [a + b for a, b in zip(levels[1:], grown)], more)
+                continue
+            last = hits[total + x] & ~more & full >> i << i
+            while last:
+                low = last & -last
+                last ^= low
+                chosen[-1] = low.bit_length() - 1
+                found.append(SemilocalInstance.from_raw(ring, [pool[j] for j in chosen]))
 
-    # A member minus itself is the lifted zero, whatever the lift.
-    extend(0, 0, lift.sub(members[0], members[0]), [[] for _ in range(bound - 1)])
+    if m > 1:  # one member, never a unit, is never a unit total
+        extend(0, 0, 0, [[0] if k == 0 else [] for k in range(bound - 1)], 0)
     return found

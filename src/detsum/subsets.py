@@ -16,6 +16,9 @@ subtraction per step.  :func:`search_order_batches` hands out the
 subsets in search order as batches, each one partial sum plus a list of
 values, the members or the sums of their pairs, that it is added to;
 :func:`search_order_sums` flattens them into one addition per sum.
+:func:`first_residue_subsum` does not walk: over Z/M it keeps the set of
+sums of each cardinality as one M-bit int, so its cost follows M, not
+the number of subsets.
 """
 
 from __future__ import annotations
@@ -237,3 +240,49 @@ def search_order_sums(
         sums = values if partial is None else map(add, repeat(partial), values)
         for mask, value in zip(bits[:count], sums):
             yield high | mask, value
+
+
+def first_residue_subsum(residues: Sequence[int], modulus: int, targets: int, bound: int) -> Optional[int]:
+    """The first mask of :func:`masks_in_search_order`, of at most bound
+    members, whose sum of ``residues`` mod ``modulus`` is a bit of
+    ``targets``, or None.
+
+    Bellman's table of distinct sums over Z/M, M = ``modulus``, each set
+    of residues one M-bit int, bit s for residue s, so that adding r to
+    every sum in a set rotates it by r.  ``levels[k]`` holds the sums of
+    k of the members taken so far, and member i adds itself to the sums
+    of k - 1 of the members before it, k from the top down.  The least k
+    whose level meets ``targets`` is the witness's size.  The mask is
+    read back from the top: a mask below 2^(i+1) is below every mask
+    with a higher member, so the highest member is the first i whose
+    snapshot ``snaps[i][k]`` meets the targets, which then move by -r_i
+    for the k - 1 members below it.  A member alone in ``targets`` is
+    the witness; without one, the first pair in them ends the table at
+    its higher member.  Residues and targets lie in [0, M).  The cost is
+    at most m * bound rotations of M-bit ints and as many snapshot reads.
+    """
+    single = next((1 << i for i, r in enumerate(residues) if targets >> r & 1), None)
+    if single is not None or bound == 1:
+        return single
+    full = (1 << modulus) - 1
+    levels = [1] + [0] * bound  # the empty sum is 0
+    snaps = []
+    for i, r in enumerate(residues):
+        back = modulus - r
+        for k in range(min(bound, i + 1), 0, -1):
+            below = levels[k - 1]
+            levels[k] |= (below << r | below >> back) & full
+        snaps.append(levels[:])
+        if levels[2] & targets:
+            break
+    k = next((k for k in range(2, bound + 1) if levels[k] & targets), 0)
+    if not k:
+        return None
+    mask, top = 0, len(snaps)
+    while k:
+        top = next(i for i in range(top) if snaps[i][k] & targets)
+        mask |= 1 << top
+        r = residues[top]
+        targets = (targets >> r | targets << (modulus - r)) & full  # each target less r
+        k -= 1
+    return mask

@@ -692,6 +692,27 @@ def test_importing_the_cli_compiles_no_expansion():
     assert probe.stdout.split() == ["0", "0", "0"]
 
 
+def test_only_a_walking_search_compiles_a_batch_test():
+    # alt-sum, perturb and the ideal chain lift 5x5 residue families and
+    # compile no batch test; the first search that walks at n = 5 does.
+    probe = run_python(
+        "-c",
+        "import random\n"
+        "from detsum import ModRing, alternating_subset_det_sum, find_invertible_subsum, find_perturbing_subset, "
+        "ideal_chain, perturbation_identity_residual, random_matrix\n"
+        "from detsum.matrices import _laplace_first_unit\n"
+        "rng = random.Random(5)\n"
+        "fam = [random_matrix(ModRing(12), 5, rng) for _ in range(6)]\n"
+        "alternating_subset_det_sum(fam), perturbation_identity_residual(fam[:5], fam[5])\n"
+        "find_perturbing_subset(fam[:5], fam[5]), ideal_chain(fam)\n"
+        "before = _laplace_first_unit.cache_info().currsize\n"
+        "find_invertible_subsum(fam, 2)\n"
+        "print(before, _laplace_first_unit.cache_info().currsize)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["0", "1"]
+
+
 @pytest.mark.parametrize("via_file", [False, True])
 def test_bare_numbers_past_the_digit_limit_are_read(capsys, tmp_path, via_file):
     digits = "7" * 5000

@@ -37,6 +37,7 @@ from detsum.matrices import (
     _det_berkowitz,
     _det_elimination_mod,
     _laplace_det,
+    batch_unit_test,
     det_rows,
     lift_family,
     mat_mul,
@@ -636,8 +637,8 @@ def test_lifted_walks_suite():
     assert result.checks > 0 and result.failures == 0, result.first_failure
 
 
-# (ring, n, compiled): which first_unit a lift of two members of
-# random_matrix(ring, n) takes.  Residue lifts of packed or 1x1 values
+# (ring, n, compiled): which batch test the search builds for a lift of
+# two members of random_matrix(ring, n).  Residue lifts of packed or 1x1 values
 # (Z/N, F_p and coprime products) run the compiled loop up to
 # CLOSED_FORM_MAX_N; Z, Q, n >= 8 and array lifts (entries past 64-bit
 # slots, non-coprime products, Z[x]) the generic one.
@@ -658,13 +659,14 @@ def test_first_unit_pins(ring, n, compiled):
     rng = random.Random(211)
     members = [random_matrix(ring, n, rng).rows, SquareMatrix.identity(ring, n).rows]
     lift = lift_family(ring, members, 2)
-    assert (lift.first_unit.__name__ == "laplace_first_unit") == compiled
+    first_unit = batch_unit_test(lift, n)
+    assert (first_unit.__name__ == "laplace_first_unit") == compiled
     # Whatever the loop, it answers as the lift's own det and is_unit do.
     values = [*lift.members, lift.add(*lift.members)]
     for partial in (None, lift.members[0]):
         sums = values if partial is None else [lift.add(partial, v) for v in values]
         want = next((j for j, v in enumerate(sums) if lift.is_unit(lift.det(v))), -1)
-        assert lift.first_unit(partial, values) == want
+        assert first_unit(partial, values) == want
 
 
 def test_first_unit_agreement_suite():

@@ -88,23 +88,22 @@ def test_search_returns_minimal_witness():
 
 
 def _count_tested(monkeypatch):
-    # The values that each Lift.first_unit call of the search tests: up to
+    # The values that each call of the search's batch test tests: up to
     # its hit, or all of them.
     tested = []
-    lift_family = search.lift_family
+    batch_unit_test = search.batch_unit_test
 
-    def counted_lift(*args):
-        lift = lift_family(*args)
-        first_unit = lift.first_unit
+    def counted_test(*args):
+        first_unit = batch_unit_test(*args)
 
         def counted(partial, values):
             j = first_unit(partial, values)
             tested.append(len(values) if j < 0 else j + 1)
             return j
 
-        return lift._replace(first_unit=counted)
+        return counted
 
-    monkeypatch.setattr(search, "lift_family", counted_lift)
+    monkeypatch.setattr(search, "batch_unit_test", counted_test)
     return tested
 
 
@@ -347,6 +346,46 @@ def test_semilocal_search_matches_brute_force():
             assert (witness.bits if witness else None) == ref_first_unit_subsum(primes, raw, bound)
 
 
+def test_unit_subsum_table_suite():
+    # The table against the forced batch walk, with planted, late and no witnesses.
+    result = run_suite("unit-subsum-table", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+@pytest.mark.parametrize(
+    "modulus, m, bound, table",
+    [
+        (210, 16, 3, True),  # scan's semilocal templates over F2xF3xF5xF7
+        (210, 16, 4, True),
+        (210, 24, 4, True),
+        (30, 64, 6, True),
+        (30, 6, 6, False),  # 63 subsets: fewer than the 30 residues tested twice
+        (210, 1, 1, False),
+        (101, 40, 2, True),
+        (101, 10, 2, False),
+        (2**14, 64, 6, True),
+        (2**14 + 1, 64, 6, False),  # past UNIT_TABLE_MAX_MODULUS
+        (2**512 - 1, 64, 6, False),
+    ],
+)
+def test_unit_table_pick(modulus, m, bound, table):
+    assert search._unit_table_is_cheaper(modulus, m, bound) == table
+
+
+def test_semilocal_search_on_a_shared_zero_takes_the_table(monkeypatch):
+    # 64 elements of F2xF3xF5 with coordinate 0 zero in all of them: no
+    # sum is a unit.  The walk would test 83,278,000 sums at bound 6.
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(search, "_batch_search", no_walk)
+    rng = random.Random(64)
+    ring = ProductRing([F2, F3, F5])
+    inst = SemilocalInstance.from_raw(ring, [(0, rng.randrange(3), rng.randrange(5)) for _ in range(64)])
+    for bound in (4, 5, 6):
+        assert semilocal_find_unit_subsum(inst, bound) is None
+
+
 def test_builtin_counterexample_instances():
     inst_a, inst_b = semilocal_counterexample_instances()
 
@@ -524,7 +563,9 @@ def test_miner_family_counts(primes, m, bound, count):
     assert len(mixed_char_counterexample_search([PrimeField(p) for p in primes], m, bound)) == count
 
 
-def test_miner_lifts_its_pool_once(monkeypatch):
+def test_miner_lifts_nothing(monkeypatch):
+    # The miner sums coordinate codes as plain ints, with or without a
+    # CRT lift (2,2,3 has none).
     calls = []
     lift_family = search.lift_family
 
@@ -533,7 +574,12 @@ def test_miner_lifts_its_pool_once(monkeypatch):
         return lift_family(ring, *args)
 
     monkeypatch.setattr(search, "lift_family", counting_lift)
-    for primes, families in (((2, 3, 5), 16), ((2, 2, 3), 4)):  # lifted to Z/30; in the ring
-        calls.clear()
+    for primes, families in (((2, 3, 5), 16), ((2, 2, 3), 4)):
         assert len(mixed_char_counterexample_search([PrimeField(p) for p in primes], 4, 3)) == families
-        assert calls == [ProductRing([PrimeField(p) for p in primes])]
+    assert calls == []
+
+
+def test_miner_brute_force_suite():
+    # Repeated primes, bound 1 and bound past m against every multiset.
+    result = run_suite("miner-brute-force", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure

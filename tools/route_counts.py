@@ -11,11 +11,19 @@ Runs every operation of cycles 0 and 1 of each workload of
   array walk), with the determinants taken per lift.  These are counted
   on each returned ``Lift``'s ``det``, since a lift runs the route that
   it picked once without calling ``det_rows``;
-* ``unit``: the values that the lifts' ``first_unit`` calls tested (up
-  to the hit, or all), by the same key, the matrix size n, and the loop:
-  ``compiled`` for the residue loop of ``_laplace_first_unit``,
-  ``generic`` for ``det`` and ``is_unit`` mapped over the batch.  Neither
-  calls the ``det`` counted above, so a search's determinants show here;
+* ``search``: the calls to ``find_invertible_subsum`` (the semilocal
+  searches included) by engine: ``table`` for the table of distinct sums
+  of ``subsets.first_residue_subsum``, ``walk`` for the batch walk;
+* ``unit``: the values that the walks' batch tests
+  (``matrices.batch_unit_test``) tested, up to the hit or all, by the
+  lift's key, the matrix size n, and the loop: ``compiled`` for the
+  residue loop of ``_laplace_first_unit``, ``generic`` for ``det`` and
+  ``is_unit`` mapped over the batch.  The compiled loop does not call
+  the ``det`` counted above, so its determinants show only here; the
+  generic one does, so its determinants count in both rows;
+* ``miner``: the calls to the miner, the prefixes that its depth-first
+  walk extended (calls of its inner ``extend``, counted by a profile
+  hook while the miner runs) and the families it found;
 * ``route``: the picks of ``matrices.det_route`` by (ring kind,
   algorithm), the algorithm being the name of the picked function:
   ``laplace`` and ``bareiss`` compiled, the loops ``det_bareiss``,
@@ -43,40 +51,73 @@ from collections import Counter
 
 from report_digest import CYCLES, run, workloads
 
-from detsum import cli, identities, matrices
+from detsum import cli, identities, matrices, search
 
 ALT_SUM_ENGINES = ("_walk_alternating_sum", "_recurrence_alternating_sum")
 HOMOGENEOUS_ENGINES = ("_recurrence_homogeneous_sum", "_ring_alternating_sum")
 
 
 def instrument(counts: Counter) -> None:
-    """Count into ``counts`` every lift, determinant, first-unit test,
-    route, engine call and argv read."""
+    """Count into ``counts`` every lift, determinant, search engine,
+    batch unit test, miner prefix, route, engine call and argv read."""
     lift_family = matrices.lift_family
 
     def counted_lift(ring, members, size):
         lift = lift_family(ring, members, size)
         key = (ring.kind, lift.ring.kind, "array" if lift.width is None else "int")
         counts["lift", *key] += 1
-        det, first_unit = lift.det, lift.first_unit
-        n = math.isqrt(len(lift.cells(lift.members[0])))
-        path = "compiled" if first_unit.__name__ == "laplace_first_unit" else "generic"
+        det = lift.det
 
         def counted_det(value):
             counts["det", *key] += 1
             return det(value)
 
-        def counted_first_unit(partial, values):
-            j = first_unit(partial, values)
-            counts["unit", *key, f"n={n}", path] += len(values) if j < 0 else j + 1
-            return j
-
-        return lift._replace(det=counted_det, first_unit=counted_first_unit)
+        counted_det.key = key  # read back by counted_test
+        return lift._replace(det=counted_det)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("detsum") and getattr(module, "lift_family", None) is lift_family:
             module.lift_family = counted_lift
 
+    batch_unit_test, batch_search, table = search.batch_unit_test, search._batch_search, search.first_residue_subsum
+
+    def counted_test(lift, n):
+        first_unit = batch_unit_test(lift, n)
+        row = ("unit", *lift.det.key, f"n={n}", "compiled" if first_unit.__name__ == "laplace_first_unit" else "generic")
+
+        def counted_first_unit(partial, values):
+            j = first_unit(partial, values)
+            counts[row] += len(values) if j < 0 else j + 1
+            return j
+
+        return counted_first_unit
+
+    def counted_walk(*args):
+        counts["search", "walk"] += 1
+        return batch_search(*args)
+
+    def counted_table(*args):
+        counts["search", "table"] += 1
+        return table(*args)
+
+    search.batch_unit_test, search._batch_search, search.first_residue_subsum = counted_test, counted_walk, counted_table
+    miner = cli.mixed_char_counterexample_search
+
+    def counted_miner(*args):
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_qualname == "mixed_char_counterexample_search.<locals>.extend":
+                counts["miner", "prefixes"] += 1
+
+        sys.setprofile(profile)
+        try:
+            found = miner(*args)
+        finally:
+            sys.setprofile(None)
+        counts["miner", "calls"] += 1
+        counts["miner", "families"] += len(found)
+        return found
+
+    cli.mixed_char_counterexample_search = counted_miner
     det_route = matrices.det_route
 
     def counted_route(ring, n):
@@ -119,6 +160,10 @@ def instrument(counts: Counter) -> None:
 def report(workload: str, ops: int, counts: Counter) -> None:
     print(f"{workload}: {ops} operations")
     print(f"  argv    exact {counts['argv', 'exact']:>7}  argparse {counts['argv', 'argparse']:>7}")
+    print(f"  search  table {counts['search', 'table']:>7}  walk {counts['search', 'walk']:>7}")
+    if counts["miner", "calls"]:
+        print(f"  miner   calls {counts['miner', 'calls']:>7}  prefixes {counts['miner', 'prefixes']:>9}"
+              f"  families {counts['miner', 'families']:>7}")
     for (what, *key), count in sorted(counts.items()):
         if what == "lift":
             dets = counts["det", *key]
