@@ -1088,7 +1088,7 @@ def _planted_family(rng: random.Random, moduli: Sequence[int], m: int, kind: str
 def suite_unit_subsum_table(rng: random.Random, trials: int, rec: _Recorder) -> None:
     """The table of distinct sums, :func:`~detsum.subsets.first_residue_subsum`,
     agrees with the batch walk forced on the same 1x1 lift, and so does
-    ``find_invertible_subsum``, whichever its count picks.
+    ``find_invertible_subsum``, whichever engine its modulus takes.
 
     Trial t draws bound 1..6 and m <= 40 (fewer at bounds past 3, so
     that the walk tests at most 12,000 sums), a family of kind t // 2 %

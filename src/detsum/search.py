@@ -50,7 +50,8 @@ IDEAL_CHAIN_FAMILY_CAP = 20
 MINER_CAPS = {"max_fields": 4, "max_field_size": 7, "max_family": 5}
 MINER_MULTISET_BUDGET = 5_000_000
 # The most residues of a table search: its snapshots hold m * (bound + 1)
-# ints of M bits, 8.5 MB at m = 64, bound = 64.
+# ints of M bits, 8.5 MB at m = 64, bound = 64, and its unit bitset takes
+# M is_unit calls once per ring and process, ~7 ms at 2^14.
 UNIT_TABLE_MAX_MODULUS = 1 << 14
 
 
@@ -63,10 +64,10 @@ def find_invertible_subsum(
     minimal witness.  Over a field or local ring this succeeds whenever
     the total sum is invertible and bound >= n; over other rings it may
     legitimately find nothing.  1x1 residue families (Z/N, F_p and
-    coprime products, lifted to Z/M) take the table of distinct sums of
-    :func:`~detsum.subsets.first_residue_subsum` when
-    :func:`_unit_table_is_cheaper` says so; every other family is walked,
-    each subset tested (:func:`_batch_search`).
+    coprime products, lifted to Z/M) with M at most
+    ``UNIT_TABLE_MAX_MODULUS`` take the table of distinct sums of
+    :func:`~detsum.subsets.first_residue_subsum`; every other family is
+    walked, each subset tested (:func:`_batch_search`).
     """
     ring, n = family_ring_shape(matrices)
     m = len(matrices)
@@ -76,7 +77,7 @@ def find_invertible_subsum(
         raise InvalidParameters(f"bound must be in [1, {m}], got {bound}")
     lift = lift_family(ring, [a.rows for a in matrices], bound)
     residues = lift.det_ring
-    if lift.width == 0 and isinstance(residues, ModRing) and _unit_table_is_cheaper(residues.n, m, bound):
+    if lift.width == 0 and isinstance(residues, ModRing) and residues.n <= UNIT_TABLE_MAX_MODULUS:
         bits = first_residue_subsum(lift.members, residues.n, _unit_residues(residues), bound)
     else:
         bits = _batch_search(lift, n, bound)
@@ -92,17 +93,6 @@ def _batch_search(lift: Lift, n: int, bound: int) -> Optional[int]:
         if j >= 0:
             return high | bits[j]
     return None
-
-
-def _unit_table_is_cheaper(modulus: int, m: int, bound: int) -> bool:
-    # In walked tests of one 1x1 sum each (~0.2 us): the table tests each
-    # residue once (~2 tests) and rotates an M-bit int m * bound times
-    # (~1 test, and one more per 2,048 bits), against the walk's
-    # sum_{k<=bound} C(m, k) sums, of which an early witness may test
-    # only a few.  A 512-bit N walks.
-    if modulus > UNIT_TABLE_MAX_MODULUS:
-        return False
-    return 2 * modulus + m * bound * (1 + modulus // 2048) < sum(math.comb(m, k) for k in range(1, bound + 1))
 
 
 @functools.lru_cache(maxsize=16)

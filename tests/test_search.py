@@ -352,24 +352,17 @@ def test_unit_subsum_table_suite():
     assert result.checks > 0 and result.failures == 0, result.first_failure
 
 
-@pytest.mark.parametrize(
-    "modulus, m, bound, table",
-    [
-        (210, 16, 3, True),  # scan's semilocal templates over F2xF3xF5xF7
-        (210, 16, 4, True),
-        (210, 24, 4, True),
-        (30, 64, 6, True),
-        (30, 6, 6, False),  # 63 subsets: fewer than the 30 residues tested twice
-        (210, 1, 1, False),
-        (101, 40, 2, True),
-        (101, 10, 2, False),
-        (2**14, 64, 6, True),
-        (2**14 + 1, 64, 6, False),  # past UNIT_TABLE_MAX_MODULUS
-        (2**512 - 1, 64, 6, False),
-    ],
-)
-def test_unit_table_pick(modulus, m, bound, table):
-    assert search._unit_table_is_cheaper(modulus, m, bound) == table
+@pytest.mark.parametrize("modulus, table", [(6, True), (2**14, True), (2**14 + 1, False), (2**512 - 1, False)])
+def test_unit_table_takes_moduli_up_to_its_cap(monkeypatch, modulus, table):
+    # Past UNIT_TABLE_MAX_MODULUS a 1x1 residue search walks: no M-bit table.
+    engines = []
+    for name in ("first_residue_subsum", "_batch_search"):
+        engine = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *args, name=name, engine=engine: engines.append(name) or engine(*args))
+    ring = ModRing(modulus)
+    family = [SquareMatrix(ring, [[v]]) for v in (0, modulus - 2, 3)]
+    assert find_invertible_subsum(family, 2) is not None
+    assert engines == ["first_residue_subsum" if table else "_batch_search"]
 
 
 def test_semilocal_search_on_a_shared_zero_takes_the_table(monkeypatch):

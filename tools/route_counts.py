@@ -16,14 +16,14 @@ Runs every operation of cycles 0 and 1 of each workload of
   of ``subsets.first_residue_subsum``, ``walk`` for the batch walk;
 * ``unit``: the values that the walks' batch tests
   (``matrices.batch_unit_test``) tested, up to the hit or all, by the
-  lift's key, the matrix size n, and the loop: ``compiled`` for the
+  lift's determinant ring kind (``mod`` for Z/N, F_p and the coprime
+  products that a lift takes to Z/M), its walk ring kind and walk, the
+  matrix size n, and the loop: ``compiled`` for the
   residue loop of ``_laplace_first_unit``, ``generic`` for ``det`` and
   ``is_unit`` mapped over the batch.  The compiled loop does not call
   the ``det`` counted above, so its determinants show only here; the
   generic one does, so its determinants count in both rows;
-* ``miner``: the calls to the miner, the prefixes that its depth-first
-  walk extended (calls of its inner ``extend``, counted by a profile
-  hook while the miner runs) and the families it found;
+* ``miner``: the calls to the miner and the families it found;
 * ``route``: the picks of ``matrices.det_route`` by (ring kind,
   algorithm), the algorithm being the name of the picked function:
   ``laplace`` and ``bareiss`` compiled, the loops ``det_bareiss``,
@@ -59,7 +59,7 @@ HOMOGENEOUS_ENGINES = ("_recurrence_homogeneous_sum", "_ring_alternating_sum")
 
 def instrument(counts: Counter) -> None:
     """Count into ``counts`` every lift, determinant, search engine,
-    batch unit test, miner prefix, route, engine call and argv read."""
+    batch unit test, miner call, route, engine call and argv read."""
     lift_family = matrices.lift_family
 
     def counted_lift(ring, members, size):
@@ -72,7 +72,6 @@ def instrument(counts: Counter) -> None:
             counts["det", *key] += 1
             return det(value)
 
-        counted_det.key = key  # read back by counted_test
         return lift._replace(det=counted_det)
 
     for module in list(sys.modules.values()):
@@ -83,7 +82,9 @@ def instrument(counts: Counter) -> None:
 
     def counted_test(lift, n):
         first_unit = batch_unit_test(lift, n)
-        row = ("unit", *lift.det.key, f"n={n}", "compiled" if first_unit.__name__ == "laplace_first_unit" else "generic")
+        walk = "array" if lift.width is None else "int"
+        loop = "compiled" if first_unit.__name__ == "laplace_first_unit" else "generic"
+        row = ("unit", lift.det_ring.kind, lift.ring.kind, walk, f"n={n}", loop)
 
         def counted_first_unit(partial, values):
             j = first_unit(partial, values)
@@ -104,15 +105,7 @@ def instrument(counts: Counter) -> None:
     miner = cli.mixed_char_counterexample_search
 
     def counted_miner(*args):
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_qualname == "mixed_char_counterexample_search.<locals>.extend":
-                counts["miner", "prefixes"] += 1
-
-        sys.setprofile(profile)
-        try:
-            found = miner(*args)
-        finally:
-            sys.setprofile(None)
+        found = miner(*args)
         counts["miner", "calls"] += 1
         counts["miner", "families"] += len(found)
         return found
@@ -162,8 +155,7 @@ def report(workload: str, ops: int, counts: Counter) -> None:
     print(f"  argv    exact {counts['argv', 'exact']:>7}  argparse {counts['argv', 'argparse']:>7}")
     print(f"  search  table {counts['search', 'table']:>7}  walk {counts['search', 'walk']:>7}")
     if counts["miner", "calls"]:
-        print(f"  miner   calls {counts['miner', 'calls']:>7}  prefixes {counts['miner', 'prefixes']:>9}"
-              f"  families {counts['miner', 'families']:>7}")
+        print(f"  miner   calls {counts['miner', 'calls']:>7}  families {counts['miner', 'families']:>7}")
     for (what, *key), count in sorted(counts.items()):
         if what == "lift":
             dets = counts["det", *key]
