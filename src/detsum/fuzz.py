@@ -52,6 +52,7 @@ from .matrices import (
     is_invertible,
     lift_family,
     mat_mul,
+    minor_floor,
     random_matrix,
     subset_sum,
 )
@@ -1639,20 +1640,27 @@ def suite_ideal_chain_truncation(rng: random.Random, trials: int, rec: _Recorder
     """The ideal chain, walked over the subsets of at most n members,
     equals the gcd chain of all 2^m subset-sum determinants.
 
-    Trial t takes one of four kinds of family by t % 4: m from n + 1 to
+    Trial t takes one of five kinds of family by t % 5: m from n + 1 to
     10 random members; m from n + 1 to 10 rank-one members, whose chain
     is 0 below n; m from 1 to 10 members whose last columns are one
     fixed combination of their others, so that every generator is 0 over
-    Z (N over Z/N); and m from 1 to n random members.  It takes ring
-    t // 4 % 4 of Z, Z/12, Z/36 and Z/2^64, and n = t // 16 % 4 + 1, so
-    the default 64 trials draw every (kind, ring, n) cell.  The oracle
-    sums every subset with ``subset_sum``, takes its determinant with
-    :func:`_oracle_det`, and keeps one gcd per cardinality.
+    Z (N over Z/N); m from 1 to n random members; and m from 2 to 10
+    random members times d = 2 or 3, whose floor (the ideal of maximal
+    minors of both stacks, :func:`~detsum.matrices.minor_floor`) is
+    planted in (d^n).  It takes ring t // 5 % 4 of Z, Z/12, Z/36 and
+    Z/2^64, and n = t // 20 % 4 + 1, so the default 80 trials draw
+    every (kind, ring, n) cell.  The oracle sums every subset with
+    ``subset_sum``, takes its determinant with :func:`_oracle_det`, and
+    keeps one gcd per cardinality.  Over the default trials the chain
+    must also end at a floor above 1 after level 1 has ended above it,
+    the stop that the floor makes, and at 1 after level 1, the unit
+    stop.
     """
+    stops = set()
     for t in range(trials):
-        kind = t % 4
-        ring = _IDEAL_CHAIN_RINGS[t // 4 % len(_IDEAL_CHAIN_RINGS)]
-        n = t // 16 % IDEAL_CHAIN_ORACLE_MAX_N + 1
+        kind = t % 5
+        ring = _IDEAL_CHAIN_RINGS[t // 5 % len(_IDEAL_CHAIN_RINGS)]
+        n = t // 20 % IDEAL_CHAIN_ORACLE_MAX_N + 1
         if kind == 0:
             m = rng.randint(n + 1, IDEAL_CHAIN_ORACLE_MAX_M)
             fam = [random_matrix(ring, n, rng) for _ in range(m)]
@@ -1662,9 +1670,12 @@ def suite_ideal_chain_truncation(rng: random.Random, trials: int, rec: _Recorder
         elif kind == 2:
             m = rng.randint(1, IDEAL_CHAIN_ORACLE_MAX_M)
             fam = _rank_deficient_family(ring, n, m, rng)
-        else:
+        elif kind == 3:
             m = rng.randint(1, n)
             fam = [random_matrix(ring, n, rng) for _ in range(m)]
+        else:
+            m, d = rng.randint(2, IDEAL_CHAIN_ORACLE_MAX_M), rng.choice((2, 3))
+            fam = [random_matrix(ring, n, rng).scaled(d) for _ in range(m)]
         modulus = ring.n if isinstance(ring, ModRing) else 0
         gens, g = [0], 0
         for k in range(1, m + 1):
@@ -1676,6 +1687,164 @@ def suite_ideal_chain_truncation(rng: random.Random, trials: int, rec: _Recorder
             chain == tuple(gens) and (kind != 2 or gens[-1] == modulus),
             lambda: f"ideal chain {chain} != full walk {tuple(gens)} over {ring!r} (n={n}, m={m})",
         )
+        if min(n, m) >= 2 and gens[1] != 1:
+            lift = lift_family(ring, [a.rows for a in fam], n)
+            floor = minor_floor(lift, n)
+            stops.add("floor" if gens[-1] == math.gcd(floor, modulus) != 1 else "unit" if gens[-1] == 1 else "none")
+    if trials >= 5 * len(_IDEAL_CHAIN_RINGS) * IDEAL_CHAIN_ORACLE_MAX_N:
+        for stop in ("floor", "unit"):
+            rec.check(stop in stops, lambda: f"no chain in {trials} trials ended at the {stop} stop after level 1")
+
+
+MINOR_FLOOR_MAX_CELLS = 12
+_FLOOR_RINGS: Sequence[Ring] = (
+    INTEGERS, ModRing(6), ModRing(9), ModRing(12), ModRing(36), PrimeField(7), RATIONALS,
+    ProductRing([ModRing(4), PrimeField(3), PrimeField(5)]),
+)
+_FLOOR_KINDS = ("random", "left relation", "right relation", "entries in (d)", "row in (d), column in (e)", "rank-one")
+
+
+def _floor_family(ring: Ring, n: int, m: int, kind: str, rng: random.Random) -> list[SquareMatrix]:
+    """m members of one minor-ideal-floor kind, in ``ring``'s own arithmetic.
+
+    A left relation makes every member's last row the same combination
+    of its others (the zero row at n = 1), so w A_i = 0 for one w with a
+    unit entry and I_n(H) = 0; a right relation does the same to the
+    columns, A_i v = 0, and I_n(V) = 0.  Entries in (d) scale random
+    members by d = 2 or 3, which plants the floor in (d^n) and is a
+    unit over the fields.  Row 0 in (d) and column 0 in (e), d and e
+    the two of 2 and 3 in random order, put I_n(H) in (d) and I_n(V) in
+    (e), so that the floor is in (6) where the two stacks differ.  The
+    rank-one members are u_i v_i^T with the first n of them E_ii, so the
+    floor is the unit ideal while every sum of fewer than n members is
+    singular.
+    """
+    add, mul, num = ring.add, ring.mul, ring.from_int
+
+    def combo(values, weights):
+        return functools.reduce(add, (mul(num(w), x) for w, x in zip(weights, values)), ring.zero)
+
+    def member(i):
+        if kind == "rank-one":
+            if i < n:
+                return [[ring.one if r == c == i else ring.zero for c in range(n)] for r in range(n)]
+            u, v = ([ring.random(rng) for _ in range(n)] for _ in range(2))
+            return [[mul(a, b) for b in v] for a in u]
+        rows = [[ring.random(rng) for _ in range(n)] for _ in range(n)]
+        if kind == "entries in (d)":
+            scale = num(rng.choice((2, 3)))
+            return [[mul(scale, x) for x in row] for row in rows]
+        if kind == "row in (d), column in (e)":
+            rows[0] = [mul(num(d), x) for x in rows[0]]
+            return [[mul(num(e), row[0]), *row[1:]] for row in rows]
+        if kind == "left relation":
+            rows[-1] = [combo(col[:-1], weights) for col in zip(*rows)]
+        elif kind == "right relation":
+            rows = [row[:-1] + [combo(row[:-1], weights)] for row in rows]
+        return rows
+
+    weights = [rng.randrange(-3, 4) for _ in range(n - 1)]
+    d, e = rng.sample((2, 3), 2)
+    return [SquareMatrix(ring, member(i)) for i in range(m)]
+
+
+def _ideal_parts(ring: Ring, value: object) -> tuple:
+    """The ideal generated by an oracle determinant, or by a gcd of
+    them, as one part per component: gcd(d, N) over Z/N and F_p, |d|
+    over Z, whether d is nonzero over Q."""
+    if isinstance(ring, ProductRing):
+        return tuple(p for comp, v in zip(ring.components, value) for p in _ideal_parts(comp, v))
+    if isinstance(ring, ModRing):
+        return (math.gcd(value, ring.n),)
+    return (value != 0,) if ring == RATIONALS else (abs(value),)
+
+
+def _brute_minor_floor(ring: Ring, fam: Sequence[SquareMatrix]) -> tuple:
+    """The floor, as :func:`_ideal_parts`, from every n x n minor of H =
+    [A_1 | ... | A_m] and of V = [A_1; ...; A_m]: per stack the gcd of
+    their oracle determinants (any nonzero over Q), then the lcm of the
+    two stacks (both nonzero over Q)."""
+    n = fam[0].n
+    stacks = (
+        [col for a in fam for col in zip(*a.rows)],
+        [row for a in fam for row in a.rows],
+    )
+    floors = []
+    for lines in stacks:
+        parts = None
+        for pick in itertools.combinations(lines, n):
+            got = _ideal_parts(ring, _oracle_det(ring, [list(r) for r in pick]))
+            parts = got if parts is None else tuple(
+                (a or b) if ring == RATIONALS else math.gcd(a, b) for a, b in zip(parts, got)
+            )
+        floors.append(parts)
+    if ring == RATIONALS:
+        return (floors[0][0] and floors[1][0],)
+    return tuple(math.lcm(a, b) for a, b in zip(*floors))
+
+
+def suite_minor_ideal_floor(rng: random.Random, trials: int, rec: _Recorder) -> None:
+    """:func:`~detsum.matrices.minor_floor`, the floor of the searches and
+    chains, equals the brute-force floor of :func:`_brute_minor_floor`,
+    and a search that it ends is right to end.
+
+    Trial t takes kind t % 6 of :func:`_floor_family` (random, a left
+    relation, a right relation, entries in (d), row 0 in (d) and column
+    0 in (e), rank-one), ring t // 6 % 8 of Z, Z/6, Z/9, Z/12, Z/36,
+    F_7, Q (lifted to Z) and Z/4 x F3 x F5 (lifted to Z/60), and n = t
+    // 48 % 3 + 1, so the default 144 trials draw every (kind, ring, n)
+    cell; m <= 12 / n.  Checked: the floor's value, read per component
+    (over Q only whether it is 0); a relation's floor fires (is not a
+    unit) and a rank-one family's does not; where the floor fires, no
+    subset sum of any size is invertible, by brute force; and the batch
+    search of ``_batch_search`` at a random bound finds the brute-force
+    first unit sum.  Over the default trials a random family stays a
+    unit somewhere, and entries in (d) both fire and stay a unit.
+
+    Mutants of ``minor_floor`` that these checks kill (each run on a
+    copy, seed 0): V dropped, by the floor value and the check that a
+    relation fires, on right relations; the Euclid steps dropped (a
+    column with no unit lead passes its row unreduced), by the floor
+    value, the no-unit-sum check and the search on entries in (d); the
+    lcm of the stacks replaced by their gcd, by the floor value on row
+    0 in (d) and column 0 in (e); the prefix-sum certificate always
+    true, by the floor value and the check that a relation fires.
+    """
+    fired = set()
+    for t in range(trials):
+        kind = _FLOOR_KINDS[t % len(_FLOOR_KINDS)]
+        ring = _FLOOR_RINGS[t // len(_FLOOR_KINDS) % len(_FLOOR_RINGS)]
+        n = t // (len(_FLOOR_KINDS) * len(_FLOOR_RINGS)) % 3 + 1
+        m = rng.randint(n if kind == "rank-one" else 1, MINOR_FLOOR_MAX_CELLS // n)
+        fam = _floor_family(ring, n, m, kind, rng)
+        where = f"{kind} family over {ring!r} (n={n}, m={m})"
+        lift = lift_family(ring, [a.rows for a in fam], m)
+        floor = minor_floor(lift, n)
+        rec.check(floor is not None, lambda: f"no floor taken on a {where}")
+        if floor is None:
+            continue
+        if ring == RATIONALS:
+            got = (floor != 0,)
+        elif isinstance(ring, ProductRing):
+            got = tuple(math.gcd(floor, comp.n) for comp in ring.components)
+        else:
+            got = (math.gcd(floor, ring.n) if isinstance(ring, ModRing) else floor,)
+        want = _brute_minor_floor(ring, fam)
+        rec.check(got == want, lambda: f"floor value {got} != brute force {want} on a {where}")
+        fires = not lift.is_unit(floor)
+        fired.add((kind, fires))
+        planted = {"left relation": True, "right relation": True, "rank-one": False}.get(kind, fires)
+        rec.check(fires == planted, lambda: f"floor {floor} {'fires' if fires else 'is a unit'} on a {where}")
+        dets = {bits: _oracle_det(ring, subset_sum(fam, SubsetMask(bits, m)).rows) for bits in range(1, 1 << m)}
+        units = [bits for bits in masks_in_search_order(m) if ring.is_unit(dets[bits])]
+        rec.check(not fires or not units, lambda: f"floor {floor} fires, but {units[:1]} is a unit sum on a {where}")
+        bound = rng.randint(1, m)
+        walk = _batch_search(lift, n, bound)
+        brute = next((bits for bits in units if bits.bit_count() <= bound), None)
+        rec.check(walk == brute, lambda: f"search {walk} != brute force {brute} at bound {bound} on a {where}")
+    if trials >= len(_FLOOR_KINDS) * len(_FLOOR_RINGS) * 3:
+        for seen in (("random", False), ("entries in (d)", True), ("entries in (d)", False)):
+            rec.check(seen in fired, lambda: f"no {seen[0]} family {'fired' if seen[1] else 'stayed a unit'}")
 
 
 # -- JSON entry decoding ------------------------------------------------------
@@ -2110,7 +2279,8 @@ SUITES: dict[str, tuple[Callable, int]] = {
     "search-minimality": (suite_search_minimality, 50),
     "search-local-guarantee": (suite_search_local_guarantee, 50),
     "search-nonlocal-counterexample": (suite_search_nonlocal_counterexample, 1),
-    "ideal-chain-truncation": (suite_ideal_chain_truncation, 64),
+    "ideal-chain-truncation": (suite_ideal_chain_truncation, 80),
+    "minor-ideal-floor": (suite_minor_ideal_floor, 144),
     "semilocal-guarantee": (suite_semilocal_guarantee, 50),
     "embedding-soundness": (suite_embedding_soundness, 50),
     "two-component-bound": (suite_two_component_bound, 1),

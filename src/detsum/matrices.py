@@ -41,6 +41,11 @@ its route on the cells.  Other families, and lifted entries too wide for
 a 64-bit slot, walk as flat arrays of their n^2 cells, whose
 determinant is the route itself.
 
+:func:`minor_floor` gives a lifted family's floor, the ideal of maximal
+minors of its members stacked side by side and on top of each other,
+which holds every subset-sum determinant; the searches and the ideal
+chain stop at it.
+
 Invertibility always reduces to the determinant being a unit; no matrix
 inverse is ever formed.
 """
@@ -630,6 +635,158 @@ def batch_unit_test(lift: Lift, n: int) -> Callable[[object, Sequence], int]:
         return next(itertools.compress(itertools.count(), map(is_unit, map(det, sums))), -1)
 
     return first_unit
+
+
+def minor_floor(lift: Lift, n: int) -> Optional[int]:
+    """The generator, in ``lift.det_ring``, of I_n(H) ∩ I_n(V), or None
+    where it is not taken.
+
+    H = [A_1 | ... | A_m] and V = [A_1; ...; A_m] stack the lifted
+    members side by side and on top of each other, and I_n is the ideal
+    of their n x n minors.  det(sum_S A_i) is multilinear in the columns,
+    so it is a sum of determinants of n columns of H, each a maximal
+    minor of H or 0; by rows the same holds for V.  So every subset-sum
+    determinant is a multiple of the floor, and no subset sum is
+    invertible when the floor is not a unit.  The floor is
+    lcm(floor_H, floor_V):
+
+    * Z/N (F_p, and coprime products lifted to Z/M): the column
+      operations of :func:`_minor_gcd_mod`, as a residue: 1 for the unit
+      ideal, 0 for the zero ideal;
+    * Z, and Q lifted to Z: :func:`_nonzero_maximal_minor` gives one
+      nonzero maximal minor D, or 0 below full rank, and the Z/|D| route
+      the gcd of all of them, which divides D;
+    * every other lift (Z[x...], other products, Q walked as fractions):
+      None.
+
+    A stack whose floor is 0 ends it, as the lcm is then 0.  Packed
+    residue lifts at n <= ``CLOSED_FORM_MAX_N`` first look for a unit
+    floor in the compiled determinants of a few prefix sums
+    (:func:`_unit_certificate`).
+    """
+    modulus = lift.det_ring.n if isinstance(lift.det_ring, ModRing) else 0
+    if not modulus and lift.det_ring != INTEGERS:
+        return None
+    if modulus and lift.width and n <= CLOSED_FORM_MAX_N and _unit_certificate(lift, n):
+        return 1
+    members, cells, unpacked = lift.members, lift.cells, []
+
+    def lines(cuts):
+        # Line j of every member, then line j + 1: a family of full rank
+        # shows it in its first n lines.  Members are unpacked once, as
+        # far as the lines reach.
+        for cut in cuts:
+            for i, value in enumerate(members):
+                if i == len(unpacked):
+                    unpacked.append(cells(value))
+                yield unpacked[i][cut]
+
+    floor = 1
+    for cuts in ([slice(j, None, n) for j in range(n)], [slice(k, k + n) for k in range(0, n * n, n)]):
+        if modulus:
+            g = _minor_gcd_mod(lines(cuts), n, modulus)
+        else:
+            columns = list(lines(cuts))
+            minor = abs(_nonzero_maximal_minor(columns, n))
+            g = minor if minor <= 1 else _minor_gcd_mod(([e % minor for e in c] for c in columns), n, minor) or minor
+        if not g:
+            return 0
+        floor = math.lcm(floor, g)
+    return floor % modulus if modulus else floor
+
+
+def _unit_certificate(lift: Lift, n: int) -> bool:
+    """Whether the sum of the first k members has a unit determinant for
+    some k from n on: a subset-sum determinant, which lies in both
+    stacks' ideals, so the floor is the unit ideal.
+
+    A packed slot holds the sum of (2^w - 1) // (N - 1) members, so the
+    prefix sums up to that many are walked values that the compiled
+    batch test of :func:`batch_unit_test` takes as they are.  A family
+    of full rank over a field needs one; a False only sends the floor on
+    to the column operations.
+    """
+    members = lift.members[:((1 << lift.width) - 1) // (lift.det_ring.n - 1)]
+    return batch_unit_test(lift, n)(None, itertools.islice(itertools.accumulate(members), n - 1, None)) >= 0
+
+
+def _minor_gcd_mod(columns, n: int, modulus: int) -> int:
+    """gcd(N, the n x n minors of the n-row matrix of ``columns``, whose
+    entries lie in [0, N)) as a residue mod N: 1 for the unit ideal, 0
+    for the zero ideal.
+
+    Column operations, which keep the ideal, take the matrix to [L | 0]
+    with L lower triangular, whose one maximal minor is prod L_kk; N is
+    never factored.  The columns are inserted one at a time: ``slots[k]``
+    holds the rows from k on of the column whose row k leads, and a new
+    column meets each slot in turn.  A unit lead clears the other's row
+    k (the columns swap first if only the new one's is a unit); two
+    non-units take Euclid's steps between the columns, a subtraction and
+    a swap, till the slot holds their gcd.  The rest of the column then
+    meets slot k + 1.  It stops at the unit ideal once every slot leads
+    with a unit, which a family of full rank over a field reaches after
+    about n of its columns.  A row that no column reaches gives 0.
+    """
+    slots: list = [None] * n
+    inverses = [0] * n  # the inverse of each slot's unit lead, 0 for a non-unit
+    units = 0
+    for tail in columns:
+        for k in range(n):
+            if tail[0] and not inverses[k]:
+                # Row k has no unit lead: the column takes the slot if it is
+                # free or leads with a unit, else meets it by Euclid's steps.
+                slot = slots[k]
+                if slot is None or math.gcd(tail[0], modulus) == 1:
+                    slots[k], tail = tail, slot
+                else:
+                    while tail[0]:
+                        q = slot[0] // tail[0]
+                        slot, tail = tail, [(a - q * b) % modulus for a, b in zip(slot, tail)]
+                    slots[k] = slot
+                lead = slots[k][0]
+                if math.gcd(lead, modulus) == 1:
+                    inverses[k] = pow(lead, -1, modulus)
+                    units += 1
+                    if units == n:
+                        return 1
+                if tail is None:
+                    break
+            if tail[0]:  # the slot leads with a unit
+                f = tail[0] * inverses[k] % modulus
+                tail = [(a - f * b) % modulus for a, b in zip(tail[1:], slots[k][1:])]
+            else:
+                tail = tail[1:]
+    if None in slots:
+        return 0
+    g = 1
+    for slot in slots:
+        g = math.gcd(g * slot[0], modulus)
+    return g % modulus
+
+
+def _nonzero_maximal_minor(columns: Sequence[Sequence[int]], n: int) -> int:
+    """One nonzero n x n minor of the n-row int matrix of ``columns``, or
+    0 when its rank is below n.
+
+    Fraction-free (Bareiss) elimination with column pivoting: step k
+    takes the first column left with a nonzero row k as its pivot and
+    takes each other column c to (p_k c - c_k p) // prev on the rows
+    below, an exact division by the pivot of step k - 1.  Each entry is
+    then a (k + 1) x (k + 1) minor, and the last pivot is the minor of
+    the n pivot columns.  A row that no column reaches leaves a
+    Schur complement with a zero column: rank below n.
+    """
+    left = [list(c) for c in columns]
+    prev = 1
+    for _ in range(n):
+        j = next((j for j, c in enumerate(left) if c[0]), None)
+        if j is None:
+            return 0
+        pivot = left.pop(j)
+        lead, rest = pivot[0], pivot[1:]
+        left = [[(lead * a - c[0] * b) // prev for a, b in zip(c[1:], rest)] for c in left]
+        prev = lead
+    return prev
 
 
 def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:

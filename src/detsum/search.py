@@ -28,7 +28,15 @@ from .errors import (
     TooManyMatrices,
     UnsupportedRing,
 )
-from .matrices import Lift, SquareMatrix, _raw_matrix, batch_unit_test, family_ring_shape, lift_family
+from .matrices import (
+    Lift,
+    SquareMatrix,
+    _raw_matrix,
+    batch_unit_test,
+    family_ring_shape,
+    lift_family,
+    minor_floor,
+)
 from .rings import ModRing, PrimeField, ProductRing, RingElement
 from .subsets import MAX_FAMILY, SubsetMask, first_residue_subsum, search_order_batches, search_order_sums
 
@@ -67,7 +75,11 @@ def find_invertible_subsum(
     coprime products, lifted to Z/M) with M at most
     ``UNIT_TABLE_MAX_MODULUS`` take the table of distinct sums of
     :func:`~detsum.subsets.first_residue_subsum`; every other family is
-    walked, each subset tested (:func:`_batch_search`).
+    walked, each subset tested (:func:`_batch_search`), unless the floor
+    of :func:`~detsum.matrices.minor_floor`, the ideal of maximal minors
+    of the members stacked side by side and on top of each other, which
+    holds every subset-sum determinant, is not a unit: then no sum is
+    invertible, and the walk ends after the singles.
     """
     ring, n = family_ring_shape(matrices)
     m = len(matrices)
@@ -85,13 +97,23 @@ def find_invertible_subsum(
 
 
 def _batch_search(lift: Lift, n: int, bound: int) -> Optional[int]:
-    # The first mask of at most bound members with a unit determinant: a
-    # batch of search_order_batches per call of the lift's batch test.
+    """The first mask of at most bound members with a unit determinant: a
+    batch of search_order_batches per call of the lift's batch test.
+
+    After the singles, and only when pairs are to follow, it takes the
+    floor of :func:`~detsum.matrices.minor_floor` once: every subset-sum
+    determinant is a multiple of it, so when it is not a unit no sum is
+    invertible and the search ends without a walk.
+    """
     first_unit = batch_unit_test(lift, n)
     for high, partial, bits, values, count in search_order_batches(lift.members, lift.add, bound):
         j = first_unit(partial, values[:count])
         if j >= 0:
             return high | bits[j]
+        if partial is None and bound > 1:  # the singles
+            floor = minor_floor(lift, n)
+            if floor is not None and not lift.is_unit(floor):
+                return None
     return None
 
 
@@ -164,8 +186,12 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     at most n members, and g_j = g_n for every j >= n.  So g_0..g_n are
     taken from the sum_{k<=n} C(m, k) subsets of at most n members, and
     g_n is repeated up to position m; the full-family determinant is
-    divisible by g_n.  Only the integers and Z/N are supported, where
-    every ideal is principal and a gcd is a canonical generator.
+    divisible by g_n.  The walk stops sooner where no later subset can
+    lower the gcd, and the final value fills the rest: as soon as the
+    gcd is 1, or, when level 1 ends above 1, as soon as it reaches the
+    floor of :func:`~detsum.matrices.minor_floor`, which divides every
+    subset-sum determinant.  Only the integers and Z/N are supported,
+    where every ideal is principal and a gcd is a canonical generator.
     """
     ring, n = family_ring_shape(matrices)
     if ring.kind not in ("integers", "mod"):  # F_p is a ModRing of its own kind
@@ -180,12 +206,16 @@ def ideal_chain(matrices: Sequence[SquareMatrix]) -> IdealChain:
     lift = lift_family(ring, [a.rows for a in matrices], top)
     det, finish = lift.det, lift.finish
     generators = [0]
-    acc = 0
+    acc, least = 0, 1  # least: the generator that no later subset can lower
     for bits, value in search_order_sums(lift.members, lift.add, top):
         if bits.bit_count() == len(generators) + 1:  # the level below is complete
             generators.append(math.gcd(acc, modulus))  # gcd(acc, 0) = acc
+            if len(generators) == 2:  # level 1 ended above 1
+                least = math.gcd(minor_floor(lift, n), modulus)
         acc = math.gcd(acc, finish(det(value)))
-    generators += [math.gcd(acc, modulus)] * (m - top + 1)
+        if math.gcd(acc, modulus) == least:
+            break
+    generators += [math.gcd(acc, modulus)] * (m + 1 - len(generators))
     return IdealChain(modulus=modulus, generators=tuple(generators))
 
 
@@ -359,6 +389,7 @@ def mixed_char_counterexample_search(
         span = (m - 1) * (f.p - 1) + 1
         hits = [h & ~at[-d % f.p] for d in range(span) for h in hits]
         weight *= span
+    elements = [RingElement(ring, t, _normalized=True) for t in pool]  # canonical already
     found = []
     chosen = [0] * m
 
@@ -387,7 +418,7 @@ def mixed_char_counterexample_search(
                 low = last & -last
                 last ^= low
                 chosen[-1] = low.bit_length() - 1
-                found.append(SemilocalInstance.from_raw(ring, [pool[j] for j in chosen]))
+                found.append(SemilocalInstance(ring, tuple(elements[j] for j in chosen)))
 
     if m > 1:  # one member, never a unit, is never a unit total
         extend(0, 0, 0, [[0] if k == 0 else [] for k in range(bound - 1)], 0)

@@ -6,6 +6,7 @@ loops, so they can catch systematic bugs in the fast paths.
 """
 
 import itertools
+import math
 
 from detsum.rings import IntPolyRing
 
@@ -69,6 +70,27 @@ def ref_product_sum(m, n):
 def int_rows(matrix):
     """Raw integer rows of a library matrix over Z, Z/N, or F_p."""
     return [list(row) for row in matrix.rows]
+
+
+def ref_minor_floor(rows_list, modulus=0):
+    """The generator of I_n(H) ∩ I_n(V) over Z (``modulus`` 0) or Z/N,
+    as a residue: the lcm of the gcds of ``ref_det`` over every choice of
+    n columns of H = [A_1 | ... | A_m] and of n rows of V = [A_1; ...;
+    A_m], each taken with N.
+    """
+    n = len(rows_list[0])
+    stacks = (
+        [[row[j] for row in rows] for rows in rows_list for j in range(n)],
+        [list(row) for rows in rows_list for row in rows],
+    )
+    gens = []
+    for lines in stacks:
+        g = 0
+        for pick in itertools.combinations(lines, n):
+            g = math.gcd(g, ref_det([list(r) for r in pick]))
+        gens.append(math.gcd(g, modulus))
+    floor = math.lcm(*gens)
+    return floor % modulus if modulus else floor
 
 
 def ref_first_unit_subsum(primes, elements, bound):

@@ -673,3 +673,48 @@ def test_first_unit_agreement_suite():
     # Every lift kind at n = 1..8, both loops, and the flattened batches.
     result = run_suite("first-unit-agreement", seed=0)
     assert result.checks > 0 and result.failures == 0, result.first_failure
+
+
+# -- the floor of the searches and chains ----------------------------------------
+
+def _floor(ring, members):
+    fam = [SquareMatrix(ring, rows) for rows in members]
+    return matrices.minor_floor(lift_family(ring, [a.rows for a in fam], len(fam)), fam[0].n)
+
+
+@pytest.mark.parametrize(
+    "ring, members, floor",
+    [
+        # [2 3] over Z/6: no unit entry, and Euclid's steps reach gcd 1.
+        (Z6, [[[2]], [[3]]], 1),
+        (ModRing(12), [[[4]], [[6]]], 2),
+        # Row 0 in (4) puts I_2(H) in (4), column 0 in (9) puts I_2(V) in
+        # (9): each stack alone is proper, their intersection is 0 mod 36.
+        (ModRing(36), [[[0, 4], [9, 1]], [[0, 8], [18, 5]], [[0, 4], [9, 7]]], 0),
+        (INTEGERS, [[[2, 0], [0, 2]], [[0, 2], [2, 0]]], 4),
+        (INTEGERS, [[[1, 2], [0, 0]], [[3, 4], [0, 0]]], 0),
+        (INTEGERS, [[[1, 2], [3, 4]]], 2),
+        (RATIONALS, [[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]], 1),
+        (ProductRing([ModRing(4), PrimeField(3)]), [[[(2, 1)]], [[(0, 2)]]], 2),
+    ],
+)
+def test_minor_floor_pins(ring, members, floor):
+    assert _floor(ring, members) == floor
+
+
+def test_minor_floor_is_not_taken_past_the_lifts():
+    # Z[x], a product with a common factor, and Q walked as fractions
+    # keep their walk.
+    x = IntPolyRing(1).variable(0)
+    assert _floor(IntPolyRing(1), [[[x, 0], [0, x]]]) is None
+    assert _floor(ProductRing([Z6, ModRing(4)]), [[[(1, 1)]]]) is None
+    twos, threes = ([[Fraction(1, b**3000), 1], [1, 1]] for b in (2, 3))
+    assert lift_family(RATIONALS, [twos, threes], 2).det_ring == RATIONALS
+    assert _floor(RATIONALS, [twos, threes]) is None
+
+
+def test_minor_ideal_floor_suite():
+    # The floor against every maximal minor of both stacks, over eight rings,
+    # with planted relations, entries in (d) and rank-one families.
+    result = run_suite("minor-ideal-floor", seed=0)
+    assert result.checks > 0 and result.failures == 0, result.first_failure

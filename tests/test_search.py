@@ -38,6 +38,7 @@ from conftest import (
     int_rows,
     ref_det,
     ref_first_unit_subsum,
+    ref_minor_floor,
     ref_mixed_char_families,
     ref_subset_sum,
 )
@@ -114,17 +115,37 @@ def _singular(ring, n, rng):
     return SquareMatrix(ring, rows)
 
 
+def _rank_one(ring, n, m, rng):
+    # u_i v_i^T, the first n of them E_ii: a sum of fewer than n members is
+    # singular, while the columns e_0..e_n-1 of the first n make the ideal
+    # of maximal minors of both stacks the unit ideal, so no floor ends
+    # the search.
+    def member(i):
+        u = [int(j == i) for j in range(n)] if i < n else [ring.random(rng) for _ in range(n)]
+        v = [int(j == i) for j in range(n)] if i < n else [ring.random(rng) for _ in range(n)]
+        return SquareMatrix(ring, [[ring.normalize(a * b) for b in v] for a in u])
+
+    return [member(i) for i in range(m)]
+
+
 def test_search_tests_every_subset_once(monkeypatch):
-    # On a singular family each of the sum_{k<=bound} C(m, k) sums is
-    # tested once; on an invertible one the search stops at the witness,
-    # having tested exactly the sums before it in search order.  Z/9 and
-    # F_101 take the compiled loop, Z and n = 8 the generic one.
+    # On a rank-one family below n members each of the sum_{k<=bound}
+    # C(m, k) sums is tested once; on a family whose last rows are the sum
+    # of its first two the floor ends the search after the m singles; on
+    # an invertible one the search stops at the witness, having tested
+    # exactly the sums before it in search order.  Z/9 and F_101 take the
+    # compiled loop, Z and n = 8 the generic one.
     tested = _count_tested(monkeypatch)
     rng = random.Random(331)
     for ring, n, m, bound in ((PrimeField(101), 3, 12, 3), (ModRing(9), 4, 9, 4), (INTEGERS, 3, 10, 3),
                               (Z6, 8, 6, 2)):
         tested.clear()
         assert find_invertible_subsum([_singular(ring, n, rng) for _ in range(m)], bound) is None
+        assert sum(tested) == m, (ring, n)
+    for ring, n, m, bound in ((PrimeField(101), 4, 12, 3), (ModRing(9), 4, 9, 3), (INTEGERS, 3, 10, 2),
+                              (Z6, 8, 9, 2)):
+        tested.clear()
+        assert find_invertible_subsum(_rank_one(ring, n, m, rng), bound) is None
         assert sum(tested) == sum(math.comb(m, k) for k in range(1, bound + 1)), (ring, n)
     for ring, n, m in ((RATIONALS, 3, 9), (PrimeField(101), 3, 12), (ModRing(9), 2, 6), (PrimeField(5), 8, 9)):
         # Member i puts 1 at diagonal slot i % n alone: the first witness is
@@ -133,6 +154,27 @@ def test_search_tests_every_subset_once(monkeypatch):
         tested.clear()
         assert find_invertible_subsum(fam, n) == SubsetMask((1 << n) - 1, m)
         assert sum(tested) == sum(math.comb(m, k) for k in range(1, n)) + 1, (ring, n)
+
+
+def test_search_ends_at_a_zero_row_after_the_singles(monkeypatch):
+    # 64 6x6 members over Z whose last row is zero: the floor is 0, so
+    # bound 6 ends after the 64 singles instead of walking 83,278,000 sums.
+    batch_unit_test = search.batch_unit_test
+
+    def singles_only(lift, n):
+        first_unit = batch_unit_test(lift, n)
+
+        def test(partial, values):
+            assert partial is None, "a batch past the singles"
+            return first_unit(partial, values)
+
+        return test
+
+    monkeypatch.setattr(search, "batch_unit_test", singles_only)
+    rng = random.Random(349)
+    fam = [SquareMatrix(INTEGERS, [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)] + [[0] * 6])
+           for _ in range(64)]
+    assert find_invertible_subsum(fam, 6) is None
 
 
 def test_search_bound_validation():
@@ -289,9 +331,36 @@ def test_semilocal_instances_refuse_residue_rings():
         SemilocalInstance.from_raw(ProductRing([PrimeField(2), ModRing(7)]), [(1, 1)])
 
 
+def _chain_walk(fam, modulus):
+    # The masks that the chain walks: the subsets of at most n members in
+    # search order, up to the first after which the gcd is 1 or, once
+    # level 1 has ended above 1, the floor of both stacks.
+    rows = [int_rows(a) for a in fam]
+    m, top = len(fam), min(len(rows[0]), len(fam))
+    masks = [b for k in range(1, top + 1) for b in range(1, 1 << m) if b.bit_count() == k]
+    floor = math.gcd(ref_minor_floor(rows, modulus), modulus)
+    acc, least = 0, 1
+    for i, bits in enumerate(masks):
+        if i == m:
+            least = floor
+        acc = math.gcd(acc, ref_det(ref_subset_sum(rows, [j for j in range(m) if bits >> j & 1])))
+        if math.gcd(acc, modulus) == least:
+            return masks[:i + 1]
+    return masks
+
+
+def _even_rank_one(count):
+    # (1, 2x)^T (1, 2y): every 2x2 minor of either stack is even, so the
+    # floor is 2, while every pair sum's determinant, a product of two,
+    # is a multiple of 4.  The chain never meets its floor.
+    return [SquareMatrix(INTEGERS, [[1, 2 * y], [2 * x, 4 * x * y]]) for x, y in zip(range(count), range(3, 3 + count))]
+
+
 def test_ideal_chain_walks_only_subsets_of_at_most_n(monkeypatch):
-    # g_j = g_n above n, so the walk stops at n members: 299 of 4,095
-    # subsets at m = 12, n = 3.
+    # g_j = g_n above n, so the walk stops at n members at the latest: all
+    # 299 of 4,095 subsets at m = 12, n = 3 in the worst case.  It stops
+    # sooner at the unit ideal, or at the floor once level 1 has ended
+    # above 1; each of the three ends is met here.
     walked = []
     walk = search.search_order_sums
 
@@ -302,14 +371,22 @@ def test_ideal_chain_walks_only_subsets_of_at_most_n(monkeypatch):
 
     monkeypatch.setattr(search, "search_order_sums", recording_walk)
     rng = random.Random(347)
-    for ring, n, m in ((INTEGERS, 3, 12), (ModRing(12), 2, 9), (INTEGERS, 4, 3), (ModRing(36), 1, 5)):
+    families = [[random_matrix(ring, n, rng) for _ in range(m)]
+                for ring, n, m in ((INTEGERS, 3, 12), (ModRing(12), 2, 9), (INTEGERS, 4, 3), (ModRing(36), 1, 5))]
+    families += [_rank_one(INTEGERS, 3, 12, rng), _even_rank_one(9), [_singular(ModRing(12), 3, rng) for _ in range(6)]]
+    ends = set()
+    for fam in families:
         walked.clear()
-        chain = ideal_chain([random_matrix(ring, n, rng) for _ in range(m)])
+        ring, n, m = fam[0].ring, fam[0].n, len(fam)
+        modulus = ring.n if isinstance(ring, ModRing) else 0
+        chain = ideal_chain(fam)
         top = min(n, m)
         assert len(chain.generators) == m + 1
         assert chain.generators[top:] == (chain.generators[top],) * (m - top + 1)
-        assert len(walked) == sum(math.comb(m, k) for k in range(1, top + 1))
-        assert max(bits.bit_count() for bits in walked) == top
+        assert walked == _chain_walk(fam, modulus), (ring, n, m)
+        full = sum(math.comb(m, k) for k in range(1, top + 1))
+        ends.add("full" if len(walked) == full else "unit" if chain.generators[-1] == 1 else "floor")
+    assert ends == {"unit", "floor", "full"}
 
 
 def test_ideal_chain_truncation_suite():

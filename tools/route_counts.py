@@ -23,6 +23,14 @@ Runs every operation of cycles 0 and 1 of each workload of
   ``is_unit`` mapped over the batch.  The compiled loop does not call
   the ``det`` counted above, so its determinants show only here; the
   generic one does, so its determinants count in both rows;
+* ``floor``: per walking search, by the lift's determinant ring kind,
+  what the floor of ``matrices.minor_floor`` did: ``fired`` (not a
+  unit, so the search ended after the singles), ``not fired`` (a unit,
+  so the walk went on), or ``not taken`` (a single was a unit, the
+  bound was 1, or the lift has no floor);
+* ``chain``: the ideal chains by where their walk ended: ``unit`` at
+  the unit ideal, ``floor`` at the floor, ``full`` after every subset
+  of at most n members;
 * ``miner``: the calls to the miner and the families it found;
 * ``route``: the picks of ``matrices.det_route`` by (ring kind,
   algorithm), the algorithm being the name of the picked function:
@@ -59,7 +67,8 @@ HOMOGENEOUS_ENGINES = ("_recurrence_homogeneous_sum", "_ring_alternating_sum")
 
 def instrument(counts: Counter) -> None:
     """Count into ``counts`` every lift, determinant, search engine,
-    batch unit test, miner call, route, engine call and argv read."""
+    floor, chain stop, batch unit test, miner call, route, engine call
+    and argv read."""
     lift_family = matrices.lift_family
 
     def counted_lift(ring, members, size):
@@ -79,6 +88,7 @@ def instrument(counts: Counter) -> None:
             module.lift_family = counted_lift
 
     batch_unit_test, batch_search, table = search.batch_unit_test, search._batch_search, search.first_residue_subsum
+    minor_floor, chain_walk, chain = search.minor_floor, search.search_order_sums, cli.ideal_chain
 
     def counted_test(lift, n):
         first_unit = batch_unit_test(lift, n)
@@ -93,15 +103,42 @@ def instrument(counts: Counter) -> None:
 
         return counted_first_unit
 
-    def counted_walk(*args):
+    floors = []  # what the floor did in the current search
+
+    def counted_floor(lift, n):
+        floor = minor_floor(lift, n)
+        floors.append("not taken" if floor is None else "not fired" if lift.is_unit(floor) else "fired")
+        return floor
+
+    def counted_walk(lift, n, bound):
         counts["search", "walk"] += 1
-        return batch_search(*args)
+        floors.clear()
+        found = batch_search(lift, n, bound)
+        counts["floor", lift.det_ring.kind, floors[0] if floors else "not taken"] += 1
+        return found
 
     def counted_table(*args):
         counts["search", "table"] += 1
         return table(*args)
 
     search.batch_unit_test, search._batch_search, search.first_residue_subsum = counted_test, counted_walk, counted_table
+    search.minor_floor = counted_floor
+    walked = [0]  # the sums that the current chain walked
+
+    def counted_chain_walk(members, add, bound):
+        for item in chain_walk(members, add, bound):
+            walked[0] += 1
+            yield item
+
+    def counted_chain(matrices):
+        walked[0] = 0
+        found = chain(matrices)
+        m, top = len(matrices), min(matrices[0].n, len(matrices))
+        full = walked[0] == sum(math.comb(m, k) for k in range(1, top + 1))
+        counts["chain", "full" if full else "unit" if found.generators[-1] == 1 else "floor"] += 1
+        return found
+
+    search.search_order_sums, cli.ideal_chain = counted_chain_walk, counted_chain
     miner = cli.mixed_char_counterexample_search
 
     def counted_miner(*args):
@@ -154,6 +191,12 @@ def report(workload: str, ops: int, counts: Counter) -> None:
     print(f"{workload}: {ops} operations")
     print(f"  argv    exact {counts['argv', 'exact']:>7}  argparse {counts['argv', 'argparse']:>7}")
     print(f"  search  table {counts['search', 'table']:>7}  walk {counts['search', 'walk']:>7}")
+    if any(what == "chain" for what, *_ in counts):
+        print(f"  chain   unit {counts['chain', 'unit']:>8}  floor {counts['chain', 'floor']:>7}"
+              f"  full {counts['chain', 'full']:>7}")
+    for kind in sorted({key[0] for what, *key in counts if what == "floor"}):
+        fired, kept, skipped = (counts["floor", kind, outcome] for outcome in ("fired", "not fired", "not taken"))
+        print(f"  floor   {kind:<12} fired {fired:>7}  not fired {kept:>7}  not taken {skipped:>7}")
     if counts["miner", "calls"]:
         print(f"  miner   calls {counts['miner', 'calls']:>7}  families {counts['miner', 'families']:>7}")
     for (what, *key), count in sorted(counts.items()):
