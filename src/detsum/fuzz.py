@@ -1807,8 +1807,7 @@ def suite_minor_ideal_floor(rng: random.Random, trials: int, rec: _Recorder) -> 
     column with no unit lead passes its row unreduced), by the floor
     value, the no-unit-sum check and the search on entries in (d); the
     lcm of the stacks replaced by their gcd, by the floor value on row
-    0 in (d) and column 0 in (e); the prefix-sum certificate always
-    true, by the floor value and the check that a relation fires.
+    0 in (d) and column 0 in (e).
     """
     fired = set()
     for t in range(trials):

@@ -60,7 +60,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache, partial
 from types import FunctionType
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MaskOutOfRange, RingMismatch, ShapeMismatch, SizeLimit
 from .rings import (
@@ -659,16 +659,11 @@ def minor_floor(lift: Lift, n: int) -> Optional[int]:
     * every other lift (Z[x...], other products, Q walked as fractions):
       None.
 
-    A stack whose floor is 0 ends it, as the lcm is then 0.  Packed
-    residue lifts at n <= ``CLOSED_FORM_MAX_N`` first look for a unit
-    floor in the compiled determinants of a few prefix sums
-    (:func:`_unit_certificate`).
+    A stack whose floor is 0 ends it, as the lcm is then 0.
     """
     modulus = lift.det_ring.n if isinstance(lift.det_ring, ModRing) else 0
     if not modulus and lift.det_ring != INTEGERS:
         return None
-    if modulus and lift.width and n <= CLOSED_FORM_MAX_N and _unit_certificate(lift, n):
-        return 1
     members, cells, unpacked = lift.members, lift.cells, []
 
     def lines(cuts):
@@ -686,28 +681,13 @@ def minor_floor(lift: Lift, n: int) -> Optional[int]:
         if modulus:
             g = _minor_gcd_mod(lines(cuts), n, modulus)
         else:
-            columns = list(lines(cuts))
-            minor = abs(_nonzero_maximal_minor(columns, n))
-            g = minor if minor <= 1 else _minor_gcd_mod(([e % minor for e in c] for c in columns), n, minor) or minor
+            minor = abs(_nonzero_maximal_minor(lines(cuts), n))
+            residues = ([e % minor for e in c] for c in lines(cuts))
+            g = minor if minor <= 1 else _minor_gcd_mod(residues, n, minor) or minor
         if not g:
             return 0
         floor = math.lcm(floor, g)
     return floor % modulus if modulus else floor
-
-
-def _unit_certificate(lift: Lift, n: int) -> bool:
-    """Whether the sum of the first k members has a unit determinant for
-    some k from n on: a subset-sum determinant, which lies in both
-    stacks' ideals, so the floor is the unit ideal.
-
-    A packed slot holds the sum of (2^w - 1) // (N - 1) members, so the
-    prefix sums up to that many are walked values that the compiled
-    batch test of :func:`batch_unit_test` takes as they are.  A family
-    of full rank over a field needs one; a False only sends the floor on
-    to the column operations.
-    """
-    members = lift.members[:((1 << lift.width) - 1) // (lift.det_ring.n - 1)]
-    return batch_unit_test(lift, n)(None, itertools.islice(itertools.accumulate(members), n - 1, None)) >= 0
 
 
 def _minor_gcd_mod(columns, n: int, modulus: int) -> int:
@@ -764,29 +744,44 @@ def _minor_gcd_mod(columns, n: int, modulus: int) -> int:
     return g % modulus
 
 
-def _nonzero_maximal_minor(columns: Sequence[Sequence[int]], n: int) -> int:
+def _nonzero_maximal_minor(columns: Iterable[Sequence[int]], n: int) -> int:
     """One nonzero n x n minor of the n-row int matrix of ``columns``, or
     0 when its rank is below n.
 
-    Fraction-free (Bareiss) elimination with column pivoting: step k
-    takes the first column left with a nonzero row k as its pivot and
-    takes each other column c to (p_k c - c_k p) // prev on the rows
-    below, an exact division by the pivot of step k - 1.  Each entry is
-    then a (k + 1) x (k + 1) minor, and the last pivot is the minor of
-    the n pivot columns.  A row that no column reaches leaves a
-    Schur complement with a zero column: rank below n.
+    The minor is that of the first n columns that are linearly
+    independent, so a matrix of full rank is read only as far as they
+    reach.  Each column is reduced against the ones kept so far, each
+    with its pivot row r and pivot p, fraction-free (c -> p c - c_r b),
+    and kept if anything is left, divided by the gcd of its entries so
+    that they stay the size of a minor.  The kept columns' determinant
+    is then taken by fraction-free (Bareiss) elimination with column
+    pivoting: step k takes the first column left with a nonzero row k as
+    its pivot and takes each other column c to (p_k c - c_k p) // prev
+    on the rows below, an exact division by the pivot of step k - 1, and
+    the last pivot is the determinant.
     """
-    left = [list(c) for c in columns]
-    prev = 1
-    for _ in range(n):
-        j = next((j for j, c in enumerate(left) if c[0]), None)
-        if j is None:
-            return 0
-        pivot = left.pop(j)
-        lead, rest = pivot[0], pivot[1:]
-        left = [[(lead * a - c[0] * b) // prev for a, b in zip(c[1:], rest)] for c in left]
-        prev = lead
-    return prev
+    kept, reduced = [], []
+    for column in columns:
+        c = column
+        for r, b in reduced:
+            if c[r]:
+                c = [b[r] * x - c[r] * y for x, y in zip(c, b)]
+        r = next((r for r, x in enumerate(c) if x), None)
+        if r is None:
+            continue
+        g = math.gcd(*c)
+        kept.append(column)
+        reduced.append((r, [x // g for x in c]))
+        if len(kept) < n:
+            continue
+        prev = 1
+        for _ in range(n):
+            pivot = kept.pop(next(j for j, c in enumerate(kept) if c[0]))
+            lead, rest = pivot[0], pivot[1:]
+            kept = [[(lead * a - c[0] * b) // prev for a, b in zip(c[1:], rest)] for c in kept]
+            prev = lead
+        return prev
+    return 0
 
 
 def lift_family(ring: Ring, members: Sequence, size: int) -> Lift:

@@ -694,17 +694,21 @@ def test_importing_the_cli_compiles_no_expansion():
 
 def test_only_a_walking_search_compiles_a_batch_test():
     # alt-sum, perturb and the ideal chain lift 5x5 residue families and
-    # compile no batch test; the first search that walks at n = 5 does.
+    # compile no batch test, nor does the chain's floor on a family with
+    # all entries even, whose level 1 ends at 4; the first search that
+    # walks at n = 5 does.
     probe = run_python(
         "-c",
         "import random\n"
-        "from detsum import ModRing, alternating_subset_det_sum, find_invertible_subsum, find_perturbing_subset, "
-        "ideal_chain, perturbation_identity_residual, random_matrix\n"
+        "from detsum import ModRing, SquareMatrix, alternating_subset_det_sum, find_invertible_subsum, "
+        "find_perturbing_subset, ideal_chain, perturbation_identity_residual, random_matrix\n"
         "from detsum.matrices import _laplace_first_unit\n"
         "rng = random.Random(5)\n"
         "fam = [random_matrix(ModRing(12), 5, rng) for _ in range(6)]\n"
+        "even = [SquareMatrix(ModRing(12), [[2 * x % 12 for x in row] for row in a.rows]) for a in fam]\n"
         "alternating_subset_det_sum(fam), perturbation_identity_residual(fam[:5], fam[5])\n"
         "find_perturbing_subset(fam[:5], fam[5]), ideal_chain(fam)\n"
+        "assert ideal_chain(even).generators == (0, 4, 4, 4, 4, 4, 4)\n"
         "before = _laplace_first_unit.cache_info().currsize\n"
         "find_invertible_subsum(fam, 2)\n"
         "print(before, _laplace_first_unit.cache_info().currsize)\n",
